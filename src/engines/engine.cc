@@ -21,7 +21,8 @@ constexpr double kQ4Factor = 4.5 / 16.0; ///< Q4 bytes per fp16 byte
 
 Engine::Engine(const EngineConfig &ecfg, const model::ModelConfig &mcfg,
                const hw::HardwareSpec &spec,
-               const oracle::SyntheticCorpus &corpus)
+               const oracle::SyntheticCorpus &corpus,
+               std::shared_ptr<const model::Weights> weights)
     : ecfg_(ecfg), mcfg_(mcfg), hwspec_(spec), corpus_(corpus),
       stages_(mcfg.n_layers, ecfg.pp)
 {
@@ -54,7 +55,8 @@ Engine::Engine(const EngineConfig &ecfg, const model::ModelConfig &mcfg,
     opts.sparse_ffn = ecfg.sparse_ffn;
     opts.ffn_active_frac = ecfg.ffn_active_frac;
     opts.noise_seed = mcfg.weight_seed ^ 0xa0153;
-    tm_ = std::make_unique<model::TargetModel>(mcfg, opts);
+    tm_ = std::make_unique<model::TargetModel>(mcfg, opts,
+                                               std::move(weights));
 
     // Legacy AWQ mode compresses only the projection charges (dense
     // head, fp16-priced draft), scaled engine-side; the whole-model

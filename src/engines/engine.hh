@@ -81,9 +81,14 @@ struct RunResult
 class Engine
 {
   public:
+    /**
+     * @param weights  target weights to share (their backends must
+     *                 match `ecfg`); null builds a private set
+     */
     Engine(const EngineConfig &ecfg, const model::ModelConfig &mcfg,
            const hw::HardwareSpec &spec,
-           const oracle::SyntheticCorpus &corpus);
+           const oracle::SyntheticCorpus &corpus,
+           std::shared_ptr<const model::Weights> weights = nullptr);
 
     /** Attach the trained SpecEE predictor bank (required for EE). */
     void setPredictors(const core::ExitPredictor *preds);
@@ -120,7 +125,7 @@ class Engine
      *
      * Sessions of one engine share its model weights; callers must
      * step them from one thread at a time (sessions of different
-     * engines are independent).
+     * engines are independent: engines share only immutable weights).
      */
     std::unique_ptr<DecodeSession>
     makeSession(const workload::Workload &w, uint64_t seed,
@@ -128,6 +133,7 @@ class Engine
 
     const EngineConfig &config() const { return ecfg_; }
     const model::ModelConfig &modelConfig() const { return mcfg_; }
+    const model::TargetModel &targetModel() const { return *tm_; }
     const hw::HardwareSpec &platform() const { return hwspec_; }
 
     /** Fraction of weight bytes resident on the device (PC offload). */

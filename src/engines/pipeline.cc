@@ -8,7 +8,11 @@
 namespace specee::engines {
 
 Pipeline::Pipeline(const PipelineOptions &opts)
-    : opts_(opts), mcfg_(model::ModelConfig::byName(opts.model))
+    : opts_(opts),
+      mcfg_(model::ModelConfig::byName(opts.model)),
+      weights_(std::make_shared<const model::Weights>(
+          mcfg_, tensor::WeightBackend::Fp32,
+          tensor::WeightBackend::Fp32))
 {
     corpus_ = std::make_unique<oracle::SyntheticCorpus>(
         mcfg_.sim.vocab, opts.seed ^ 0xc0de);
@@ -25,7 +29,7 @@ Pipeline::Pipeline(const PipelineOptions &opts)
 
     model::TargetModelOptions tm_opts;
     tm_opts.noise_seed = mcfg_.weight_seed ^ 0xa0153;
-    model::TargetModel tm(mcfg_, tm_opts);
+    model::TargetModel tm(mcfg_, tm_opts, weights_);
     model::DraftModel dlm(mcfg_, *corpus_, profile.draft_hit_rate);
     profile_ = core::PredictorTrainer::collect(train_w, tm, dlm,
                                                opts.seed ^ 0xc011);
@@ -72,7 +76,10 @@ std::unique_ptr<Engine>
 Pipeline::makeEngine(const EngineConfig &ecfg,
                      const hw::HardwareSpec &spec) const
 {
-    auto e = std::make_unique<Engine>(ecfg, mcfg_, spec, *corpus_);
+    const bool dense = !ecfg.quantized &&
+                       ecfg.weight_backend == tensor::WeightBackend::Fp32;
+    auto e = std::make_unique<Engine>(ecfg, mcfg_, spec, *corpus_,
+                                      dense ? weights_ : nullptr);
     e->setPredictors(preds_.get());
     e->setAdaInferBank(&ada_);
     e->setRaeeIndex(raee_.get());

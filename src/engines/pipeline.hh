@@ -83,13 +83,20 @@ class Pipeline
                                     const workload::GenOptions &gen,
                                     bool quantized_cal = false) const;
 
-    /** Construct an engine with the trained artifacts attached. */
+    /**
+     * Construct an engine with the trained artifacts attached. Dense
+     * engines (fp32 projections and head) share the pipeline's one
+     * immutable weight set; compressed backends and the legacy AWQ
+     * mode build their own.
+     */
     std::unique_ptr<Engine> makeEngine(const EngineConfig &ecfg,
                                        const hw::HardwareSpec &spec) const;
 
   private:
     PipelineOptions opts_;
     model::ModelConfig mcfg_;
+    /** Dense target weights: profiling and every dense engine. */
+    std::shared_ptr<const model::Weights> weights_;
     std::unique_ptr<oracle::SyntheticCorpus> corpus_;
     std::unique_ptr<core::ExitPredictor> preds_;
     std::unique_ptr<core::RaeeIndex> raee_;

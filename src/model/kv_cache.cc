@@ -10,16 +10,10 @@ KvCache::KvCache(int n_layers, int max_seq, int hidden)
     : nLayers_(n_layers),
       maxSeq_(max_seq),
       hidden_(hidden),
+      k_(static_cast<size_t>(n_layers)),
+      v_(static_cast<size_t>(n_layers)),
       len_(static_cast<size_t>(n_layers), 0)
 {
-    k_.reserve(static_cast<size_t>(n_layers));
-    v_.reserve(static_cast<size_t>(n_layers));
-    for (int l = 0; l < n_layers; ++l) {
-        k_.emplace_back(static_cast<size_t>(max_seq),
-                        static_cast<size_t>(hidden));
-        v_.emplace_back(static_cast<size_t>(max_seq),
-                        static_cast<size_t>(hidden));
-    }
 }
 
 int
@@ -31,12 +25,18 @@ KvCache::append(int layer, tensor::CSpan k, tensor::CSpan v)
     specee_assert(k.size() == static_cast<size_t>(hidden_) &&
                   v.size() == static_cast<size_t>(hidden_),
                   "kv dim mismatch");
+    tensor::Matrix &km = k_[static_cast<size_t>(layer)];
+    tensor::Matrix &vm = v_[static_cast<size_t>(layer)];
+    if (km.empty()) {
+        km.resize(static_cast<size_t>(maxSeq_),
+                  static_cast<size_t>(hidden_));
+        vm.resize(static_cast<size_t>(maxSeq_),
+                  static_cast<size_t>(hidden_));
+    }
     std::copy(k.begin(), k.end(),
-              k_[static_cast<size_t>(layer)].row(static_cast<size_t>(len))
-                  .begin());
+              km.row(static_cast<size_t>(len)).begin());
     std::copy(v.begin(), v.end(),
-              v_[static_cast<size_t>(layer)].row(static_cast<size_t>(len))
-                  .begin());
+              vm.row(static_cast<size_t>(len)).begin());
     return len++;
 }
 

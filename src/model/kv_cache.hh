@@ -2,9 +2,12 @@
  * @file
  * Contiguous per-layer KV cache with rollback.
  *
- * Stores keys and values for every layer in preallocated contiguous
- * matrices (the HuggingFace-style layout). truncate() supports
- * speculative-decoding rollback of rejected draft tokens.
+ * Stores keys and values for every layer in contiguous matrices (the
+ * HuggingFace-style layout). A layer's (max_seq x hidden) storage is
+ * allocated on its first append and kept until destruction, so an
+ * unwritten cache costs nothing and spans stay valid across appends.
+ * truncate() supports speculative-decoding rollback of rejected draft
+ * tokens.
  */
 
 #ifndef SPECEE_MODEL_KV_CACHE_HH

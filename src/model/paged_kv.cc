@@ -11,16 +11,12 @@ PagedKvCache::PagedKvCache(int n_layers, int n_blocks, int hidden)
 {
     specee_assert(n_layers > 0 && n_blocks > 0 && hidden > 0,
                   "bad paged KV pool shape");
-    kPool_.reserve(static_cast<size_t>(n_blocks));
-    vPool_.reserve(static_cast<size_t>(n_blocks));
+    chunks_.resize(static_cast<size_t>(
+        (n_blocks + kKvChunkBlocks - 1) / kKvChunkBlocks));
     refs_.assign(static_cast<size_t>(n_blocks), 0);
-    for (int b = 0; b < n_blocks; ++b) {
-        kPool_.emplace_back(static_cast<size_t>(kKvBlockSize),
-                            static_cast<size_t>(hidden));
-        vPool_.emplace_back(static_cast<size_t>(kKvBlockSize),
-                            static_cast<size_t>(hidden));
-        freeList_.push_back(n_blocks - 1 - b);
-    }
+    freeList_.reserve(static_cast<size_t>(n_blocks));
+    for (int b = n_blocks - 1; b >= 0; --b)
+        freeList_.push_back(b);
 }
 
 int
@@ -81,7 +77,33 @@ PagedKvCache::allocBlock()
                   "allocator handed out referenced block %d (refs %d)",
                   b, refs_[static_cast<size_t>(b)]);
     refs_[static_cast<size_t>(b)] = 1;
+    // First handout from this chunk: allocate its storage.
+    tensor::Matrix &chunk =
+        chunks_[static_cast<size_t>(b / kKvChunkBlocks)];
+    if (chunk.empty()) {
+        const int first = b / kKvChunkBlocks * kKvChunkBlocks;
+        const int blocks = std::min(kKvChunkBlocks, nBlocks_ - first);
+        chunk = tensor::Matrix(
+            static_cast<size_t>(blocks * 2 * kKvBlockSize),
+            static_cast<size_t>(hidden_));
+        materialized_ += blocks;
+    }
     return b;
+}
+
+tensor::Span
+PagedKvCache::blockRow(int b, bool value, int off)
+{
+    const int local = b % kKvChunkBlocks;
+    return chunks_[static_cast<size_t>(b / kKvChunkBlocks)].row(
+        static_cast<size_t>((2 * local + (value ? 1 : 0)) * kKvBlockSize +
+                            off));
+}
+
+tensor::CSpan
+PagedKvCache::blockRow(int b, bool value, int off) const
+{
+    return const_cast<PagedKvCache *>(this)->blockRow(b, value, off);
 }
 
 void
@@ -213,26 +235,18 @@ PagedKvCache::append(int seq, int layer, tensor::CSpan k, tensor::CSpan v)
         // shared prefix content both holders agree on.
         const int fork = allocBlock();
         for (int r = 0; r < off; ++r) {
-            const auto row = static_cast<size_t>(r);
-            const auto src_k =
-                kPool_[static_cast<size_t>(block)].row(row);
-            const auto src_v =
-                vPool_[static_cast<size_t>(block)].row(row);
-            std::copy(src_k.begin(), src_k.end(),
-                      kPool_[static_cast<size_t>(fork)].row(row).begin());
-            std::copy(src_v.begin(), src_v.end(),
-                      vPool_[static_cast<size_t>(fork)].row(row).begin());
+            for (const bool value : {false, true}) {
+                const auto src = blockRow(block, value, r);
+                std::copy(src.begin(), src.end(),
+                          blockRow(fork, value, r).begin());
+            }
         }
         releaseBlock(block);
         st.blockTable[blk] = fork;
         block = fork;
     }
-    std::copy(k.begin(), k.end(),
-              kPool_[static_cast<size_t>(block)]
-                  .row(static_cast<size_t>(off)).begin());
-    std::copy(v.begin(), v.end(),
-              vPool_[static_cast<size_t>(block)]
-                  .row(static_cast<size_t>(off)).begin());
+    std::copy(k.begin(), k.end(), blockRow(block, false, off).begin());
+    std::copy(v.begin(), v.end(), blockRow(block, true, off).begin());
     return pos;
 }
 
@@ -252,14 +266,14 @@ tensor::CSpan
 PagedKvCache::key(int seq, int layer, int pos) const
 {
     auto [block, off] = locate(seq, layer, pos);
-    return kPool_[static_cast<size_t>(block)].row(static_cast<size_t>(off));
+    return blockRow(block, false, off);
 }
 
 tensor::CSpan
 PagedKvCache::value(int seq, int layer, int pos) const
 {
     auto [block, off] = locate(seq, layer, pos);
-    return vPool_[static_cast<size_t>(block)].row(static_cast<size_t>(off));
+    return blockRow(block, true, off);
 }
 
 int
@@ -284,9 +298,9 @@ PagedKvCache::swapOut(int seq)
         for (int pos = 0; pos < st.len; ++pos) {
             const int block =
                 st.blockTable[static_cast<size_t>(pos / kKvBlockSize)];
-            const auto off = static_cast<size_t>(pos % kKvBlockSize);
-            const auto k = kPool_[static_cast<size_t>(block)].row(off);
-            const auto v = vPool_[static_cast<size_t>(block)].row(off);
+            const int off = pos % kKvBlockSize;
+            const auto k = blockRow(block, false, off);
+            const auto v = blockRow(block, true, off);
             std::copy(k.begin(), k.end(),
                       st.hostK.row(static_cast<size_t>(pos)).begin());
             std::copy(v.begin(), v.end(),
@@ -319,13 +333,13 @@ PagedKvCache::swapIn(int seq)
                 st.blockTable.push_back(allocBlock());
             const int block =
                 st.blockTable[static_cast<size_t>(pos / kKvBlockSize)];
-            const auto off = static_cast<size_t>(pos % kKvBlockSize);
+            const int off = pos % kKvBlockSize;
             const auto k = st.hostK.row(static_cast<size_t>(pos));
             const auto v = st.hostV.row(static_cast<size_t>(pos));
             std::copy(k.begin(), k.end(),
-                      kPool_[static_cast<size_t>(block)].row(off).begin());
+                      blockRow(block, false, off).begin());
             std::copy(v.begin(), v.end(),
-                      vPool_[static_cast<size_t>(block)].row(off).begin());
+                      blockRow(block, true, off).begin());
         }
         hostBlocks_ -= static_cast<int>(st.blockTable.size());
         st.hostK = tensor::Matrix{};

@@ -20,6 +20,14 @@
  * free list only when its last reference is released, so the
  * allocator can never hand out a block that is still referenced —
  * double-release and referenced-handout are fatal, not silent reuse.
+ *
+ * Pool capacity bounds block ids, not memory: block storage lives in
+ * fixed-size chunks that are allocated the first time the allocator
+ * hands out a block from them, and never move or shrink afterwards
+ * (spans returned by key()/value() stay valid across later appends).
+ * The free list hands out the lowest never-used id only once every
+ * previously used block is live again, so a pool keeps resident
+ * exactly its peak occupancy rounded up to whole chunks.
  */
 
 #ifndef SPECEE_MODEL_PAGED_KV_HH
@@ -37,6 +45,9 @@ namespace specee::model {
 /** Positions per physical KV block. */
 constexpr int kKvBlockSize = 16;
 
+/** Blocks per lazily allocated storage chunk of a PagedKvCache. */
+constexpr int kKvChunkBlocks = 64;
+
 /**
  * Multi-sequence block-based KV pool: per-(sequence, layer) block
  * tables over one shared physical pool with allocation, rollback and
@@ -48,7 +59,8 @@ class PagedKvCache
   public:
     /**
      * @param n_layers  decoder layers
-     * @param n_blocks  physical blocks in the shared pool
+     * @param n_blocks  block ids in the shared pool (storage is
+     *                  allocated per chunk on first use)
      * @param hidden    per-position K/V width
      */
     PagedKvCache(int n_layers, int n_blocks, int hidden);
@@ -177,8 +189,11 @@ class PagedKvCache
     /** Physical blocks still free. */
     int blocksFree() const { return static_cast<int>(freeList_.size()); }
 
-    /** Pool capacity in blocks. */
+    /** Pool capacity in blocks (an id bound, not a reservation). */
     int nBlocks() const { return nBlocks_; }
+
+    /** Blocks whose storage chunk has been allocated. */
+    int materializedBlocks() const { return materialized_; }
 
     int nLayers() const { return nLayers_; }
     int hidden() const { return hidden_; }
@@ -214,12 +229,19 @@ class PagedKvCache
     int allocBlock();
     void releaseBlock(int b);
 
+    /** Row `off` of block `b`'s K (or V) storage. */
+    tensor::Span blockRow(int b, bool value, int off);
+    tensor::CSpan blockRow(int b, bool value, int off) const;
+
     int nLayers_;
     int nBlocks_;
     int hidden_;
-    // Physical pool: per block, kKvBlockSize rows for K and V.
-    std::vector<tensor::Matrix> kPool_;
-    std::vector<tensor::Matrix> vPool_;
+    // Physical pool: chunk c backs blocks [c * kKvChunkBlocks, ...),
+    // each block as kKvBlockSize K rows followed by kKvBlockSize V
+    // rows. Empty until the allocator first hands out one of its
+    // blocks.
+    std::vector<tensor::Matrix> chunks_;
+    int materialized_ = 0;
     std::vector<int> freeList_;
     std::vector<int> refs_; ///< per-block reference counts
     std::vector<SeqState> seqs_;

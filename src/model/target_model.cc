@@ -39,14 +39,31 @@ headBackendFor(const TargetModelOptions &opts)
                           : opts.weight_backend;
 }
 
+/** The weight set a model runs on: `shared`, or a private build. */
+std::shared_ptr<const Weights>
+weightsFor(const ModelConfig &cfg, const TargetModelOptions &opts,
+           std::shared_ptr<const Weights> shared)
+{
+    if (shared == nullptr) {
+        return std::make_shared<const Weights>(
+            cfg, projBackendFor(opts), headBackendFor(opts));
+    }
+    specee_assert(shared->projBackend() == projBackendFor(opts) &&
+                      shared->headBackend() == headBackendFor(opts) &&
+                      shared->nLayers() == cfg.n_layers,
+                  "shared weights do not match the model options");
+    return shared;
+}
+
 } // namespace
 
 TargetModel::TargetModel(const ModelConfig &cfg,
-                         const TargetModelOptions &opts)
+                         const TargetModelOptions &opts,
+                         std::shared_ptr<const Weights> weights)
     : cfg_(cfg),
       opts_(opts),
-      weights_(cfg, projBackendFor(opts), headBackendFor(opts)),
-      lmHead_(weights_.embedding(), weights_.rmsFinal()),
+      weights_(weightsFor(cfg, opts, std::move(weights))),
+      lmHead_(weights_->embedding(), weights_->rmsFinal()),
       layerBlock_(cfg),
       erow_(static_cast<size_t>(cfg.sim.hidden))
 {
@@ -111,9 +128,9 @@ TargetModel::prefill(const std::vector<int> &tokens)
     for (int tok : tokens) {
         specee_assert(tok >= 0 && tok < cfg_.sim.vocab,
                       "prompt token %d out of range", tok);
-        weights_.embedding().copyRow(static_cast<size_t>(tok), s.hidden);
+        weights_->embedding().copyRow(static_cast<size_t>(tok), s.hidden);
         for (int l = 0; l < cfg_.n_layers; ++l)
-            layerBlock_.fillKv(weights_.layer(l), l, s.hidden, s.pos,
+            layerBlock_.fillKv(weights_->layer(l), l, s.hidden, s.pos,
                                *s.kv);
         ++s.pos;
     }
@@ -135,12 +152,12 @@ TargetModel::beginToken(int input_token, const TokenScript &script)
     s.inToken = true;
 
     // Residual stream starts at the input embedding.
-    weights_.embedding().copyRow(static_cast<size_t>(input_token),
-                                 s.hidden);
+    weights_->embedding().copyRow(static_cast<size_t>(input_token),
+                                  s.hidden);
 
     // Per-token noisy target direction: dir = unit(E[target] + nu*z).
-    weights_.embedding().copyRow(static_cast<size_t>(script.target),
-                                 erow_);
+    weights_->embedding().copyRow(static_cast<size_t>(script.target),
+                                  erow_);
     const float nu = opts_.steer.target_noise;
     const float per_dim =
         nu / std::sqrt(static_cast<float>(cfg_.sim.hidden));
@@ -151,8 +168,8 @@ TargetModel::beginToken(int input_token, const TokenScript &script)
     }
     unitize(s.dirTarget);
 
-    weights_.embedding().copyRow(static_cast<size_t>(script.distractor),
-                                 s.dirDistractor);
+    weights_->embedding().copyRow(static_cast<size_t>(script.distractor),
+                                  s.dirDistractor);
 
     const float j = opts_.steer.distractor_jitter;
     s.distractorScale =
@@ -193,7 +210,7 @@ TargetModel::runLayer()
     SequenceState &s = *seq_;
     specee_assert(s.inToken, "runLayer outside a decode step");
     specee_assert(s.layer < cfg_.n_layers, "runLayer past last layer");
-    layerBlock_.forward(weights_.layer(s.layer), s.layer, s.hidden,
+    layerBlock_.forward(weights_->layer(s.layer), s.layer, s.hidden,
                         s.pos, *s.kv, opts_.sparse_ffn,
                         opts_.ffn_active_frac);
     steer(s.layer);
@@ -220,7 +237,7 @@ TargetModel::finishEarly()
     specee_assert(s.inToken, "finishEarly outside a decode step");
     const int filled = cfg_.n_layers - s.layer;
     for (int l = s.layer; l < cfg_.n_layers; ++l)
-        layerBlock_.fillKv(weights_.layer(l), l, s.hidden, s.pos, *s.kv);
+        layerBlock_.fillKv(weights_->layer(l), l, s.hidden, s.pos, *s.kv);
     s.layer = cfg_.n_layers;
     s.inToken = false;
     ++s.pos;

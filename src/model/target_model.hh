@@ -25,8 +25,10 @@
  * weights (DESIGN.md §1); everything else in the pipeline operates
  * on the model exactly as it would on a real checkpoint.
  *
- * Weights are sequence-independent; everything a decode mutates (KV,
- * position, per-token steering directions, the noise rng) lives in a
+ * Weights are sequence-independent and immutable, so one set can back
+ * several models (engines::Pipeline shares its dense set with every
+ * dense engine it builds); everything a decode mutates (KV, position,
+ * per-token steering directions, the noise rng) lives in a
  * SequenceState. The model owns one default state — single-sequence
  * callers never see the indirection — and can temporarily bind an
  * external state, which is how the serving layer interleaves many
@@ -118,14 +120,26 @@ struct SequenceState
 /**
  * Layer-steppable target model. Weights are shared; per-sequence
  * decode state is swappable via bindSequence().
+ *
+ * Neither copyable nor movable: the default binding points at the
+ * model's own state and the LM head references its weights, so a
+ * copy would silently alias the source's decode state.
  */
 class TargetModel
 {
   public:
-    TargetModel(const ModelConfig &cfg, const TargetModelOptions &opts);
+    /**
+     * @param weights  an existing weight set to share (its backends
+     *                 must match `opts`); null builds a private one
+     */
+    TargetModel(const ModelConfig &cfg, const TargetModelOptions &opts,
+                std::shared_ptr<const Weights> weights = nullptr);
+
+    TargetModel(const TargetModel &) = delete;
+    TargetModel &operator=(const TargetModel &) = delete;
 
     const ModelConfig &config() const { return cfg_; }
-    const Weights &weights() const { return weights_; }
+    const Weights &weights() const { return *weights_; }
     const LmHead &lmHead() const { return lmHead_; }
     int nLayers() const { return cfg_.n_layers; }
 
@@ -220,7 +234,7 @@ class TargetModel
 
     ModelConfig cfg_;
     TargetModelOptions opts_;
-    Weights weights_;
+    std::shared_ptr<const Weights> weights_;
     LmHead lmHead_;
     DecoderLayer layerBlock_;
     SequenceState own_;        ///< default state (single-sequence use)

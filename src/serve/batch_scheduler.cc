@@ -197,12 +197,13 @@ BatchScheduler::run(const engines::Pipeline &pipe,
                                        std::max(n_prefill_dev, 1)),
                                    0.0);
 
-    // One shared physical KV pool per worker engine, sized so a full
-    // decode batch of maximum-context sequences can never physically
-    // exhaust it even if every session lands on one engine — the
-    // *budget* (policy) is enforced fleet-wide by the scheduler
-    // against real allocator occupancy, the pool (mechanism) just
-    // backs the block tables.
+    // One shared KV pool per worker engine. Its capacity bounds block
+    // ids: a full decode batch of maximum-context sequences could
+    // never run out of ids even if every session lands on one engine.
+    // Storage is allocated per chunk on first use, so a pool keeps
+    // resident only its peak occupancy. The *budget* (policy) is
+    // enforced fleet-wide by the scheduler against real allocator
+    // occupancy; the pool (mechanism) just backs the block tables.
     const int per_seq_blocks =
         mcfg.n_layers * (mcfg.context_len / model::kKvBlockSize + 2);
     // Prefix-cache headroom: the cache may hold up to its capacity
@@ -1872,6 +1873,9 @@ BatchScheduler::run(const engines::Pipeline &pipe,
                           p->blocksInUse());
         }
     }
+
+    for (const auto &p : pools)
+        fleet.kv_materialized_blocks += p->materializedBlocks();
 
     // --- reduce fleet metrics over the finished timeline -----------
     fleet.requests = static_cast<long>(n);

@@ -391,6 +391,12 @@ struct FleetStats
     long cancelled = 0;       ///< requests cancelled by the consumer
     long rejected = 0;        ///< requests refused at the queue
     long peak_kv_blocks = 0;  ///< peak fleet paged-KV occupancy
+    /**
+     * Paged-KV blocks whose storage the worker pools allocated, summed
+     * over pools at the end of the run: each pool's peak occupancy
+     * rounded up to whole model::kKvChunkBlocks chunks.
+     */
+    long kv_materialized_blocks = 0;
     double peak_fleet_mem_gb = 0.0; ///< weights once + fleet KV/act
 
     /**

@@ -1,11 +1,13 @@
 /**
  * @file
  * Engine tests: dense correctness, SpecEE early exiting (T1/T2),
- * AdaInfer baseline behaviour, cost/energy/memory accounting.
+ * AdaInfer baseline behaviour, cost/energy/memory accounting and
+ * weight sharing between a pipeline's engines.
  */
 
 #include <gtest/gtest.h>
 
+#include "engines/engine.hh"
 #include "oracle/profiles.hh"
 #include "test_util.hh"
 #include "workload/evaluator.hh"
@@ -255,5 +257,74 @@ TEST(Engine, DeterministicAcrossRuns)
     ASSERT_EQ(a.emissions.size(), b.emissions.size());
     for (size_t i = 0; i < a.emissions.size(); ++i)
         EXPECT_EQ(a.emissions[i].tokens, b.emissions[i].tokens);
+    EXPECT_DOUBLE_EQ(a.stats.modeled_time_s, b.stats.modeled_time_s);
+}
+
+TEST(Engine, DenseEnginesShareThePipelineWeights)
+{
+    const auto &pipe = testutil::tinyPipeline();
+    const auto spec = hw::HardwareSpec::a100();
+    auto hf = pipe.makeEngine(EngineConfig::huggingFace(), spec);
+    auto ee = pipe.makeEngine(EngineConfig::huggingFace().withSpecEE(),
+                              spec);
+    auto vllm = pipe.makeEngine(EngineConfig::vllm(), spec);
+    const model::Weights *dense = &hf->targetModel().weights();
+    EXPECT_EQ(&ee->targetModel().weights(), dense);
+    EXPECT_EQ(&vllm->targetModel().weights(), dense);
+}
+
+TEST(Engine, CompressedEnginesBuildTheirOwnWeights)
+{
+    const auto &pipe = testutil::tinyPipeline();
+    const auto spec = hw::HardwareSpec::a100();
+    auto hf = pipe.makeEngine(EngineConfig::huggingFace(), spec);
+    auto q8 = pipe.makeEngine(EngineConfig::huggingFace().withWeightBackend(
+                                  tensor::WeightBackend::Q8),
+                              spec);
+    auto q4a = pipe.makeEngine(
+        EngineConfig::huggingFace().withWeightBackend(
+            tensor::WeightBackend::Q4),
+        spec);
+    auto q4b = pipe.makeEngine(
+        EngineConfig::huggingFace().withWeightBackend(
+            tensor::WeightBackend::Q4),
+        spec);
+    auto awq = pipe.makeEngine(EngineConfig::awq(), spec);
+    const std::vector<const model::Weights *> sets{
+        &hf->targetModel().weights(), &q8->targetModel().weights(),
+        &q4a->targetModel().weights(), &q4b->targetModel().weights(),
+        &awq->targetModel().weights()};
+    for (size_t i = 0; i < sets.size(); ++i)
+        for (size_t j = i + 1; j < sets.size(); ++j)
+            EXPECT_NE(sets[i], sets[j]) << i << " vs " << j;
+    EXPECT_EQ(sets[1]->projBackend(), tensor::WeightBackend::Q8);
+    EXPECT_EQ(sets[2]->headBackend(), tensor::WeightBackend::Q4);
+    EXPECT_EQ(sets[4]->projBackend(), tensor::WeightBackend::Q4);
+    EXPECT_EQ(sets[4]->headBackend(), tensor::WeightBackend::Fp32);
+}
+
+TEST(Engine, SharedWeightsMatchPrivateWeights)
+{
+    // A standalone engine builds its own weight set from the model
+    // seed; the pipeline's shared set must decode identically.
+    const auto &pipe = testutil::tinyPipeline();
+    const auto cfg = EngineConfig::huggingFace().withSpecEE();
+    const auto spec = hw::HardwareSpec::a100();
+    engines::Engine own(cfg, pipe.modelConfig(), spec, pipe.corpus());
+    own.setPredictors(&pipe.predictors());
+    own.setAdaInferBank(&pipe.adaInferBank());
+    own.setRaeeIndex(&pipe.raeeIndex());
+    own.setOfflineHotLayers(pipe.offlineHotLayers());
+    auto shared = pipe.makeEngine(cfg, spec);
+    ASSERT_NE(&own.targetModel().weights(),
+              &shared->targetModel().weights());
+
+    const auto a = own.run(mtWorkload(), 11);
+    const auto b = shared->run(mtWorkload(), 11);
+    ASSERT_EQ(a.emissions.size(), b.emissions.size());
+    for (size_t i = 0; i < a.emissions.size(); ++i) {
+        EXPECT_EQ(a.emissions[i].tokens, b.emissions[i].tokens);
+        EXPECT_EQ(a.emissions[i].exit_layers, b.emissions[i].exit_layers);
+    }
     EXPECT_DOUBLE_EQ(a.stats.modeled_time_s, b.stats.modeled_time_s);
 }

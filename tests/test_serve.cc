@@ -5,8 +5,9 @@
  * regardless of worker count, FIFO admission fairness,
  * fleet-vs-per-request stats consistency, sequential equivalence of
  * the live scheduler with Engine::runOne, KV-pressure preemption,
- * deadline drops, per-token streaming / TTFT metrics, and the
- * batched-serving speedup over sequential execution.
+ * deadline drops, per-token streaming / TTFT metrics, the
+ * batched-serving speedup over sequential execution, and on-demand
+ * KV block storage.
  */
 
 #include <gtest/gtest.h>
@@ -218,6 +219,33 @@ TEST(Server, FleetStatsMatchPerRequestStats)
     EXPECT_DOUBLE_EQ(rep.fleet.mean_batch_occupancy, 1.0);
     // Sequential latency: each request waits for all predecessors.
     EXPECT_GE(rep.fleet.p99_latency_s, rep.fleet.p50_latency_s);
+}
+
+TEST(Server, KvStorageTracksPeakOccupancyNotCapacity)
+{
+    // Open-loop chat: the worker pools are sized for full batches of
+    // maximum-context sequences, but only the blocks the run actually
+    // reached get storage.
+    const auto &pipe = testutil::tinyPipeline();
+    const auto &mcfg = pipe.modelConfig();
+    const auto opts = serverOpts(2, 8);
+    serve::Server server(pipe, opts);
+    server.submit(makeStream(24, 40.0, 16));
+    const auto rep = server.drain();
+    const long chunk = model::kKvChunkBlocks;
+    const long materialized = rep.fleet.kv_materialized_blocks;
+
+    EXPECT_GT(rep.fleet.peak_kv_blocks, 0);
+    EXPECT_GT(materialized, 0);
+    // Each pool keeps its peak occupancy rounded up to whole chunks,
+    // and no pool peaks above the fleet.
+    const long peak_chunks = (rep.fleet.peak_kv_blocks + chunk - 1) / chunk;
+    EXPECT_LE(materialized, opts.workers * peak_chunks * chunk);
+    // Per-pool capacity: max_batch sequences of the maximum context.
+    const long capacity =
+        static_cast<long>(opts.workers) * opts.sched.max_batch *
+        mcfg.n_layers * (mcfg.context_len / model::kKvBlockSize + 2);
+    EXPECT_LE(materialized * 8, capacity);
 }
 
 TEST(Server, BatchedServingBeatsSequential)

@@ -6,12 +6,21 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "model/draft_model.hh"
 #include "model/target_model.hh"
 #include "oracle/corpus.hh"
 #include "tensor/kernels.hh"
 
 using namespace specee;
+
+// The default binding points at the model's own state and the LM head
+// references its weights: a copy or move would alias the source.
+static_assert(!std::is_copy_constructible_v<model::TargetModel>);
+static_assert(!std::is_copy_assignable_v<model::TargetModel>);
+static_assert(!std::is_move_constructible_v<model::TargetModel>);
+static_assert(!std::is_move_assignable_v<model::TargetModel>);
 
 namespace {
 
