@@ -20,9 +20,9 @@ panel(const char *model, double paper_dlm_gb)
     auto cfg = model::ModelConfig::byName(model);
     // Predictor bank: 12->512->1 MLP per exitable layer.
     const size_t pred_params = 12 * 512 + 512 + 512 + 1;
-    hw::MemoryTracker hf(cfg, false, false, 0, 0);
-    hw::MemoryTracker ee(cfg, false, true, cfg.n_layers - 1,
-                         pred_params);
+    const auto fp16 = tensor::WeightBackend::Fp32;
+    hw::MemoryTracker hf(cfg, fp16, false, 0, 0);
+    hw::MemoryTracker ee(cfg, fp16, true, cfg.n_layers - 1, pred_params);
 
     metrics::Table t(std::string("Figure 17: GPU memory vs generated "
                                  "tokens, ") +

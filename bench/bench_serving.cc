@@ -77,7 +77,9 @@
  * under SLO end to end.
  *
  * Every sweep point is also written to BENCH_serving.json so the
- * serving perf trajectory is tracked machine-readably across PRs.
+ * serving perf trajectory is tracked machine-readably across PRs,
+ * together with every pass/fail bar the sweeps judge
+ * (`"bars": [{"name", "met"}]`); any unmet bar fails the exit code.
  *
  *   $ ./bench_serving [model]     (default llama2-7b)
  */
@@ -85,6 +87,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "bench_common.hh"
@@ -123,9 +126,16 @@ struct JsonPoint
     }
 };
 
+/** One pass/fail bar the bench judges. */
+struct Bar
+{
+    std::string name;
+    bool met;
+};
+
 void
 writeJson(const std::string &path, const std::string &model,
-          const std::string &platform,
+          const std::string &platform, const std::vector<Bar> &bars,
           const std::vector<JsonPoint> &points)
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
@@ -135,6 +145,13 @@ writeJson(const std::string &path, const std::string &model,
     }
     std::fprintf(f, "{\n  \"model\": \"%s\",\n  \"platform\": \"%s\",\n",
                  model.c_str(), platform.c_str());
+    std::fprintf(f, "  \"bars\": [\n");
+    for (size_t i = 0; i < bars.size(); ++i) {
+        std::fprintf(f, "    {\"name\": \"%s\", \"met\": %s}%s\n",
+                     bars[i].name.c_str(), bars[i].met ? "true" : "false",
+                     i + 1 < bars.size() ? "," : "");
+    }
+    std::fprintf(f, "  ],\n");
     std::fprintf(f, "  \"points\": [\n");
     for (size_t i = 0; i < points.size(); ++i) {
         std::fprintf(f, "    {\"sweep\": \"%s\"",
@@ -161,6 +178,15 @@ latencyFields(JsonPoint &p, const serve::FleetStats &f)
         .num("p99_latency_s", f.p99_latency_s, 5);
 }
 
+/** SLO accounting is self-consistent: judged, bounded, <= raw tok/s. */
+bool
+sloConsistent(const serve::FleetStats &f)
+{
+    return f.slo_evaluated > 0 && f.slo_attained >= 0 &&
+           f.slo_attained <= f.slo_evaluated &&
+           f.goodput_under_slo <= f.tokens_per_s + 1e-9;
+}
+
 double
 p50TtftOf(const serve::ServeReport &rep, serve::Priority tier)
 {
@@ -180,6 +206,17 @@ main(int argc, char **argv)
     auto &pipe = pipeline(model);
     const auto spec = hw::HardwareSpec::a100();
     std::vector<JsonPoint> json;
+    std::vector<Bar> bars;
+    const auto bar = [&](const char *name, bool met) {
+        bars.push_back({name, met});
+        return met;
+    };
+    const auto points = [&](const char *sweep) {
+        return std::count_if(json.begin(), json.end(),
+                             [&](const JsonPoint &p) {
+                                 return p.sweep == sweep;
+                             });
+    };
 
     struct Entry
     {
@@ -548,9 +585,11 @@ main(int argc, char **argv)
         json.push_back(std::move(p));
     }
     pt.print();
-    const bool swap_wins = swap_p99_ttft * 1.5 <= rec_p99_ttft &&
-                           auto_p99_ttft * 1.5 <= rec_p99_ttft &&
-                           swap_tps >= rec_tps && auto_tps >= rec_tps;
+    const bool swap_wins =
+        bar("preempt_swap_p99_ttft",
+            swap_p99_ttft * 1.5 <= rec_p99_ttft &&
+                auto_p99_ttft * 1.5 <= rec_p99_ttft &&
+                swap_tps >= rec_tps && auto_tps >= rec_tps);
     std::printf("\nSwap-to-host keeps evicted sessions' prompt work: "
                 "p99 TTFT %s s (recompute)\n-> %s s (swap) / %s s "
                 "(auto) with goodput no worse.\nswap/auto >= 1.5x "
@@ -607,6 +646,7 @@ main(int argc, char **argv)
                "p50 TTFT (s)", "p99 TTFT (s)", "prefill tok"});
 
     double hit_p50_ttft = 0.0, cold_p50_ttft = 0.0;
+    long hit_hits = 0, hit_cached = 0, cold_hits = -1;
     for (double reuse : reuses) {
         const auto stream = reuseStream(reuse);
         for (const bool cache_enabled : {true, false}) {
@@ -626,10 +666,15 @@ main(int argc, char **argv)
                         o.request.arrival_s, o.ttft_s, o.cached_tokens);
                 }
             }
-            if (reuse == 0.9 && cache_enabled)
+            if (reuse == 0.9 && cache_enabled) {
                 hit_p50_ttft = rep.fleet.p50_ttft_s;
-            if (reuse == 0.9 && !cache_enabled)
+                hit_hits = rep.fleet.prefix_hits;
+                hit_cached = rep.fleet.cached_tokens;
+            }
+            if (reuse == 0.9 && !cache_enabled) {
                 cold_p50_ttft = rep.fleet.p50_ttft_s;
+                cold_hits = rep.fleet.prefix_hits;
+            }
             xt.row({metrics::Table::num(reuse, 2),
                     cache_enabled ? "on" : "off",
                     metrics::Table::num(rep.fleet.tokens_per_s, 1),
@@ -654,7 +699,11 @@ main(int argc, char **argv)
         }
     }
     xt.print();
-    const bool prefix_wins = hit_p50_ttft * 3.0 <= cold_p50_ttft;
+    bar("prefix_reuse_points", points("prefix_reuse") == 5);
+    bar("prefix_cache_hits",
+        hit_hits > 0 && hit_cached > 0 && cold_hits == 0);
+    const bool prefix_wins =
+        bar("prefix_p50_ttft", hit_p50_ttft * 3.0 <= cold_p50_ttft);
     std::printf("\nPrefix caching serves the shared 3584-token template "
                 "from cached KV blocks:\np50 TTFT %s s (cache off) -> "
                 "%s s (cache on) at 0.9 reuse.\ncache-on p50 TTFT >= 3x "
@@ -695,7 +744,8 @@ main(int argc, char **argv)
                 "grants", "extra tok", "p50 TTFT (s)", "p99 lat (s)"});
 
     double util_on = 0.0, util_off = 0.0;
-    long grants_on = 0;
+    long grants_on = 0, grants_off = -1;
+    int stages_on = 0;
     for (const auto &sp : shard_points) {
         for (const bool backfill : {false, true}) {
             // At pp = 1 there is one stage and backfill is inert;
@@ -719,8 +769,10 @@ main(int argc, char **argv)
             if (sp.pp == 4) {
                 (backfill ? util_on : util_off) =
                     rep.fleet.pipeline_utilization;
+                (backfill ? grants_on : grants_off) =
+                    rep.fleet.backfill_grants;
                 if (backfill)
-                    grants_on = rep.fleet.backfill_grants;
+                    stages_on = rep.fleet.n_stages;
             }
             const std::string shard_label =
                 std::to_string(sp.tp) + " x " + std::to_string(sp.pp);
@@ -767,8 +819,9 @@ main(int argc, char **argv)
         bigmem.maxDeviceBytes(mono_graph, 1, fit_tokens, 4));
     const double tp2pp2_gib = hw::MemoryTracker::toGiB(
         bigmem.maxDeviceBytes(pp2_graph, 2, fit_tokens, 4));
-    const bool big_fits = mono_gib > spec.vram_gb &&
-                          tp2pp2_gib < spec.vram_gb;
+    const bool big_fits = bar("70b_device_fit",
+                              mono_gib > spec.vram_gb &&
+                                  tp2pp2_gib < spec.vram_gb);
     {
         JsonPoint p;
         p.sweep = "sharded";
@@ -780,7 +833,10 @@ main(int argc, char **argv)
         json.push_back(std::move(p));
     }
 
-    const bool sharded_wins = util_on > util_off && grants_on > 0;
+    bar("sharded_points", points("sharded") == 6);
+    const bool sharded_wins =
+        bar("sharded_backfill", util_on > util_off && grants_on > 0 &&
+                                    stages_on == 4 && grants_off == 0);
     std::printf("\nEarly exits free the trailing pipeline stages and "
                 "backfill slots queued\nprefill chunks into them: "
                 "pipeline utilization %s (off) -> %s (on) at\n1 x 4, "
@@ -837,7 +893,8 @@ main(int argc, char **argv)
     mt.header({"mode", "tok/s", "preempt", "swaps", "recomputes",
                "prefill tokens", "p99 TTFT (s)"});
 
-    long mix_rec_preempt = 0, mix_swap_swaps = 0;
+    long mix_rec_preempt = 0, mix_rec_swaps = -1;
+    long mix_swap_preempt = 0, mix_swap_swaps = 0;
     long mix_auto_swaps = 0, mix_auto_recomputes = 0;
     double mix_dearer = 0.0, mix_auto_makespan = 0.0;
     for (const auto mode :
@@ -864,8 +921,10 @@ main(int argc, char **argv)
             rep.fleet.preemptions - rep.fleet.swaps_out;
         if (mode == serve::PreemptMode::Recompute) {
             mix_rec_preempt = rep.fleet.preemptions;
+            mix_rec_swaps = rep.fleet.swaps_out;
             mix_dearer = std::max(mix_dearer, rep.fleet.makespan_s);
         } else if (mode == serve::PreemptMode::Swap) {
+            mix_swap_preempt = rep.fleet.preemptions;
             mix_swap_swaps = rep.fleet.swaps_out;
             mix_dearer = std::max(mix_dearer, rep.fleet.makespan_s);
         } else {
@@ -894,12 +953,15 @@ main(int argc, char **argv)
         json.push_back(std::move(p));
     }
     mt.print();
-    const bool auto_diverges = mix_auto_swaps > 0 &&
-                               mix_auto_recomputes > 0 &&
-                               mix_rec_preempt > 0 &&
-                               mix_swap_swaps > 0 &&
-                               mix_auto_makespan <=
-                                   mix_dearer * (1.0 + 1e-9);
+    bar("preempt_mix_points", points("preempt_mix") == 3);
+    bar("preempt_mix_pure_modes",
+        mix_rec_swaps == 0 && mix_rec_preempt > 0 &&
+            mix_swap_swaps == mix_swap_preempt && mix_swap_swaps > 0);
+    const bool auto_diverges =
+        bar("preempt_mix_auto_diverges",
+            mix_auto_swaps > 0 && mix_auto_recomputes > 0 &&
+                mix_rec_preempt > 0 && mix_swap_swaps > 0 &&
+                mix_auto_makespan <= mix_dearer * (1.0 + 1e-9));
     std::printf("\nOn the mixed stream auto serves %ld preemptions by "
                 "swap and %ld by recompute:\nboth arms fire, so its "
                 "point diverges from either pure mode.\nauto mixes "
@@ -962,6 +1024,9 @@ main(int argc, char **argv)
 
     double uni_itl = 0.0, dis_itl = 0.0;
     double uni_tps = 0.0, dis_tps = 0.0;
+    long uni_handoffs = -1, uni_overlapped = -1;
+    long dis_handoffs = 0, dis_overlapped = 0;
+    int uni_prefill_dev = -1, dis_prefill_dev = -1;
     for (const auto &dp : disagg_points) {
         serve::ServerOptions sopts;
         sopts.engine = EngineConfig::huggingFace().withSpecEE();
@@ -994,9 +1059,15 @@ main(int argc, char **argv)
         if (dp.prefill_devices == 0) {
             uni_itl = itl;
             uni_tps = rep.fleet.tokens_per_s;
+            uni_handoffs = rep.fleet.handoffs;
+            uni_overlapped = rep.fleet.transfers_overlapped;
+            uni_prefill_dev = dp.prefill_devices;
         } else if (dp.overlap) {
             dis_itl = itl;
             dis_tps = rep.fleet.tokens_per_s;
+            dis_handoffs = rep.fleet.handoffs;
+            dis_overlapped = rep.fleet.transfers_overlapped;
+            dis_prefill_dev = dp.prefill_devices;
         }
         dt.row({dp.label, metrics::Table::num(rep.fleet.tokens_per_s, 1),
                 std::to_string(rep.fleet.handoffs),
@@ -1027,8 +1098,14 @@ main(int argc, char **argv)
         json.push_back(std::move(p));
     }
     dt.print();
+    bar("disagg_points", points("disagg") == 3);
+    bar("disagg_handoffs",
+        uni_prefill_dev == 0 && uni_handoffs == 0 &&
+            uni_overlapped == 0 && dis_prefill_dev == 1 &&
+            dis_handoffs > 0 && dis_overlapped > 0);
     const bool disagg_wins =
-        dis_itl * 1.3 <= uni_itl && dis_tps >= uni_tps;
+        bar("disagg_interactive_itl",
+            dis_itl * 1.3 <= uni_itl && dis_tps >= uni_tps);
     std::printf("\nDedicating a device to prefill takes prompt chunks "
                 "off the decode boundary:\ninteractive p99 ITL %s ms "
                 "(unified) -> %s ms (disaggregated) at equal-or-\n"
@@ -1061,6 +1138,7 @@ main(int argc, char **argv)
                "SLO tok/s", "timeline windows"});
 
     double slo_rec = 0.0, slo_swap = 0.0, slo_auto = 0.0;
+    bool slo_consistent = true;
     const double batch_ttft_slo =
         1.05 * std::max(swap_p99_ttft, auto_p99_ttft);
     for (const auto &pp : preempt_points) {
@@ -1080,6 +1158,8 @@ main(int argc, char **argv)
         server.submit(pressed_stream);
         auto rep = server.drain();
 
+        slo_consistent = slo_consistent && sloConsistent(rep.fleet) &&
+                         !rep.fleet.timeline.empty();
         if (pp.mode == serve::PreemptMode::Recompute)
             slo_rec = rep.fleet.goodput_under_slo;
         else if (pp.mode == serve::PreemptMode::Swap)
@@ -1112,6 +1192,7 @@ main(int argc, char **argv)
     // unified one that laces prompt chunks into decode boundaries.
     const double inter_itl_slo = std::sqrt(dis_itl * uni_itl);
     double slo_uni = 0.0, slo_dis = 0.0;
+    size_t slo_dis_trace = 0;
     for (const auto &dp : disagg_points) {
         if (dp.prefill_devices == 1 && !dp.overlap)
             continue; // unified vs overlapped disagg, as in the bar
@@ -1135,10 +1216,14 @@ main(int argc, char **argv)
         server.submit(disagg_stream);
         auto rep = server.drain();
 
-        if (dp.prefill_devices == 0)
+        slo_consistent = slo_consistent && sloConsistent(rep.fleet) &&
+                         !rep.fleet.timeline.empty();
+        if (dp.prefill_devices == 0) {
             slo_uni = rep.fleet.goodput_under_slo;
-        else
+        } else {
             slo_dis = rep.fleet.goodput_under_slo;
+            slo_dis_trace = rep.fleet.trace.size();
+        }
         st.row({std::string("disagg/") + dp.label,
                 std::to_string(rep.fleet.slo_evaluated),
                 std::to_string(rep.fleet.slo_attained),
@@ -1161,8 +1246,12 @@ main(int argc, char **argv)
         json.push_back(std::move(p));
     }
     st.print();
-    const bool slo_ordered = slo_swap >= slo_rec &&
-                             slo_auto >= slo_rec && slo_dis >= slo_uni;
+    bar("slo_points", points("slo") == 5);
+    bar("slo_accounting", slo_consistent);
+    bar("slo_disagg_trace", slo_dis_trace > 0);
+    const bool slo_ordered =
+        bar("slo_ordering", slo_swap >= slo_rec && slo_auto >= slo_rec &&
+                                slo_dis >= slo_uni);
     std::printf("\nGoodput under SLO reproduces the latency ordering: "
                 "swap %s / auto %s >= recompute %s tok/s under the "
                 "batch TTFT promise,\ndisagg %s >= unified %s tok/s "
@@ -1275,11 +1364,18 @@ main(int argc, char **argv)
                "epochs", "knob changes"});
 
     double ctl_gp[3] = {0.0, 0.0, 0.0};
+    bool ctl_consistent = true, ctl_epochs = true;
     for (int i = 0; i < 3; ++i) {
         const auto &cp = ctl_points[i];
         auto rep =
             runCtl(cp.chunk, cp.adaptive, ctl_slo, 0.25 * prefill_P);
         ctl_gp[i] = rep.fleet.goodput_under_slo;
+        ctl_consistent = ctl_consistent && sloConsistent(rep.fleet);
+        const auto &ctl = rep.fleet.controller;
+        ctl_epochs = ctl_epochs &&
+                     (cp.adaptive
+                          ? ctl.epochs > 0 && ctl.knob_changes >= 0
+                          : ctl.epochs == 0 && ctl.knob_changes == 0);
         if (cp.adaptive &&
             std::getenv("SPECEE_BENCH_DEBUG") != nullptr) {
             for (const auto &ep : rep.fleet.controller.trajectory) {
@@ -1312,8 +1408,12 @@ main(int argc, char **argv)
         json.push_back(std::move(p));
     }
     at.print();
+    bar("controller_points", points("controller") == 3);
+    bar("controller_epochs", ctl_epochs);
+    bar("controller_slo_accounting", ctl_consistent);
     const double ctl_worst = std::min(ctl_gp[0], ctl_gp[1]);
-    const bool controller_wins = ctl_gp[2] >= ctl_worst * 0.999;
+    const bool controller_wins =
+        bar("controller_goodput", ctl_gp[2] >= ctl_worst * 0.999);
     std::printf("\nThe shifting mix punishes any static chunk choice "
                 "on one phase: goodput under\nSLO %s (small) vs %s "
                 "(big) tok/s; the adaptive controller re-tunes online "
@@ -1324,24 +1424,26 @@ main(int argc, char **argv)
                 metrics::Table::num(ctl_gp[2], 1).c_str(),
                 controller_wins ? "MET" : "MISSED");
 
-    writeJson("BENCH_serving.json", model, spec.name, json);
-
     std::printf("\nbatched SpecEE serving vs sequential: %s aggregate "
                 "tokens/s (%s)\n",
-                specee_batch_tps > specee_seq_tps ? "HIGHER" : "LOWER",
+                bar("batched_specee_throughput",
+                    specee_batch_tps > specee_seq_tps)
+                    ? "HIGHER"
+                    : "LOWER",
                 mult(specee_batch_tps / specee_seq_tps).c_str());
     std::printf("Continuous batching amortizes the weight stream over "
                 "the decode batch; early\nexiting shortens the shared "
                 "read itself, so the two multiply under load.\n");
-    const bool chunking_wins =
-        small_inter_ttft * 2.0 <= mono_inter_ttft;
     std::printf("chunked interactive TTFT >= 2x better than "
                 "monolithic: %s\n",
-                chunking_wins ? "MET" : "MISSED");
-    return specee_batch_tps > specee_seq_tps && chunking_wins &&
-                   swap_wins && prefix_wins && sharded_wins &&
-                   big_fits && auto_diverges && disagg_wins &&
-                   slo_ordered && controller_wins
+                bar("chunked_interactive_ttft",
+                    small_inter_ttft * 2.0 <= mono_inter_ttft)
+                    ? "MET"
+                    : "MISSED");
+
+    writeJson("BENCH_serving.json", model, spec.name, bars, json);
+    return std::all_of(bars.begin(), bars.end(),
+                       [](const Bar &b) { return b.met; })
                ? 0
                : 1;
 }

@@ -3,7 +3,8 @@
  * Table 4: accuracy / perplexity / average forward layers for Dense,
  * AdaInfer, SpecEE, AWQ and AWQ+SpecEE on Llama2-7B/13B/70B over the
  * seven evaluation datasets. Dense accuracy (and AWQ accuracy) are
- * oracle-calibrated inputs (DESIGN.md §5); every other number —
+ * oracle-calibrated inputs (the paper's Table 4 values in
+ * oracle/profiles.cc); every other number —
  * SpecEE/AdaInfer accuracy deltas, perplexities, forward layers — is
  * measured from the simulated engines.
  */

@@ -39,25 +39,23 @@ DecodeSession::DecodeSession(Engine &eng, const workload::Workload &w,
       dlm_(&dlm),
       out_(&out),
       rng_(&rng),
-      seq_(eng.tm_->makeSequence()),
       fx_(eng.mcfg_.num_spec_tokens),
       online_(eng.nExitLayers(), eng.ecfg_.online_window,
               eng.ecfg_.online_radius)
 {
     specee_assert(instance_ < w_->instances.size(),
                   "session instance out of range");
-    kvView_ = dynamic_cast<model::SequenceKv *>(seq_.kv.get());
+    initKv(nullptr);
     exitThreshold_ = eng_.ecfg_.exit_threshold;
 }
 
 DecodeSession::DecodeSession(Engine &eng, workload::Workload w,
                              uint64_t seed,
-                             std::unique_ptr<model::KvStore> kv)
+                             std::unique_ptr<model::SequenceKv> kv)
     : eng_(eng),
       ownedW_(std::move(w)),
       w_(&*ownedW_),
       instance_(0),
-      seq_(eng.tm_->makeSequence(std::move(kv))),
       fx_(eng.mcfg_.num_spec_tokens),
       online_(eng.nExitLayers(), eng.ecfg_.online_window,
               eng.ecfg_.online_radius)
@@ -87,8 +85,17 @@ DecodeSession::DecodeSession(Engine &eng, workload::Workload w,
     ownedRng_.emplace(seed ^ eng_.mcfg_.weight_seed);
     rng_ = &*ownedRng_;
 
-    kvView_ = dynamic_cast<model::SequenceKv *>(seq_.kv.get());
+    initKv(std::move(kv));
     exitThreshold_ = eng_.ecfg_.exit_threshold;
+}
+
+void
+DecodeSession::initKv(std::unique_ptr<model::SequenceKv> kv)
+{
+    if (kv == nullptr)
+        kv = eng_.tm_->makeSequenceKv();
+    kv_ = kv.get();
+    seq_ = eng_.tm_->makeSequence(std::move(kv));
 }
 
 void
@@ -126,8 +133,6 @@ DecodeSession::adoptCachedPrefix(
 {
     specee_assert(!prefillStarted_ && !prefilled_,
                   "adoptCachedPrefix() after prefill began");
-    specee_assert(canSwap(),
-                  "adoptCachedPrefix() needs a paged fleet-pool KV");
     const auto &inst = w_->instances[instance_];
     const int prefix_len = static_cast<int>(inst.prompt.size()) - 1;
     specee_assert(true_matched > 0 && true_matched <= prefillTotal(),
@@ -141,7 +146,7 @@ DecodeSession::adoptCachedPrefix(
     // prefill, so the resumed decode is bit-identical to a cold run.
     eng_.tm_->reset(rng_->fork(0x7e5e + instance_).next());
     prefillStarted_ = true;
-    kvView_->adoptPrefix(table, sim_matched);
+    kv_->adoptPrefix(table, sim_matched);
     seq_.pos = sim_matched;
     simFilled_ = sim_matched;
     prefillTrue_ = true_matched;
@@ -314,9 +319,8 @@ DecodeSession::captureCost(
 double
 DecodeSession::swapOut()
 {
-    specee_assert(canSwap(), "swapOut() needs a paged fleet-pool KV");
     specee_assert(!swapped_, "double swap-out");
-    kvView_->swapOut();
+    kv_->swapOut();
     swapped_ = true;
     return eng_.chargeKvSwap(out_->stats.oplog, hw::OpClass::KvSwapOut,
                              modeledPositions());
@@ -326,39 +330,10 @@ double
 DecodeSession::swapIn()
 {
     specee_assert(swapped_, "swapIn() of a device-resident session");
-    kvView_->swapIn();
+    kv_->swapIn();
     swapped_ = false;
     return eng_.chargeKvSwap(out_->stats.oplog, hw::OpClass::KvSwapIn,
                              modeledPositions());
-}
-
-int
-DecodeSession::hostBlocks() const
-{
-    return kvView_ != nullptr ? kvView_->hostBlocks() : 0;
-}
-
-int
-DecodeSession::kvSeqId() const
-{
-    specee_assert(kvView_ != nullptr,
-                  "kvSeqId() needs a paged fleet-pool KV");
-    return kvView_->seqId();
-}
-
-void
-DecodeSession::beginTransfer()
-{
-    specee_assert(canSwap(),
-                  "beginTransfer() needs a paged fleet-pool KV");
-    kvView_->beginTransfer();
-}
-
-void
-DecodeSession::endTransfer()
-{
-    specee_assert(canSwap(), "endTransfer() needs a paged fleet-pool KV");
-    kvView_->endTransfer();
 }
 
 double
@@ -580,18 +555,6 @@ DecodeSession::stepSpeculative()
     lastDeepest_ = pass_layers;
     lastFillLo_ = min_exit_layers;
     return !finished();
-}
-
-int
-DecodeSession::kvBlocks() const
-{
-    if (kvView_ != nullptr)
-        return kvView_->blocks();
-    // Contiguous store: block-equivalent occupancy so fleet KV
-    // budgets apply uniformly across engine presets.
-    const int len = seq_.kv->length(0);
-    return eng_.mcfg_.n_layers *
-           ((len + model::kKvBlockSize - 1) / model::kKvBlockSize);
 }
 
 long

@@ -3,7 +3,8 @@
  * DecodeSession — one request's decode as a stepwise state machine.
  *
  * The session owns everything one in-flight request mutates: its
- * per-request KV store (optionally a view onto a shared fleet pool),
+ * per-request paged KV (a view onto a shared fleet pool, or onto a
+ * private single-sequence pool),
  * its rng stream, predictor / speculation state (feature extractor,
  * online scheduler, emission buffer) and per-step cost records. The
  * lifecycle is prefill() -> step()* -> finished(), where one step()
@@ -108,12 +109,11 @@ class DecodeSession
      * Owning mode (serving layer): a self-contained per-request
      * session over a single-instance workload. Owns its draft model,
      * rng stream (seeded exactly like Engine::runOne(w, 0, seed))
-     * and RunResult. `kv` optionally supplies the KV store — a
-     * SequenceKv view onto a shared fleet pool under continuous
-     * batching; null for a private store of the engine's kind.
+     * and RunResult. `kv` is the session's view onto a shared fleet
+     * pool under continuous batching; null for a private pool.
      */
     DecodeSession(Engine &eng, workload::Workload w, uint64_t seed,
-                  std::unique_ptr<model::KvStore> kv = nullptr);
+                  std::unique_ptr<model::SequenceKv> kv = nullptr);
 
     DecodeSession(const DecodeSession &) = delete;
     DecodeSession &operator=(const DecodeSession &) = delete;
@@ -135,7 +135,8 @@ class DecodeSession
      * session's own prefill would have written (prefill is a pure
      * function of the tokens), so subsequent chunks, decode and
      * emissions are bit-identical to a cold run. Call before
-     * prefill() / prefillChunk(); requires a paged fleet-pool KV.
+     * prefill() / prefillChunk(); `table` must name blocks of the
+     * session's pool.
      */
     void adoptCachedPrefix(const std::vector<std::vector<int>> &table,
                            int true_matched, int sim_matched);
@@ -170,9 +171,6 @@ class DecodeSession
      */
     bool step();
 
-    /** True when the session's KV can swap (paged fleet-pool view). */
-    bool canSwap() const { return kvView_ != nullptr; }
-
     /** True while the session's KV lives in the host pool. */
     bool swapped() const { return swapped_; }
 
@@ -195,29 +193,26 @@ class DecodeSession
     double swapIn();
 
     /** Device blocks a swapIn() must be able to allocate. */
-    int hostBlocks() const;
+    int hostBlocks() const { return kv_->hostBlocks(); }
 
     /**
      * Pin this session's KV blocks for an in-flight DMA (see
      * PagedKvCache::beginTransfer). The functional move (swap or
      * handoff adoption) happens eagerly before the pin; the transfer
      * engine prices when the bytes land, and the scheduler keeps the
-     * session out of stepping until then. @pre canSwap()
+     * session out of stepping until then.
      */
-    void beginTransfer();
+    void beginTransfer() { kv_->beginTransfer(); }
 
     /** The transfer landed (or settled at drop): unpin the blocks. */
-    void endTransfer();
+    void endTransfer() { kv_->endTransfer(); }
 
     /**
      * True while this session's KV rides a DMA channel. The session
      * must not step, prefill, swap or drop until the scheduler
      * settles the transfer.
      */
-    bool awaitingTransfer() const
-    {
-        return kvView_ != nullptr && kvView_->inTransfer();
-    }
+    bool awaitingTransfer() const { return kv_->inTransfer(); }
 
     /**
      * Modeled peer-link time to stream this session's KV (at its
@@ -261,16 +256,11 @@ class DecodeSession
     /** Spec-decode tokens committed by passes (avg_commit_per_pass). */
     long committed() const { return committed_; }
 
-    /**
-     * Physical KV blocks this session holds — real allocator blocks
-     * when the KV store is paged, the block-equivalent of the
-     * contiguous store's length otherwise, so fleet budgets apply
-     * uniformly.
-     */
-    int kvBlocks() const;
+    /** Physical KV blocks this session holds in its pool. */
+    int kvBlocks() const { return kv_->blocks(); }
 
-    /** Pool sequence id of the paged KV view. @pre canSwap() */
-    int kvSeqId() const;
+    /** Pool sequence id of the session's KV. */
+    int kvSeqId() const { return kv_->seqId(); }
 
     /** Modeled cached positions at TRUE dims (prompt + emitted). */
     long modeledPositions() const;
@@ -302,6 +292,9 @@ class DecodeSession
     float exitThreshold() const { return exitThreshold_; }
 
   private:
+    /** Take `kv` (null: a private pool) as the sequence's KV store. */
+    void initKv(std::unique_ptr<model::SequenceKv> kv);
+
     bool stepAutoregressive();
     bool stepSpeculative();
 
@@ -331,7 +324,7 @@ class DecodeSession
     Rng *rng_;
 
     model::SequenceState seq_;
-    model::SequenceKv *kvView_ = nullptr; ///< non-owning (seq_.kv)
+    model::SequenceKv *kv_ = nullptr; ///< the session's KV (owned by seq_)
     core::FeatureExtractor fx_;
     core::OnlineScheduler online_;
     workload::Emission em_;

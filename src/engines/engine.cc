@@ -16,20 +16,15 @@ namespace specee::engines {
 
 namespace {
 constexpr double kFp16 = 2.0;
-constexpr double kQ4Factor = 4.5 / 16.0; ///< Q4 bytes per fp16 byte
 } // namespace
 
 Engine::Engine(const EngineConfig &ecfg, const model::ModelConfig &mcfg,
                const hw::HardwareSpec &spec,
                const oracle::SyntheticCorpus &corpus,
                std::shared_ptr<const model::Weights> weights)
-    : ecfg_(ecfg), mcfg_(mcfg), hwspec_(spec), corpus_(corpus),
-      stages_(mcfg.n_layers, ecfg.pp)
+    : ecfg_(ecfg), mcfg_(mcfg), hwspec_(spec),
+      stages_(mcfg.n_layers, ecfg.pp), corpus_(corpus)
 {
-    specee_assert(!ecfg.quantized ||
-                  ecfg.weight_backend == tensor::WeightBackend::Fp32,
-                  "legacy `quantized` and `weight_backend` are "
-                  "mutually exclusive");
     specee_assert(ecfg.tp >= 1, "tp must be >= 1, got %d", ecfg.tp);
     if (ecfg.tp > 1 || ecfg.pp > 1) {
         // Stage-level sharding composes tp x pp single-device specs;
@@ -48,32 +43,28 @@ Engine::Engine(const EngineConfig &ecfg, const model::ModelConfig &mcfg,
                       "tp/pp sharding cannot combine with host "
                       "weight offload");
     }
+    if (weights == nullptr) {
+        weights = std::make_shared<const model::Weights>(
+            mcfg, ecfg.projBackend(), ecfg.headBackend());
+    }
+    specee_assert(weights->projBackend() == ecfg.projBackend() &&
+                      weights->headBackend() == ecfg.headBackend(),
+                  "shared weights do not match the weight format of %s",
+                  ecfg.name.c_str());
     model::TargetModelOptions opts;
-    opts.quantized = ecfg.quantized;
-    opts.weight_backend = ecfg.weight_backend;
-    opts.paged_kv = ecfg.paged_kv;
     opts.sparse_ffn = ecfg.sparse_ffn;
     opts.ffn_active_frac = ecfg.ffn_active_frac;
     opts.noise_seed = mcfg.weight_seed ^ 0xa0153;
     tm_ = std::make_unique<model::TargetModel>(mcfg, opts,
                                                std::move(weights));
 
-    // Legacy AWQ mode compresses only the projection charges (dense
-    // head, fp16-priced draft), scaled engine-side; the whole-model
-    // backend knob instead compresses every weight charge inside the
-    // cost model.
-    legacyQuantFactor_ = ecfg.quantized ? kQ4Factor : 1.0;
-    backendCompression_ =
-        ecfg.quantized ? 1.0
-                       : tensor::weightCompression(ecfg.weight_backend);
-
     // Device/host weight split (PC scenario): weights that do not fit
     // in usable VRAM are served from host memory.
     devWeightFrac_ = 1.0;
     if (ecfg.allow_offload && spec.host_bw_gbs > 0.0) {
-        const double quant = legacyQuantFactor_ * backendCompression_;
         const double weight_gb =
-            mcfg.truthWeightBytes() * quant / 1e9;
+            mcfg.truthWeightBytes() *
+            tensor::weightCompression(ecfg.projBackend()) / 1e9;
         // Reserve room for KV cache and activations. The draft model
         // shares this workspace (it replaces activation scratch while
         // drafting), so it does not displace additional layers.
@@ -105,9 +96,9 @@ Engine::Engine(const EngineConfig &ecfg, const model::ModelConfig &mcfg,
         for (double &p : priced.power_w)
             p *= t;
     }
-    cost_ = std::make_unique<hw::CostModel>(priced, ecfg.bw_efficiency,
-                                            devWeightFrac_,
-                                            backendCompression_);
+    cost_ = std::make_unique<hw::CostModel>(
+        priced, ecfg.bw_efficiency, devWeightFrac_, ecfg.projBackend(),
+        ecfg.headBackend());
 }
 
 void
@@ -174,8 +165,8 @@ Engine::predictorActive(int layer,
 double
 Engine::layerWeightBytes(bool ffn_sparse) const
 {
-    // fp16-equivalent traffic; the legacy AWQ factor is applied at the
-    // charge sites and the backend compression inside hw::CostModel.
+    // fp16-equivalent traffic; hw::CostModel applies the projection
+    // backend's compression.
     const double h = mcfg_.truth.hidden;
     const double f = mcfg_.truth.ffn;
     const double attn = 4.0 * h * h * kFp16;
@@ -192,8 +183,7 @@ Engine::chargeLayers(hw::OpLog &log, int n_layers, int batch,
     if (n_layers <= 0)
         return;
     const double h = mcfg_.truth.hidden;
-    const double wbytes =
-        layerWeightBytes(ecfg_.sparse_ffn) * legacyQuantFactor_ * n_layers;
+    const double wbytes = layerWeightBytes(ecfg_.sparse_ffn) * n_layers;
     const double params = layerWeightBytes(false) / kFp16;
     const double flops = 2.0 * params * n_layers * batch;
     // Each layer is ~10 fused kernels on a modern runtime.
@@ -251,8 +241,7 @@ Engine::chargeKvFill(hw::OpLog &log, int n_layers, int batch) const
     if (n_layers <= 0)
         return;
     const double h = mcfg_.truth.hidden;
-    const double wbytes =
-        2.0 * h * h * kFp16 * legacyQuantFactor_ * n_layers;
+    const double wbytes = 2.0 * h * h * kFp16 * n_layers;
     cost_->account(log, hw::OpClass::KvFill,
                    2.0 * 2.0 * h * h * n_layers * batch, wbytes,
                    2.0 * h * kFp16 * batch * n_layers, 2 * n_layers);
@@ -268,8 +257,7 @@ Engine::chargeKvFill(hw::OpLog &log, int n_layers, int batch) const
 void
 Engine::chargeLmHeadFull(hw::OpLog &log, int batch) const
 {
-    // fp16 head in the legacy AWQ mode; compressed by the cost model
-    // when a whole-model weight backend is configured.
+    // Compressed by the cost model at the head backend.
     const double bytes = mcfg_.truthLmHeadBytes();
     const double flops =
         2.0 * mcfg_.truth.hidden * mcfg_.truth.vocab * batch;
@@ -284,7 +272,7 @@ Engine::chargeLmHeadSliced(hw::OpLog &log, int groups, int k,
     // are charged as activation bytes — compressed here rather than
     // by the cost model's weight term.
     const double bytes = static_cast<double>(mcfg_.truth.hidden) * k *
-                         kFp16 * groups * headCompression();
+                         kFp16 * groups * cost_->headCompression();
     const double flops = 2.0 * mcfg_.truth.hidden * k * groups;
     // Feature extraction is a short kernel pipeline (sliced GEMV,
     // softmax, delta) issued once per activated layer regardless of
@@ -322,9 +310,8 @@ Engine::chargeDraft(hw::OpLog &log, int forwards) const
 {
     // §5.1: one draft forward costs about one decoder layer; the DLM
     // reuses the resident embedding/LM head, so we charge 1.2x a
-    // layer's weight traffic per forward. The DLM ships fp16 in the
-    // legacy AWQ mode but follows the whole-model weight backend
-    // (cost-model compression) when one is configured.
+    // layer's weight traffic per forward. The DLM ships in the head
+    // backend (cost-model compression; fp16 under AWQ).
     const double bytes =
         layerWeightBytes(false) * model::DraftModel::layerEquivalents();
     const double flops = bytes; // memory-bound either way
@@ -355,8 +342,7 @@ Engine::chargePrefillChunk(hw::OpLog &log, int n_tokens,
 
     // One full-depth weight stream per chunk, regardless of chunk
     // length — the roofline's memory leg, shared with decode peers.
-    const double wbytes =
-        layerWeightBytes(ecfg_.sparse_ffn) * legacyQuantFactor_ * L;
+    const double wbytes = layerWeightBytes(ecfg_.sparse_ffn) * L;
     cost_->account(log, hw::OpClass::PrefillWeights, 0.0, wbytes, 0.0,
                    10 * L);
 
@@ -430,15 +416,6 @@ Engine::chargeKvHandoff(hw::OpLog &log, long positions) const
         log, hw::OpClass::KvHandoff,
         mcfg_.truthKvBytesPerToken() * static_cast<double>(positions),
         mcfg_.n_layers);
-}
-
-double
-Engine::headCompression() const
-{
-    // The legacy AWQ mode keeps the tied embedding / LM head fp16
-    // (backendCompression_ is 1.0 there); a whole-model backend
-    // compresses it like everything else.
-    return backendCompression_;
 }
 
 void
@@ -668,13 +645,10 @@ Engine::makeMemoryTracker() const
         ecfg_.early_exit && preds_ != nullptr ? preds_->nExitLayers() : 0;
     const size_t pred_params =
         preds_ != nullptr ? preds_->paramsPerPredictor() : 0;
-    // Legacy AWQ: Q4 target weights, fp16 DLM (matches chargeDraft);
-    // whole-model backend: the DLM ships in the same backend.
-    return ecfg_.quantized
-               ? hw::MemoryTracker(mcfg_, /*quantized=*/true, with_dlm,
-                                   n_preds, pred_params)
-               : hw::MemoryTracker(mcfg_, ecfg_.weight_backend, with_dlm,
-                                   n_preds, pred_params);
+    // The DLM ships in the head backend (matches chargeDraft).
+    return hw::MemoryTracker(mcfg_, ecfg_.projBackend(),
+                             ecfg_.headBackend(), with_dlm, n_preds,
+                             pred_params);
 }
 
 RunResult
@@ -713,7 +687,7 @@ Engine::run(const workload::Workload &w, uint64_t seed)
 
 std::unique_ptr<DecodeSession>
 Engine::makeSession(const workload::Workload &w, uint64_t seed,
-                    std::unique_ptr<model::KvStore> kv)
+                    std::unique_ptr<model::SequenceKv> kv)
 {
     return std::make_unique<DecodeSession>(*this, w, seed,
                                            std::move(kv));

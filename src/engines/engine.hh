@@ -119,9 +119,9 @@ class Engine
      * Stepwise per-request entry point for the live serving layer: a
      * self-contained DecodeSession over a single-instance workload,
      * advanced one iteration at a time by an external scheduler.
-     * `kv` optionally routes the session's KV through a shared fleet
-     * pool (a model::SequenceKv view); the finalized session result
-     * is bit-identical to runOne(w, 0, seed).
+     * `kv` routes the session's KV through a shared fleet pool; null
+     * gives it a private pool. Either way the session can swap, and
+     * the finalized result is bit-identical to runOne(w, 0, seed).
      *
      * Sessions of one engine share its model weights; callers must
      * step them from one thread at a time (sessions of different
@@ -129,7 +129,7 @@ class Engine
      */
     std::unique_ptr<DecodeSession>
     makeSession(const workload::Workload &w, uint64_t seed,
-                std::unique_ptr<model::KvStore> kv = nullptr);
+                std::unique_ptr<model::SequenceKv> kv = nullptr);
 
     const EngineConfig &config() const { return ecfg_; }
     const model::ModelConfig &modelConfig() const { return mcfg_; }
@@ -140,10 +140,9 @@ class Engine
     double deviceWeightFrac() const { return devWeightFrac_; }
 
     /**
-     * Memory model of this engine's deployment (weight backend,
-     * draft model, deployed predictors) — the single source of the
-     * legacy-AWQ vs whole-model-backend selection rule, shared by
-     * per-request peak_mem_gb and the serving layer's fleet view.
+     * Memory model of this engine's deployment (weight format, draft
+     * model, deployed predictors), shared by per-request peak_mem_gb
+     * and the serving layer's fleet view.
      */
     hw::MemoryTracker makeMemoryTracker() const;
 
@@ -210,8 +209,6 @@ class Engine
     // --- cost emission at true dimensions -------------------------------
     /** fp16-equivalent weight traffic of one decoder layer. */
     double layerWeightBytes(bool ffn_sparse) const;
-    /** Head/embedding compression factor (legacy AWQ keeps fp16). */
-    double headCompression() const;
     void chargeLayers(hw::OpLog &log, int n_layers, int batch,
                       int logical_pos) const;
     void chargeKvFill(hw::OpLog &log, int n_layers, int batch) const;
@@ -300,10 +297,6 @@ class Engine
     std::vector<bool> offlineHotMask_;
     bool haveOfflineSet_ = false;
     double devWeightFrac_ = 1.0;
-    /** Engine-side Q4 factor of the legacy AWQ mode (else 1.0). */
-    double legacyQuantFactor_ = 1.0;
-    /** Whole-model backend compression (1.0 in legacy AWQ mode). */
-    double backendCompression_ = 1.0;
     std::unique_ptr<hw::CostModel> cost_;
 };
 

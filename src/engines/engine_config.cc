@@ -31,7 +31,6 @@ EngineConfig::vllm()
 {
     EngineConfig c;
     c.name = "vllm";
-    c.paged_kv = true;
     // Fused CUDA kernels + paged attention; single-stream serving.
     c.bw_efficiency = 0.52;
     c.fixed_overhead_s = 4.0e-3;
@@ -43,7 +42,7 @@ EngineConfig::awq()
 {
     EngineConfig c;
     c.name = "AWQ";
-    c.quantized = true;
+    c.weight_format = WeightFormat::Awq;
     // HF-based runtime with W4 fused GEMV kernels; dequantization
     // lowers achieved bandwidth relative to fp16 reads.
     c.bw_efficiency = 0.24;
@@ -123,7 +122,7 @@ EngineConfig::withSpecEE(bool with_t2) const
     // (§7.1.2). When grafted onto eager Python baselines (HF, AWQ —
     // below ~0.4 achieved bandwidth) it dispatches leaner than the
     // host framework; already-fused or already-custom runtimes
-    // (vllm, llama.cpp, EAGLE) gain nothing (DESIGN.md §5).
+    // (vllm, llama.cpp, EAGLE) gain nothing.
     if (bw_efficiency < 0.4 && !spec_decode) {
         c.bw_efficiency = std::min(0.95, bw_efficiency * 1.06);
         c.fixed_overhead_s = fixed_overhead_s * 0.6;
@@ -134,13 +133,42 @@ EngineConfig::withSpecEE(bool with_t2) const
 EngineConfig
 EngineConfig::withWeightBackend(tensor::WeightBackend backend) const
 {
-    specee_assert(!quantized,
-                  "weight_backend and the legacy `quantized` flag are "
-                  "mutually exclusive");
     EngineConfig c = *this;
-    c.weight_backend = backend;
+    switch (backend) {
+    case tensor::WeightBackend::Fp32:
+        c.weight_format = WeightFormat::Fp16;
+        break;
+    case tensor::WeightBackend::Q8:
+        c.weight_format = WeightFormat::Q8;
+        break;
+    case tensor::WeightBackend::Q4:
+        c.weight_format = WeightFormat::Q4;
+        break;
+    }
     c.name = name + "[" + tensor::weightBackendName(backend) + "]";
     return c;
+}
+
+tensor::WeightBackend
+EngineConfig::projBackend() const
+{
+    switch (weight_format) {
+    case WeightFormat::Fp16:
+        return tensor::WeightBackend::Fp32;
+    case WeightFormat::Q8:
+        return tensor::WeightBackend::Q8;
+    case WeightFormat::Q4:
+    case WeightFormat::Awq:
+        return tensor::WeightBackend::Q4;
+    }
+    specee_panic("bad weight format %d", static_cast<int>(weight_format));
+}
+
+tensor::WeightBackend
+EngineConfig::headBackend() const
+{
+    return weight_format == WeightFormat::Awq ? tensor::WeightBackend::Fp32
+                                              : projBackend();
 }
 
 EngineConfig

@@ -5,13 +5,15 @@
  * knob at a time (Fig. 19).
  *
  * Framework presets carry two kinds of parameters:
- *  - functional switches (quantized weights, paged KV, sparse FFN,
- *    speculative decoding, early exit, scheduling) that change which
- *    real code paths run;
+ *  - functional switches (weight format, sparse FFN, speculative
+ *    decoding, early exit, scheduling, sharding) that change which
+ *    real code paths run; every engine stores its KV in paged blocks
+ *    (the vllm PagedAttention manager), so KV layout is not a switch;
  *  - calibration constants (`bw_efficiency`, `fixed_overhead_s`)
  *    that anchor absolute tok/s to each public framework's published
- *    ballpark on the named GPUs (DESIGN.md §5). Relative speedups
- *    come from the simulated run, not from these constants.
+ *    ballpark on the named GPUs. They are hand-fitted per framework,
+ *    not derived, which is why relative speedups come from the
+ *    simulated run and never from these constants.
  */
 
 #ifndef SPECEE_ENGINES_ENGINE_CONFIG_HH
@@ -34,6 +36,19 @@ struct TreeShape
     int totalNodes() const;
 };
 
+/**
+ * Weight format a deployment ships, as the (projection, head)
+ * tensor::WeightBackend pair that model::Weights, hw::CostModel and
+ * hw::MemoryTracker take. The tied embedding / LM head and the draft
+ * model follow the head backend.
+ */
+enum class WeightFormat : int {
+    Fp16, ///< dense everywhere (fp32 sim storage, priced fp16)
+    Q8,   ///< row-quantized int8 projections, head and draft
+    Q4,   ///< group-quantized int4 projections, head and draft
+    Awq,  ///< AWQ: int4 projections; fp16 head, embedding and draft
+};
+
 /** Full engine configuration. */
 struct EngineConfig
 {
@@ -50,19 +65,12 @@ struct EngineConfig
     bool adainfer = false;   ///< AdaInfer full-vocab SVM early exit
     bool raee = false;       ///< RAEE retrieval-based early exit
     /**
-     * Legacy AWQ mode: Q4 projections, dense tied head, draft model
-     * and head priced fp16. Mutually exclusive with a non-fp32
-     * `weight_backend`; prefer the backend knob for new scenarios.
+     * Weight format: every weight-bound operator is loaded and
+     * priced at its backend's compressed traffic (projections at the
+     * projection backend; head, embedding and draft at the head
+     * backend).
      */
-    bool quantized = false;
-    /**
-     * Whole-model weight backend: projections, tied embedding / LM
-     * head and the draft model all load as fp32 (served fp16), q8 or
-     * q4, and every weight-bound operator is priced at the
-     * compressed traffic — the quantized-serving scenario.
-     */
-    tensor::WeightBackend weight_backend = tensor::WeightBackend::Fp32;
-    bool paged_kv = false;   ///< vllm PagedAttention KV manager
+    WeightFormat weight_format = WeightFormat::Fp16;
     bool sparse_ffn = false; ///< PowerInfer activation sparsity
 
     // --- parameters --------------------------------------------------------
@@ -137,8 +145,9 @@ struct EngineConfig
 
     /**
      * Derive a variant serving the whole model from `backend`
-     * weights (suffixes the name, e.g. "HuggingFace[q8]"). Requires
-     * the legacy `quantized` flag to be off.
+     * weights (suffixes the name, e.g. "HuggingFace[q8]"): fp32 maps
+     * to the fp16 format, q8 and q4 to the matching whole-model
+     * format.
      */
     EngineConfig withWeightBackend(tensor::WeightBackend backend) const;
 
@@ -149,15 +158,20 @@ struct EngineConfig
      */
     EngineConfig withSharding(int tp_degree, int pp_degree) const;
 
+    /** Backend of the decoder-layer projections. */
+    tensor::WeightBackend projBackend() const;
+
+    /** Backend of the tied embedding / LM head and the draft model. */
+    tensor::WeightBackend headBackend() const;
+
     /**
      * True when workloads should use the AWQ accuracy-calibration
-     * column: 4-bit weights, whether legacy AWQ or the q4 backend
-     * (q8 is functionally near-lossless and keeps the dense column).
+     * column: 4-bit projections, whether AWQ or the q4 format (q8 is
+     * functionally near-lossless and keeps the dense column).
      */
     bool q4Calibrated() const
     {
-        return quantized ||
-               weight_backend == tensor::WeightBackend::Q4;
+        return projBackend() == tensor::WeightBackend::Q4;
     }
 };
 

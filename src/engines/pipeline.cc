@@ -76,8 +76,7 @@ std::unique_ptr<Engine>
 Pipeline::makeEngine(const EngineConfig &ecfg,
                      const hw::HardwareSpec &spec) const
 {
-    const bool dense = !ecfg.quantized &&
-                       ecfg.weight_backend == tensor::WeightBackend::Fp32;
+    const bool dense = ecfg.weight_format == WeightFormat::Fp16;
     auto e = std::make_unique<Engine>(ecfg, mcfg_, spec, *corpus_,
                                       dense ? weights_ : nullptr);
     e->setPredictors(preds_.get());

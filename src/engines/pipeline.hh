@@ -85,9 +85,8 @@ class Pipeline
 
     /**
      * Construct an engine with the trained artifacts attached. Dense
-     * engines (fp32 projections and head) share the pipeline's one
-     * immutable weight set; compressed backends and the legacy AWQ
-     * mode build their own.
+     * (fp16-format) engines share the pipeline's one immutable weight
+     * set; the compressed formats build their own.
      */
     std::unique_ptr<Engine> makeEngine(const EngineConfig &ecfg,
                                        const hw::HardwareSpec &spec) const;

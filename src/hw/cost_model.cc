@@ -66,16 +66,17 @@ OpLog::clear()
 }
 
 CostModel::CostModel(const HardwareSpec &spec, double bw_efficiency,
-                     double device_weight_frac, double weight_compression)
+                     double device_weight_frac,
+                     tensor::WeightBackend proj_backend,
+                     tensor::WeightBackend head_backend)
     : spec_(spec), bwEff_(bw_efficiency), devFrac_(device_weight_frac),
-      wComp_(weight_compression)
+      projComp_(tensor::weightCompression(proj_backend)),
+      headComp_(tensor::weightCompression(head_backend))
 {
     specee_assert(bw_efficiency > 0.0 && bw_efficiency <= 1.0,
                   "bad bandwidth efficiency %f", bw_efficiency);
     specee_assert(device_weight_frac >= 0.0 && device_weight_frac <= 1.0,
                   "bad device weight fraction %f", device_weight_frac);
-    specee_assert(weight_compression > 0.0 && weight_compression <= 1.0,
-                  "bad weight compression %f", weight_compression);
 }
 
 double
@@ -85,8 +86,13 @@ CostModel::account(OpLog &log, OpClass cls, double flops,
     // Weight traffic is what the serving backend actually streams:
     // quantized backends read compressed bytes (and dequantize in
     // registers — the flops term is unchanged and still never
-    // dominates single-batch decode).
-    weight_bytes *= wComp_;
+    // dominates single-batch decode). Decoder-layer projections and
+    // the head-side tables (embedding, LM head, draft) may ship in
+    // different backends (AWQ).
+    const bool projection = cls == OpClass::DecoderLayer ||
+                            cls == OpClass::KvFill ||
+                            cls == OpClass::PrefillWeights;
+    weight_bytes *= projection ? projComp_ : headComp_;
 
     const double dev_bw = spec_.mem_bw_gbs * 1e9 * bwEff_;
     const double dev_fl = spec_.compute_tflops * 1e12 * bwEff_;

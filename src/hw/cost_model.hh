@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "hw/hardware_model.hh"
+#include "tensor/weight_store.hh"
 
 namespace specee::hw {
 
@@ -66,20 +67,25 @@ class CostModel
     /**
      * @param spec           platform
      * @param bw_efficiency  fraction of peak bandwidth the framework
-     *                       achieves (calibration, DESIGN.md §5)
+     *                       achieves (hand-fitted per framework,
+     *                       see engines::EngineConfig)
      * @param device_weight_frac fraction of weight bytes resident on
      *                       the device (1.0 = no offload)
-     * @param weight_compression factor applied to every operator's
-     *                       weight traffic before pricing and
-     *                       logging: bits-per-weight of the serving
-     *                       backend / 16 (1.0 = fp16, 0.5 = q8,
-     *                       ~0.28 = q4). Callers that mix precisions
-     *                       (the legacy AWQ fp16-head mode) keep this
-     *                       at 1.0 and pre-scale per charge instead.
+     * @param proj_backend   backend of the decoder-layer projections:
+     *                       the weight traffic of DecoderLayer, KvFill
+     *                       and PrefillWeights is compressed by its
+     *                       tensor::weightCompression before pricing
+     *                       and logging
+     * @param head_backend   backend of the tied embedding / LM head
+     *                       and the draft model: compresses every
+     *                       other class's weight traffic
      */
     CostModel(const HardwareSpec &spec, double bw_efficiency = 1.0,
               double device_weight_frac = 1.0,
-              double weight_compression = 1.0);
+              tensor::WeightBackend proj_backend =
+                  tensor::WeightBackend::Fp32,
+              tensor::WeightBackend head_backend =
+                  tensor::WeightBackend::Fp32);
 
     const HardwareSpec &spec() const { return spec_; }
 
@@ -135,13 +141,15 @@ class CostModel
 
     double bwEfficiency() const { return bwEff_; }
     double deviceWeightFrac() const { return devFrac_; }
-    double weightCompression() const { return wComp_; }
+    /** Head / embedding / draft weight compression (bits / 16). */
+    double headCompression() const { return headComp_; }
 
   private:
     HardwareSpec spec_;
     double bwEff_;
     double devFrac_;
-    double wComp_;
+    double projComp_;
+    double headComp_;
 };
 
 /** DMA channel kinds one device's copy engines expose. */

@@ -27,9 +27,8 @@ class MemoryTracker
      *                         shipped fp16 on device; q8/q4 at their
      *                         packed bits-per-weight incl. scales)
      * @param draft_backend    draft-model storage backend (the
-     *                         whole-model knob deploys the DLM in the
-     *                         target's backend; the legacy AWQ mode
-     *                         keeps it fp16)
+     *                         head backend of the weight format: the
+     *                         target's backend, fp16 under AWQ)
      * @param with_draft_model engine carries the DLM (SpecEE/EAGLE)
      * @param n_predictors     exit predictors deployed (0 if none)
      * @param predictor_params parameters per predictor MLP
@@ -45,18 +44,6 @@ class MemoryTracker
                   tensor::WeightBackend backend, bool with_draft_model,
                   int n_predictors, size_t predictor_params)
         : MemoryTracker(cfg, backend, backend, with_draft_model,
-                        n_predictors, predictor_params)
-    {
-    }
-
-    /** Legacy AWQ flag: Q4 weights when set; the DLM stays fp16. */
-    MemoryTracker(const model::ModelConfig &cfg, bool quantized,
-                  bool with_draft_model, int n_predictors,
-                  size_t predictor_params)
-        : MemoryTracker(cfg,
-                        quantized ? tensor::WeightBackend::Q4
-                                  : tensor::WeightBackend::Fp32,
-                        tensor::WeightBackend::Fp32, with_draft_model,
                         n_predictors, predictor_params)
     {
     }

@@ -6,13 +6,14 @@
  * the top-k speculative tokens that reduce the predictor search
  * space from the full vocabulary to k (~4) tokens (Fig. 2(b)).
  *
- * Substitution note (DESIGN.md §1): the only DLM properties SpecEE
- * depends on are (a) how often the true next token is inside the
- * proposed set (the hit rate, calibrated per dataset to EAGLE-level
- * acceptance) and (b) its cost, roughly one decoder layer (§5.1),
- * which hw::CostModel charges. Proposals are therefore drawn from
- * the corpus' continuation distribution with a calibrated chance of
- * containing the scripted target, instead of from trained weights.
+ * Substitution note (no trained EAGLE checkpoint ships with this
+ * repo): the only DLM properties SpecEE depends on are (a) how often
+ * the true next token is inside the proposed set (the hit rate,
+ * calibrated per dataset to EAGLE-level acceptance) and (b) its cost,
+ * roughly one decoder layer (§5.1), which hw::CostModel charges.
+ * Proposals are therefore drawn from the corpus' continuation
+ * distribution with a calibrated chance of containing the scripted
+ * target, instead of from trained weights.
  */
 
 #ifndef SPECEE_MODEL_DRAFT_MODEL_HH

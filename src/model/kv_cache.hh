@@ -1,6 +1,8 @@
 /**
  * @file
- * Contiguous per-layer KV cache with rollback.
+ * Contiguous per-layer KV cache with rollback: the reference store
+ * the paged KV (model/paged_kv.hh) is tested against. Engines do not
+ * construct it.
  *
  * Stores keys and values for every layer in contiguous matrices (the
  * HuggingFace-style layout). A layer's (max_seq x hidden) storage is

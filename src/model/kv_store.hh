@@ -2,9 +2,10 @@
  * @file
  * Abstract KV storage interface.
  *
- * Attention is written against this interface so the engine can swap
- * the contiguous (HuggingFace-style) cache for the paged (vllm-style)
- * cache without touching the math.
+ * Attention is written against this interface. Every engine stores
+ * its KV in the paged (vllm-style) SequenceKv; the contiguous
+ * (HuggingFace-style) KvCache is the reference the paged store is
+ * tested against.
  */
 
 #ifndef SPECEE_MODEL_KV_STORE_HH

@@ -255,7 +255,7 @@ class PagedKvCache
  * Owns its sequence: construction registers a fresh sequence in the
  * pool, destruction drops it (freeing all of its blocks). The pool is
  * held shared so a view may also be the pool's sole owner (the
- * single-sequence deployment the vllm engine preset uses).
+ * private pool of a sequence outside any serving fleet).
  */
 class SequenceKv : public KvStore
 {

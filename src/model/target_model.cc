@@ -18,40 +18,16 @@ unitize(tensor::Span v)
         tensor::scaleInplace(v, 1.0f / n);
 }
 
-/** Projection backend: legacy AWQ flag maps to Q4-projections-only. */
-tensor::WeightBackend
-projBackendFor(const TargetModelOptions &opts)
-{
-    if (opts.quantized) {
-        specee_assert(opts.weight_backend == tensor::WeightBackend::Fp32,
-                      "legacy `quantized` and `weight_backend` are "
-                      "mutually exclusive");
-        return tensor::WeightBackend::Q4;
-    }
-    return opts.weight_backend;
-}
-
-/** Head backend: the legacy AWQ mode keeps the tied head dense. */
-tensor::WeightBackend
-headBackendFor(const TargetModelOptions &opts)
-{
-    return opts.quantized ? tensor::WeightBackend::Fp32
-                          : opts.weight_backend;
-}
-
-/** The weight set a model runs on: `shared`, or a private build. */
+/** The weight set a model runs on: `shared`, or a private dense one. */
 std::shared_ptr<const Weights>
-weightsFor(const ModelConfig &cfg, const TargetModelOptions &opts,
-           std::shared_ptr<const Weights> shared)
+weightsFor(const ModelConfig &cfg, std::shared_ptr<const Weights> shared)
 {
     if (shared == nullptr) {
         return std::make_shared<const Weights>(
-            cfg, projBackendFor(opts), headBackendFor(opts));
+            cfg, tensor::WeightBackend::Fp32, tensor::WeightBackend::Fp32);
     }
-    specee_assert(shared->projBackend() == projBackendFor(opts) &&
-                      shared->headBackend() == headBackendFor(opts) &&
-                      shared->nLayers() == cfg.n_layers,
-                  "shared weights do not match the model options");
+    specee_assert(shared->nLayers() == cfg.n_layers,
+                  "shared weights do not match the model config");
     return shared;
 }
 
@@ -62,7 +38,7 @@ TargetModel::TargetModel(const ModelConfig &cfg,
                          std::shared_ptr<const Weights> weights)
     : cfg_(cfg),
       opts_(opts),
-      weights_(weightsFor(cfg, opts, std::move(weights))),
+      weights_(weightsFor(cfg, std::move(weights))),
       lmHead_(weights_->embedding(), weights_->rmsFinal()),
       layerBlock_(cfg),
       erow_(static_cast<size_t>(cfg.sim.hidden))
@@ -71,24 +47,20 @@ TargetModel::TargetModel(const ModelConfig &cfg,
     seq_ = &own_;
 }
 
-std::unique_ptr<KvStore>
-TargetModel::makeDefaultKv() const
+std::unique_ptr<SequenceKv>
+TargetModel::makeSequenceKv() const
 {
-    if (opts_.paged_kv) {
-        const int blocks =
-            cfg_.n_layers * (cfg_.context_len / kKvBlockSize + 2);
-        return std::make_unique<SequenceKv>(std::make_shared<PagedKvCache>(
-            cfg_.n_layers, blocks, cfg_.sim.hidden));
-    }
-    return std::make_unique<KvCache>(cfg_.n_layers, cfg_.context_len,
-                                     cfg_.sim.hidden);
+    const int blocks =
+        cfg_.n_layers * (cfg_.context_len / kKvBlockSize + 2);
+    return std::make_unique<SequenceKv>(std::make_shared<PagedKvCache>(
+        cfg_.n_layers, blocks, cfg_.sim.hidden));
 }
 
 SequenceState
 TargetModel::makeSequence(std::unique_ptr<KvStore> kv) const
 {
     SequenceState s;
-    s.kv = kv ? std::move(kv) : makeDefaultKv();
+    s.kv = kv ? std::move(kv) : makeSequenceKv();
     s.noiseRng = Rng(opts_.noise_seed);
     s.hidden.resize(static_cast<size_t>(cfg_.sim.hidden));
     s.dirTarget.resize(static_cast<size_t>(cfg_.sim.hidden));

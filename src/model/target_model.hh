@@ -21,9 +21,9 @@
  *     a full forward pass always emits the scripted target (dense
  *     accuracy is therefore controlled by the workload scripts).
  *
- * This steering is the documented substitution for trained Llama-2
- * weights (DESIGN.md §1); everything else in the pipeline operates
- * on the model exactly as it would on a real checkpoint.
+ * This steering substitutes for trained Llama-2 weights, which this
+ * repo does not ship; everything else in the pipeline operates on the
+ * model exactly as it would on a real checkpoint.
  *
  * Weights are sequence-independent and immutable, so one set can back
  * several models (engines::Pipeline shares its dense set with every
@@ -43,7 +43,6 @@
 
 #include "model/config.hh"
 #include "model/decoder_layer.hh"
-#include "model/kv_cache.hh"
 #include "model/kv_store.hh"
 #include "model/lm_head.hh"
 #include "model/paged_kv.hh"
@@ -80,17 +79,6 @@ struct SteerParams
 /** Options controlling the functional compute paths. */
 struct TargetModelOptions
 {
-    /**
-     * Legacy AWQ / llama.cpp mode: Q4 projections, dense tied head.
-     * Mutually exclusive with a non-fp32 `weight_backend`.
-     */
-    bool quantized = false;
-    /**
-     * Whole-model weight backend (projections AND tied embedding /
-     * LM head) — the EngineConfig::weight_backend knob.
-     */
-    tensor::WeightBackend weight_backend = tensor::WeightBackend::Fp32;
-    bool paged_kv = false;    ///< use the paged KV cache (vllm engine)
     bool sparse_ffn = false;  ///< PowerInfer-style sparse FFN
     float ffn_active_frac = 0.3f;
     SteerParams steer;
@@ -129,8 +117,9 @@ class TargetModel
 {
   public:
     /**
-     * @param weights  an existing weight set to share (its backends
-     *                 must match `opts`); null builds a private one
+     * @param weights  the weight set to run on, in any backend pair
+     *                 (engines share one across models); null builds
+     *                 a private dense set
      */
     TargetModel(const ModelConfig &cfg, const TargetModelOptions &opts,
                 std::shared_ptr<const Weights> weights = nullptr);
@@ -144,12 +133,17 @@ class TargetModel
     int nLayers() const { return cfg_.n_layers; }
 
     /**
-     * Fresh per-sequence state. When `kv` is null, a private store of
-     * the model's configured kind is created (contiguous, or a
-     * single-sequence view over a private paged pool); the serving
-     * layer instead passes a view onto its shared fleet pool.
+     * Fresh per-sequence state over `kv`; null uses makeSequenceKv().
+     * The serving layer passes a view onto its shared fleet pool.
      */
     SequenceState makeSequence(std::unique_ptr<KvStore> kv = nullptr) const;
+
+    /**
+     * Private KV for one sequence: a SequenceKv over its own paged
+     * pool sized for a full context. Block storage is allocated on
+     * first use, so an unused pool costs only its block tables.
+     */
+    std::unique_ptr<SequenceKv> makeSequenceKv() const;
 
     /**
      * Operate on `seq` until further notice; nullptr rebinds the
@@ -228,9 +222,6 @@ class TargetModel
   private:
     /** Apply convergence steering to the raw layer output. */
     void steer(int layer_just_run);
-
-    /** Private KV store of the configured kind for one sequence. */
-    std::unique_ptr<KvStore> makeDefaultKv() const;
 
     ModelConfig cfg_;
     TargetModelOptions opts_;

@@ -7,9 +7,9 @@
  * tensor::WeightStore of the configured backend: dense fp32, Q8
  * (row-quantized int8) or Q4 (AWQ-style group quantization). The
  * projection backend and the embedding/LM-head backend are chosen
- * independently — the legacy AWQ / llama.cpp engines quantize only
- * the projections and keep the tied head dense, while the
- * whole-model `EngineConfig::weight_backend` knob compresses both.
+ * independently — the AWQ weight format quantizes only the
+ * projections and keeps the tied head dense, while the q8 / q4
+ * formats (`EngineConfig::weight_format`) compress both.
  */
 
 #ifndef SPECEE_MODEL_WEIGHTS_HH
@@ -97,7 +97,7 @@ class Weights
     Weights(const ModelConfig &cfg, tensor::WeightBackend proj_backend,
             tensor::WeightBackend head_backend);
 
-    /** Legacy AWQ mode: Q4 projections, dense head. */
+    /** AWQ pair (Q4 projections, dense head) when set; else dense. */
     Weights(const ModelConfig &cfg, bool quantize)
         : Weights(cfg,
                   quantize ? tensor::WeightBackend::Q4

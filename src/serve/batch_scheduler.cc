@@ -1449,8 +1449,8 @@ BatchScheduler::run(const engines::Pipeline &pipe,
                     ev.t0 = step_t0;
                     // Parenthesized to match the iteration pricing's
                     // association; any remaining ulp overhang versus
-                    // the priced dt (stage pricing re-associates the
-                    // sums) is clamped to the new clock after the
+                    // the priced dt (per-stage pricing re-associates
+                    // the sums) is clamped to the new clock after the
                     // join, so per-lane spans are exactly disjoint.
                     ev.t1 = step_t0 +
                             (a.cost.shared_s + a.cost.private_s);
@@ -1511,13 +1511,12 @@ BatchScheduler::run(const engines::Pipeline &pipe,
         }
 
         // --- price the iteration (admission order, deterministic) --
-        // Legacy: the shared weight stream is read once for the whole
-        // batch, so its time is the max over sessions. Stage-split
-        // (pp > 1): each STAGE's weight stream is read once, so the
-        // per-stage maxima sum — sessions with disjoint layer ranges
-        // (a shallow exit beside a deep decode) serialize through the
-        // pipeline instead of riding free under the global max. Never
-        // cheaper than the legacy max; equal for homogeneous batches.
+        // Each pipeline STAGE's weight stream is read once per
+        // iteration, so the shared time is the per-stage max over the
+        // batch, summed over stages: sessions with disjoint layer
+        // ranges (a shallow exit beside a deep decode) serialize
+        // through the pipeline instead of riding free under one
+        // batch-wide max. With one stage it is that batch-wide max.
         int busy_stages = 0;
         for (const auto &a : active) {
             specee_assert(a.cost.stages_used >= 0 &&
@@ -1533,10 +1532,9 @@ BatchScheduler::run(const engines::Pipeline &pipe,
             busy_stages = std::max(busy_stages, a.cost.stages_used);
         }
         // Each decode device prices its own share of the batch
-        // (per-device shared weight-stream max — or per-stage maxima
-        // when stage pricing is on — plus its private sum) and the
+        // (shared weight-stream time plus its private sum) and the
         // fleet advances in lockstep at the slowest device. One
-        // device reproduces the legacy single-device arithmetic
+        // device reproduces the single-device arithmetic
         // bit-identically.
         double dt = 0.0;
         for (int d = 0; d < n_decode_dev; ++d) {
@@ -1548,7 +1546,7 @@ BatchScheduler::run(const engines::Pipeline &pipe,
                 private_t += a.cost.private_s;
                 private_e += a.cost.private_j;
             }
-            if (staged && opts_.stage_pricing) {
+            if (staged) {
                 std::vector<double> st(static_cast<size_t>(n_stages),
                                        0.0);
                 std::vector<double> se(static_cast<size_t>(n_stages),

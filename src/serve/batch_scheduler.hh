@@ -208,21 +208,6 @@ struct SchedulerOptions
     double kv_watermark = 0.0;
 
     /**
-     * Stage-split iteration pricing on pipeline-sharded engines
-     * (pp > 1): the shared weight-bound time of each pipeline stage
-     * is maxed over the batch per stage and the stage maxima sum —
-     * sessions whose layer ranges overlap share a stage's weight
-     * stream, sessions on disjoint stages serialize through the
-     * pipeline. This is never cheaper than the legacy whole-model max
-     * (which lets a shallow-exiting session ride free under a deep
-     * peer even when their weight reads don't overlap) and equals it
-     * for homogeneous batches. Off, or on an unsharded engine
-     * (pp = 1, where every session's range is the whole model), the
-     * legacy max is used bit-identically.
-     */
-    bool stage_pricing = true;
-
-    /**
      * Early-exit-aware pipeline backfill (pp > 1, chunked prefill
      * with a bounded iteration budget): stages the previous
      * iteration's early exits left idle are converted into extra

@@ -27,7 +27,11 @@
 
 namespace specee::workload {
 
-/** Prompt length used by the functional simulator (see DESIGN.md). */
+/**
+ * Prompt length used by the functional simulator. The sim prompt only
+ * gives attention its texture; costs are charged at the workload's
+ * true prompt length (Workload::true_prompt_len).
+ */
 constexpr int kSimPromptLen = 12;
 
 /** One scripted generation request. */

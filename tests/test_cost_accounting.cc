@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engines/decode_session.hh"
 #include "test_util.hh"
 
 using namespace specee;
@@ -170,4 +171,47 @@ TEST(CostAccounting, PlatformOrderingHolds)
     auto pc = runCfg(EngineConfig::llamaCpp(),
                      hw::HardwareSpec::pc4060());
     EXPECT_GT(r4090.stats.tokens_per_s, pc.stats.tokens_per_s);
+}
+
+TEST(CostAccounting, AwqIsQ4ProjectionsWithAnFp16Head)
+{
+    // One session per weight format, with chunked prefill so the
+    // PrefillWeights stream is charged too. The predictors never fire
+    // (a bar above any score), so every format decodes the same
+    // trajectory and the charges differ only in their compression.
+    EngineConfig awq = EngineConfig::awq().withSpecEE();
+    awq.exit_threshold = 2.0f;
+    const auto oplogOf = [](const EngineConfig &cfg) {
+        auto engine = testutil::tinyPipeline().makeEngine(
+            cfg, hw::HardwareSpec::a100());
+        auto sess = engine->makeSession(wl().slice(0), 13);
+        while (!sess->prefillDone())
+            sess->prefillChunk(8);
+        while (sess->step()) {
+        }
+        return sess->finalize().stats.oplog;
+    };
+    const hw::OpLog a = oplogOf(awq);
+    const hw::OpLog q4 =
+        oplogOf(awq.withWeightBackend(tensor::WeightBackend::Q4));
+    const hw::OpLog fp16 =
+        oplogOf(awq.withWeightBackend(tensor::WeightBackend::Fp32));
+    for (int c = 0; c < hw::kNumOpClasses; ++c) {
+        const auto cls = static_cast<hw::OpClass>(c);
+        const bool projection = cls == hw::OpClass::DecoderLayer ||
+                                cls == hw::OpClass::KvFill ||
+                                cls == hw::OpClass::PrefillWeights;
+        const double want = (projection ? q4 : fp16).totals(cls).bytes;
+        EXPECT_NEAR(a.totals(cls).bytes, want, 1e-12 * want)
+            << hw::opClassName(cls);
+    }
+    // The comparison covers every weight-bound class but KvFill,
+    // which only exits charge; test_hw pins its compression.
+    for (auto cls : {hw::OpClass::DecoderLayer, hw::OpClass::PrefillWeights,
+                     hw::OpClass::LmHeadFull, hw::OpClass::Embed,
+                     hw::OpClass::Draft}) {
+        EXPECT_GT(a.totals(cls).bytes, 0.0) << hw::opClassName(cls);
+        EXPECT_LT(q4.totals(cls).bytes, fp16.totals(cls).bytes)
+            << hw::opClassName(cls);
+    }
 }

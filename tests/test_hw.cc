@@ -122,30 +122,49 @@ TEST(OpLog, AveragePowerIsTimeWeighted)
     EXPECT_LT(log.avgPowerW(), p_layer);
 }
 
+TEST(CostModel, ProjectionAndHeadBackendsCompressTheirClasses)
+{
+    // AWQ pair: Q4 projections, fp16 head / embedding / draft.
+    CostModel cm(HardwareSpec::a100(), 1.0, 1.0,
+                 tensor::WeightBackend::Q4, tensor::WeightBackend::Fp32);
+    for (int c = 0; c < kNumOpClasses; ++c) {
+        const auto cls = static_cast<OpClass>(c);
+        OpLog log;
+        cm.account(log, cls, 0.0, 1.0e6, 0.0, 1);
+        const bool projection = cls == OpClass::DecoderLayer ||
+                                cls == OpClass::KvFill ||
+                                cls == OpClass::PrefillWeights;
+        EXPECT_DOUBLE_EQ(log.totals(cls).bytes,
+                         projection ? 1.0e6 * 4.5 / 16.0 : 1.0e6)
+            << opClassName(cls);
+    }
+}
+
 TEST(Memory, WeightsMatchLlama7B)
 {
     auto cfg = model::ModelConfig::llama2_7b();
-    MemoryTracker mem(cfg, false, false, 0, 0);
+    MemoryTracker mem(cfg, tensor::WeightBackend::Fp32, false, 0, 0);
     // Llama-2-7B fp16 ~= 13.5 GB.
     EXPECT_NEAR(mem.weightBytes() / 1e9, 13.5, 0.7);
-    MemoryTracker q4(cfg, true, false, 0, 0);
+    MemoryTracker q4(cfg, tensor::WeightBackend::Q4, false, 0, 0);
     EXPECT_NEAR(q4.weightBytes() / mem.weightBytes(), 4.5 / 16.0, 1e-6);
 }
 
 TEST(Memory, DraftModelMatchesPaperFig17)
 {
     // §7.4.2: DLM adds ~0.9 GB (7B) and ~1.4 GB (13B).
-    MemoryTracker m7(model::ModelConfig::llama2_7b(), false, true, 0, 0);
+    MemoryTracker m7(model::ModelConfig::llama2_7b(),
+                     tensor::WeightBackend::Fp32, true, 0, 0);
     EXPECT_NEAR(m7.draftModelBytes() / 1e9, 0.93, 0.15);
-    MemoryTracker m13(model::ModelConfig::llama2_13b(), false, true, 0,
-                      0);
+    MemoryTracker m13(model::ModelConfig::llama2_13b(),
+                      tensor::WeightBackend::Fp32, true, 0, 0);
     EXPECT_NEAR(m13.draftModelBytes() / 1e9, 1.3, 0.2);
 }
 
 TEST(Memory, KvGrowsLinearly)
 {
     auto cfg = model::ModelConfig::llama2_7b();
-    MemoryTracker mem(cfg, false, false, 0, 0);
+    MemoryTracker mem(cfg, tensor::WeightBackend::Fp32, false, 0, 0);
     // 2 x 32 layers x 4096 x fp16 = 512 KB/token.
     EXPECT_NEAR(mem.kvBytes(1) / 1024.0, 512.0, 1.0);
     EXPECT_NEAR(mem.kvBytes(1000), 1000 * mem.kvBytes(1), 1.0);
@@ -154,7 +173,8 @@ TEST(Memory, KvGrowsLinearly)
 TEST(Memory, PredictorsAreNegligible)
 {
     auto cfg = model::ModelConfig::llama2_7b();
-    MemoryTracker mem(cfg, false, true, 31, 12 * 512 + 512 + 513);
+    MemoryTracker mem(cfg, tensor::WeightBackend::Fp32, true, 31,
+                      12 * 512 + 512 + 513);
     EXPECT_LT(mem.predictorBytes(), 1.5e6);
     EXPECT_LT(mem.predictorBytes() / mem.draftModelBytes(), 0.01);
 }

@@ -182,7 +182,6 @@ drawScenario(uint64_t seed)
     const int pp_choices[] = {1, 2, 4};
     const int pp = pp_choices[rng.uniformInt(0, 2)];
     sc.opts.engine = sc.opts.engine.withSharding(tp, pp);
-    sc.opts.sched.stage_pricing = rng.bernoulli(0.5);
     sc.opts.sched.stage_backfill = rng.bernoulli(0.5);
 
     // --- per-consumer backpressure ---------------------------------
@@ -506,8 +505,9 @@ checkInvariants(const Scenario &sc, const RunCapture &cap,
             EXPECT_EQ(o.slo.evaluated, !o.cancelled && spec_on);
             if (o.slo.evaluated)
                 ++expect_eval;
-            if (o.dropped && spec_on)
+            if (o.dropped && spec_on) {
                 EXPECT_FALSE(o.slo.attained());
+            }
         }
         EXPECT_EQ(fleet.slo_evaluated, expect_eval);
         EXPECT_LE(fleet.slo_attained, fleet.slo_evaluated);
@@ -1078,12 +1078,10 @@ fuzzScenario(const Scenario &sc, Coverage &cov)
         EXPECT_EQ(aut.delivered, swp.delivered);
     }
 
-    // (6) degenerate fleets: on a tp = 1 / pp = 1 draw the stage
-    // knobs must be bit-inert — flipping both changes nothing.
+    // (6) degenerate fleets: on a tp = 1 / pp = 1 draw stage backfill
+    // must be bit-inert — flipping it changes nothing.
     if (sc.opts.engine.tp == 1 && sc.opts.engine.pp == 1) {
         Scenario toggled = sc;
-        toggled.opts.sched.stage_pricing =
-            !sc.opts.sched.stage_pricing;
         toggled.opts.sched.stage_backfill =
             !sc.opts.sched.stage_backfill;
         const RunCapture rt = runScenario(toggled, 1);

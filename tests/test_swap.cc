@@ -2,7 +2,8 @@
  * @file
  * Swap-to-host preemption + prefill-aware admission watermark tests:
  * paged-pool swap round trips (bit-identical restore, host-block
- * accounting, guards against touching a swapped sequence), scheduler
+ * accounting, guards against touching a swapped sequence, a
+ * pool-less engine session swapping like a served one), scheduler
  * swap mode reproducing the unpreempted outputs with per-request
  * costs differing only by the swap op classes, mid-prefill victims
  * resuming without re-ingesting chunks, the auto policy never losing
@@ -16,6 +17,7 @@
 
 #include <memory>
 
+#include "engines/decode_session.hh"
 #include "model/paged_kv.hh"
 #include "serve/server.hh"
 #include "test_util.hh"
@@ -161,6 +163,49 @@ TEST(PagedKvSwap, SwappedSequenceIsUntouchableAndDroppable)
     pool.dropSequence(seq);
     EXPECT_EQ(pool.hostBlocksInUse(), 0);
     EXPECT_EQ(pool.blocksInUse(), 0);
+}
+
+TEST(PagedKvSwap, SessionWithoutAPoolSwapsBitIdentically)
+{
+    // Engine::makeSession without a fleet pool gives the session a
+    // private paged pool, so it swaps like a served one: a swap round
+    // trip mid-decode changes nothing but the two swap op classes.
+    const auto &pipe = testutil::tinyPipeline();
+    auto engine = pipe.makeEngine(
+        engines::EngineConfig::huggingFace().withSpecEE(),
+        hw::HardwareSpec::a100());
+    const auto w = pipe.makeWorkload("Alpaca", testutil::smallGen(1, 16));
+    const auto ref = engine->runOne(w, 0, 7);
+
+    auto sess = engine->makeSession(w, 7);
+    sess->prefill();
+    for (int i = 0; i < 6; ++i)
+        ASSERT_TRUE(sess->step());
+    const int blocks = sess->kvBlocks();
+    ASSERT_GT(blocks, 0);
+    EXPECT_GT(sess->swapOut(), 0.0);
+    EXPECT_EQ(sess->kvBlocks(), 0);
+    EXPECT_EQ(sess->hostBlocks(), blocks);
+    EXPECT_GT(sess->swapIn(), 0.0);
+    EXPECT_EQ(sess->kvBlocks(), blocks);
+    while (sess->step()) {
+    }
+    const auto got = sess->finalize();
+
+    EXPECT_EQ(got.emissions[0].tokens, ref.emissions[0].tokens);
+    EXPECT_EQ(got.emissions[0].exit_layers, ref.emissions[0].exit_layers);
+    for (int c = 0; c < hw::kNumOpClasses; ++c) {
+        const auto cls = static_cast<hw::OpClass>(c);
+        const auto &g = got.stats.oplog.totals(cls);
+        const auto &r = ref.stats.oplog.totals(cls);
+        if (cls == hw::OpClass::KvSwapOut || cls == hw::OpClass::KvSwapIn) {
+            EXPECT_EQ(g.count, 1);
+            continue;
+        }
+        EXPECT_EQ(g.time_s, r.time_s) << hw::opClassName(cls);
+        EXPECT_EQ(g.bytes, r.bytes) << hw::opClassName(cls);
+        EXPECT_EQ(g.count, r.count) << hw::opClassName(cls);
+    }
 }
 
 // ---------------------------------------------------------------------------

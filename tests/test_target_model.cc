@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <type_traits>
 
 #include "model/draft_model.hh"
+#include "model/kv_cache.hh"
 #include "model/target_model.hh"
 #include "oracle/corpus.hh"
 #include "tensor/kernels.hh"
@@ -166,9 +168,9 @@ TEST(TargetModel, DeterministicAcrossInstances)
 TEST(TargetModel, QuantizedModelStillEmitsTarget)
 {
     auto cfg = tinyCfg();
-    model::TargetModelOptions opts;
-    opts.quantized = true;
-    model::TargetModel tm(cfg, opts);
+    // AWQ pair: Q4 projections, dense tied head.
+    model::TargetModel tm(
+        cfg, {}, std::make_shared<const model::Weights>(cfg, true));
     tm.prefill(somePrompt(cfg, 6));
     Rng rng(17);
     int input = 2;
@@ -184,11 +186,15 @@ TEST(TargetModel, QuantizedModelStillEmitsTarget)
 
 TEST(TargetModel, PagedKvVariantMatchesContiguous)
 {
+    // The default sequence is paged; `b` runs on the contiguous
+    // reference store bound through makeSequence().
     auto cfg = tinyCfg();
-    model::TargetModelOptions paged;
-    paged.paged_kv = true;
     model::TargetModel a(cfg, {});
-    model::TargetModel b(cfg, paged);
+    model::TargetModel b(cfg, {});
+    model::SequenceState contiguous = b.makeSequence(
+        std::make_unique<model::KvCache>(cfg.n_layers, cfg.context_len,
+                                         cfg.sim.hidden));
+    b.bindSequence(&contiguous);
     auto prompt = somePrompt(cfg, 7);
     a.prefill(prompt);
     b.prefill(prompt);
