@@ -17,12 +17,6 @@
 
 namespace specee::serve {
 
-bool
-isSharedClass(hw::OpClass cls)
-{
-    return hw::isBatchAmortized(cls);
-}
-
 BatchScheduler::BatchScheduler(const SchedulerOptions &opts) : opts_(opts)
 {
     specee_assert(opts.max_batch >= 1, "max_batch must be >= 1, got %d",
@@ -116,224 +110,228 @@ struct Entry
     engines::StepCost cost; ///< most recent iteration's step cost
 };
 
-} // namespace
+/** How a request leaves the fleet. */
+enum class Retirement { Drop, Cancel, Complete };
 
-FleetStats
-BatchScheduler::run(const engines::Pipeline &pipe,
-                    std::vector<engines::Engine *> engines,
-                    std::vector<Request> requests,
-                    std::vector<RequestOutcome> &outcomes,
-                    const TokenCallback &on_token) const
+/** A tier-first scan's verdict on one queued candidate. */
+enum class Scan { Consider, Skip, Stop };
+
+/** `num / den`, or 0 when `den` is not positive. */
+double
+ratio(double num, double den)
 {
-    outcomes.clear();
-    FleetStats fleet;
-    fleet.rejected = 0;
-    if (requests.empty())
-        return fleet;
-    specee_assert(!engines.empty(), "scheduler needs >= 1 engine");
-    specee_assert(std::is_sorted(requests.begin(), requests.end(),
-                                 [](const Request &a, const Request &b) {
-                                     if (a.arrival_s != b.arrival_s)
-                                         return a.arrival_s < b.arrival_s;
-                                     return a.id < b.id;
-                                 }),
-                  "requests must be sorted by (arrival, id)");
+    return den > 0.0 ? num / den : 0.0;
+}
 
+int
+tierOf(const Entry &e)
+{
+    return static_cast<int>(e.req.priority);
+}
+
+/** Move entry `i` out of `q`, closing the gap. */
+template <class Queue>
+Entry
+take(Queue &q, size_t i)
+{
+    Entry e = std::move(q[i]);
+    q.erase(q.begin() + static_cast<long>(i));
+    return e;
+}
+
+/**
+ * Everything one BatchScheduler::run mutates: the five request
+ * queues, the modeled clock, the KV pools and prefix cache, the DMA
+ * channels, observability and control, the live knobs and the
+ * counters. Each scheduling phase is one member function; run()
+ * calls them in a fixed order once per iteration boundary.
+ */
+struct FleetState
+{
+    FleetState(const SchedulerOptions &o, const engines::Pipeline &pipe,
+               std::vector<engines::Engine *> engs,
+               std::vector<Request> requests,
+               std::vector<RequestOutcome> &outs, const TokenCallback &cb)
+        : opts(o), engines(std::move(engs)), outcomes(outs),
+          on_token(cb), t0(requests.front().arrival_s)
+    {
+        // The fleet's pipeline shape. Workers must shard identically
+        // — stage-split pricing and backfill read one stage graph,
+        // and a heterogeneous fleet would make results depend on
+        // which worker a session landed on (breaking worker-count
+        // determinism).
+        for (const auto *e : engines) {
+            specee_assert(e->stageGraph().nStages() == n_stages &&
+                              e->tpDegree() ==
+                                  engines.front()->tpDegree(),
+                          "all worker engines must share one tp x pp "
+                          "sharding");
+        }
+        // Swap preemption needs a host link. Pure swap mode without
+        // one is a configuration error (fail fast, not
+        // mid-eviction); auto degrades to recompute-only on such
+        // platforms.
+        specee_assert(opts.preempt_mode != PreemptMode::Swap ||
+                          has_swap_link,
+                      "preempt_mode = swap on platform %s, which has "
+                      "no host link (swap_bw_gbs = 0)",
+                      engines.front()->platform().name.c_str());
+        // A disaggregated fleet needs a peer link to stream finished
+        // prompts' KV over (fail fast, not at the first handoff).
+        specee_assert(
+            !disagg || engines.front()->platform().interconnect_gbs > 0.0,
+            "disaggregated prefill/decode on platform %s, which has no "
+            "peer link (interconnect_gbs = 0)",
+            engines.front()->platform().name.c_str());
+        fleet.n_stages = n_stages;
+        fleet.n_devices = opts.topology.devices;
+        fleet.n_prefill_devices = n_prefill_dev;
+
+        // One shared KV pool per worker engine. Its capacity bounds
+        // block ids: a full decode batch of maximum-context sequences
+        // could never run out of ids even if every session lands on
+        // one engine. Storage is allocated per chunk on first use, so
+        // a pool keeps resident only its peak occupancy. The *budget*
+        // (policy) is enforced fleet-wide by the scheduler against
+        // real allocator occupancy; the pool (mechanism) just backs
+        // the block tables.
+        const int per_seq_blocks =
+            mcfg.n_layers * (mcfg.context_len / model::kKvBlockSize + 2);
+        // Prefix-cache headroom: the cache may hold up to its
+        // capacity in blocks that no live session references, plus
+        // one prompt's worth of transient overshoot before the
+        // post-insert trim, plus copy-on-write forks. Sized into the
+        // pool so the third residency tier can never physically
+        // starve admissions.
+        if (cache_on) {
+            cache_capacity = opts.prefix_cache.capacity_blocks > 0
+                                 ? opts.prefix_cache.capacity_blocks
+                                 : per_seq_blocks;
+        }
+        // Disaggregation holds sessions outside the decode slots too:
+        // up to one ingesting prompt per prefill device plus a
+        // bounded handoff queue (prefill admission stops once
+        // prefill-side entries reach slots + prefill devices), so the
+        // pool backs the worst case physically and the fleet budget
+        // stays pure policy.
+        const int pool_slots =
+            static_cast<int>(slots) +
+            (disagg ? static_cast<int>(slots) + n_prefill_dev : 0);
+        const int pool_blocks =
+            pool_slots * per_seq_blocks +
+            (cache_on ? cache_capacity + per_seq_blocks : 0);
+        for (size_t e = 0; e < engines.size(); ++e) {
+            pools.push_back(std::make_shared<model::PagedKvCache>(
+                mcfg.n_layers, pool_blocks, mcfg.sim.hidden));
+        }
+        if (cache_on)
+            cache.emplace(mcfg.n_layers, pools);
+
+        outcomes.resize(requests.size());
+        for (size_t i = 0; i < requests.size(); ++i) {
+            Entry e;
+            // buildPromptWorkload reconciles the prompt-identity
+            // knobs: an unshared spec reproduces the legacy
+            // makeWorkload call bit-identically; a shared spec
+            // derives its true tokens and the stride-derived sim
+            // prompt the cache can share.
+            e.w = buildPromptWorkload(pipe, requests[i],
+                                      ecfg.q4Calibrated());
+            if (cache_on && requests[i].prompt.shared())
+                e.true_toks = resolvePromptTokens(requests[i].prompt);
+            e.req = std::move(requests[i]);
+            e.outcome = i;
+            outcomes[i].request = e.req;
+            waiting.push_back(std::move(e));
+        }
+
+        // Worst-case block growth of one session in one iteration:
+        // every committed token may open a fresh block in every
+        // layer; a prefill chunk can append up to the whole sim
+        // prefix.
+        iter_growth =
+            mcfg.n_layers * (ecfg.spec_decode ? ecfg.tree.depth() + 1 : 1);
+        if (chunked) {
+            // A prefill chunk can append up to the whole sim prefix
+            // in one iteration. Legacy prompts all run kSimPromptLen
+            // sim rows (so this reduces to the pre-PromptSpec
+            // constant); shared prompts derive one row per
+            // kPromptSimStride true tokens and can be longer.
+            int max_rows = workload::kSimPromptLen;
+            for (const auto &e : waiting) {
+                max_rows = std::max(
+                    max_rows,
+                    static_cast<int>(e.w.instances.front().prompt.size()) -
+                        1);
+            }
+            iter_growth = std::max(
+                iter_growth,
+                mcfg.n_layers * ((max_rows + model::kKvBlockSize - 1) /
+                                     model::kKvBlockSize +
+                                 1));
+        }
+        // A write into a shared cached block forks a copy-on-write
+        // duplicate: one extra block per layer of worst-case growth.
+        if (cache_on)
+            iter_growth += mcfg.n_layers;
+        active.reserve(slots);
+    }
+
+    // --- configuration, fixed for the run --------------------------
+    const SchedulerOptions &opts;
+    const std::vector<engines::Engine *> engines;
+    std::vector<RequestOutcome> &outcomes;
+    const TokenCallback &on_token;
     const engines::EngineConfig &ecfg = engines.front()->config();
     const model::ModelConfig &mcfg = engines.front()->modelConfig();
-    const size_t slots = static_cast<size_t>(opts_.max_batch);
-
-    // The fleet's pipeline shape. Workers must shard identically —
-    // stage-split pricing and backfill read one stage graph, and a
-    // heterogeneous fleet would make results depend on which worker
-    // a session landed on (breaking worker-count determinism).
-    const model::StageGraph &sg = engines.front()->stageGraph();
-    const int n_stages = sg.nStages();
-    for (const auto *e : engines) {
-        specee_assert(e->stageGraph().nStages() == n_stages &&
-                          e->tpDegree() == engines.front()->tpDegree(),
-                      "all worker engines must share one tp x pp "
-                      "sharding");
-    }
+    const size_t slots = static_cast<size_t>(opts.max_batch);
+    const int n_stages = engines.front()->stageGraph().nStages();
     const bool staged = n_stages > 1;
-    fleet.n_stages = n_stages;
-
-    // Swap preemption needs a host link. Pure swap mode without one
-    // is a configuration error (fail fast, not mid-eviction); auto
-    // degrades to recompute-only on such platforms.
     const bool has_swap_link =
         engines.front()->platform().swap_bw_gbs > 0.0;
-    specee_assert(opts_.preempt_mode != PreemptMode::Swap ||
-                      has_swap_link,
-                  "preempt_mode = swap on platform %s, which has no "
-                  "host link (swap_bw_gbs = 0)",
-                  engines.front()->platform().name.c_str());
-
     // Fleet topology: logical devices the pricing spreads over —
     // independent of the physical worker count, so determinism
     // across workers is preserved. Decode devices are
     // [0, n_decode_dev); prefill devices (disaggregation) are the
-    // tail [n_decode_dev, n_devices). A disaggregated fleet needs a
-    // peer link to stream finished prompts' KV over (fail fast, not
-    // at the first handoff).
-    const TopologyOptions &topo = opts_.topology;
-    const int n_devices = topo.devices;
-    const int n_prefill_dev = topo.prefill_devices;
-    const int n_decode_dev = n_devices - n_prefill_dev;
+    // tail [n_decode_dev, topology.devices).
+    const int n_prefill_dev = opts.topology.prefill_devices;
+    const int n_decode_dev = opts.topology.devices - n_prefill_dev;
     const bool disagg = n_prefill_dev > 0;
-    const bool overlap = topo.overlap_transfers;
-    specee_assert(!disagg ||
-                      engines.front()->platform().interconnect_gbs > 0.0,
-                  "disaggregated prefill/decode on platform %s, which "
-                  "has no peer link (interconnect_gbs = 0)",
-                  engines.front()->platform().name.c_str());
-    fleet.n_devices = n_devices;
-    fleet.n_prefill_devices = n_prefill_dev;
-    // Per-device DMA channel timelines (host link, peer link). Only
-    // consulted while overlap_transfers is on.
-    hw::TransferEngine xfer(n_devices);
-    // Busy-until of each prefill device's decoupled compute timeline.
-    std::vector<double> pf_free_at(static_cast<size_t>(
-                                       std::max(n_prefill_dev, 1)),
-                                   0.0);
-
-    // One shared KV pool per worker engine. Its capacity bounds block
-    // ids: a full decode batch of maximum-context sequences could
-    // never run out of ids even if every session lands on one engine.
-    // Storage is allocated per chunk on first use, so a pool keeps
-    // resident only its peak occupancy. The *budget* (policy) is
-    // enforced fleet-wide by the scheduler against real allocator
-    // occupancy; the pool (mechanism) just backs the block tables.
-    const int per_seq_blocks =
-        mcfg.n_layers * (mcfg.context_len / model::kKvBlockSize + 2);
-    // Prefix-cache headroom: the cache may hold up to its capacity
-    // in blocks that no live session references, plus one prompt's
-    // worth of transient overshoot before the post-insert trim, plus
-    // copy-on-write forks. Sized into the pool so the third
-    // residency tier can never physically starve admissions.
-    const bool cache_on = opts_.prefix_cache.enabled;
-    const int cache_capacity =
-        cache_on ? (opts_.prefix_cache.capacity_blocks > 0
-                        ? opts_.prefix_cache.capacity_blocks
-                        : per_seq_blocks)
-                 : 0;
-    // Disaggregation holds sessions outside the decode slots too:
-    // up to one ingesting prompt per prefill device plus a bounded
-    // handoff queue (prefill admission stops once prefill-side
-    // entries reach slots + prefill devices), so the pool backs the
-    // worst case physically and the fleet budget stays pure policy.
-    const int pool_slots =
-        static_cast<int>(slots) +
-        (disagg ? static_cast<int>(slots) + n_prefill_dev : 0);
-    const int pool_blocks =
-        pool_slots * per_seq_blocks +
-        (cache_on ? cache_capacity + per_seq_blocks : 0);
-    std::vector<std::shared_ptr<model::PagedKvCache>> pools;
-    pools.reserve(engines.size());
-    for (size_t e = 0; e < engines.size(); ++e) {
-        pools.push_back(std::make_shared<model::PagedKvCache>(
-            mcfg.n_layers, pool_blocks, mcfg.sim.hidden));
-    }
-    std::optional<PrefixCache> cache;
-    if (cache_on)
-        cache.emplace(mcfg.n_layers, pools);
-    uint64_t cache_stamp = 0; ///< fleet-global LRU clock
-
-    // Live prefill knobs: the adaptive controller may retune the
-    // chunk size at epoch boundaries (rebuilding the planner), but
-    // never toggles chunking itself — `chunked` is structural and
-    // fixed for the whole run.
-    PrefillOptions pf_opts = opts_.prefill;
-    PrefillPlanner planner(pf_opts);
-    const bool chunked = planner.enabled();
-
-    // Worst-case block growth of one session in one iteration: every
-    // committed token may open a fresh block in every layer; a
-    // prefill chunk can append up to the whole sim prefix.
-    const int tokens_per_step =
-        ecfg.spec_decode ? ecfg.tree.depth() + 1 : 1;
-    int iter_growth = mcfg.n_layers * tokens_per_step;
-    // (The chunked growth reserve is finalized below, once the
-    // workloads exist: shared prompts can carry sim prefixes longer
-    // than kSimPromptLen.)
-
+    const bool overlap = opts.topology.overlap_transfers;
+    const bool cache_on = opts.prefix_cache.enabled;
+    const bool tracing = opts.trace.enabled;
+    int cache_capacity = 0;
+    int iter_growth = 0;
     // Fleet memory at TRUE dims: weights/draft/predictors once,
     // per-session KV and activations summed. Same deployment model
     // as the per-request peak_mem_gb (Engine::finalizeRun).
     const hw::MemoryTracker mem = engines.front()->makeMemoryTracker();
+    const double t0;
 
-    const size_t n = requests.size();
-    outcomes.resize(n);
-
+    // --- request queues --------------------------------------------
     std::deque<Entry> waiting;
-    for (size_t i = 0; i < n; ++i) {
-        Entry e;
-        // buildPromptWorkload reconciles the prompt-identity knobs:
-        // an unshared spec reproduces the legacy makeWorkload call
-        // bit-identically; a shared spec derives its true tokens and
-        // the stride-derived sim prompt the cache can share.
-        e.w = buildPromptWorkload(pipe, requests[i],
-                                  ecfg.q4Calibrated());
-        if (cache_on && requests[i].prompt.shared())
-            e.true_toks = resolvePromptTokens(requests[i].prompt);
-        e.req = std::move(requests[i]);
-        e.outcome = i;
-        outcomes[i].request = e.req;
-        waiting.push_back(std::move(e));
-    }
-
-    if (chunked) {
-        // A prefill chunk can append up to the whole sim prefix in
-        // one iteration. Legacy prompts all run kSimPromptLen sim
-        // rows (so this reduces to the pre-PromptSpec constant);
-        // shared prompts derive one row per kPromptSimStride true
-        // tokens and can be longer.
-        int max_rows = workload::kSimPromptLen;
-        for (const auto &e : waiting) {
-            max_rows = std::max(
-                max_rows,
-                static_cast<int>(e.w.instances.front().prompt.size()) -
-                    1);
-        }
-        iter_growth = std::max(
-            iter_growth,
-            mcfg.n_layers *
-                ((max_rows + model::kKvBlockSize - 1) /
-                     model::kKvBlockSize +
-                 1));
-    }
-    // A write into a shared cached block forks a copy-on-write
-    // duplicate: one extra block per layer of worst-case growth.
-    if (cache_on)
-        iter_growth += mcfg.n_layers;
-
-    const double t0 = waiting.front().req.arrival_s;
-    double clock = t0;
-    double occupancy = 0.0;
-    double itl_sum = 0.0;
-    long itl_gaps = 0;
-    std::vector<double> itl_samples; ///< every delivered gap
-    uint64_t admit_seq = 0;
-    // Stages the previous iteration's early exits left idle — the
-    // backfill planner's bubble estimate. Reading LAST iteration's
-    // occupancy keeps the plan causal (it depends only on work
-    // already priced), so results stay bit-identical across worker
-    // counts; the one-iteration lag is the micro-batch pipeline.
-    int free_stages_prev = 0;
     std::vector<Entry> active;
-    active.reserve(slots);
     // Sessions preempted by swap-to-host: frozen with their KV in the
     // pool's host side. Resumes compete with fresh admissions
-    // tier-first once pressure clears (see the admission loop).
+    // tier-first once pressure clears (see admitDecodeSlots).
     std::deque<Entry> swappedQ;
     // Disaggregation: sessions ingesting their prompt on a prefill
     // device, and finished prompts whose KV is streaming (or queued
     // to stream) to a decode device.
     std::vector<Entry> prefilling;
     std::deque<Entry> handoffQ;
-    // Round-robin decode-device assignment, like admit_seq for
-    // engines; inert at one device.
-    uint64_t dev_seq = 0;
+
+    // --- clock, devices, KV residency ------------------------------
+    double clock = t0;
+    // Per-device DMA channel timelines (host link, peer link). Only
+    // consulted while overlap_transfers is on.
+    hw::TransferEngine xfer{opts.topology.devices};
+    // Busy-until of each prefill device's decoupled compute timeline.
+    std::vector<double> pf_free_at = std::vector<double>(
+        static_cast<size_t>(std::max(n_prefill_dev, 1)), 0.0);
+    std::vector<std::shared_ptr<model::PagedKvCache>> pools;
+    std::optional<PrefixCache> cache;
+    uint64_t cache_stamp = 0; ///< fleet-global LRU clock
 
     // --- observability: event trace + metrics timeline -------------
     // Both record against the MODELED clock and never advance it or
@@ -343,30 +341,27 @@ BatchScheduler::run(const engines::Pipeline &pipe,
     // exclusivity); everything decided on this thread goes to the
     // control shard with a monotonic seq stamp, and the merge is
     // deterministic across worker counts.
-    const bool tracing = opts_.trace.enabled;
-    obs::TraceRecorder rec(engines.size(), tracing);
+    obs::TraceRecorder rec{engines.size(), tracing};
     uint64_t trace_seq = 0;
-    obs::Timeline timeline(opts_.timeline, t0, mcfg.n_layers, n_stages);
-    long slo_tokens = 0; ///< tokens delivered by attaining requests
+    obs::Timeline timeline{opts.timeline, t0, mcfg.n_layers, n_stages};
 
     // --- adaptive control plane ------------------------------------
     // The controller starts from the static knob values and runs on
     // the modeled clock: each epoch it reads its PRIVATE windowed
     // timeline (epoch-width windows, independent of the user-facing
     // one) and Thompson-samples the next knob setting. All live knob
-    // state lives in the locals below; with the controller off they
+    // state lives in the members below; with the controller off they
     // hold the static values forever and every path is bit-identical
     // to the controller-less scheduler.
-    AdaptiveController ctl(
-        opts_.controller,
-        ControllerKnobs{opts_.prefill.chunk_tokens, opts_.kv_watermark,
-                        opts_.max_admissions_per_iteration,
-                        ecfg.exit_threshold, ecfg.exit_threshold});
+    AdaptiveController ctl{
+        opts.controller,
+        ControllerKnobs{opts.prefill.chunk_tokens, opts.kv_watermark,
+                        opts.max_admissions_per_iteration,
+                        ecfg.exit_threshold, ecfg.exit_threshold}};
     const bool controlled = ctl.enabled();
-    obs::TimelineOptions ctl_tl_opts;
-    if (controlled)
-        ctl_tl_opts.window_s = ctl.epochSeconds();
-    obs::Timeline ctl_tl(ctl_tl_opts, t0, mcfg.n_layers, n_stages);
+    obs::Timeline ctl_tl{
+        obs::TimelineOptions{controlled ? ctl.epochSeconds() : 0.0}, t0,
+        mcfg.n_layers, n_stages};
     size_t ctl_epoch = 0; ///< next decision window to close
     // SLO verdicts known SO FAR: the controller's reward
     // attribution. Written at retirement (drop / cancel / complete)
@@ -376,10 +371,95 @@ BatchScheduler::run(const engines::Pipeline &pipe,
     // optimistic. In-flight requests otherwise default to attained —
     // they have not failed anything yet.
     std::unordered_map<uint64_t, bool> online_attained;
-    double kv_watermark = opts_.kv_watermark;
-    int admit_cap = opts_.max_admissions_per_iteration;
-    const auto decision = [&](obs::TraceDecision d, uint64_t req_id,
-                              int d_tokens = 0) {
+
+    // --- live knobs ------------------------------------------------
+    // The adaptive controller may retune the chunk size at epoch
+    // boundaries (rebuilding the planner), but never toggles chunking
+    // itself — `chunked` is structural and fixed for the whole run.
+    PrefillOptions pf_opts = opts.prefill;
+    PrefillPlanner planner{pf_opts};
+    const bool chunked = planner.enabled();
+    double kv_watermark = opts.kv_watermark;
+    int admit_cap = opts.max_admissions_per_iteration;
+
+    // --- counters --------------------------------------------------
+    double occupancy = 0.0;
+    double itl_sum = 0.0;
+    long itl_gaps = 0;
+    std::vector<double> itl_samples; ///< every delivered gap
+    long slo_tokens = 0; ///< tokens delivered by attaining requests
+    uint64_t admit_seq = 0;
+    // Round-robin decode-device assignment, like admit_seq for
+    // engines; inert at one device.
+    uint64_t dev_seq = 0;
+    // Stages the previous iteration's early exits left idle — the
+    // backfill planner's bubble estimate. Reading LAST iteration's
+    // occupancy keeps the plan causal (it depends only on work
+    // already priced), so results stay bit-identical across worker
+    // counts; the one-iteration lag is the micro-batch pipeline.
+    int free_stages_prev = 0;
+    FleetStats fleet;
+
+    // --- per-boundary / per-iteration scratch ----------------------
+    bool deferred = false; ///< a saturated consumer was passed over
+    // Fresh admissions this boundary (admit_cap gates them; swap-ins
+    // and handoff completions resume work already admitted and are
+    // never capped, so progress always holds).
+    int fresh_admits = 0;
+    std::vector<int> grant; ///< planned prompt tokens per active slot
+    double step_t0 = 0.0;
+    // Shard high-water marks: everything a worker emits past its
+    // mark belongs to THIS iteration and gets its end clamped to the
+    // iteration's actual clock advance.
+    std::vector<size_t> shard_mark;
+    int busy_stages = 0;
+
+    bool pending() const
+    {
+        return !waiting.empty() || !active.empty() ||
+               !swappedQ.empty() || !prefilling.empty() ||
+               !handoffQ.empty();
+    }
+
+    /** Record into the user-facing and the controller's timeline. */
+    template <class F>
+    void record(F &&f)
+    {
+        f(timeline);
+        f(ctl_tl);
+    }
+
+    /** Every session holding device KV: decode slots, ingesting
+     * prompts and queued handoffs. */
+    template <class F>
+    void forEachOnDevice(F &&f)
+    {
+        for (auto &a : active)
+            f(a);
+        for (auto &p : prefilling)
+            f(p);
+        for (auto &h : handoffQ)
+            f(h);
+    }
+
+    /** Every live session: on a device, or frozen in the host pool. */
+    template <class F>
+    void forEachLive(F &&f)
+    {
+        forEachOnDevice(f);
+        for (auto &s : swappedQ)
+            f(s);
+    }
+
+    /** Stamp `ev` with the next control-shard seq and record it. */
+    void emit(obs::TraceEvent ev)
+    {
+        ev.seq = trace_seq++;
+        rec.control().emit(std::move(ev));
+    }
+
+    void decision(obs::TraceDecision d, uint64_t req_id, int d_tokens = 0)
+    {
         if (!tracing)
             return;
         obs::TraceEvent ev;
@@ -388,13 +468,14 @@ BatchScheduler::run(const engines::Pipeline &pipe,
         ev.decision = d;
         ev.request = req_id;
         ev.tokens = d_tokens;
-        ev.seq = trace_seq++;
-        rec.control().emit(std::move(ev));
-    };
-    // One DMA busy span [a, b) on `device`'s channel — fed to both
-    // the trace and the timeline's channel-utilization accumulator.
-    const auto transferSpan = [&](double a, double b, size_t device,
-                                  hw::DmaChannel ch, uint64_t req_id) {
+        emit(std::move(ev));
+    }
+
+    /** One DMA busy span [a, b) on `device`'s channel — fed to both the
+     * trace and the timeline's channel-utilization accumulator. */
+    void transferSpan(double a, double b, size_t device,
+                      hw::DmaChannel ch, uint64_t req_id)
+    {
         timeline.recordTransfer(a, b);
         if (!tracing)
             return;
@@ -405,154 +486,103 @@ BatchScheduler::run(const engines::Pipeline &pipe,
         ev.device = static_cast<int>(device);
         ev.channel = static_cast<int>(ch);
         ev.request = req_id;
-        ev.seq = trace_seq++;
-        rec.control().emit(std::move(ev));
-    };
-    // Judge the retiring request against its tier's objectives.
-    const auto judgeSlo = [&](const Entry &e, RequestOutcome &o,
-                              bool completed) {
-        const obs::SloSpec &spec =
-            opts_.slo.tier(static_cast<int>(e.req.priority));
-        o.slo = obs::judge(spec, completed, o.ttft_s, o.max_itl_s,
-                           o.latency_s);
-    };
+        emit(std::move(ev));
+    }
 
-    const auto expired = [&](const Request &r) {
-        return r.deadline_s > 0.0 && clock > r.deadline_s;
-    };
-    const auto finishTimeline = [&](Entry &e, RequestOutcome &o) {
-        o.finish_s = clock;
-        o.latency_s = clock - e.req.arrival_s;
-        o.admit_s = e.first_admit_s >= 0.0 ? e.first_admit_s : clock;
-        o.queue_s = std::max(0.0, o.admit_s - e.req.arrival_s);
-        o.prefill_s = chunked && e.prefill_ready_s >= 0.0
-                          ? std::max(0.0, e.prefill_ready_s - o.admit_s)
-                          : 0.0;
-        o.prefill_chunks = e.chunks;
-        o.preemptions = e.preemptions;
-        o.swaps = e.swaps;
-        o.cached_tokens = e.cached;
-        o.max_itl_s = e.itl_max_s;
-    };
-    const auto drop = [&](Entry &e) {
-        if (e.sess && e.sess->awaitingTransfer()) {
-            // The modeled DMA still completes on its channel; settle
-            // it so the byte-conservation census stays exact before
-            // the blocks free with the entry.
-            e.sess->endTransfer();
-            fleet.transfer_bytes_received += e.xfer_bytes;
-        }
-        RequestOutcome &o = outcomes[e.outcome];
-        o.dropped = true;
-        finishTimeline(e, o);
-        // An unfinished request fails every configured objective.
-        judgeSlo(e, o, false);
-        if (controlled)
-            online_attained[e.req.id] = false;
-        decision(obs::TraceDecision::Drop, e.req.id);
-        ++fleet.dropped;
-        // Gaps already delivered count toward fleet ITL (they are in
-        // itl_samples too, keeping mean and percentiles consistent).
-        itl_sum += e.itl_sum_s;
-        itl_gaps += e.itl_gaps;
-    };
-    const auto fleetBlocks = [&] {
-        // With the cache on, budget occupancy is the real allocator
-        // state: distinct physical blocks, counting a block shared
-        // by several sessions (or by a session and the cache) once.
-        // Sharing only happens within a pinned engine, so the sum is
-        // identical across worker counts. Cache-off keeps the legacy
-        // per-session sum bit-identically.
-        if (cache_on) {
-            long b = 0;
-            for (const auto &p : pools)
-                b += p->blocksInUse();
-            return b;
-        }
+    /**
+     * Fleet KV occupancy the budget gates read: the real allocator state
+     * — distinct physical blocks, counting a block shared by several
+     * sessions (or by a session and the cache) once. Sharing only
+     * happens within a pinned engine, so the sum is identical across
+     * worker counts. Without the cache every session owns its own pool
+     * sequence and swap-out frees device blocks eagerly, so this equals
+     * the sum of the device-resident sessions' blocks.
+     */
+    long fleetBlocks() const
+    {
         long b = 0;
-        for (const auto &a : active)
-            b += a.sess->kvBlocks();
-        for (const auto &p : prefilling)
-            b += p.sess->kvBlocks();
-        for (const auto &h : handoffQ)
-            b += h.sess->kvBlocks();
+        for (const auto &p : pools)
+            b += p->blocksInUse();
         return b;
-    };
-    // Earliest STRICTLY FUTURE modeled event: an arrival, a prefill
-    // device finishing its chunk (or a finished prompt's completion
-    // time), or an in-flight DMA landing. Already-due events were
-    // handled at this boundary, so only t > clock counts; infinity
-    // means nothing is pending.
-    const auto nextEvent = [&] {
-        double next = std::numeric_limits<double>::infinity();
-        const auto consider = [&](double t) {
-            if (t > clock)
-                next = std::min(next, t);
-        };
-        if (!waiting.empty())
-            consider(waiting.front().req.arrival_s);
-        for (const auto &p : prefilling) {
-            const size_t d = p.device - static_cast<size_t>(n_decode_dev);
-            consider(p.pf_done ? p.pf_done_s : pf_free_at[d]);
-        }
-        const auto landing = [&](const Entry &e) {
-            if (e.sess && e.sess->awaitingTransfer())
-                consider(e.xfer_ready_s);
-        };
-        for (const auto &h : handoffQ)
-            landing(h);
-        for (const auto &s : swappedQ)
-            landing(s);
-        for (const auto &a : active)
-            landing(a);
-        return next;
-    };
-    // Cache the finished prompt's KV at the prefill-done boundary —
-    // the one moment every layer holds exactly the prompt's sim rows.
-    // Idempotent per run; a recompute preemption clears the flag so
-    // the re-run re-inserts (its fresh blocks replace freed ones).
-    const auto cacheInsert = [&](Entry &e) {
-        if (!cache_on || e.true_toks.empty() || e.cache_inserted)
-            return;
-        e.cache_inserted = true;
-        cache->insert(e.true_toks, e.engine, e.sess->kvSeqId(),
-                      cache_stamp++);
-    };
-    // Device KV of the candidate's FULL working set (sim dims): the
-    // whole prompt — not the first chunk's share chunked admission
-    // reserves — plus every scripted decode position. This is what
-    // the prefill-aware watermark insists fits under the high-water
-    // mark before a long prompt is admitted at all. `sim_cached` sim
-    // rows already resident in the prefix cache discount the charge:
-    // adoption shares those blocks instead of allocating them, so
-    // counting them again would double-charge every cache hit and
-    // starve admission under tight watermarks. Only WHOLE cached
-    // blocks discount — the boundary block copy-on-write forks on
-    // the first divergent write, so its copy still charges.
-    const auto fullRequestBlocks = [&](const Entry &e, int sim_cached) {
+    }
+
+    /** `extra` more blocks plus one iteration's worst-case growth for
+     * `n_sessions` sessions fit the fleet budget (always, unbounded). */
+    bool fitsBudget(long extra, long n_sessions) const
+    {
+        return opts.kv_budget_blocks <= 0 ||
+               fleetBlocks() + extra + iter_growth * n_sessions <=
+                   opts.kv_budget_blocks;
+    }
+
+    /**
+     * Prefill-aware watermark: beyond the first-chunk reservation the
+     * budget gate charges, the fleet's COMMITTED working set — every
+     * device-resident session's full prompt + decode KV (what its blocks
+     * will grow to, not what it holds mid-chunk) plus the candidate's,
+     * plus the growth reserve for `n_sessions` — must fit under the
+     * high-water mark. Otherwise a long prompt admitted against today's
+     * near-empty occupancy would chunk, grow, evict and recompute in a
+     * loop under a tight budget. A rejection is counted and traced.
+     */
+    bool fitsWatermark(const Entry &head, long n_sessions)
+    {
+        if (kv_watermark <= 0.0 || opts.kv_budget_blocks <= 0)
+            return true;
+        long committed = fullRequestBlocks(head, peekCached(head));
+        forEachOnDevice([&](const Entry &e) {
+            committed += fullRequestBlocks(e, e.sim_adopted);
+        });
+        if (static_cast<double>(committed + iter_growth * n_sessions) <=
+            kv_watermark * opts.kv_budget_blocks)
+            return true;
+        ++fleet.watermark_rejections;
+        decision(obs::TraceDecision::WatermarkReject, head.req.id);
+        return false;
+    }
+
+    /**
+     * Device KV of the candidate's FULL working set (sim dims): the
+     * whole prompt — not the first chunk's share chunked admission
+     * reserves — plus every scripted decode position. This is what the
+     * prefill-aware watermark insists fits under the high-water mark
+     * before a long prompt is admitted at all. `sim_cached` sim rows
+     * already resident in the prefix cache discount the charge: adoption
+     * shares those blocks instead of allocating them, so counting them
+     * again would double-charge every cache hit and starve admission
+     * under tight watermarks. Only WHOLE cached blocks discount — the
+     * boundary block copy-on-write forks on the first divergent write,
+     * so its copy still charges.
+     */
+    int fullRequestBlocks(const Entry &e, int sim_cached) const
+    {
         const auto &inst = e.w.instances.front();
         const int positions = static_cast<int>(inst.prompt.size()) +
                               static_cast<int>(inst.steps.size());
-        int blocks = (positions + model::kKvBlockSize - 1) /
-                     model::kKvBlockSize;
+        int blocks =
+            (positions + model::kKvBlockSize - 1) / model::kKvBlockSize;
         blocks -= std::min(blocks, sim_cached / model::kKvBlockSize);
         return mcfg.n_layers * blocks;
-    };
-    // The candidate's would-be adoption, probed WITHOUT stamping the
-    // LRU or assembling a block table (pure read): what admission
-    // will actually share if the gate passes.
-    const auto peekCached = [&](const Entry &e) {
+    }
+
+    /** The candidate's would-be adoption, probed WITHOUT stamping the
+     * LRU or assembling a block table (pure read): what admission will
+     * actually share if the gate passes. */
+    int peekCached(const Entry &e) const
+    {
         if (!cache_on || e.true_toks.empty())
             return 0;
-        const size_t eng = static_cast<size_t>(
-            e.req.prompt.rootTemplate() % engines.size());
-        return cache->peekSimMatched(e.true_toks, eng);
-    };
-    // KV an admission must be able to hold up front: the whole
-    // (sim-dims) prompt when prefill is atomic, only the first
-    // chunk's share of the prefix when chunked — gradual ingestion
-    // is what lets short requests slip in under KV pressure.
-    const auto admitBlocks = [&](const Entry &e) {
+        return cache->peekSimMatched(e.true_toks, templateEngine(e));
+    }
+
+    /**
+     * KV an admission must be able to hold up front: the whole
+     * (sim-dims) prompt when prefill is atomic, only the first chunk's
+     * share of the prefix when chunked — gradual ingestion is what lets
+     * short requests slip in under KV pressure.
+     */
+    int admitBlocks(const Entry &e) const
+    {
         const int prompt =
             static_cast<int>(e.w.instances.front().prompt.size());
         int sim = prompt;
@@ -569,375 +599,471 @@ BatchScheduler::run(const engines::Pipeline &pipe,
             }
         }
         return mcfg.n_layers *
-               ((sim + model::kKvBlockSize - 1) /
-                model::kKvBlockSize);
-    };
+               ((sim + model::kKvBlockSize - 1) / model::kKvBlockSize);
+    }
 
-    while (!waiting.empty() || !active.empty() || !swappedQ.empty() ||
-           !prefilling.empty() || !handoffQ.empty()) {
-        // --- adaptive control plane: close due decision epochs -----
-        // Every epoch window the modeled clock has fully passed is
-        // reduced (covered-span rates, verdicts known so far) and
-        // fed to the controller; sampled knob changes land HERE, at
-        // an iteration boundary, before any admission or planning
-        // below reads them.
-        if (controlled) {
-            const double ep_w = ctl.epochSeconds();
-            while (t0 + static_cast<double>(ctl_epoch + 1) * ep_w <=
-                   clock) {
-                const obs::TimelineWindow win = ctl_tl.reduce(
-                    ctl_epoch, clock, [&](uint64_t id) {
-                        const auto it = online_attained.find(id);
-                        return it == online_attained.end() ||
-                               it->second;
-                    });
-                const int changed = ctl.decide(clock, win);
-                ++ctl_epoch;
-                if (changed == 0)
-                    continue;
-                decision(obs::TraceDecision::KnobChange, 0, changed);
-                const ControllerKnobs &k = ctl.knobs();
-                kv_watermark = k.kv_watermark;
-                admit_cap = k.max_admissions_per_iteration;
-                if (chunked && k.chunk_tokens != pf_opts.chunk_tokens) {
-                    pf_opts.chunk_tokens = k.chunk_tokens;
-                    planner = PrefillPlanner(pf_opts);
-                }
-                // Per-tier speculation aggressiveness applies to
-                // every LIVE session forward in time (frozen swapped
-                // sessions included — they resume under the current
-                // policy).
-                const auto retune = [&](Entry &e) {
-                    if (!e.sess)
-                        return;
-                    e.sess->setExitThreshold(
-                        e.req.priority == Priority::Interactive
-                            ? k.interactive_exit_threshold
-                            : k.batch_exit_threshold);
-                };
-                for (auto &a : active)
-                    retune(a);
-                for (auto &p : prefilling)
-                    retune(p);
-                for (auto &h : handoffQ)
-                    retune(h);
-                for (auto &s : swappedQ)
-                    retune(s);
-            }
-        }
+    /**
+     * Per-consumer backpressure: a candidate whose consumer already
+     * decodes max_inflight_per_consumer sessions is passed over.
+     * Saturation needs >= 1 active session, so an empty fleet is never
+     * deferred and progress holds.
+     */
+    bool saturated(const Request &r) const
+    {
+        if (opts.max_inflight_per_consumer <= 0)
+            return false;
+        int c = 0;
+        for (const auto &a : active)
+            if (a.req.consumer == r.consumer)
+                ++c;
+        return c >= opts.max_inflight_per_consumer;
+    }
 
-        // --- iteration boundary: settle landed DMAs first ----------
-        // A transfer whose channel time has passed unpins its
-        // session's blocks; admission and stepping below then see
-        // the settled state.
-        if (overlap) {
-            const auto settleIfLanded = [&](Entry &e) {
-                if (e.sess && e.sess->awaitingTransfer() &&
-                    clock >= e.xfer_ready_s) {
-                    e.sess->endTransfer();
-                    fleet.transfer_bytes_received += e.xfer_bytes;
-                }
-            };
-            for (auto &a : active)
-                settleIfLanded(a);
-            for (auto &s : swappedQ)
-                settleIfLanded(s);
-            for (auto &h : handoffQ)
-                settleIfLanded(h);
-        }
+    /** Future arrivals are a contiguous sorted tail of the wait queue
+     * (victims re-enter at the front, already arrived). */
+    Scan arrived(const Entry &e) const
+    {
+        return e.req.arrival_s > clock ? Scan::Stop : Scan::Consider;
+    }
 
-        // --- iteration boundary: deadlines, admission, preemption --
-        for (size_t i = 0; i < active.size();) {
-            if (expired(active[i].req)) {
-                drop(active[i]);
-                active.erase(active.begin() +
-                             static_cast<long>(i)); // KV frees here
-            } else {
-                ++i;
-            }
-        }
-        for (size_t i = 0; i < waiting.size();) {
-            if (expired(waiting[i].req)) {
-                drop(waiting[i]);
-                waiting.erase(waiting.begin() + static_cast<long>(i));
-            } else {
-                ++i;
-            }
-        }
-        for (size_t i = 0; i < swappedQ.size();) {
-            if (expired(swappedQ[i].req)) {
-                drop(swappedQ[i]); // host-pool KV frees with the entry
-                swappedQ.erase(swappedQ.begin() + static_cast<long>(i));
-            } else {
-                ++i;
-            }
-        }
-        for (size_t i = 0; i < prefilling.size();) {
-            if (expired(prefilling[i].req)) {
-                // The prefill device stays busy until its in-flight
-                // chunk's modeled end — dead work, like a dropped
-                // decode's last iteration.
-                drop(prefilling[i]);
-                prefilling.erase(prefilling.begin() +
-                                 static_cast<long>(i));
-            } else {
-                ++i;
-            }
-        }
-        for (size_t i = 0; i < handoffQ.size();) {
-            if (expired(handoffQ[i].req)) {
-                drop(handoffQ[i]); // settles any in-flight handoff
-                handoffQ.erase(handoffQ.begin() + static_cast<long>(i));
-            } else {
-                ++i;
-            }
-        }
+    /** A swapped session whose out-transfer is still on the link, or a
+     * handoff whose KV is still streaming, cannot take a slot yet. */
+    Scan settled(const Entry &e) const
+    {
+        return e.sess->awaitingTransfer() ? Scan::Skip : Scan::Consider;
+    }
 
-        // Admission: swap-ins and fresh admissions compete for free
-        // slots tier-first (interactive before batch, everywhere),
-        // FIFO within each tier; at equal tier a swapped session
-        // wins — it is older admitted work holding host memory and
-        // prior progress. A batch-tier session frozen in the host
-        // pool therefore never delays an interactive prompt, exactly
-        // like a recompute victim waiting in the queue. An empty
-        // fleet always takes a candidate (progress guarantee: the
-        // budget gates below only apply alongside active peers).
-        // Per-consumer backpressure: pass over candidates whose
-        // consumer already decodes max_inflight_per_consumer
-        // sessions. Saturation needs >= 1 active session, so an
-        // empty fleet is never deferred and progress holds.
-        const auto saturated = [&](const Request &r) {
-            if (opts_.max_inflight_per_consumer <= 0)
-                return false;
-            int c = 0;
-            for (const auto &a : active)
-                if (a.req.consumer == r.consumer)
-                    ++c;
-            return c >= opts_.max_inflight_per_consumer;
-        };
-        // Disaggregation: finished prompts whose prefill-device
-        // timeline has passed hand their KV off toward the decode
-        // fleet — before admission, so a handoff that just became
-        // ready can take a decode slot at this very boundary and its
-        // freed prefill device can take the next prompt.
-        if (disagg) {
-            for (size_t i = 0; i < prefilling.size();) {
-                Entry &p = prefilling[i];
-                if (!p.pf_done || clock < p.pf_done_s) {
-                    ++i;
-                    continue;
-                }
-                Entry e = std::move(p);
-                prefilling.erase(prefilling.begin() +
-                                 static_cast<long>(i));
-                if (e.prefill_ready_s < 0.0)
-                    e.prefill_ready_s = e.pf_done_s;
-                cacheInsert(e);
-                const double h = e.sess->chargeHandoff();
-                e.xfer_bytes = mem.kvBytes(e.sess->modeledPositions());
-                ++fleet.handoffs;
-                decision(obs::TraceDecision::Handoff, e.req.id);
-                fleet.handoff_gb +=
-                    hw::MemoryTracker::toGiB(e.xfer_bytes);
-                fleet.transfer_bytes_sent += e.xfer_bytes;
-                if (overlap) {
-                    // Stream over the prefill device's peer channel,
-                    // concurrent with its next prompt's chunks and
-                    // with the decode batch.
-                    const double busy_from =
-                        std::max(clock,
-                                 xfer.freeAt(static_cast<int>(e.device),
-                                             hw::DmaChannel::Peer));
-                    e.xfer_ready_s =
-                        xfer.submit(static_cast<int>(e.device),
-                                    hw::DmaChannel::Peer, clock, h);
-                    transferSpan(busy_from, e.xfer_ready_s, e.device,
-                                 hw::DmaChannel::Peer, e.req.id);
-                    e.sess->beginTransfer();
-                    ++fleet.transfers_overlapped;
-                } else {
-                    e.handoff_s = h;
-                }
-                handoffQ.push_back(std::move(e));
-            }
-        }
-
-        bool deferred = false;
-        // Fresh admissions this boundary (admit_cap gates them;
-        // swap-ins and handoff completions resume work already
-        // admitted and are never capped, so progress always holds).
-        int fresh_admits = 0;
-        // Restore a swapped candidate into a decode slot. Overlap
-        // off: the host-link DMA serializes on the fleet clock, as
-        // ever. Overlap on: the functional restore happens now (KV
-        // content is a pure function of the tokens, so eager data
-        // movement cannot change emissions), the DMA is submitted on
-        // the session's device host channel, and the session holds
-        // its slot at zero cost until the landing.
-        const auto swapInAdmit = [&](Entry &&e) {
-            const double h = e.sess->swapIn();
-            ++fleet.swaps_in;
-            decision(obs::TraceDecision::Resume, e.req.id);
-            e.xfer_bytes = mem.kvBytes(e.sess->modeledPositions());
-            fleet.transfer_bytes_sent += e.xfer_bytes;
-            if (overlap) {
-                const double busy_from =
-                    std::max(clock,
-                             xfer.freeAt(static_cast<int>(e.device),
-                                         hw::DmaChannel::Host));
-                e.xfer_ready_s =
-                    xfer.submit(static_cast<int>(e.device),
-                                hw::DmaChannel::Host, clock, h);
-                transferSpan(busy_from, e.xfer_ready_s, e.device,
-                             hw::DmaChannel::Host, e.req.id);
-                e.sess->beginTransfer();
-                ++fleet.transfers_overlapped;
-            } else {
-                transferSpan(clock, clock + h, e.device,
-                             hw::DmaChannel::Host, e.req.id);
-                clock += h;
-                fleet.transfer_bytes_received += e.xfer_bytes;
-            }
-            active.push_back(std::move(e));
-        };
-        while (!disagg && active.size() < slots) {
-            size_t sw = swappedQ.size();
-            size_t sw_any = swappedQ.size();
-            for (size_t i = 0; i < swappedQ.size(); ++i) {
-                if (swappedQ[i].sess->awaitingTransfer())
-                    continue; // out-transfer still on the link
-                if (saturated(swappedQ[i].req)) {
-                    deferred = true;
-                    continue;
-                }
-                if (swappedQ[i].req.priority == Priority::Interactive) {
-                    sw = i;
-                    break;
-                }
-                if (sw_any == swappedQ.size())
-                    sw_any = i;
-            }
-            if (sw == swappedQ.size())
-                sw = sw_any;
-            size_t cand = waiting.size();
-            if (admit_cap <= 0 || fresh_admits < admit_cap) {
-                for (size_t i = 0; i < waiting.size(); ++i) {
-                    // Future arrivals are a contiguous sorted tail
-                    // (victims re-enter at the front, already
-                    // arrived).
-                    if (waiting[i].req.arrival_s > clock)
-                        break;
-                    if (saturated(waiting[i].req)) {
-                        deferred = true;
-                        continue;
-                    }
-                    if (waiting[i].req.priority ==
-                        Priority::Interactive) {
-                        cand = i;
-                        break;
-                    }
-                    if (cand == waiting.size())
-                        cand = i;
-                }
-            }
-            const bool have_sw = sw < swappedQ.size();
-            const bool have_wa = cand < waiting.size();
-            if (!have_sw && !have_wa)
+    /**
+     * Tier-first FIFO pick: the first interactive candidate `filter`
+     * admits, else the first candidate of any tier; q.size() when there
+     * is none. Saturated consumers are passed over (and flag a
+     * deferral).
+     */
+    size_t pickTierFirst(const std::deque<Entry> &q,
+                         Scan (FleetState::*filter)(const Entry &) const)
+    {
+        size_t any = q.size();
+        for (size_t i = 0; i < q.size(); ++i) {
+            const Scan s = (this->*filter)(q[i]);
+            if (s == Scan::Stop)
                 break;
-            const bool pick_sw =
-                have_sw &&
-                (!have_wa ||
-                 static_cast<int>(swappedQ[sw].req.priority) <=
-                     static_cast<int>(waiting[cand].req.priority));
-            if (pick_sw) {
-                Entry &head = swappedQ[sw];
-                if (opts_.kv_budget_blocks > 0 && !active.empty() &&
-                    fleetBlocks() + head.sess->hostBlocks() +
-                            iter_growth *
-                                static_cast<long>(active.size() + 1) >
-                        opts_.kv_budget_blocks)
-                    break;
-                Entry e = std::move(head);
-                swappedQ.erase(swappedQ.begin() + static_cast<long>(sw));
-                swapInAdmit(std::move(e));
+            if (s == Scan::Skip)
+                continue;
+            if (saturated(q[i].req)) {
+                deferred = true;
                 continue;
             }
-            Entry &head = waiting[cand];
-            if (opts_.kv_budget_blocks > 0 && !active.empty() &&
-                fleetBlocks() + admitBlocks(head) +
-                        iter_growth *
-                            static_cast<long>(active.size() + 1) >
-                    opts_.kv_budget_blocks)
-                break;
-            // Prefill-aware watermark: beyond the first-chunk
-            // reservation above, the fleet's COMMITTED working set —
-            // every active session's full prompt + decode KV (what
-            // its blocks will grow to, not what it holds mid-chunk)
-            // plus the candidate's, plus the scheduler's growth
-            // reserve — must fit under the high-water mark.
-            // Otherwise a long prompt admitted against today's
-            // near-empty occupancy would chunk, grow, evict and
-            // recompute in a loop under a tight budget.
-            if (kv_watermark > 0.0 && opts_.kv_budget_blocks > 0 &&
-                !active.empty()) {
-                long committed =
-                    fullRequestBlocks(head, peekCached(head));
-                for (const auto &a : active)
-                    committed += fullRequestBlocks(a, a.sim_adopted);
-                if (static_cast<double>(
-                        committed +
-                        iter_growth *
-                            static_cast<long>(active.size() + 1)) >
-                    kv_watermark * opts_.kv_budget_blocks) {
-                    ++fleet.watermark_rejections;
-                    decision(obs::TraceDecision::WatermarkReject,
-                             head.req.id);
-                    break;
-                }
+            if (q[i].req.priority == Priority::Interactive)
+                return i;
+            if (any == q.size())
+                any = i;
+        }
+        return any;
+    }
+
+    /** The engine a shared-template prompt is pinned to. */
+    size_t templateEngine(const Entry &e) const
+    {
+        return static_cast<size_t>(e.req.prompt.rootTemplate() %
+                                   engines.size());
+    }
+
+    size_t nextDecodeDevice()
+    {
+        return static_cast<size_t>(dev_seq++ %
+                                   static_cast<uint64_t>(n_decode_dev));
+    }
+
+    /** Index of a prefilling entry's device among the prefill devices. */
+    size_t prefillSlot(const Entry &p) const
+    {
+        return p.device - static_cast<size_t>(n_decode_dev);
+    }
+
+    /** Per-tier speculation aggressiveness under the controller. */
+    void applyExitThreshold(Entry &e) const
+    {
+        const ControllerKnobs &k = ctl.knobs();
+        e.sess->setExitThreshold(e.req.priority == Priority::Interactive
+                                     ? k.interactive_exit_threshold
+                                     : k.batch_exit_threshold);
+    }
+
+    /**
+     * Start a fresh run of `e` on logical `device`: pin a worker engine,
+     * open a session, adopt any cached prefix, and count the admission.
+     */
+    void startSession(Entry &e, size_t device)
+    {
+        // Template-affinity pinning: requests sharing a root template
+        // land on one engine, so their physical blocks live in one pool
+        // and can actually be shared. Unshared requests keep the legacy
+        // round-robin. Cache decisions stay deterministic across worker
+        // counts because a template's tree is the same tree wherever it
+        // lives.
+        if (cache_on && !e.true_toks.empty())
+            e.engine = templateEngine(e);
+        else
+            e.engine = admit_seq++ % engines.size();
+        // Logical pricing device, independent of the physical worker
+        // pin above; inert at one device.
+        e.device = device;
+        e.sess = engines[e.engine]->makeSession(
+            e.w, e.req.seed,
+            std::make_unique<model::SequenceKv>(pools[e.engine]));
+        e.cached = 0;
+        e.sim_adopted = 0;
+        if (cache_on && !e.true_toks.empty()) {
+            const PrefixCache::Match m =
+                cache->match(e.true_toks, e.engine, cache_stamp++);
+            if (m.sim_matched > 0) {
+                e.sess->adoptCachedPrefix(m.table, m.true_matched,
+                                          m.sim_matched);
+                e.cached = m.true_matched;
+                e.sim_adopted = m.sim_matched;
+                ++fleet.prefix_hits;
+                fleet.cached_tokens += m.true_matched;
+                decision(obs::TraceDecision::CacheHit, e.req.id,
+                         m.true_matched);
             }
-            Entry e = std::move(head);
-            waiting.erase(waiting.begin() + static_cast<long>(cand));
-            // Template-affinity pinning: requests sharing a root
-            // template land on one engine, so their physical blocks
-            // live in one pool and can actually be shared. Unshared
-            // requests keep the legacy round-robin. Cache decisions
-            // stay deterministic across worker counts because a
-            // template's tree is the same tree wherever it lives.
-            if (cache_on && !e.true_toks.empty()) {
-                e.engine = static_cast<size_t>(
-                    e.req.prompt.rootTemplate() % engines.size());
+        }
+        if (controlled)
+            applyExitThreshold(e);
+        if (e.first_admit_s < 0.0)
+            e.first_admit_s = clock;
+        ++fleet.admissions;
+        ++fresh_admits;
+        decision(obs::TraceDecision::Admit, e.req.id);
+    }
+
+    /**
+     * Move `e`'s KV over its device's `ch` channel, costing `seconds`.
+     * Overlap off: the DMA serializes on the fleet clock and lands now.
+     * Overlap on: it is submitted on the channel, concurrent with
+     * compute, and the session's blocks stay pinned (the session holds
+     * its place at zero cost) until settleLanded() sees it land.
+     */
+    void submitTransfer(Entry &e, hw::DmaChannel ch, double seconds)
+    {
+        const int dev = static_cast<int>(e.device);
+        if (!overlap) {
+            transferSpan(clock, clock + seconds, e.device, ch, e.req.id);
+            clock += seconds;
+            fleet.transfer_bytes_received += e.xfer_bytes;
+            return;
+        }
+        const double busy_from = std::max(clock, xfer.freeAt(dev, ch));
+        e.xfer_ready_s = xfer.submit(dev, ch, clock, seconds);
+        transferSpan(busy_from, e.xfer_ready_s, e.device, ch, e.req.id);
+        e.sess->beginTransfer();
+        ++fleet.transfers_overlapped;
+    }
+
+    /**
+     * Restore a swapped session into a decode slot. The functional
+     * restore happens now (KV content is a pure function of the tokens,
+     * so eager data movement cannot change emissions); the host-link DMA
+     * is priced by submitTransfer().
+     */
+    void swapIn(Entry e)
+    {
+        const double h = e.sess->swapIn();
+        ++fleet.swaps_in;
+        decision(obs::TraceDecision::Resume, e.req.id);
+        e.xfer_bytes = mem.kvBytes(e.sess->modeledPositions());
+        fleet.transfer_bytes_sent += e.xfer_bytes;
+        submitTransfer(e, hw::DmaChannel::Host, h);
+        active.push_back(std::move(e));
+    }
+
+    /**
+     * Cache the finished prompt's KV at the prefill-done boundary — the
+     * one moment every layer holds exactly the prompt's sim rows.
+     * Idempotent per run; a recompute preemption clears the flag so the
+     * re-run re-inserts (its fresh blocks replace freed ones).
+     */
+    void cacheInsert(Entry &e)
+    {
+        if (!cache_on || e.true_toks.empty() || e.cache_inserted)
+            return;
+        e.cache_inserted = true;
+        cache->insert(e.true_toks, e.engine, e.sess->kvSeqId(),
+                      cache_stamp++);
+    }
+
+    /**
+     * Finalize a request leaving the fleet. A drop and a cancel keep the
+     * tokens already delivered — their gaps count toward fleet ITL (they
+     * are in itl_samples too, keeping mean and percentiles consistent)
+     * — but retire without a finalized result; a drop fails every
+     * configured objective, a cancel stays unjudged. The entry's KV
+     * frees when the caller discards it.
+     */
+    void retire(Entry &e, Retirement kind)
+    {
+        if (e.sess && e.sess->awaitingTransfer()) {
+            // The modeled DMA still completes on its channel; settle it
+            // so the byte-conservation census stays exact before the
+            // blocks free with the entry.
+            e.sess->endTransfer();
+            fleet.transfer_bytes_received += e.xfer_bytes;
+        }
+        const bool completed = kind == Retirement::Complete;
+        RequestOutcome &o = outcomes[e.outcome];
+        o.dropped = kind == Retirement::Drop;
+        o.cancelled = kind == Retirement::Cancel;
+        if (completed)
+            o.result = e.sess->finalize();
+        o.finish_s = clock;
+        o.latency_s = clock - e.req.arrival_s;
+        o.admit_s = e.first_admit_s >= 0.0 ? e.first_admit_s : clock;
+        o.queue_s = std::max(0.0, o.admit_s - e.req.arrival_s);
+        o.prefill_s = chunked && e.prefill_ready_s >= 0.0
+                          ? std::max(0.0, e.prefill_ready_s - o.admit_s)
+                          : 0.0;
+        o.prefill_chunks = e.chunks;
+        o.preemptions = e.preemptions;
+        o.swaps = e.swaps;
+        o.cached_tokens = e.cached;
+        o.max_itl_s = e.itl_max_s;
+        if (e.first_token_s >= 0.0) {
+            o.ttft_s = e.first_token_s - e.req.arrival_s;
+            o.mean_itl_s =
+                ratio(e.itl_sum_s, static_cast<double>(e.itl_gaps));
+        }
+        if (kind != Retirement::Cancel) {
+            o.slo = obs::judge(opts.slo.tier(tierOf(e)), completed,
+                               o.ttft_s, o.max_itl_s, o.latency_s);
+        }
+        if (controlled)
+            online_attained[e.req.id] = completed && o.slo.attained();
+        switch (kind) {
+        case Retirement::Drop:
+            ++fleet.dropped;
+            decision(obs::TraceDecision::Drop, e.req.id);
+            break;
+        case Retirement::Cancel:
+            ++fleet.cancelled;
+            decision(obs::TraceDecision::Cancel, e.req.id);
+            break;
+        case Retirement::Complete:
+            if (o.slo.attained())
+                slo_tokens += static_cast<long>(e.streamed);
+            if (tracing) {
+                // Lifetime flow arrow: first admission -> completion.
+                obs::TraceEvent ev;
+                ev.kind = obs::TraceKind::RequestFlow;
+                ev.t0 = o.admit_s;
+                ev.t1 = clock;
+                ev.device = static_cast<int>(e.device);
+                ev.request = e.req.id;
+                emit(std::move(ev));
+            }
+            break;
+        }
+        itl_sum += e.itl_sum_s;
+        itl_gaps += e.itl_gaps;
+    }
+
+    template <class Queue>
+    void dropExpired(Queue &q)
+    {
+        for (size_t i = 0; i < q.size();) {
+            const Request &r = q[i].req;
+            if (r.deadline_s > 0.0 && clock > r.deadline_s) {
+                retire(q[i], Retirement::Drop);
+                q.erase(q.begin() + static_cast<long>(i)); // KV frees here
             } else {
-                e.engine = admit_seq++ % engines.size();
+                ++i;
             }
-            // Logical pricing device, independent of the physical
-            // worker pin above; inert at one device.
-            e.device = static_cast<size_t>(
-                dev_seq++ % static_cast<uint64_t>(n_decode_dev));
-            e.sess = engines[e.engine]->makeSession(
-                e.w, e.req.seed,
-                std::make_unique<model::SequenceKv>(pools[e.engine]));
-            e.cached = 0;
-            e.sim_adopted = 0;
-            if (cache_on && !e.true_toks.empty()) {
-                const PrefixCache::Match m = cache->match(
-                    e.true_toks, e.engine, cache_stamp++);
-                if (m.sim_matched > 0) {
-                    e.sess->adoptCachedPrefix(m.table, m.true_matched,
-                                              m.sim_matched);
-                    e.cached = m.true_matched;
-                    e.sim_adopted = m.sim_matched;
-                    ++fleet.prefix_hits;
-                    fleet.cached_tokens += m.true_matched;
-                    decision(obs::TraceDecision::CacheHit, e.req.id,
-                             m.true_matched);
-                }
+        }
+    }
+
+    /**
+     * Earliest STRICTLY FUTURE modeled event: an arrival, a prefill
+     * device finishing its chunk (or a finished prompt's completion
+     * time), or an in-flight DMA landing. Already-due events were
+     * handled at this boundary, so only t > clock counts; infinity means
+     * nothing is pending.
+     */
+    double nextEvent()
+    {
+        double next = std::numeric_limits<double>::infinity();
+        const auto consider = [&](double t) {
+            if (t > clock)
+                next = std::min(next, t);
+        };
+        if (!waiting.empty())
+            consider(waiting.front().req.arrival_s);
+        for (const auto &p : prefilling)
+            consider(p.pf_done ? p.pf_done_s : pf_free_at[prefillSlot(p)]);
+        forEachLive([&](const Entry &e) {
+            if (e.sess->awaitingTransfer())
+                consider(e.xfer_ready_s);
+        });
+        return next;
+    }
+
+    /**
+     * Adaptive control plane: every epoch window the modeled clock has
+     * fully passed is reduced (covered-span rates, verdicts known so
+     * far) and fed to the controller; sampled knob changes land HERE, at
+     * an iteration boundary, before any admission or planning reads
+     * them.
+     */
+    void closeEpochs()
+    {
+        if (!controlled)
+            return;
+        const double ep_w = ctl.epochSeconds();
+        while (t0 + static_cast<double>(ctl_epoch + 1) * ep_w <= clock) {
+            const obs::TimelineWindow win =
+                ctl_tl.reduce(ctl_epoch, clock, [&](uint64_t id) {
+                    const auto it = online_attained.find(id);
+                    return it == online_attained.end() || it->second;
+                });
+            const int changed = ctl.decide(clock, win);
+            ++ctl_epoch;
+            if (changed == 0)
+                continue;
+            decision(obs::TraceDecision::KnobChange, 0, changed);
+            const ControllerKnobs &k = ctl.knobs();
+            kv_watermark = k.kv_watermark;
+            admit_cap = k.max_admissions_per_iteration;
+            if (chunked && k.chunk_tokens != pf_opts.chunk_tokens) {
+                pf_opts.chunk_tokens = k.chunk_tokens;
+                planner = PrefillPlanner(pf_opts);
             }
-            if (controlled) {
-                e.sess->setExitThreshold(
-                    e.req.priority == Priority::Interactive
-                        ? ctl.knobs().interactive_exit_threshold
-                        : ctl.knobs().batch_exit_threshold);
+            // Per-tier speculation aggressiveness applies to every LIVE
+            // session forward in time (frozen swapped sessions included
+            // — they resume under the current policy).
+            forEachLive([&](Entry &e) { applyExitThreshold(e); });
+        }
+    }
+
+    /**
+     * Iteration boundary: a transfer whose channel time has passed
+     * unpins its session's blocks; admission and stepping below then see
+     * the settled state.
+     */
+    void settleLanded()
+    {
+        forEachLive([&](Entry &e) {
+            if (e.sess->awaitingTransfer() && clock >= e.xfer_ready_s) {
+                e.sess->endTransfer();
+                fleet.transfer_bytes_received += e.xfer_bytes;
             }
+        });
+    }
+
+    /**
+     * Deadline drops, queue by queue in this order (fleet ITL sums
+     * accumulate in drop order). A dropped active or swapped session's
+     * device or host KV frees with the entry; a dropped prefilling
+     * prompt's device stays busy until its in-flight chunk's modeled end
+     * — dead work, like a dropped decode's last iteration; a dropped
+     * handoff settles its in-flight DMA in retire().
+     */
+    void expire()
+    {
+        dropExpired(active);
+        dropExpired(waiting);
+        dropExpired(swappedQ);
+        dropExpired(prefilling);
+        dropExpired(handoffQ);
+    }
+
+    /**
+     * Disaggregation: finished prompts whose prefill-device timeline has
+     * passed hand their KV off toward the decode fleet — before
+     * admission, so a handoff that just became ready can take a decode
+     * slot at this very boundary and its freed prefill device can take
+     * the next prompt. With overlap the KV streams over the prefill
+     * device's peer channel, concurrent with its next prompt's chunks and
+     * with the decode batch; serialized, it pays at decode admission.
+     */
+    void startHandoffs()
+    {
+        for (size_t i = 0; i < prefilling.size();) {
+            const Entry &p = prefilling[i];
+            if (!p.pf_done || clock < p.pf_done_s) {
+                ++i;
+                continue;
+            }
+            Entry e = take(prefilling, i);
+            if (e.prefill_ready_s < 0.0)
+                e.prefill_ready_s = e.pf_done_s;
+            cacheInsert(e);
+            e.handoff_s = e.sess->chargeHandoff();
+            e.xfer_bytes = mem.kvBytes(e.sess->modeledPositions());
+            ++fleet.handoffs;
+            decision(obs::TraceDecision::Handoff, e.req.id);
+            fleet.handoff_gb += hw::MemoryTracker::toGiB(e.xfer_bytes);
+            fleet.transfer_bytes_sent += e.xfer_bytes;
+            if (overlap)
+                submitTransfer(e, hw::DmaChannel::Peer, e.handoff_s);
+            handoffQ.push_back(std::move(e));
+        }
+    }
+
+    /**
+     * Decode-slot admission. Swap-ins compete for free slots with fresh
+     * prompts (unified) or with finished prompts arriving over the peer
+     * link (disaggregated — raw prompts ingest on the prefill devices
+     * instead), tier-first (interactive before batch, everywhere) and
+     * FIFO within each tier; at equal tier a swapped session wins — it
+     * is older admitted work holding host memory and prior progress. A
+     * batch-tier session frozen in the host pool therefore never delays
+     * an interactive prompt, exactly like a recompute victim waiting in
+     * the queue. An empty fleet always takes a candidate (progress
+     * guarantee: the budget gates only apply alongside active peers).
+     */
+    void admitDecodeSlots()
+    {
+        std::deque<Entry> &feed = disagg ? handoffQ : waiting;
+        while (active.size() < slots) {
+            const size_t sw = pickTierFirst(swappedQ, &FleetState::settled);
+            size_t cand = feed.size();
+            if (disagg)
+                cand = pickTierFirst(handoffQ, &FleetState::settled);
+            else if (admit_cap <= 0 || fresh_admits < admit_cap)
+                cand = pickTierFirst(waiting, &FleetState::arrived);
+            const bool have_sw = sw < swappedQ.size();
+            const bool have_new = cand < feed.size();
+            if (!have_sw && !have_new)
+                break;
+            const long n_after = static_cast<long>(active.size() + 1);
+            const bool gated = !active.empty();
+            if (have_sw && (!have_new || tierOf(swappedQ[sw]) <=
+                                             tierOf(feed[cand]))) {
+                if (gated &&
+                    !fitsBudget(swappedQ[sw].sess->hostBlocks(), n_after))
+                    break;
+                swapIn(take(swappedQ, sw));
+                continue;
+            }
+            if (disagg) {
+                // A handoff admission's blocks are already in
+                // fleetBlocks() (they allocated at ingestion); only the
+                // per-iteration growth reserve gates the slot.
+                if (gated && !fitsBudget(0, n_after))
+                    break;
+                Entry e = take(handoffQ, cand);
+                e.device = nextDecodeDevice();
+                // Serialized handoff: the peer-link stream pays on the
+                // fleet clock at the decode boundary, like the
+                // serialized swap DMAs.
+                if (!overlap)
+                    submitTransfer(e, hw::DmaChannel::Peer, e.handoff_s);
+                active.push_back(std::move(e));
+                continue;
+            }
+            const Entry &head = waiting[cand];
+            if (gated && !(fitsBudget(admitBlocks(head), n_after) &&
+                           fitsWatermark(head, n_after)))
+                break;
+            Entry e = take(waiting, cand);
+            startSession(e, nextDecodeDevice());
             if (!chunked) {
                 // Atomic legacy prefill: free and instantaneous. A
                 // full-prompt cache hit already completed it.
@@ -946,313 +1072,147 @@ BatchScheduler::run(const engines::Pipeline &pipe,
                 e.prefill_ready_s = clock;
                 cacheInsert(e);
             }
-            if (e.first_admit_s < 0.0)
-                e.first_admit_s = clock;
-            ++fleet.admissions;
-            ++fresh_admits;
-            decision(obs::TraceDecision::Admit, e.req.id);
             active.push_back(std::move(e));
         }
+    }
 
-        // Disaggregated decode admission: free decode slots are fed
-        // by swap-ins and by finished prompts arriving over the peer
-        // link — never by raw prompts, which ingest on the prefill
-        // devices below. Tier-first everywhere; at equal tier a
-        // swapped session wins (older admitted work, like the
-        // unified rule).
-        while (disagg && active.size() < slots) {
-            size_t sw = swappedQ.size();
-            size_t sw_any = swappedQ.size();
-            for (size_t i = 0; i < swappedQ.size(); ++i) {
-                if (swappedQ[i].sess->awaitingTransfer())
-                    continue; // out-transfer still on the link
-                if (saturated(swappedQ[i].req)) {
-                    deferred = true;
-                    continue;
-                }
-                if (swappedQ[i].req.priority == Priority::Interactive) {
-                    sw = i;
-                    break;
-                }
-                if (sw_any == swappedQ.size())
-                    sw_any = i;
-            }
-            if (sw == swappedQ.size())
-                sw = sw_any;
-            size_t ho = handoffQ.size();
-            size_t ho_any = handoffQ.size();
-            for (size_t i = 0; i < handoffQ.size(); ++i) {
-                if (handoffQ[i].sess->awaitingTransfer())
-                    continue; // KV still streaming to the decode side
-                if (saturated(handoffQ[i].req)) {
-                    deferred = true;
-                    continue;
-                }
-                if (handoffQ[i].req.priority == Priority::Interactive) {
-                    ho = i;
-                    break;
-                }
-                if (ho_any == handoffQ.size())
-                    ho_any = i;
-            }
-            if (ho == handoffQ.size())
-                ho = ho_any;
-            const bool have_sw = sw < swappedQ.size();
-            const bool have_ho = ho < handoffQ.size();
-            if (!have_sw && !have_ho)
-                break;
-            const bool pick_sw =
-                have_sw &&
-                (!have_ho ||
-                 static_cast<int>(swappedQ[sw].req.priority) <=
-                     static_cast<int>(handoffQ[ho].req.priority));
-            if (pick_sw) {
-                Entry &head = swappedQ[sw];
-                if (opts_.kv_budget_blocks > 0 && !active.empty() &&
-                    fleetBlocks() + head.sess->hostBlocks() +
-                            iter_growth *
-                                static_cast<long>(active.size() + 1) >
-                        opts_.kv_budget_blocks)
-                    break;
-                Entry e = std::move(head);
-                swappedQ.erase(swappedQ.begin() + static_cast<long>(sw));
-                swapInAdmit(std::move(e));
-                continue;
-            }
-            // A handoff admission's blocks are already in
-            // fleetBlocks() (they allocated at ingestion); only the
-            // per-iteration growth reserve gates the slot.
-            if (opts_.kv_budget_blocks > 0 && !active.empty() &&
-                fleetBlocks() + iter_growth *
-                                    static_cast<long>(active.size() + 1) >
-                    opts_.kv_budget_blocks)
-                break;
-            Entry e = std::move(handoffQ[ho]);
-            handoffQ.erase(handoffQ.begin() + static_cast<long>(ho));
-            e.device = static_cast<size_t>(
-                dev_seq++ % static_cast<uint64_t>(n_decode_dev));
-            if (!overlap) {
-                // Serialized handoff: the peer-link stream pays on
-                // the fleet clock at the decode boundary, like the
-                // serialized swap DMAs.
-                transferSpan(clock, clock + e.handoff_s, e.device,
-                             hw::DmaChannel::Peer, e.req.id);
-                clock += e.handoff_s;
-                fleet.transfer_bytes_received += e.xfer_bytes;
-            }
-            active.push_back(std::move(e));
-        }
-
-        // Disaggregated prefill admission: arrived requests start
-        // chunked ingestion on a free prefill device. Bounded so the
-        // prefill side (ingesting prompts + queued handoffs) never
-        // outgrows the pool headroom sized above.
-        while (disagg &&
-               static_cast<int>(prefilling.size()) < n_prefill_dev &&
+    /**
+     * Disaggregated prefill admission: arrived requests start chunked
+     * ingestion on a free prefill device. Bounded so the prefill side
+     * (ingesting prompts + queued handoffs) never outgrows the pool
+     * headroom sized at construction.
+     */
+    void admitPrefillDevices()
+    {
+        if (!disagg)
+            return;
+        while (static_cast<int>(prefilling.size()) < n_prefill_dev &&
                prefilling.size() + handoffQ.size() <
                    slots + static_cast<size_t>(n_prefill_dev)) {
             if (admit_cap > 0 && fresh_admits >= admit_cap)
                 break;
-            size_t cand = waiting.size();
-            for (size_t i = 0; i < waiting.size(); ++i) {
-                if (waiting[i].req.arrival_s > clock)
-                    break;
-                if (saturated(waiting[i].req)) {
-                    deferred = true;
-                    continue;
-                }
-                if (waiting[i].req.priority == Priority::Interactive) {
-                    cand = i;
-                    break;
-                }
-                if (cand == waiting.size())
-                    cand = i;
-            }
+            const size_t cand =
+                pickTierFirst(waiting, &FleetState::arrived);
             if (cand == waiting.size())
                 break;
-            Entry &head = waiting[cand];
-            // Progress guarantee: with no session anywhere in the
-            // fleet, admit unconditionally.
-            const bool fleet_empty = active.empty() &&
-                                     prefilling.empty() &&
-                                     handoffQ.empty();
-            const long n_sessions =
-                static_cast<long>(active.size() + prefilling.size());
-            if (opts_.kv_budget_blocks > 0 && !fleet_empty &&
-                fleetBlocks() + admitBlocks(head) +
-                        iter_growth * (n_sessions + 1) >
-                    opts_.kv_budget_blocks)
+            const Entry &head = waiting[cand];
+            // Progress guarantee: with no session anywhere in the fleet,
+            // admit unconditionally.
+            const bool fleet_empty =
+                active.empty() && prefilling.empty() && handoffQ.empty();
+            const long n_after =
+                static_cast<long>(active.size() + prefilling.size() + 1);
+            if (!fleet_empty && !(fitsBudget(admitBlocks(head), n_after) &&
+                                  fitsWatermark(head, n_after)))
                 break;
-            if (kv_watermark > 0.0 && opts_.kv_budget_blocks > 0 &&
-                !fleet_empty) {
-                long committed =
-                    fullRequestBlocks(head, peekCached(head));
-                for (const auto &a : active)
-                    committed += fullRequestBlocks(a, a.sim_adopted);
-                for (const auto &p : prefilling)
-                    committed += fullRequestBlocks(p, p.sim_adopted);
-                for (const auto &h : handoffQ)
-                    committed += fullRequestBlocks(h, h.sim_adopted);
-                if (static_cast<double>(
-                        committed + iter_growth * (n_sessions + 1)) >
-                    kv_watermark * opts_.kv_budget_blocks) {
-                    ++fleet.watermark_rejections;
-                    decision(obs::TraceDecision::WatermarkReject,
-                             head.req.id);
-                    break;
-                }
-            }
-            Entry e = std::move(head);
-            waiting.erase(waiting.begin() + static_cast<long>(cand));
-            // First free prefill device (at most n_prefill_dev
-            // entries ingest at once, so one always exists).
-            int local = -1;
-            for (int d = 0; d < n_prefill_dev && local < 0; ++d) {
-                bool used = false;
-                for (const auto &p : prefilling) {
-                    if (p.device ==
-                        static_cast<size_t>(n_decode_dev + d))
-                        used = true;
-                }
-                if (!used)
-                    local = d;
-            }
-            specee_assert(local >= 0, "no free prefill device");
-            e.device = static_cast<size_t>(n_decode_dev + local);
-            if (cache_on && !e.true_toks.empty()) {
-                e.engine = static_cast<size_t>(
-                    e.req.prompt.rootTemplate() % engines.size());
-            } else {
-                e.engine = admit_seq++ % engines.size();
-            }
-            e.sess = engines[e.engine]->makeSession(
-                e.w, e.req.seed,
-                std::make_unique<model::SequenceKv>(pools[e.engine]));
-            e.cached = 0;
-            e.sim_adopted = 0;
-            if (cache_on && !e.true_toks.empty()) {
-                const PrefixCache::Match m =
-                    cache->match(e.true_toks, e.engine, cache_stamp++);
-                if (m.sim_matched > 0) {
-                    e.sess->adoptCachedPrefix(m.table, m.true_matched,
-                                              m.sim_matched);
-                    e.cached = m.true_matched;
-                    e.sim_adopted = m.sim_matched;
-                    ++fleet.prefix_hits;
-                    fleet.cached_tokens += m.true_matched;
-                    decision(obs::TraceDecision::CacheHit, e.req.id,
-                             m.true_matched);
-                }
-            }
-            if (controlled) {
-                e.sess->setExitThreshold(
-                    e.req.priority == Priority::Interactive
-                        ? ctl.knobs().interactive_exit_threshold
-                        : ctl.knobs().batch_exit_threshold);
-            }
-            if (e.first_admit_s < 0.0)
-                e.first_admit_s = clock;
-            ++fleet.admissions;
-            ++fresh_admits;
-            decision(obs::TraceDecision::Admit, e.req.id);
-            e.pf_done = false;
+            Entry e = take(waiting, cand);
+            // First free prefill device (at most n_prefill_dev entries
+            // ingest at once, so one always exists).
+            std::vector<bool> busy(static_cast<size_t>(n_prefill_dev));
+            for (const auto &p : prefilling)
+                busy[prefillSlot(p)] = true;
+            const auto local = static_cast<size_t>(
+                std::find(busy.begin(), busy.end(), false) - busy.begin());
+            specee_assert(local < busy.size(), "no free prefill device");
+            startSession(e, static_cast<size_t>(n_decode_dev) + local);
             // A full-prompt cache hit skips the device entirely: the
             // prompt is ready now and only the handoff remains.
-            if (e.sess->prefillDone()) {
-                e.pf_done = true;
-                e.pf_done_s = clock;
-            }
+            e.pf_done = e.sess->prefillDone();
+            e.pf_done_s = clock;
             prefilling.push_back(std::move(e));
         }
-        if (deferred) {
-            ++fleet.backpressure_deferrals;
-            // One instant per boundary, like the counter (several
-            // candidates may have been passed over).
-            decision(obs::TraceDecision::Defer, 0);
-        }
+    }
 
-        // --- disaggregated prefill devices run their own timelines -
-        if (disagg) {
-            // One chunk per free prefill device, on its decoupled
-            // timeline: issued at this boundary, complete at clock +
-            // chunk time. A device freed between boundaries waits for
-            // the next one — conservative and causal, so results are
-            // bit-identical across worker counts.
-            for (auto &p : prefilling) {
-                const size_t d =
-                    p.device - static_cast<size_t>(n_decode_dev);
-                if (p.pf_done || pf_free_at[d] > clock)
-                    continue;
-                const int remaining = p.sess->prefillRemaining();
-                if (remaining > 0) {
-                    const int chunk =
-                        std::min(pf_opts.chunk_tokens, remaining);
-                    const int consumed = p.sess->prefillChunk(chunk);
-                    const auto &c = p.sess->lastStep();
-                    const double dt_pf = c.shared_s + c.private_s;
-                    fleet.energy_j += c.shared_j + c.private_j;
-                    fleet.prefill_busy_s += dt_pf;
-                    pf_free_at[d] = clock + dt_pf;
-                    ++p.chunks;
-                    ++fleet.prefill_chunks;
-                    fleet.prefill_tokens += consumed;
-                    if (tracing) {
-                        // Chunk span on the prefill device's own
-                        // decoupled timeline.
-                        obs::TraceEvent ev;
-                        ev.kind = obs::TraceKind::PrefillChunk;
-                        ev.t0 = clock;
-                        ev.t1 = pf_free_at[d];
-                        ev.device = static_cast<int>(p.device);
-                        ev.request = p.req.id;
-                        ev.tokens = consumed;
-                        ev.deepest_layer = c.deepest_layer;
-                        ev.stages_used = c.stages_used;
-                        ev.op_s = c.class_s;
-                        ev.seq = trace_seq++;
-                        rec.control().emit(std::move(ev));
-                    }
-                }
-                if (p.sess->prefillDone()) {
-                    p.pf_done = true;
-                    p.pf_done_s = remaining > 0 ? pf_free_at[d] : clock;
+    /** One deferral instant per boundary, like the counter (several
+     * candidates may have been passed over). */
+    void recordDeferral()
+    {
+        if (!deferred)
+            return;
+        ++fleet.backpressure_deferrals;
+        decision(obs::TraceDecision::Defer, 0);
+    }
+
+    /**
+     * Disaggregated prefill devices run their own timelines: one chunk
+     * per free prefill device, issued at this boundary and complete at
+     * clock + chunk time. A device freed between boundaries waits for
+     * the next one — conservative and causal, so results are
+     * bit-identical across worker counts.
+     */
+    void runPrefillDevices()
+    {
+        for (auto &p : prefilling) {
+            const size_t d = prefillSlot(p);
+            if (p.pf_done || pf_free_at[d] > clock)
+                continue;
+            const int remaining = p.sess->prefillRemaining();
+            if (remaining > 0) {
+                const int chunk = std::min(pf_opts.chunk_tokens, remaining);
+                const int consumed = p.sess->prefillChunk(chunk);
+                const auto &c = p.sess->lastStep();
+                const double dt_pf = c.shared_s + c.private_s;
+                fleet.energy_j += c.shared_j + c.private_j;
+                fleet.prefill_busy_s += dt_pf;
+                pf_free_at[d] = clock + dt_pf;
+                ++p.chunks;
+                ++fleet.prefill_chunks;
+                fleet.prefill_tokens += consumed;
+                if (tracing) {
+                    // Chunk span on the prefill device's own decoupled
+                    // timeline.
+                    obs::TraceEvent ev;
+                    ev.kind = obs::TraceKind::PrefillChunk;
+                    ev.t0 = clock;
+                    ev.t1 = pf_free_at[d];
+                    ev.device = static_cast<int>(p.device);
+                    ev.request = p.req.id;
+                    ev.tokens = consumed;
+                    ev.deepest_layer = c.deepest_layer;
+                    ev.stages_used = c.stages_used;
+                    ev.op_s = c.class_s;
+                    emit(std::move(ev));
                 }
             }
-        }
-
-        if (active.empty()) {
-            // Idle decode fleet: jump to the earliest future event —
-            // the next arrival, a prefill device finishing, or an
-            // in-flight DMA landing. (Anything already due was
-            // admitted or settled above, so the event is genuinely
-            // in the future; infinity means the fleet is drained.)
-            const double next = nextEvent();
-            if (!std::isfinite(next)) {
-                specee_assert(waiting.empty() && prefilling.empty() &&
-                                  handoffQ.empty() && swappedQ.empty(),
-                              "idle fleet stalled with pending work");
-                break;
+            if (p.sess->prefillDone()) {
+                p.pf_done = true;
+                p.pf_done_s = remaining > 0 ? pf_free_at[d] : clock;
             }
+        }
+    }
+
+    /**
+     * Idle decode fleet: jump to the earliest future event — the next
+     * arrival, a prefill device finishing, or an in-flight DMA landing.
+     * (Anything already due was admitted or settled above, so the event
+     * is genuinely in the future; infinity means the fleet is drained.)
+     */
+    void idleJump()
+    {
+        const double next = nextEvent();
+        if (std::isfinite(next)) {
             clock = next;
-            continue;
+            return;
         }
+        specee_assert(!pending(), "idle fleet stalled with pending work");
+    }
 
-        // KV pressure: evict sessions until the worst case of the
-        // next iteration fits the fleet budget. Victims are chosen
-        // batch-tier first (youngest batch session), then youngest
-        // overall; the oldest session is never evicted (guaranteed
-        // progress). Each victim is served by the configured
-        // preemption mechanism: recompute throws its run away (a
-        // partially prefilled victim re-ingests its chunks from
-        // scratch like a mid-decode victim re-decodes), swap freezes
-        // it in the host pool with all progress intact, and auto
-        // compares the modeled swap round trip against the modeled
-        // cost of replaying the victim's work so far.
-        while (opts_.kv_budget_blocks > 0 &&
-               fleetBlocks() +
-                       iter_growth * static_cast<long>(active.size() +
-                                                       prefilling.size()) >
-                   opts_.kv_budget_blocks) {
+    /**
+     * KV pressure: evict sessions until the worst case of the next
+     * iteration fits the fleet budget. Victims are chosen batch-tier
+     * first (youngest batch session), then youngest overall; the oldest
+     * session is never evicted (guaranteed progress). Each victim is
+     * served by the configured preemption mechanism: recompute throws
+     * its run away (a partially prefilled victim re-ingests its chunks
+     * from scratch like a mid-decode victim re-decodes), swap freezes it
+     * in the host pool with all progress intact, and auto compares the
+     * modeled swap round trip against the modeled cost of replaying the
+     * victim's work so far.
+     */
+    void preempt()
+    {
+        while (!fitsBudget(0, static_cast<long>(active.size() +
+                                                prefilling.size()))) {
             // Cached blocks are the lowest residency tier: drain the
             // cache LRU-first before preempting any live session. An
             // eviction may free no physical blocks (a session still
@@ -1262,16 +1222,15 @@ BatchScheduler::run(const engines::Pipeline &pipe,
                 continue;
             if (active.size() <= 1)
                 break;
-            // Victim choice: batch tier first, then the session
-            // FURTHEST from its deadline — largest slack, treating
-            // no deadline as infinite slack — youngest-first on
-            // exact ties (the scan runs youngest to oldest and only
-            // a strictly better candidate replaces). Evicting the
-            // max-slack session keeps near-deadline work running:
-            // the old tier-only rule would evict a victim with
-            // seconds of slack and re-admit it past its deadline.
-            // Without deadlines every slack is infinite and this
-            // reduces bit-identically to the legacy youngest-batch-
+            // Victim choice: batch tier first, then the session FURTHEST
+            // from its deadline — largest slack, treating no deadline as
+            // infinite slack — youngest-first on exact ties (the scan
+            // runs youngest to oldest and only a strictly better
+            // candidate replaces). Evicting the max-slack session keeps
+            // near-deadline work running: the old tier-only rule would
+            // evict a victim with seconds of slack and re-admit it past
+            // its deadline. Without deadlines every slack is infinite and
+            // this reduces bit-identically to the legacy youngest-batch-
             // else-youngest rule.
             size_t vi = active.size();
             int vi_tier = -1;
@@ -1279,8 +1238,7 @@ BatchScheduler::run(const engines::Pipeline &pipe,
             for (size_t i = active.size(); i-- > 1;) {
                 if (active[i].sess->awaitingTransfer())
                     continue; // blocks pinned by an in-flight DMA
-                const int tier =
-                    static_cast<int>(active[i].req.priority);
+                const int tier = tierOf(active[i]);
                 const double slack =
                     active[i].req.deadline_s > 0.0
                         ? active[i].req.deadline_s - clock
@@ -1294,14 +1252,12 @@ BatchScheduler::run(const engines::Pipeline &pipe,
             }
             if (vi == active.size())
                 break; // everything evictable is mid-transfer
-            Entry victim = std::move(active[vi]);
-            active.erase(active.begin() + static_cast<long>(vi));
+            Entry victim = take(active, vi);
             ++victim.preemptions;
             ++fleet.preemptions;
             const bool swap =
-                opts_.preempt_mode == PreemptMode::Swap ||
-                (opts_.preempt_mode == PreemptMode::Auto &&
-                 has_swap_link &&
+                opts.preempt_mode == PreemptMode::Swap ||
+                (opts.preempt_mode == PreemptMode::Auto && has_swap_link &&
                  victim.sess->swapRoundTripSeconds() <
                      victim.sess->modeledCostSoFar());
             decision(swap ? obs::TraceDecision::PreemptSwap
@@ -1309,233 +1265,194 @@ BatchScheduler::run(const engines::Pipeline &pipe,
                      victim.req.id);
             if (swap) {
                 // Swap preemption: KV moves to the host pool (device
-                // blocks free), the session freezes with its rng
-                // stream, emission and prefill progress intact. The
-                // transfer pays on the fleet clock (overlap off) or
-                // rides the victim's device host channel while the
-                // fleet keeps iterating (overlap on); either way the
-                // session cannot swap back in before it lands.
+                // blocks free), the session freezes with its rng stream,
+                // emission and prefill progress intact. Serialized or
+                // overlapped, the session cannot swap back in before the
+                // DMA lands.
                 const double h = victim.sess->swapOut();
                 ++victim.swaps;
                 ++fleet.swaps_out;
                 victim.xfer_bytes =
                     mem.kvBytes(victim.sess->modeledPositions());
                 fleet.transfer_bytes_sent += victim.xfer_bytes;
-                if (overlap) {
-                    const double busy_from = std::max(
-                        clock,
-                        xfer.freeAt(static_cast<int>(victim.device),
-                                    hw::DmaChannel::Host));
-                    victim.xfer_ready_s = xfer.submit(
-                        static_cast<int>(victim.device),
-                        hw::DmaChannel::Host, clock, h);
-                    transferSpan(busy_from, victim.xfer_ready_s,
-                                 victim.device, hw::DmaChannel::Host,
-                                 victim.req.id);
-                    victim.sess->beginTransfer();
-                    ++fleet.transfers_overlapped;
-                } else {
-                    transferSpan(clock, clock + h, victim.device,
-                                 hw::DmaChannel::Host, victim.req.id);
-                    clock += h;
-                    fleet.transfer_bytes_received += victim.xfer_bytes;
-                }
+                submitTransfer(victim, hw::DmaChannel::Host, h);
                 swappedQ.push_back(std::move(victim));
             } else {
                 victim.sess.reset(); // frees the KV blocks
                 victim.prefill_ready_s = -1.0;
                 victim.chunks = 0;
-                // The tree's references on this prompt's blocks (if
-                // it was inserted) survive the session — cached
-                // content stays valid — but the re-run re-matches
-                // and, if needed, re-inserts fresh tail blocks.
+                // The tree's references on this prompt's blocks (if it
+                // was inserted) survive the session — cached content
+                // stays valid — but the re-run re-matches and, if
+                // needed, re-inserts fresh tail blocks.
                 victim.cached = 0;
                 victim.sim_adopted = 0;
                 victim.cache_inserted = false;
                 // Recompute preemption: back to the head of the wait
-                // queue (tier-aware admission keeps a batch victim
-                // from blocking interactive peers) and re-run from
-                // scratch.
+                // queue (tier-aware admission keeps a batch victim from
+                // blocking interactive peers) and re-run from scratch.
                 waiting.push_front(std::move(victim));
             }
         }
+    }
 
-        // --- plan the mixed iteration (scheduler thread) -----------
-        // Every decode-ready session steps; mid-prefill sessions run
-        // one planned chunk each under the iteration token budget.
-        std::vector<int> grant(active.size(), 0);
-        if (chunked) {
-            std::vector<int> pending(active.size(), 0);
-            std::vector<int> rank(active.size(), 0);
-            int decodes = 0;
-            for (size_t i = 0; i < active.size(); ++i) {
-                rank[i] = static_cast<int>(active[i].req.priority);
-                if (active[i].sess->awaitingTransfer()) {
-                    // Pinned mid-DMA: neither decodes nor chunks
-                    // this iteration, so no budget is granted to it.
-                } else if (active[i].sess->prefillDone()) {
-                    ++decodes;
-                } else {
-                    pending[i] = active[i].sess->prefillRemaining();
-                }
-            }
-            // Pipeline backfill: convert last iteration's idle
-            // stages into extra budget tokens so queued prefill
-            // chunks slot into the bubble the early exits opened.
-            // Rounded up: any free stage admits at least one token,
-            // so tight budgets still backfill.
-            long extra = 0;
-            if (staged && opts_.stage_backfill &&
-                opts_.prefill.max_tokens_per_iteration > 0 &&
-                free_stages_prev > 0) {
-                extra = (static_cast<long>(
-                             opts_.prefill.max_tokens_per_iteration) *
-                             free_stages_prev +
-                         n_stages - 1) /
-                        n_stages;
-            }
-            if (extra > 0) {
-                const std::vector<int> base =
-                    planner.plan(pending, rank, decodes);
-                grant = planner.plan(pending, rank, decodes, extra);
-                for (size_t i = 0; i < grant.size(); ++i) {
-                    if (grant[i] > base[i]) {
-                        ++fleet.backfill_grants;
-                        fleet.backfill_tokens += grant[i] - base[i];
-                        decision(obs::TraceDecision::BackfillGrant,
-                                 active[i].req.id, grant[i] - base[i]);
-                    }
-                }
+    /**
+     * Plan the mixed iteration (scheduler thread): every decode-ready
+     * session steps; mid-prefill sessions run one planned chunk each
+     * under the iteration token budget.
+     */
+    void plan()
+    {
+        grant.assign(active.size(), 0);
+        if (!chunked)
+            return;
+        std::vector<int> pending(active.size(), 0);
+        std::vector<int> rank(active.size(), 0);
+        int decodes = 0;
+        for (size_t i = 0; i < active.size(); ++i) {
+            rank[i] = tierOf(active[i]);
+            if (active[i].sess->awaitingTransfer()) {
+                // Pinned mid-DMA: neither decodes nor chunks this
+                // iteration, so no budget is granted to it.
+            } else if (active[i].sess->prefillDone()) {
+                ++decodes;
             } else {
-                grant = planner.plan(pending, rank, decodes);
+                pending[i] = active[i].sess->prefillRemaining();
             }
         }
+        // Pipeline backfill: convert last iteration's idle stages into
+        // extra budget tokens so queued prefill chunks slot into the
+        // bubble the early exits opened. Rounded up: any free stage
+        // admits at least one token, so tight budgets still backfill.
+        long extra = 0;
+        if (staged && opts.stage_backfill &&
+            opts.prefill.max_tokens_per_iteration > 0 &&
+            free_stages_prev > 0) {
+            const long budget = opts.prefill.max_tokens_per_iteration;
+            extra = (budget * free_stages_prev + n_stages - 1) / n_stages;
+        }
+        grant = planner.plan(pending, rank, decodes, extra);
+        if (extra <= 0)
+            return;
+        const std::vector<int> base = planner.plan(pending, rank, decodes);
+        for (size_t i = 0; i < grant.size(); ++i) {
+            if (grant[i] > base[i]) {
+                ++fleet.backfill_grants;
+                fleet.backfill_tokens += grant[i] - base[i];
+                decision(obs::TraceDecision::BackfillGrant,
+                         active[i].req.id, grant[i] - base[i]);
+            }
+        }
+    }
 
-        // --- step every active session, in parallel by engine ------
-        const double step_t0 = clock;
-        // Shard high-water marks: everything a worker emits past its
-        // mark belongs to THIS iteration and gets its end clamped to
-        // the iteration's actual clock advance below.
-        std::vector<size_t> shard_mark;
+    /** Step worker `eng`'s sessions (runs on that worker's thread). */
+    void stepEngine(size_t eng)
+    {
+        // This thread's private shard. Events carry the session's
+        // admission-order slot `i` as lane AND seq (never the physical
+        // engine index, which depends on the worker count), so merged()
+        // replays identically for any engine fan-out.
+        obs::TraceShard &shard = rec.worker(eng);
+        const auto emitStep = [&](size_t i, const Entry &a) {
+            if (!tracing || (a.granted <= 0 && a.cost.tokens <= 0))
+                return; // idle: no span
+            obs::TraceEvent ev;
+            ev.kind = a.granted > 0 ? obs::TraceKind::PrefillChunk
+                                    : obs::TraceKind::Step;
+            ev.t0 = step_t0;
+            // Parenthesized to match the iteration pricing's
+            // association; any remaining ulp overhang versus the priced
+            // dt (per-stage pricing re-associates the sums) is clamped to
+            // the new clock after the join, so per-lane spans are exactly
+            // disjoint.
+            ev.t1 = step_t0 + (a.cost.shared_s + a.cost.private_s);
+            ev.device = static_cast<int>(a.device);
+            ev.lane = static_cast<int>(i);
+            ev.request = a.req.id;
+            ev.tokens = a.granted > 0 ? a.granted : a.cost.tokens;
+            ev.deepest_layer = a.cost.deepest_layer;
+            ev.stages_used = a.cost.stages_used;
+            ev.op_s = a.cost.class_s;
+            ev.seq = i;
+            shard.emit(std::move(ev));
+        };
+        for (size_t i = 0; i < active.size(); ++i) {
+            Entry &a = active[i];
+            if (a.engine != eng)
+                continue;
+            a.granted = 0;
+            a.cost = engines::StepCost{};
+            // Blocks still riding the DMA: the session idles at zero
+            // cost until the link settles.
+            if (a.sess->awaitingTransfer())
+                continue;
+            if (chunked && !a.sess->prefillDone()) {
+                // Budget exhausted by decode peers: the session idles
+                // this iteration.
+                if (grant[i] <= 0)
+                    continue;
+                a.granted = a.sess->prefillChunk(grant[i]);
+            } else {
+                a.sess->step();
+            }
+            a.cost = a.sess->lastStep();
+            emitStep(i, a);
+        }
+    }
+
+    /** Step every active session, in parallel by engine. */
+    void step()
+    {
+        step_t0 = clock;
         if (tracing) {
             shard_mark.resize(engines.size());
             for (size_t e = 0; e < engines.size(); ++e)
                 shard_mark[e] = rec.worker(e).size();
         }
-        size_t engines_used = 0;
-        {
-            std::vector<bool> has(engines.size(), false);
-            for (const auto &a : active) {
-                if (!has[a.engine]) {
-                    has[a.engine] = true;
-                    ++engines_used;
-                }
-            }
-            auto stepEngine = [&](size_t eng) {
-                // This thread's private shard. Events carry the
-                // session's admission-order slot `i` as lane AND seq
-                // (never the physical engine index, which depends on
-                // the worker count), so merged() replays identically
-                // for any engine fan-out.
-                obs::TraceShard &shard = rec.worker(eng);
-                const auto emitStep = [&](size_t i, const Entry &a) {
-                    if (!tracing ||
-                        (a.granted <= 0 && a.cost.tokens <= 0))
-                        return; // idle: no span
-                    obs::TraceEvent ev;
-                    ev.kind = a.granted > 0
-                                  ? obs::TraceKind::PrefillChunk
-                                  : obs::TraceKind::Step;
-                    ev.t0 = step_t0;
-                    // Parenthesized to match the iteration pricing's
-                    // association; any remaining ulp overhang versus
-                    // the priced dt (per-stage pricing re-associates
-                    // the sums) is clamped to the new clock after the
-                    // join, so per-lane spans are exactly disjoint.
-                    ev.t1 = step_t0 +
-                            (a.cost.shared_s + a.cost.private_s);
-                    ev.device = static_cast<int>(a.device);
-                    ev.lane = static_cast<int>(i);
-                    ev.request = a.req.id;
-                    ev.tokens =
-                        a.granted > 0 ? a.granted : a.cost.tokens;
-                    ev.deepest_layer = a.cost.deepest_layer;
-                    ev.stages_used = a.cost.stages_used;
-                    ev.op_s = a.cost.class_s;
-                    ev.seq = i;
-                    shard.emit(std::move(ev));
-                };
-                for (size_t i = 0; i < active.size(); ++i) {
-                    Entry &a = active[i];
-                    if (a.engine != eng)
-                        continue;
-                    if (a.sess->awaitingTransfer()) {
-                        // Blocks still riding the DMA: the session
-                        // idles at zero cost until the link settles.
-                        a.granted = 0;
-                        a.cost = engines::StepCost{};
-                        continue;
-                    }
-                    if (chunked && !a.sess->prefillDone()) {
-                        if (grant[i] > 0) {
-                            a.granted = a.sess->prefillChunk(grant[i]);
-                            a.cost = a.sess->lastStep();
-                            emitStep(i, a);
-                        } else {
-                            // Budget exhausted by decode peers: the
-                            // session idles this iteration.
-                            a.granted = 0;
-                            a.cost = engines::StepCost{};
-                        }
-                        continue;
-                    }
-                    a.granted = 0;
-                    a.sess->step();
-                    a.cost = a.sess->lastStep();
-                    emitStep(i, a);
-                }
-            };
-            if (engines_used <= 1) {
-                for (size_t e = 0; e < engines.size(); ++e)
-                    if (has[e])
-                        stepEngine(e);
-            } else {
-                std::vector<std::thread> threads;
-                threads.reserve(engines_used);
-                for (size_t e = 0; e < engines.size(); ++e)
-                    if (has[e])
-                        threads.emplace_back(stepEngine, e);
-                for (auto &t : threads)
-                    t.join();
-            }
+        std::vector<bool> has(engines.size(), false);
+        for (const auto &a : active)
+            has[a.engine] = true;
+        // One engine in use steps on this thread; more fan out.
+        const bool fan_out = std::count(has.begin(), has.end(), true) > 1;
+        std::vector<std::thread> threads;
+        for (size_t e = 0; e < engines.size(); ++e) {
+            if (has[e] && fan_out)
+                threads.emplace_back([this, e] { stepEngine(e); });
+            else if (has[e])
+                stepEngine(e);
         }
+        for (auto &t : threads)
+            t.join();
+    }
 
-        // --- price the iteration (admission order, deterministic) --
-        // Each pipeline STAGE's weight stream is read once per
-        // iteration, so the shared time is the per-stage max over the
-        // batch, summed over stages: sessions with disjoint layer
-        // ranges (a shallow exit beside a deep decode) serialize
-        // through the pipeline instead of riding free under one
-        // batch-wide max. With one stage it is that batch-wide max.
-        int busy_stages = 0;
+    /**
+     * Price the iteration (admission order, deterministic). Each
+     * pipeline STAGE's weight stream is read once per iteration, so the
+     * shared time is the per-stage max over the batch, summed over
+     * stages: sessions with disjoint layer ranges (a shallow exit beside
+     * a deep decode) serialize through the pipeline instead of riding
+     * free under one batch-wide max. With one stage it is that
+     * batch-wide max.
+     */
+    void price()
+    {
+        busy_stages = 0;
         for (const auto &a : active) {
             specee_assert(a.cost.stages_used >= 0 &&
                               a.cost.stages_used <= n_stages,
                           "session stage span %d outside [0, %d]",
                           a.cost.stages_used, n_stages);
             specee_assert(a.cost.stage_shared_s.empty() ||
-                              static_cast<int>(
-                                  a.cost.stage_shared_s.size()) ==
-                                  n_stages,
-                          "stage cost vector does not match the "
-                          "fleet's stage graph");
+                              a.cost.stage_shared_s.size() ==
+                                  static_cast<size_t>(n_stages),
+                          "stage cost vector does not match the fleet's "
+                          "stage graph");
             busy_stages = std::max(busy_stages, a.cost.stages_used);
         }
-        // Each decode device prices its own share of the batch
-        // (shared weight-stream time plus its private sum) and the
-        // fleet advances in lockstep at the slowest device. One
-        // device reproduces the single-device arithmetic
-        // bit-identically.
+        // Each decode device prices its own share of the batch (shared
+        // weight-stream time plus its private sum) and the fleet advances
+        // in lockstep at the slowest device. One device reproduces the
+        // single-device arithmetic bit-identically.
         double dt = 0.0;
         for (int d = 0; d < n_decode_dev; ++d) {
             double shared_t = 0.0, private_t = 0.0;
@@ -1545,37 +1462,28 @@ BatchScheduler::run(const engines::Pipeline &pipe,
                     continue;
                 private_t += a.cost.private_s;
                 private_e += a.cost.private_j;
+                if (!staged) {
+                    shared_t = std::max(shared_t, a.cost.shared_s);
+                    shared_e = std::max(shared_e, a.cost.shared_j);
+                }
             }
             if (staged) {
-                std::vector<double> st(static_cast<size_t>(n_stages),
-                                       0.0);
-                std::vector<double> se(static_cast<size_t>(n_stages),
-                                       0.0);
+                std::vector<double> st(static_cast<size_t>(n_stages), 0.0);
+                std::vector<double> se(static_cast<size_t>(n_stages), 0.0);
                 for (const auto &a : active) {
-                    // An idle (chunk-starved or mid-DMA) session
-                    // carries an empty vector and no cost.
+                    // An idle (chunk-starved or mid-DMA) session carries
+                    // an empty vector and no cost.
                     if (static_cast<int>(a.device) != d ||
                         a.cost.stage_shared_s.empty())
                         continue;
-                    for (int s = 0; s < n_stages; ++s) {
-                        st[s] = std::max(
-                            st[s], a.cost.stage_shared_s
-                                       [static_cast<size_t>(s)]);
-                        se[s] = std::max(
-                            se[s], a.cost.stage_shared_j
-                                       [static_cast<size_t>(s)]);
+                    for (size_t s = 0; s < st.size(); ++s) {
+                        st[s] = std::max(st[s], a.cost.stage_shared_s[s]);
+                        se[s] = std::max(se[s], a.cost.stage_shared_j[s]);
                     }
                 }
-                for (int s = 0; s < n_stages; ++s) {
+                for (size_t s = 0; s < st.size(); ++s) {
                     shared_t += st[s];
                     shared_e += se[s];
-                }
-            } else {
-                for (const auto &a : active) {
-                    if (static_cast<int>(a.device) != d)
-                        continue;
-                    shared_t = std::max(shared_t, a.cost.shared_s);
-                    shared_e = std::max(shared_e, a.cost.shared_j);
                 }
             }
             dt = std::max(dt, shared_t + private_t);
@@ -1585,17 +1493,17 @@ BatchScheduler::run(const engines::Pipeline &pipe,
         if (tracing) {
             // Workers computed each span end as step_t0 + (shared +
             // private); dt reduces the same costs per device (or per
-            // stage), so a span can overhang the new clock by an ulp
-            // of fp re-association. Clamp: a span never outlives its
+            // stage), so a span can overhang the new clock by an ulp of
+            // fp re-association. Clamp: a span never outlives its
             // iteration, and per-lane spans stay exactly disjoint.
             for (size_t e = 0; e < engines.size(); ++e)
                 rec.worker(e).clampEnds(shard_mark[e], clock);
         }
         if (overlap && dt == 0.0) {
-            // Every active session is pinned mid-DMA and nothing
-            // stepped: jump to the next modeled event (a transfer
-            // landing, a prefill device finishing, an arrival) so
-            // the fleet never livelocks at a frozen clock.
+            // Every active session is pinned mid-DMA and nothing stepped:
+            // jump to the next modeled event (a transfer landing, a
+            // prefill device finishing, an arrival) so the fleet never
+            // livelocks at a frozen clock.
             const double next = nextEvent();
             specee_assert(std::isfinite(next) && next > clock,
                           "stalled fleet with no future event at %f",
@@ -1620,20 +1528,25 @@ BatchScheduler::run(const engines::Pipeline &pipe,
             ev.prefilling =
                 mid_prefill + static_cast<int>(prefilling.size());
             ev.tokens = iter_tokens;
-            ev.seq = trace_seq++;
-            rec.control().emit(std::move(ev));
+            emit(std::move(ev));
         }
-
         // Stage occupancy: every session's weight stream covers the
-        // contiguous stage prefix [0, stages_used), so the union is
-        // the max span. What's left is next iteration's backfill
-        // bubble.
+        // contiguous stage prefix [0, stages_used), so the union is the
+        // max span. What's left is next iteration's backfill bubble.
         fleet.stage_busy += busy_stages;
         fleet.peak_stage_occupancy =
             std::max(fleet.peak_stage_occupancy, busy_stages);
         free_stages_prev = n_stages - busy_stages;
+    }
 
-        // --- prefill bookkeeping (chunks land at this boundary) ----
+    /**
+     * Prefill bookkeeping: chunks land at this boundary. Then enforce the
+     * cache capacity after this boundary's inserts (transient overshoot
+     * is covered by the pool's headroom), and track the cache's
+     * footprint at its per-iteration peak.
+     */
+    void landChunks()
+    {
         for (auto &a : active) {
             if (a.granted > 0) {
                 ++a.chunks;
@@ -1647,67 +1560,62 @@ BatchScheduler::run(const engines::Pipeline &pipe,
                 cacheInsert(a);
             }
         }
-        // Enforce the cache capacity after this boundary's inserts
-        // (transient overshoot is covered by the pool's headroom),
-        // and track the cache's footprint at its per-iteration peak.
         if (cache_on) {
             while (cache->heldBlocks() > cache_capacity &&
                    cache->evictLru()) {
             }
-            fleet.peak_cached_blocks = std::max(
-                fleet.peak_cached_blocks, cache->heldBlocks());
+            fleet.peak_cached_blocks =
+                std::max(fleet.peak_cached_blocks, cache->heldBlocks());
         }
+    }
 
-        // --- stream new tokens, track TTFT / inter-token gaps ------
-        // fleet.tokens counts DELIVERED tokens only: a preempted
-        // session re-decodes its prefix, but those tokens were
-        // already streamed, so the recompute shows up as time and
-        // energy (goodput degradation), not as extra throughput.
+    /**
+     * Stream new tokens, tracking TTFT and inter-token gaps. fleet.tokens
+     * counts DELIVERED tokens only: a preempted session re-decodes its
+     * prefix, but those tokens were already streamed, so the recompute
+     * shows up as time and energy (goodput degradation), not as extra
+     * throughput.
+     */
+    void stream()
+    {
         for (auto &a : active) {
             const auto &em = a.sess->emission();
+            const obs::SloSpec &spec = opts.slo.tier(tierOf(a));
             for (size_t i = a.streamed; i < em.tokens.size(); ++i) {
                 ++fleet.tokens;
-                timeline.recordTokens(clock, a.req.id, 1);
-                ctl_tl.recordTokens(clock, a.req.id, 1);
-                if (a.first_token_s < 0.0) {
+                const bool first = a.first_token_s < 0.0;
+                // TTFT for the first token, the inter-token gap after.
+                const double lat = clock - (first ? a.req.arrival_s
+                                                  : a.last_token_s);
+                record([&](obs::Timeline &t) {
+                    t.recordTokens(clock, a.req.id, 1);
+                    if (first)
+                        t.recordTtft(clock, lat);
+                    else
+                        t.recordItl(clock, lat);
+                });
+                // A blown TTFT or ITL bound is a verdict knowable NOW:
+                // the retirement judgement cannot un-fail it, so the
+                // controller's reward attribution must not keep crediting
+                // this request until then.
+                const double bound = first ? spec.ttft_s : spec.itl_s;
+                if (controlled && bound > 0.0 && lat > bound)
+                    online_attained[a.req.id] = false;
+                if (first) {
                     a.first_token_s = clock;
-                    const double ttft = clock - a.req.arrival_s;
-                    timeline.recordTtft(clock, ttft);
-                    ctl_tl.recordTtft(clock, ttft);
-                    // A blown TTFT bound is a verdict knowable NOW:
-                    // the retirement judgement cannot un-fail it, so
-                    // the controller's reward attribution must not
-                    // keep crediting this request until then.
-                    if (controlled) {
-                        const obs::SloSpec &spec = opts_.slo.tier(
-                            static_cast<int>(a.req.priority));
-                        if (spec.ttft_s > 0.0 && ttft > spec.ttft_s)
-                            online_attained[a.req.id] = false;
-                    }
                 } else {
-                    const double gap = clock - a.last_token_s;
-                    a.itl_sum_s += gap;
+                    a.itl_sum_s += lat;
                     ++a.itl_gaps;
-                    itl_samples.push_back(gap);
-                    a.itl_max_s = std::max(a.itl_max_s, gap);
-                    timeline.recordItl(clock, gap);
-                    ctl_tl.recordItl(clock, gap);
-                    // Same for an inter-token gap past the tier's
-                    // ITL bound: the request is doomed mid-flight.
-                    if (controlled) {
-                        const obs::SloSpec &spec = opts_.slo.tier(
-                            static_cast<int>(a.req.priority));
-                        if (spec.itl_s > 0.0 && gap > spec.itl_s)
-                            online_attained[a.req.id] = false;
-                    }
+                    itl_samples.push_back(lat);
+                    a.itl_max_s = std::max(a.itl_max_s, lat);
                 }
                 a.last_token_s = clock;
                 if (on_token &&
                     !on_token(TokenEvent{a.req.id, em.tokens[i],
                                          static_cast<int>(i), clock})) {
-                    // Streaming backpressure: the consumer cancelled;
-                    // the request retires at this boundary and no
-                    // further tokens are decoded or delivered.
+                    // Streaming backpressure: the consumer cancelled; the
+                    // request retires at this boundary and no further
+                    // tokens are decoded or delivered.
                     a.cancel = true;
                 }
                 a.streamed = i + 1;
@@ -1715,52 +1623,43 @@ BatchScheduler::run(const engines::Pipeline &pipe,
                     break;
             }
         }
+    }
 
-        // --- fleet KV / memory census (peak over iterations) -------
-        long positions = 0;
-        for (const auto &a : active)
-            positions += a.sess->modeledPositions();
+    /** Fleet KV / memory census (peaks over iterations). */
+    void census()
+    {
         // Disaggregation: ingesting prompts and queued handoffs hold
-        // device KV too (unified fleets keep these empty, so the
-        // census is unchanged there).
-        for (const auto &p : prefilling)
-            positions += p.sess->modeledPositions();
-        for (const auto &h : handoffQ)
-            positions += h.sess->modeledPositions();
-        // With the cache on, peak occupancy is physical (shared and
-        // cached blocks counted once) — the same quantity the budget
-        // gates read.
-        long blocks = fleetBlocks();
+        // device KV too (unified fleets keep these empty).
+        long positions = 0;
+        forEachOnDevice([&](const Entry &e) {
+            positions += e.sess->modeledPositions();
+        });
+        // Peak occupancy is physical (shared and cached blocks counted
+        // once) — the same quantity the budget gates read.
+        const long blocks = fleetBlocks();
         fleet.peak_kv_blocks = std::max(fleet.peak_kv_blocks, blocks);
         fleet.peak_fleet_mem_gb = std::max(
             fleet.peak_fleet_mem_gb,
             hw::MemoryTracker::toGiB(mem.fleetTotalBytes(
-                positions, static_cast<int>(active.size() +
-                                            prefilling.size()))));
+                positions,
+                static_cast<int>(active.size() + prefilling.size()))));
         if (overlap) {
-            // In-flight census: blocks (and their true-dims bytes)
-            // pinned on a DMA channel right now — neither endpoint's
-            // settled working set.
+            // In-flight census: blocks (and their true-dims bytes) pinned
+            // on a DMA channel right now — neither endpoint's settled
+            // working set.
             long infl_blocks = 0;
             for (const auto &p : pools)
                 infl_blocks += p->transferBlocksInFlight();
             long infl_pos = 0;
-            const auto inflight = [&](const Entry &e) {
-                if (e.sess && e.sess->awaitingTransfer())
+            forEachLive([&](const Entry &e) {
+                if (e.sess->awaitingTransfer())
                     infl_pos += e.sess->modeledPositions();
-            };
-            for (const auto &a : active)
-                inflight(a);
-            for (const auto &s : swappedQ)
-                inflight(s);
-            for (const auto &h : handoffQ)
-                inflight(h);
+            });
             fleet.peak_inflight_kv_blocks =
                 std::max(fleet.peak_inflight_kv_blocks, infl_blocks);
-            fleet.peak_inflight_mem_gb =
-                std::max(fleet.peak_inflight_mem_gb,
-                         hw::MemoryTracker::toGiB(
-                             mem.inflightKvBytes(infl_pos)));
+            fleet.peak_inflight_mem_gb = std::max(
+                fleet.peak_inflight_mem_gb,
+                hw::MemoryTracker::toGiB(mem.inflightKvBytes(infl_pos)));
         }
         long host_blocks = 0;
         if (!swappedQ.empty()) {
@@ -1771,192 +1670,189 @@ BatchScheduler::run(const engines::Pipeline &pipe,
             }
             fleet.peak_host_kv_blocks =
                 std::max(fleet.peak_host_kv_blocks, host_blocks);
-            fleet.peak_host_mem_gb = std::max(
-                fleet.peak_host_mem_gb,
-                hw::MemoryTracker::toGiB(
-                    mem.hostKvBytes(host_positions)));
+            fleet.peak_host_mem_gb =
+                std::max(fleet.peak_host_mem_gb,
+                         hw::MemoryTracker::toGiB(
+                             mem.hostKvBytes(host_positions)));
         }
-        timeline.recordIteration(
-            clock, static_cast<int>(active.size()), busy_stages,
-            blocks, host_blocks,
-            cache_on ? cache->heldBlocks() : 0);
-        ctl_tl.recordIteration(
-            clock, static_cast<int>(active.size()), busy_stages,
-            blocks, host_blocks,
-            cache_on ? cache->heldBlocks() : 0);
+        const long cached = cache_on ? cache->heldBlocks() : 0;
+        record([&](obs::Timeline &t) {
+            t.recordIteration(clock, static_cast<int>(active.size()),
+                              busy_stages, blocks, host_blocks, cached);
+        });
+    }
 
-        // --- retire finished and cancelled sessions ----------------
+    /** Retire cancelled and finished sessions; survivors keep their
+     * admission order. */
+    void retireFinished()
+    {
         size_t keep = 0;
         for (size_t i = 0; i < active.size(); ++i) {
             Entry &a = active[i];
-            if (a.cancel) {
-                // Consumer cancellation: delivered tokens stand (and
-                // their gaps count toward fleet ITL), but the
-                // request retires without a finalized result — like
-                // a deadline drop, counted separately.
-                RequestOutcome &o = outcomes[a.outcome];
-                o.cancelled = true;
-                finishTimeline(a, o);
-                o.ttft_s = a.first_token_s >= 0.0
-                               ? a.first_token_s - a.req.arrival_s
-                               : 0.0;
-                ++fleet.cancelled;
-                if (controlled)
-                    online_attained[a.req.id] = false;
-                decision(obs::TraceDecision::Cancel, a.req.id);
-                itl_sum += a.itl_sum_s;
-                itl_gaps += a.itl_gaps;
+            if (a.cancel || a.sess->finished()) {
+                retire(a, a.cancel ? Retirement::Cancel
+                                   : Retirement::Complete);
                 continue; // KV frees with the entry
             }
-            if (!a.sess->finished()) {
-                if (keep != i)
-                    active[keep] = std::move(a);
-                ++keep;
-                continue;
-            }
-            RequestOutcome &o = outcomes[a.outcome];
-            o.result = a.sess->finalize();
-            finishTimeline(a, o);
-            o.ttft_s = a.first_token_s - a.req.arrival_s;
-            o.mean_itl_s = a.itl_gaps > 0
-                               ? a.itl_sum_s /
-                                     static_cast<double>(a.itl_gaps)
-                               : 0.0;
-            judgeSlo(a, o, true);
-            if (controlled)
-                online_attained[a.req.id] = o.slo.attained();
-            if (o.slo.attained())
-                slo_tokens += static_cast<long>(a.streamed);
-            if (tracing) {
-                // Lifetime flow arrow: first admission -> completion.
-                obs::TraceEvent ev;
-                ev.kind = obs::TraceKind::RequestFlow;
-                ev.t0 = o.admit_s;
-                ev.t1 = clock;
-                ev.device = static_cast<int>(a.device);
-                ev.request = a.req.id;
-                ev.seq = trace_seq++;
-                rec.control().emit(std::move(ev));
-            }
-            itl_sum += a.itl_sum_s;
-            itl_gaps += a.itl_gaps;
+            if (keep != i)
+                active[keep] = std::move(a);
+            ++keep;
         }
         active.resize(keep);
     }
 
-    // --- transfer-engine conservation ------------------------------
-    // Every transfer initiated either landed or settled at drop, so
-    // the byte census balances exactly (per-transfer bytes are
-    // integer-valued doubles well below 2^53, so both sums are exact
-    // regardless of accumulation order).
-    specee_assert(fleet.transfer_bytes_sent ==
-                      fleet.transfer_bytes_received,
-                  "transfer-byte conservation violated: %f sent, %f "
-                  "received",
-                  fleet.transfer_bytes_sent,
-                  fleet.transfer_bytes_received);
-    fleet.transfer_busy_s = xfer.busySeconds();
+    /** Reduce fleet metrics over the finished timeline. */
+    FleetStats reduce()
+    {
+        // --- transfer-engine conservation ------------------------------
+        // Every transfer initiated either landed or settled at drop, so
+        // the byte census balances exactly (per-transfer bytes are
+        // integer-valued doubles well below 2^53, so both sums are exact
+        // regardless of accumulation order).
+        specee_assert(fleet.transfer_bytes_sent ==
+                          fleet.transfer_bytes_received,
+                      "transfer-byte conservation violated: %f sent, %f "
+                      "received",
+                      fleet.transfer_bytes_sent,
+                      fleet.transfer_bytes_received);
+        fleet.transfer_busy_s = xfer.busySeconds();
 
-    // --- drain the cache: reference-count conservation -------------
-    // Every session has retired, so after the cache releases its
-    // references every pool must be empty — a leftover block means a
-    // retain/release imbalance somewhere in the sharing machinery.
-    if (cache_on) {
-        fleet.cache_evictions = cache->evictions();
-        cache->clear();
-        for (const auto &p : pools) {
-            specee_assert(p->blocksInUse() == 0,
-                          "prefix cache drained but %d paged KV "
-                          "blocks are still referenced",
-                          p->blocksInUse());
+        // --- drain the cache: reference-count conservation -------------
+        // Every session has retired, so after the cache releases its
+        // references every pool must be empty — a leftover block means a
+        // retain/release imbalance somewhere in the sharing machinery.
+        if (cache_on) {
+            fleet.cache_evictions = cache->evictions();
+            cache->clear();
+            for (const auto &p : pools) {
+                specee_assert(p->blocksInUse() == 0,
+                              "prefix cache drained but %d paged KV "
+                              "blocks are still referenced",
+                              p->blocksInUse());
+            }
         }
+
+        for (const auto &p : pools)
+            fleet.kv_materialized_blocks += p->materializedBlocks();
+
+        fleet.requests = static_cast<long>(outcomes.size());
+        fleet.makespan_s = clock - t0;
+        fleet.tokens_per_s =
+            ratio(static_cast<double>(fleet.tokens), fleet.makespan_s);
+
+        std::vector<double> latencies, queues, ttfts, prefills;
+        for (const auto &o : outcomes) {
+            if (o.dropped || o.cancelled)
+                continue;
+            latencies.push_back(o.latency_s);
+            queues.push_back(o.queue_s);
+            ttfts.push_back(o.ttft_s);
+            prefills.push_back(o.prefill_s);
+            fleet.oplog.merge(o.result.stats.oplog);
+        }
+        // Means accumulate in insertion order (bit-compat with the
+        // pre-Stats reduction); each Stats sorts its samples once and
+        // serves both percentile queries.
+        const metrics::Stats lat_stats(latencies);
+        const metrics::Stats ttft_stats(ttfts);
+        const metrics::Stats itl_stats(itl_samples);
+        fleet.mean_latency_s = metrics::mean(latencies);
+        fleet.p50_latency_s = lat_stats.percentile(50.0);
+        fleet.p99_latency_s = lat_stats.percentile(99.0);
+        fleet.mean_queue_s = metrics::mean(queues);
+        fleet.mean_ttft_s = metrics::mean(ttfts);
+        fleet.p50_ttft_s = ttft_stats.percentile(50.0);
+        fleet.p99_ttft_s = ttft_stats.percentile(99.0);
+        fleet.mean_prefill_s = metrics::mean(prefills);
+        fleet.mean_itl_s =
+            ratio(itl_sum, static_cast<double>(itl_gaps));
+        fleet.p50_itl_s = itl_stats.percentile(50.0);
+        fleet.p99_itl_s = itl_stats.percentile(99.0);
+        const auto iterations = static_cast<double>(fleet.iterations);
+        fleet.energy_per_token_j =
+            ratio(fleet.energy_j, static_cast<double>(fleet.tokens));
+        fleet.avg_power_w = ratio(fleet.energy_j, fleet.makespan_s);
+        fleet.mean_batch_occupancy = ratio(occupancy, iterations);
+        fleet.pipeline_utilization =
+            ratio(static_cast<double>(fleet.stage_busy),
+                  iterations * n_stages);
+
+        // --- SLO attainment + observability artifacts ------------------
+        for (const auto &o : outcomes) {
+            if (!o.slo.evaluated)
+                continue;
+            ++fleet.slo_evaluated;
+            if (o.slo.attained())
+                ++fleet.slo_attained;
+        }
+        fleet.goodput_under_slo =
+            ratio(static_cast<double>(slo_tokens), fleet.makespan_s);
+        if (tracing)
+            fleet.trace = rec.merged();
+        if (timeline.enabled()) {
+            std::unordered_set<uint64_t> attained;
+            for (const auto &o : outcomes)
+                if (!o.dropped && !o.cancelled && o.slo.attained())
+                    attained.insert(o.request.id);
+            fleet.timeline = timeline.finalize(
+                clock, [&](uint64_t id) { return attained.count(id) > 0; });
+        }
+        if (controlled)
+            fleet.controller = ctl.stats();
+        return std::move(fleet);
     }
+};
 
-    for (const auto &p : pools)
-        fleet.kv_materialized_blocks += p->materializedBlocks();
+} // namespace
 
-    // --- reduce fleet metrics over the finished timeline -----------
-    fleet.requests = static_cast<long>(n);
-    fleet.makespan_s = clock - t0;
-    fleet.tokens_per_s =
-        fleet.makespan_s > 0.0
-            ? static_cast<double>(fleet.tokens) / fleet.makespan_s
-            : 0.0;
+FleetStats
+BatchScheduler::run(const engines::Pipeline &pipe,
+                    std::vector<engines::Engine *> engines,
+                    std::vector<Request> requests,
+                    std::vector<RequestOutcome> &outcomes,
+                    const TokenCallback &on_token) const
+{
+    outcomes.clear();
+    if (requests.empty())
+        return FleetStats{};
+    specee_assert(!engines.empty(), "scheduler needs >= 1 engine");
+    specee_assert(std::is_sorted(requests.begin(), requests.end(),
+                                 [](const Request &a, const Request &b) {
+                                     if (a.arrival_s != b.arrival_s)
+                                         return a.arrival_s < b.arrival_s;
+                                     return a.id < b.id;
+                                 }),
+                  "requests must be sorted by (arrival, id)");
 
-    std::vector<double> latencies, queues, ttfts, prefills;
-    latencies.reserve(n);
-    queues.reserve(n);
-    ttfts.reserve(n);
-    prefills.reserve(n);
-    for (const auto &o : outcomes) {
-        if (o.dropped || o.cancelled)
+    FleetState fs(opts_, pipe, std::move(engines), std::move(requests),
+                  outcomes, on_token);
+    while (fs.pending()) {
+        fs.closeEpochs();
+        fs.settleLanded();
+        fs.expire();
+        fs.startHandoffs();
+        // Both admission phases share one boundary's fresh-admission
+        // cap and deferral flag.
+        fs.deferred = false;
+        fs.fresh_admits = 0;
+        fs.admitDecodeSlots();
+        fs.admitPrefillDevices();
+        fs.recordDeferral();
+        fs.runPrefillDevices();
+        if (fs.active.empty()) {
+            fs.idleJump();
             continue;
-        latencies.push_back(o.latency_s);
-        queues.push_back(o.queue_s);
-        ttfts.push_back(o.ttft_s);
-        prefills.push_back(o.prefill_s);
-        fleet.oplog.merge(o.result.stats.oplog);
+        }
+        fs.preempt();
+        fs.plan();
+        fs.step();
+        fs.price();
+        fs.landChunks();
+        fs.stream();
+        fs.census();
+        fs.retireFinished();
     }
-    // Means accumulate in insertion order (bit-compat with the
-    // pre-Stats reduction); each Stats sorts its samples once and
-    // serves both percentile queries.
-    const metrics::Stats lat_stats(latencies);
-    const metrics::Stats ttft_stats(ttfts);
-    const metrics::Stats itl_stats(itl_samples);
-    fleet.mean_latency_s = metrics::mean(latencies);
-    fleet.p50_latency_s = lat_stats.percentile(50.0);
-    fleet.p99_latency_s = lat_stats.percentile(99.0);
-    fleet.mean_queue_s = metrics::mean(queues);
-    fleet.mean_ttft_s = metrics::mean(ttfts);
-    fleet.p50_ttft_s = ttft_stats.percentile(50.0);
-    fleet.p99_ttft_s = ttft_stats.percentile(99.0);
-    fleet.mean_prefill_s = metrics::mean(prefills);
-    fleet.mean_itl_s =
-        itl_gaps > 0 ? itl_sum / static_cast<double>(itl_gaps) : 0.0;
-    fleet.p50_itl_s = itl_stats.percentile(50.0);
-    fleet.p99_itl_s = itl_stats.percentile(99.0);
-    fleet.energy_per_token_j =
-        fleet.tokens > 0
-            ? fleet.energy_j / static_cast<double>(fleet.tokens)
-            : 0.0;
-    fleet.avg_power_w = fleet.makespan_s > 0.0
-                            ? fleet.energy_j / fleet.makespan_s
-                            : 0.0;
-    fleet.mean_batch_occupancy =
-        fleet.iterations > 0
-            ? occupancy / static_cast<double>(fleet.iterations)
-            : 0.0;
-    fleet.pipeline_utilization =
-        fleet.iterations > 0
-            ? static_cast<double>(fleet.stage_busy) /
-                  (static_cast<double>(fleet.iterations) * n_stages)
-            : 0.0;
-
-    // --- SLO attainment + observability artifacts ------------------
-    for (const auto &o : outcomes) {
-        if (!o.slo.evaluated)
-            continue;
-        ++fleet.slo_evaluated;
-        if (o.slo.attained())
-            ++fleet.slo_attained;
-    }
-    fleet.goodput_under_slo =
-        fleet.makespan_s > 0.0
-            ? static_cast<double>(slo_tokens) / fleet.makespan_s
-            : 0.0;
-    if (tracing)
-        fleet.trace = rec.merged();
-    if (timeline.enabled()) {
-        std::unordered_set<uint64_t> attained;
-        for (const auto &o : outcomes)
-            if (!o.dropped && !o.cancelled && o.slo.attained())
-                attained.insert(o.request.id);
-        fleet.timeline = timeline.finalize(
-            clock, [&](uint64_t id) { return attained.count(id) > 0; });
-    }
-    if (controlled)
-        fleet.controller = ctl.stats();
-    return fleet;
+    return fs.reduce();
 }
 
 } // namespace specee::serve

@@ -2,25 +2,51 @@
  * @file
  * Live iteration-level continuous-batching scheduler.
  *
- * The scheduler drives DecodeSessions directly, vllm-style: every
- * iteration it (1) drops queued or active requests past their
- * deadline, (2) admits waiting requests into free decode slots —
- * interactive tier first, FIFO within each tier, (3) preempts active
- * sessions (evict KV, re-enqueue at the head of the wait queue) when
- * the fleet KV budget is exhausted, preferring batch-tier victims
- * youngest-first, (4) plans a token-budgeted mixed iteration: every
- * decode-ready session steps, while sessions still ingesting their
- * prompt run one prefill chunk each under the PrefillPlanner's
- * budget — sessions pinned to different worker engines step in
- * parallel — and (5) prices the iteration from the sessions'
- * per-step cost records: weight-bound (shared) traffic is read once
- * per iteration, so its time is the max over the batch (a prefill
- * chunk's weight stream amortizes with its decode peers), while
- * per-request private traffic — including the chunk-length-scaled
- * prefill compute — accumulates. Tokens stream to the caller at each
- * iteration boundary, making TTFT and inter-token latency
- * first-class fleet metrics; a callback returning false cancels its
- * request at that boundary (streaming backpressure).
+ * The scheduler drives DecodeSessions directly, vllm-style. Every
+ * iteration boundary runs these phases, in order, over one fleet
+ * state (the queues, the clock, the KV pools, the DMA channels, the
+ * controller and the counters):
+ *
+ *  1. close epochs: the adaptive controller reduces every decision
+ *     window the clock has passed and applies its knob changes;
+ *  2. settle landed DMAs: overlapped transfers whose channel time has
+ *     passed unpin their sessions' blocks;
+ *  3. expire: requests past their deadline drop, from every queue;
+ *  4. start handoffs: (disaggregated) finished prompts stream their
+ *     KV toward the decode devices;
+ *  5. admit decode slots: swap-ins compete with fresh prompts (or, on
+ *     a disaggregated fleet, with finished handoffs) for free slots —
+ *     interactive tier first, FIFO within each tier — under the KV
+ *     budget and watermark gates;
+ *  6. admit prefill devices: (disaggregated) arrived prompts start
+ *     chunked ingestion on free prefill devices;
+ *  7. run prefill devices: each free prefill device ingests one chunk
+ *     on its own decoupled timeline;
+ *  8. idle jump: with no decode session, the clock jumps to the next
+ *     arrival, chunk completion or DMA landing;
+ *  9. preempt: while the fleet KV budget is exhausted, the prefix
+ *     cache drains LRU-first, then active sessions are evicted —
+ *     batch tier first, largest deadline slack first;
+ * 10. plan: a token-budgeted mixed iteration — every decode-ready
+ *     session steps, while sessions still ingesting their prompt run
+ *     one prefill chunk each under the PrefillPlanner's budget;
+ * 11. step: sessions pinned to different worker engines step in
+ *     parallel;
+ * 12. price: from the sessions' per-step cost records — weight-bound
+ *     (shared) traffic is read once per iteration, so its time is
+ *     the max over the batch per pipeline stage (a prefill chunk's
+ *     weight stream amortizes with its decode peers), while
+ *     per-request private traffic — including the chunk-length-scaled
+ *     prefill compute — accumulates;
+ * 13. land chunks and trim the prefix cache to its capacity;
+ * 14. stream: new tokens go to the caller, making TTFT and
+ *     inter-token latency first-class fleet metrics; a callback
+ *     returning false cancels its request at this boundary
+ *     (streaming backpressure);
+ * 15. census: peak device, host and in-flight KV occupancy;
+ * 16. retire: finished and cancelled requests leave the fleet.
+ *
+ * Once every queue drains, the fleet metrics are reduced.
  *
  * Everything is deterministic for a fixed request stream: sessions
  * decode under per-request seeds (bit-identical to Engine::runOne no
@@ -516,15 +542,6 @@ struct FleetStats
      */
     ControllerStats controller;
 };
-
-/**
- * True for operator classes whose traffic is read once per decode
- * iteration and amortizes across the batch (weight-bound: decoder
- * layers, KV fill, full LM head, draft model, embedding table) as
- * opposed to per-request private traffic (KV reads, predictors,
- * sliced heads).
- */
-bool isSharedClass(hw::OpClass cls);
 
 /** Live iteration-level continuous-batching scheduler. */
 class BatchScheduler

@@ -93,6 +93,10 @@ struct RequestOutcome
     double latency_s = 0.0; ///< finish - arrival
     double queue_s = 0.0;   ///< first admit - arrival
 
+    /**
+     * Streaming timing over the tokens actually delivered, dropped
+     * and cancelled requests included; 0 while none was delivered.
+     */
     double ttft_s = 0.0;     ///< time to first token (from arrival)
     double mean_itl_s = 0.0; ///< mean inter-token latency
     double max_itl_s = 0.0;  ///< worst delivered inter-token gap

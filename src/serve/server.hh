@@ -19,9 +19,9 @@
  *   // report.fleet.tokens_per_s, .p99_latency_s, .mean_ttft_s, ...
  *
  * ServerOptions::disaggregate(P, D) splits the modeled fleet into
- * prefill- and decode-specialized devices with the KV handoff (and,
- * with overlap, every swap and prefix restore) riding per-device DMA
- * channels off the critical path — see TopologyOptions.
+ * prefill- and decode-specialized devices with the KV handoff, every
+ * swap and every prefix restore riding per-device DMA channels off
+ * the critical path — see TopologyOptions.
  *
  * Results are bit-deterministic for a fixed request stream no matter
  * how many workers run: every request decodes under its own seed and
@@ -61,19 +61,19 @@ struct ServerOptions
      * prefill-specialized and `n_decode` decode-specialized devices.
      * Prefill devices chunk-ingest prompts on their own timelines and
      * stream finished KV to the decode side over the priced peer link
-     * (`interconnect_gbs`); with `overlap` the handoff (and every
-     * swap / prefix restore) rides the per-device DMA channels
-     * concurrently with the iteration clock instead of serializing on
-     * it. Sugar for setting `sched.topology` directly. Workers stay a
-     * physical parallelism knob — any worker steps sessions of either
-     * role, and results are bit-identical for any worker count.
+     * (`interconnect_gbs`), and turns on overlap_transfers: the
+     * handoff (and every swap / prefix restore) rides the per-device
+     * DMA channels concurrently with the iteration clock instead of
+     * serializing on it. Sugar for setting `sched.topology` directly.
+     * Workers stay a physical parallelism knob — any worker steps
+     * sessions of either role, and results are bit-identical for any
+     * worker count.
      */
-    ServerOptions &disaggregate(int n_prefill, int n_decode,
-                                bool overlap = true)
+    ServerOptions &disaggregate(int n_prefill, int n_decode)
     {
         sched.topology.devices = n_prefill + n_decode;
         sched.topology.prefill_devices = n_prefill;
-        sched.topology.overlap_transfers = overlap;
+        sched.topology.overlap_transfers = true;
         return *this;
     }
 

@@ -1,7 +1,8 @@
 /**
  * @file
- * Hardware model tests: roofline pricing, offload split, op logging,
- * energy accounting, and the Fig. 17 memory model.
+ * Hardware model tests: roofline pricing, batch-amortized op
+ * classes, offload split, op logging, energy accounting, and the
+ * Fig. 17 memory model.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +25,26 @@ TEST(Hardware, PresetsHaveSaneNumbers)
     EXPECT_EQ(HardwareSpec::a100x4().n_devices, 4);
     EXPECT_EQ(HardwareSpec::byName("A100-80GB").name, "A100-80GB");
     EXPECT_DEATH(HardwareSpec::byName("TPU"), "unknown");
+}
+
+TEST(Hardware, EmbedIsBatchAmortized)
+{
+    // The embedding lookup is a weight-table read: one batched gather
+    // per iteration, amortized like the other weight-bound classes.
+    // Charging it per-request overcounted batched traffic.
+    EXPECT_TRUE(isBatchAmortized(OpClass::Embed));
+    EXPECT_TRUE(isBatchAmortized(OpClass::DecoderLayer));
+    EXPECT_TRUE(isBatchAmortized(OpClass::LmHeadFull));
+    EXPECT_TRUE(isBatchAmortized(OpClass::Draft));
+    // A prefill chunk's weight stream is the same full-depth read a
+    // decode iteration waits on — shared in a mixed batch — while
+    // its chunk-length-scaled compute interferes privately.
+    EXPECT_TRUE(isBatchAmortized(OpClass::PrefillWeights));
+    EXPECT_FALSE(isBatchAmortized(OpClass::PrefillCompute));
+    // Per-request traffic stays private.
+    EXPECT_FALSE(isBatchAmortized(OpClass::KvRead));
+    EXPECT_FALSE(isBatchAmortized(OpClass::Predictor));
+    EXPECT_FALSE(isBatchAmortized(OpClass::LmHeadSliced));
 }
 
 TEST(CostModel, MemoryBoundOpPricedByBytes)

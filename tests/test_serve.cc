@@ -271,26 +271,6 @@ TEST(Server, BatchedServingBeatsSequential)
     EXPECT_LT(rb.fleet.energy_j, rs.fleet.energy_j);
 }
 
-TEST(BatchScheduler, EmbedIsBatchAmortized)
-{
-    // The embedding lookup is a weight-table read: one batched gather
-    // per iteration, amortized like the other weight-bound classes.
-    // Charging it per-request overcounted batched traffic.
-    EXPECT_TRUE(serve::isSharedClass(hw::OpClass::Embed));
-    EXPECT_TRUE(serve::isSharedClass(hw::OpClass::DecoderLayer));
-    EXPECT_TRUE(serve::isSharedClass(hw::OpClass::LmHeadFull));
-    EXPECT_TRUE(serve::isSharedClass(hw::OpClass::Draft));
-    // A prefill chunk's weight stream is the same full-depth read a
-    // decode iteration waits on — shared in a mixed batch — while
-    // its chunk-length-scaled compute interferes privately.
-    EXPECT_TRUE(serve::isSharedClass(hw::OpClass::PrefillWeights));
-    EXPECT_FALSE(serve::isSharedClass(hw::OpClass::PrefillCompute));
-    // Per-request traffic stays private.
-    EXPECT_FALSE(serve::isSharedClass(hw::OpClass::KvRead));
-    EXPECT_FALSE(serve::isSharedClass(hw::OpClass::Predictor));
-    EXPECT_FALSE(serve::isSharedClass(hw::OpClass::LmHeadSliced));
-}
-
 TEST(Server, Q8BackendSpeedsUpBatchedServing)
 {
     // The quantized-serving scenario: a q8 model halves the shared
@@ -549,6 +529,55 @@ TEST(Server, DeadlineDropsAtIterationBoundary)
     }
     // Latency stats cover completed requests only.
     EXPECT_GT(rep.fleet.p99_latency_s, 0.0);
+}
+
+TEST(Server, RetiredStreamsReportTheirDeliveredTiming)
+{
+    // A request that streamed tokens before it was dropped at its
+    // deadline, or cancelled by its consumer, still reports TTFT and
+    // mean ITL over what it delivered.
+    const auto &pipe = testutil::tinyPipeline();
+    auto stream = makeStream(3, 0.0, 16);
+    const uint64_t id = stream[2].id;
+    uint64_t cancel_id = ~0ull;
+    auto opts = serverOpts(1, 4);
+    std::vector<double> emit_s; ///< request `id`'s delivery times
+    opts.on_token = [&](const serve::TokenEvent &ev) {
+        if (ev.request_id == id)
+            emit_s.push_back(ev.emit_s);
+        return !(ev.request_id == cancel_id && ev.index == 4);
+    };
+    const auto drain = [&] {
+        emit_s.clear();
+        serve::Server server(pipe, opts);
+        server.submit(stream);
+        return server.drain();
+    };
+    const auto expectDeliveredTiming = [&](const serve::RequestOutcome &o) {
+        ASSERT_EQ(emit_s.size(), 5u);
+        EXPECT_DOUBLE_EQ(o.ttft_s, emit_s.front() - o.request.arrival_s);
+        double gaps = 0.0;
+        for (size_t i = 1; i < emit_s.size(); ++i)
+            gaps += emit_s[i] - emit_s[i - 1];
+        EXPECT_DOUBLE_EQ(o.mean_itl_s,
+                         gaps / static_cast<double>(emit_s.size() - 1));
+        EXPECT_GT(o.mean_itl_s, 0.0);
+    };
+
+    drain(); // unconstrained: request `id` delivers all 16 tokens
+    ASSERT_EQ(emit_s.size(), 16u);
+    // The deadline passes right after the fourth token: the next
+    // boundary still delivers the fifth, the one after drops it.
+    stream[2].deadline_s = emit_s[3];
+    const auto dropped = drain();
+    EXPECT_TRUE(dropped.outcomes[2].dropped);
+    expectDeliveredTiming(dropped.outcomes[2]);
+
+    stream[2].deadline_s = 0.0;
+    cancel_id = id; // the consumer refuses the fifth token
+    const auto cancelled = drain();
+    EXPECT_TRUE(cancelled.outcomes[2].cancelled);
+    expectDeliveredTiming(cancelled.outcomes[2]);
 }
 
 TEST(Server, StreamsTokensWithTtftBelowLatency)

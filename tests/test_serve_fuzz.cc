@@ -873,6 +873,56 @@ directedScenarios()
     return out;
 }
 
+/**
+ * Retirement coverage: a 1-prefill/2-decode fleet under swap
+ * preemption and a tight KV budget, with batch-tier deadlines staged
+ * so that requests drop while waiting, ingesting on the prefill
+ * device, handing off, swapped out and decoding — every queue the
+ * shared drop path serves.
+ */
+Scenario
+retirementScenario()
+{
+    serve::StreamOptions shorts;
+    shorts.n_requests = 8;
+    shorts.gen_len = 24;
+    shorts.rate_rps = 4.0;
+    shorts.seed = 0x7e71;
+    serve::StreamOptions longs;
+    longs.n_requests = 10;
+    longs.gen_len = 48;
+    longs.prompt_len = 512;
+    longs.priority = serve::Priority::Batch;
+    longs.id_base = 100;
+    longs.seed = 0x7e72;
+    Scenario sc;
+    sc.stream = serve::mergeStreams(serve::synthesizeStream(shorts),
+                                    serve::synthesizeStream(longs));
+    // Seconds after arrival (all batch requests arrive at 0); 0 =
+    // none. Request 103's deadline lands just after its handoff
+    // starts, so it drops while its KV streams to the decode side.
+    const double deadlines[] = {0.6,   0.24,  0.336, 0.277, 0.292,
+                                0.166, 0.604, 0.0,   0.364, 0.355};
+    size_t k = 0;
+    for (auto &r : sc.stream) {
+        if (r.priority != serve::Priority::Batch)
+            continue;
+        const double d = deadlines[k++];
+        if (d > 0.0)
+            r.deadline_s = r.arrival_s + d;
+    }
+    sc.has_deadlines = true;
+    sc.opts.engine = engines::EngineConfig::huggingFace().withSpecEE();
+    sc.opts.spec = hw::HardwareSpec::a100();
+    sc.opts.sched.max_batch = 4;
+    sc.opts.sched.prefill.chunk_tokens = 128;
+    sc.opts.sched.kv_budget_blocks = 150;
+    sc.opts.sched.preempt_mode = serve::PreemptMode::Swap;
+    sc.opts.disaggregate(1, 2);
+    sc.opts.sched.trace.enabled = true;
+    return sc;
+}
+
 void
 fuzzScenario(const Scenario &sc, Coverage &cov)
 {
@@ -1137,4 +1187,13 @@ TEST(ServeFuzz, RandomizedSchedulerInvariants)
     EXPECT_GT(cov.slo_evaluated, 0);
     EXPECT_GT(cov.controller_epochs, 0);
     EXPECT_GT(cov.knob_changes, 0);
+}
+
+TEST(ServeFuzz, DisaggregatedSwapFleetRetiresDropsFromEveryQueue)
+{
+    Coverage cov;
+    fuzzScenario(retirementScenario(), cov);
+    EXPECT_GT(cov.dropped, 0);
+    EXPECT_GT(cov.swaps, 0);
+    EXPECT_GT(cov.handoffs, 0);
 }
