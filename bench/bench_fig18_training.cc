@@ -3,11 +3,17 @@
  * Figure 18: predictor accuracy vs training-set ratio for Llama2-7B
  * and Llama2-13B. The paper collects ~16K samples per predictor from
  * MT-Bench traces and shows that ~2% of them already reach good
- * accuracy (total training time ~5 minutes).
+ * accuracy (total training time ~5 minutes). Also prints the wall
+ * time of each model's pipeline construction, which holds all of the
+ * offline profiling and training.
  */
+
+#include <thread>
 
 #include "bench_common.hh"
 #include "core/predictor_trainer.hh"
+#include "util/logging.hh"
+#include "util/stopwatch.hh"
 
 using namespace specee;
 using namespace specee::benchutil;
@@ -15,8 +21,16 @@ using namespace specee::benchutil;
 int
 main()
 {
+    metrics::Table setup(strfmt("Pipeline construction (weights, "
+                                "profiling, training), wall clock on "
+                                "%u hardware threads",
+                                std::thread::hardware_concurrency()));
+    setup.header({"model", "samples/layer", "wall s"});
     for (const char *model : {"llama2-7b", "llama2-13b"}) {
+        const Stopwatch sw;
         const auto &data = pipeline(model).profileData();
+        setup.row({model, std::to_string(data.specee.front().size()),
+                   metrics::Table::num(sw.seconds(), 2)});
         metrics::Table t(std::string("Figure 18: accuracy vs training "
                                      "set ratio, ") +
                          model);
@@ -39,6 +53,7 @@ main()
         }
         t.print();
     }
+    setup.print();
     std::printf("\nPaper: accuracy saturates near ~2%% of the 16K "
                 "training samples (Fig. 18);\nthe small-sample floor "
                 "here is higher because our profiling runs are "

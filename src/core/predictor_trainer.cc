@@ -1,10 +1,12 @@
 #include "core/predictor_trainer.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "core/features.hh"
 #include "tensor/kernels.hh"
 #include "util/logging.hh"
+#include "util/parallel.hh"
 
 namespace specee::core {
 
@@ -17,25 +19,47 @@ ProfileData::totalSamples() const
     return n;
 }
 
+namespace {
+
+/**
+ * One instance's pass through the model. Row t * n_exit + l holds
+ * token t after exit layer l.
+ */
+struct Stepped
+{
+    tensor::Matrix hiddens; ///< hidden state
+    tensor::Matrix feats;   ///< speculation features
+};
+
+} // namespace
+
 ProfileData
 PredictorTrainer::collect(const workload::Workload &w,
                           model::TargetModel &tm,
                           const model::DraftModel &dlm, uint64_t seed)
 {
     const model::ModelConfig &cfg = tm.config();
-    const int n_exit = cfg.n_layers - 1;
+    const auto n_exit = static_cast<size_t>(cfg.n_layers - 1);
+    const auto n_feat = static_cast<size_t>(3 * cfg.num_spec_tokens);
 
     ProfileData data;
-    data.specee.assign(static_cast<size_t>(n_exit),
-                       nn::Dataset(3 * cfg.num_spec_tokens));
-    data.adainfer.assign(static_cast<size_t>(n_exit), nn::Dataset(3));
-    data.oracle_exit_hist.assign(static_cast<size_t>(n_exit), 0);
+    data.specee.assign(n_exit, nn::Dataset(n_feat));
+    data.adainfer.assign(n_exit, nn::Dataset(3));
+    data.oracle_exit_hist.assign(n_exit, 0);
+
+    // Allocated on the calling thread, whichever thread fills them,
+    // so the memory returns to its malloc arena rather than staying
+    // resident in a worker's.
+    const auto buffers = [&](size_t ii) {
+        const size_t rows = w.instances[ii].steps.size() * n_exit;
+        return Stepped{
+            tensor::Matrix(rows, static_cast<size_t>(cfg.sim.hidden)),
+            tensor::Matrix(rows, n_feat)};
+    };
 
     Rng rng(seed);
     FeatureExtractor fx(cfg.num_spec_tokens);
-    tensor::Vec full_logits(static_cast<size_t>(cfg.sim.vocab));
-
-    for (size_t ii = 0; ii < w.instances.size(); ++ii) {
+    const auto step = [&](size_t ii, Stepped &out) {
         const auto &inst = w.instances[ii];
         // Independent noise substream per profiled instance (fork()
         // leaves the speculation rng stream untouched), so collected
@@ -43,46 +67,85 @@ PredictorTrainer::collect(const workload::Workload &w,
         tm.reset(rng.fork(0x7e5e + ii).next());
         tm.prefill(inst.prompt);
         int prev = inst.prompt.back();
-        for (const auto &script : inst.steps) {
+        for (size_t t = 0; t < inst.steps.size(); ++t) {
+            const model::TokenScript &script = inst.steps[t];
             auto spec = dlm.speculate(prev, script.target,
                                       cfg.num_spec_tokens, rng);
             fx.beginToken(spec);
             tm.beginToken(prev, script);
-
-            int first_true = -1;
-            for (int l = 0; l < n_exit; ++l) {
+            for (size_t l = 0; l < n_exit; ++l) {
                 tm.runLayer();
-                if (l == 0) {
-                    // RAEE probe: the hidden state after layer 0.
-                    tensor::CSpan h = tm.hidden();
-                    data.raee_probes.emplace_back(h.begin(), h.end());
-                }
-                tensor::CSpan feats = fx.extract(tm);
+                const tensor::CSpan h = tm.hidden();
+                const tensor::CSpan f = fx.extract(tm);
+                std::copy(h.begin(), h.end(),
+                          out.hiddens.row(t * n_exit + l).begin());
+                std::copy(f.begin(), f.end(),
+                          out.feats.row(t * n_exit + l).begin());
+            }
+            tm.runRemainingLayers();
+            prev = script.target;
+        }
+    };
 
-                tm.lmHead().full(tm.hidden(), full_logits);
-                const int global = static_cast<int>(
-                    tensor::argmax(full_logits));
+    // The model is one sequential chain; the full-vocabulary head
+    // that labels each row is most of the remaining work and is
+    // independent per token. Each round steps the next instance
+    // (index 0, claimed first) while the other threads run the
+    // current instance's heads.
+    Stepped cur;
+    if (!w.instances.empty()) {
+        cur = buffers(0);
+        step(0, cur);
+    }
+    for (size_t ii = 0; ii < w.instances.size(); ++ii) {
+        const auto &inst = w.instances[ii];
+        const size_t n_tok = inst.steps.size();
+        const size_t ahead = ii + 1 < w.instances.size() ? 1 : 0;
+        Stepped next = ahead ? buffers(ii + 1) : Stepped{};
+        std::vector<float> labels(cur.hiddens.rows());
+        std::vector<std::array<float, 3>> ada(cur.hiddens.rows());
+        parallelFor(ahead + n_tok, [&](size_t k) {
+            if (k < ahead) {
+                step(ii + 1, next);
+                return;
+            }
+            const size_t t = k - ahead;
+            // A head of its own: heads keep a normalization scratch.
+            const model::LmHead head(tm.weights().embedding(),
+                                     tm.weights().rmsFinal());
+            tensor::Vec logits(static_cast<size_t>(cfg.sim.vocab));
+            for (size_t r = t * n_exit; r < (t + 1) * n_exit; ++r) {
+                head.full(cur.hiddens.row(r), logits);
                 // Label per §7.4.4: exiting here emits the same token
                 // as the full forward pass (which emits the script
                 // target by construction).
-                const float label =
-                    global == script.target ? 1.0f : 0.0f;
-                data.specee[static_cast<size_t>(l)].add(feats, label);
+                const int global =
+                    static_cast<int>(tensor::argmax(logits));
+                labels[r] = global == inst.steps[t].target ? 1.0f : 0.0f;
+                ada[r] = adaInferFeatures(logits);
+            }
+        });
 
-                auto af = adaInferFeatures(full_logits);
-                data.adainfer[static_cast<size_t>(l)].add(
-                    tensor::CSpan(af.data(), af.size()), label);
-
-                if (label > 0.5f && first_true < 0)
-                    first_true = l;
+        for (size_t t = 0; t < n_tok; ++t) {
+            // RAEE probe: the hidden state after layer 0.
+            const tensor::CSpan h = cur.hiddens.row(t * n_exit);
+            data.raee_probes.emplace_back(h.begin(), h.end());
+            int first_true = -1;
+            for (size_t l = 0; l < n_exit; ++l) {
+                const size_t r = t * n_exit + l;
+                data.specee[l].add(cur.feats.row(r), labels[r]);
+                data.adainfer[l].add(
+                    tensor::CSpan(ada[r].data(), ada[r].size()),
+                    labels[r]);
+                if (labels[r] > 0.5f && first_true < 0)
+                    first_true = static_cast<int>(l);
             }
             if (first_true >= 0)
                 ++data.oracle_exit_hist[static_cast<size_t>(first_true)];
             data.raee_exits.push_back(
                 first_true >= 0 ? first_true : cfg.n_layers - 1);
-            tm.runRemainingLayers();
-            prev = script.target;
         }
+        cur = std::move(next);
     }
     return data;
 }
@@ -111,18 +174,30 @@ PredictorTrainer::train(ExitPredictor &bank, const ProfileData &data,
     specee_assert(static_cast<size_t>(bank.nExitLayers()) ==
                   data.specee.size(),
                   "bank/data layer mismatch");
+    const auto n_exit = static_cast<size_t>(bank.nExitLayers());
     TrainReport rep;
+    // Splits draw from one rng stream in layer order; the fits are
+    // then independent per layer.
     Rng rng(opts.train.seed ^ 0x7121);
+    std::vector<std::pair<nn::Dataset, nn::Dataset>> sets;
+    for (size_t l = 0; l < n_exit; ++l) {
+        sets.push_back(prepare(data.specee[l], opts, rng));
+        rep.samples_used += sets.back().first.size();
+    }
+
+    std::vector<double> train_acc(n_exit);
+    rep.per_layer_test_accuracy.resize(n_exit);
+    parallelFor(n_exit, [&](size_t l) {
+        nn::Mlp &mlp = bank.mlp(static_cast<int>(l));
+        train_acc[l] = mlp.fit(sets[l].first, opts.train).train_accuracy;
+        rep.per_layer_test_accuracy[l] = mlp.accuracy(sets[l].second);
+    });
+
+    // Summed in layer order, as a sequential loop would.
     double test_sum = 0.0, train_sum = 0.0;
-    for (int l = 0; l < bank.nExitLayers(); ++l) {
-        auto [train_set, test_set] =
-            prepare(data.specee[static_cast<size_t>(l)], opts, rng);
-        rep.samples_used += train_set.size();
-        auto stats = bank.mlp(l).fit(train_set, opts.train);
-        train_sum += stats.train_accuracy;
-        const double acc = bank.mlp(l).accuracy(test_set);
-        rep.per_layer_test_accuracy.push_back(acc);
-        test_sum += acc;
+    for (size_t l = 0; l < n_exit; ++l) {
+        train_sum += train_acc[l];
+        test_sum += rep.per_layer_test_accuracy[l];
     }
     rep.mean_test_accuracy = test_sum / bank.nExitLayers();
     rep.mean_train_accuracy = train_sum / bank.nExitLayers();

@@ -69,13 +69,21 @@ class PredictorTrainer
     /**
      * Profile `tm` over `workload` with `dlm` proposing speculative
      * tokens; fills per-layer datasets for both predictor families.
+     * The model steps one instance at a time while the other cores
+     * run the full-vocabulary head that labels the previous one, so
+     * profiling holds one sequence's KV, as a sequential pass does.
+     * The result does not depend on the thread count.
      */
     static ProfileData collect(const workload::Workload &w,
                                model::TargetModel &tm,
                                const model::DraftModel &dlm,
                                uint64_t seed);
 
-    /** Train the SpecEE MLP bank; returns held-out accuracies. */
+    /**
+     * Train the SpecEE MLP bank, its layers in parallel; returns
+     * held-out accuracies. The result does not depend on the thread
+     * count.
+     */
     static TrainReport train(ExitPredictor &bank, const ProfileData &data,
                              const TrainerOptions &opts);
 

@@ -13,14 +13,14 @@
  * emissions or modeled costs (pinned by test, like every other
  * scheduler knob).
  *
- * Threading: sessions step on parallel per-engine threads, so the
- * recorder is sharded — each worker thread appends to its own shard
- * and the scheduler thread to a control shard, lock-free because no
- * shard is ever shared. merged() then sorts every shard's events by
- * (time, track, kind, seq, request): worker events carry their
- * admission-order slot as `seq`, so the merged trace is bit-identical
- * no matter how many workers recorded it or which shard an event
- * landed in.
+ * Threading: engines step their sessions in parallel, so the
+ * recorder is sharded — each engine appends to its own shard (one
+ * thread at a time steps an engine) and the scheduler thread to a
+ * control shard, lock-free because no shard is ever shared. merged()
+ * then sorts every shard's events by (time, track, kind, seq,
+ * request): worker events carry their admission-order slot as `seq`,
+ * so the merged trace is bit-identical no matter how many workers
+ * recorded it or which shard an event landed in.
  *
  * Export maps devices (and their DMA channels) to Perfetto tracks:
  * one process per modeled device plus a fleet/scheduler process,
@@ -158,7 +158,7 @@ class TraceRecorder
 
     /** The scheduler thread's shard. */
     TraceShard &control() { return shards_.back(); }
-    /** Worker thread `i`'s shard (exclusive to that thread). */
+    /** Engine `i`'s shard (exclusive to the thread stepping it). */
     TraceShard &worker(size_t i) { return shards_[i]; }
 
     /**

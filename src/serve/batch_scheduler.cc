@@ -6,7 +6,6 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -14,6 +13,7 @@
 #include "metrics/stats.hh"
 #include "model/paged_kv.hh"
 #include "util/logging.hh"
+#include "util/parallel.hh"
 
 namespace specee::serve {
 
@@ -1345,10 +1345,10 @@ struct FleetState
         }
     }
 
-    /** Step worker `eng`'s sessions (runs on that worker's thread). */
+    /** Step worker `eng`'s sessions (on one thread of step()'s). */
     void stepEngine(size_t eng)
     {
-        // This thread's private shard. Events carry the session's
+        // This engine's private shard. Events carry the session's
         // admission-order slot `i` as lane AND seq (never the physical
         // engine index, which depends on the worker count), so merged()
         // replays identically for any engine fan-out.
@@ -1412,17 +1412,13 @@ struct FleetState
         std::vector<bool> has(engines.size(), false);
         for (const auto &a : active)
             has[a.engine] = true;
-        // One engine in use steps on this thread; more fan out.
-        const bool fan_out = std::count(has.begin(), has.end(), true) > 1;
-        std::vector<std::thread> threads;
+        std::vector<size_t> used;
         for (size_t e = 0; e < engines.size(); ++e) {
-            if (has[e] && fan_out)
-                threads.emplace_back([this, e] { stepEngine(e); });
-            else if (has[e])
-                stepEngine(e);
+            if (has[e])
+                used.push_back(e);
         }
-        for (auto &t : threads)
-            t.join();
+        // One engine in use steps on this thread; more fan out.
+        parallelFor(used.size(), [&](size_t k) { stepEngine(used[k]); });
     }
 
     /**
