@@ -10,6 +10,7 @@
  */
 
 #include "bench_common.hh"
+#include "core/raee.hh"
 #include "hw/cost_model.hh"
 
 using namespace specee;
@@ -43,9 +44,7 @@ main()
 
     // Predictor asset memory at true scale.
     const double ada_mem_mb = 31 * 4.0 * 4.0 / 1e6; // 31 SVMs, 3+1 fp32
-    EngineConfig rcfg = EngineConfig::raeeBaseline();
-    const double raee_mem_gb =
-        rcfg.raee_db_entries * 4096.0 * 2.0 / 1e9;
+    const double raee_mem_gb = core::kRaeeDbEntries * 4096.0 * 2.0 / 1e9;
     const double ee_mem_kb =
         static_cast<double>(pipe.predictors().paramsPerPredictor()) *
         pipe.predictors().nExitLayers() * 2.0 / 1024.0;

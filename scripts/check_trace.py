@@ -25,7 +25,7 @@ import sys
 
 PHASES = {"M", "X", "i", "s", "f"}
 DECISIONS = {
-    "admit", "defer", "watermark_reject", "drop", "cancel",
+    "admit", "watermark_reject", "drop", "cancel",
     "preempt_recompute", "preempt_swap", "resume", "cache_hit",
     "backfill_grant", "handoff", "knob_change",
 }

@@ -13,6 +13,9 @@
 
 namespace specee::core {
 
+/** Exit mass the deployed offline hot set covers (T2). */
+inline constexpr double kOfflineHotMass = 0.55;
+
 /** Exit-frequency histogram and hot-layer selection. */
 class OfflineScheduler
 {

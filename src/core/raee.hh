@@ -13,7 +13,7 @@
  * We implement the real mechanism at simulation scale: normalized
  * embeddings, exact inner-product kNN, probability superposition
  * over neighbour exit layers. The cost model prices the database
- * scan at true dimensions and a configurable entry count.
+ * scan at true dimensions and kRaeeDbEntries entries.
  */
 
 #ifndef SPECEE_CORE_RAEE_HH
@@ -24,6 +24,15 @@
 #include "tensor/matrix.hh"
 
 namespace specee::core {
+
+/** RAEE database size at true scale (Table 1: several GB). */
+inline constexpr double kRaeeDbEntries = 5.0e5;
+
+/** Fraction of the RAEE database an ANN probe touches per token. */
+inline constexpr double kRaeeScanFrac = 0.10;
+
+/** Neighbours one RAEE probe retrieves. */
+inline constexpr int kRaeeK = 8;
 
 /** Retrieval index from probe embeddings to exit layers. */
 class RaeeIndex
@@ -48,7 +57,7 @@ class RaeeIndex
      * layers weighted by similarity (the paper's probability
      * superposition). Returns n_layers-1 when the index is empty.
      */
-    int predictExitLayer(tensor::CSpan query, int k = 8) const;
+    int predictExitLayer(tensor::CSpan query, int k = kRaeeK) const;
 
     /** Functional storage footprint (fp32 embeddings + labels). */
     size_t byteSize() const;

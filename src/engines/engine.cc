@@ -484,10 +484,10 @@ Engine::decodeToken(int input_token, const model::TokenScript &script,
                 // High-memory / Heavy-prediction row).
                 ++stats.predictor_invocations;
                 raee_exit =
-                    raee_->predictExitLayer(tm_->hidden(), ecfg_.raee_k);
+                    raee_->predictExitLayer(tm_->hidden(), core::kRaeeK);
                 if (log != nullptr) {
-                    const double scan_bytes = ecfg_.raee_db_entries *
-                                              ecfg_.raee_scan_frac *
+                    const double scan_bytes = core::kRaeeDbEntries *
+                                              core::kRaeeScanFrac *
                                               mcfg_.truth.hidden * 2.0;
                     cost_->account(*log, hw::OpClass::Predictor,
                                    scan_bytes, scan_bytes, 0.0, 24);

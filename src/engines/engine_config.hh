@@ -77,14 +77,7 @@ struct EngineConfig
     float exit_threshold = 0.5f;
     int online_window = 5;
     int online_radius = 2;
-    double offline_mass = 0.55; ///< exit mass the offline set must cover
     float ffn_active_frac = 0.30f;
-    float adainfer_margin = 1.0f; ///< SVM decision margin (conservative)
-    /** RAEE database size at true scale (Table 1: several GB). */
-    double raee_db_entries = 5.0e5;
-    /** Fraction of the RAEE database an ANN probe touches per token. */
-    double raee_scan_frac = 0.10;
-    int raee_k = 8; ///< retrieved neighbours
     TreeShape tree;
 
     /**

@@ -57,7 +57,7 @@ Pipeline::Pipeline(const PipelineOptions &opts)
         for (long c = 0; c < profile_.oracle_exit_hist[l]; ++c)
             off.recordExit(static_cast<int>(l));
     }
-    hot_ = off.hotLayers(opts.offline_mass);
+    hot_ = off.hotLayers(core::kOfflineHotMass);
 }
 
 Pipeline::~Pipeline() = default;

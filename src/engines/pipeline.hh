@@ -51,9 +51,6 @@ struct PipelineOptions
     /** Fraction of the collected data used (Fig. 18 sweeps this). */
     double data_ratio = 1.0;
 
-    /** Exit mass the offline hot set must cover (T2). */
-    double offline_mass = 0.55;
-
     uint64_t seed = 42;
 };
 

@@ -36,8 +36,6 @@ traceDecisionName(TraceDecision d)
     switch (d) {
     case TraceDecision::Admit:
         return "admit";
-    case TraceDecision::Defer:
-        return "defer";
     case TraceDecision::WatermarkReject:
         return "watermark_reject";
     case TraceDecision::Drop:

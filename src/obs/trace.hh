@@ -6,7 +6,7 @@
  * The scheduler (and the worker threads stepping its sessions)
  * record typed events — iteration boundaries with batch composition,
  * per-session step spans carrying the op-class cost breakdown and
- * the early-exit depth, scheduler decisions (admit / defer / drop /
+ * the early-exit depth, scheduler decisions (admit / drop /
  * preempt / resume / cache-hit / backfill-grant / handoff), and DMA
  * channel busy spans — against the MODELED clock only. Recording is
  * pure appending: turning the trace on or off never changes
@@ -54,7 +54,6 @@ enum class TraceKind : int {
 /** Scheduler decisions recorded as instant events. */
 enum class TraceDecision : int {
     Admit = 0,        ///< waiting request entered execution
-    Defer,            ///< >= 1 candidate passed over (backpressure)
     WatermarkReject,  ///< admission blocked by the KV watermark
     Drop,             ///< deadline expired
     Cancel,           ///< consumer cancelled the stream
@@ -85,7 +84,7 @@ struct TraceEvent
     /** Per-device sub-track (admission-order slot) for step spans. */
     int lane = 0;
 
-    uint64_t request = 0; ///< 0 = no single request (e.g. Defer)
+    uint64_t request = 0; ///< 0 = no single request (e.g. KnobChange)
     TraceDecision decision = TraceDecision::Admit;
 
     int tokens = 0;        ///< committed / granted / cached tokens

@@ -30,12 +30,6 @@ BatchScheduler::BatchScheduler(const SchedulerOptions &opts) : opts_(opts)
     specee_assert(opts.prefix_cache.capacity_blocks >= 0,
                   "prefix_cache.capacity_blocks must be >= 0, got %d",
                   opts.prefix_cache.capacity_blocks);
-    specee_assert(opts.max_inflight_per_consumer >= 0,
-                  "max_inflight_per_consumer must be >= 0, got %d",
-                  opts.max_inflight_per_consumer);
-    specee_assert(opts.max_admissions_per_iteration >= 0,
-                  "max_admissions_per_iteration must be >= 0, got %d",
-                  opts.max_admissions_per_iteration);
     specee_assert(opts.timeline.window_s >= 0.0,
                   "timeline.window_s must be >= 0, got %f",
                   opts.timeline.window_s);
@@ -58,10 +52,8 @@ BatchScheduler::BatchScheduler(const SchedulerOptions &opts) : opts_(opts)
     // defaults here are placeholders — arm validation never reads
     // the defaults.
     AdaptiveController(opts.controller,
-                       ControllerKnobs{opts.prefill.chunk_tokens,
-                                       opts.kv_watermark,
-                                       opts.max_admissions_per_iteration,
-                                       0.5f, 0.5f});
+                       ControllerKnobs{opts.prefill.chunk_tokens, 0.5f,
+                                       0.5f});
 }
 
 namespace {
@@ -355,9 +347,8 @@ struct FleetState
     // to the controller-less scheduler.
     AdaptiveController ctl{
         opts.controller,
-        ControllerKnobs{opts.prefill.chunk_tokens, opts.kv_watermark,
-                        opts.max_admissions_per_iteration,
-                        ecfg.exit_threshold, ecfg.exit_threshold}};
+        ControllerKnobs{opts.prefill.chunk_tokens, ecfg.exit_threshold,
+                        ecfg.exit_threshold}};
     const bool controlled = ctl.enabled();
     obs::Timeline ctl_tl{
         obs::TimelineOptions{controlled ? ctl.epochSeconds() : 0.0}, t0,
@@ -379,8 +370,6 @@ struct FleetState
     PrefillOptions pf_opts = opts.prefill;
     PrefillPlanner planner{pf_opts};
     const bool chunked = planner.enabled();
-    double kv_watermark = opts.kv_watermark;
-    int admit_cap = opts.max_admissions_per_iteration;
 
     // --- counters --------------------------------------------------
     double occupancy = 0.0;
@@ -401,11 +390,6 @@ struct FleetState
     FleetStats fleet;
 
     // --- per-boundary / per-iteration scratch ----------------------
-    bool deferred = false; ///< a saturated consumer was passed over
-    // Fresh admissions this boundary (admit_cap gates them; swap-ins
-    // and handoff completions resume work already admitted and are
-    // never capped, so progress always holds).
-    int fresh_admits = 0;
     std::vector<int> grant; ///< planned prompt tokens per active slot
     double step_t0 = 0.0;
     // Shard high-water marks: everything a worker emits past its
@@ -527,14 +511,14 @@ struct FleetState
      */
     bool fitsWatermark(const Entry &head, long n_sessions)
     {
-        if (kv_watermark <= 0.0 || opts.kv_budget_blocks <= 0)
+        if (opts.kv_watermark <= 0.0 || opts.kv_budget_blocks <= 0)
             return true;
         long committed = fullRequestBlocks(head, peekCached(head));
         forEachOnDevice([&](const Entry &e) {
             committed += fullRequestBlocks(e, e.sim_adopted);
         });
         if (static_cast<double>(committed + iter_growth * n_sessions) <=
-            kv_watermark * opts.kv_budget_blocks)
+            opts.kv_watermark * opts.kv_budget_blocks)
             return true;
         ++fleet.watermark_rejections;
         decision(obs::TraceDecision::WatermarkReject, head.req.id);
@@ -602,23 +586,6 @@ struct FleetState
                ((sim + model::kKvBlockSize - 1) / model::kKvBlockSize);
     }
 
-    /**
-     * Per-consumer backpressure: a candidate whose consumer already
-     * decodes max_inflight_per_consumer sessions is passed over.
-     * Saturation needs >= 1 active session, so an empty fleet is never
-     * deferred and progress holds.
-     */
-    bool saturated(const Request &r) const
-    {
-        if (opts.max_inflight_per_consumer <= 0)
-            return false;
-        int c = 0;
-        for (const auto &a : active)
-            if (a.req.consumer == r.consumer)
-                ++c;
-        return c >= opts.max_inflight_per_consumer;
-    }
-
     /** Future arrivals are a contiguous sorted tail of the wait queue
      * (victims re-enter at the front, already arrived). */
     Scan arrived(const Entry &e) const
@@ -636,8 +603,7 @@ struct FleetState
     /**
      * Tier-first FIFO pick: the first interactive candidate `filter`
      * admits, else the first candidate of any tier; q.size() when there
-     * is none. Saturated consumers are passed over (and flag a
-     * deferral).
+     * is none.
      */
     size_t pickTierFirst(const std::deque<Entry> &q,
                          Scan (FleetState::*filter)(const Entry &) const)
@@ -649,10 +615,6 @@ struct FleetState
                 break;
             if (s == Scan::Skip)
                 continue;
-            if (saturated(q[i].req)) {
-                deferred = true;
-                continue;
-            }
             if (q[i].req.priority == Priority::Interactive)
                 return i;
             if (any == q.size())
@@ -732,7 +694,6 @@ struct FleetState
         if (e.first_admit_s < 0.0)
             e.first_admit_s = clock;
         ++fleet.admissions;
-        ++fresh_admits;
         decision(obs::TraceDecision::Admit, e.req.id);
     }
 
@@ -928,8 +889,6 @@ struct FleetState
                 continue;
             decision(obs::TraceDecision::KnobChange, 0, changed);
             const ControllerKnobs &k = ctl.knobs();
-            kv_watermark = k.kv_watermark;
-            admit_cap = k.max_admissions_per_iteration;
             if (chunked && k.chunk_tokens != pf_opts.chunk_tokens) {
                 pf_opts.chunk_tokens = k.chunk_tokens;
                 planner = PrefillPlanner(pf_opts);
@@ -1023,11 +982,9 @@ struct FleetState
         std::deque<Entry> &feed = disagg ? handoffQ : waiting;
         while (active.size() < slots) {
             const size_t sw = pickTierFirst(swappedQ, &FleetState::settled);
-            size_t cand = feed.size();
-            if (disagg)
-                cand = pickTierFirst(handoffQ, &FleetState::settled);
-            else if (admit_cap <= 0 || fresh_admits < admit_cap)
-                cand = pickTierFirst(waiting, &FleetState::arrived);
+            const size_t cand =
+                disagg ? pickTierFirst(handoffQ, &FleetState::settled)
+                       : pickTierFirst(waiting, &FleetState::arrived);
             const bool have_sw = sw < swappedQ.size();
             const bool have_new = cand < feed.size();
             if (!have_sw && !have_new)
@@ -1089,8 +1046,6 @@ struct FleetState
         while (static_cast<int>(prefilling.size()) < n_prefill_dev &&
                prefilling.size() + handoffQ.size() <
                    slots + static_cast<size_t>(n_prefill_dev)) {
-            if (admit_cap > 0 && fresh_admits >= admit_cap)
-                break;
             const size_t cand =
                 pickTierFirst(waiting, &FleetState::arrived);
             if (cand == waiting.size())
@@ -1121,16 +1076,6 @@ struct FleetState
             e.pf_done_s = clock;
             prefilling.push_back(std::move(e));
         }
-    }
-
-    /** One deferral instant per boundary, like the counter (several
-     * candidates may have been passed over). */
-    void recordDeferral()
-    {
-        if (!deferred)
-            return;
-        ++fleet.backpressure_deferrals;
-        decision(obs::TraceDecision::Defer, 0);
     }
 
     /**
@@ -1819,6 +1764,7 @@ BatchScheduler::run(const engines::Pipeline &pipe,
                                      return a.id < b.id;
                                  }),
                   "requests must be sorted by (arrival, id)");
+    requireUniqueIds(requests, "BatchScheduler::run");
 
     FleetState fs(opts_, pipe, std::move(engines), std::move(requests),
                   outcomes, on_token);
@@ -1827,13 +1773,8 @@ BatchScheduler::run(const engines::Pipeline &pipe,
         fs.settleLanded();
         fs.expire();
         fs.startHandoffs();
-        // Both admission phases share one boundary's fresh-admission
-        // cap and deferral flag.
-        fs.deferred = false;
-        fs.fresh_admits = 0;
         fs.admitDecodeSlots();
         fs.admitPrefillDevices();
-        fs.recordDeferral();
         fs.runPrefillDevices();
         if (fs.active.empty()) {
             fs.idleJump();

@@ -254,32 +254,12 @@ struct SchedulerOptions
     TopologyOptions topology;
 
     /**
-     * Admission-level backpressure: max concurrently decoding
-     * sessions per Request::consumer. A candidate whose consumer is
-     * saturated is passed over (fresh admission and swap-in alike)
-     * until one of its sessions retires; other consumers' requests
-     * admit past it. 0 (default) disables — admission is bit-
-     * identical to the uncapped scheduler.
-     */
-    int max_inflight_per_consumer = 0;
-
-    /**
-     * Cap on FRESH admissions per iteration boundary (fresh
-     * candidates and disaggregated prefill starts; swap-in restores
-     * and handoff completions are never capped — they resume work
-     * already admitted). Smooths the prefill-burst ITL spike of an
-     * arrival wave at the cost of queueing delay. 0 (default)
-     * disables, bit-identical to the uncapped scheduler.
-     */
-    int max_admissions_per_iteration = 0;
-
-    /**
      * SLO-driven adaptive control plane (serve::AdaptiveController):
      * at every decision epoch of the modeled clock the controller
      * reads the just-closed metrics window and Thompson-samples the
-     * next setting of each controlled knob — prefill chunk size, KV
-     * watermark, fresh-admission cap, per-tier exit thresholds —
-     * from its discrete arm set, optimizing windowed SLO attainment.
+     * next setting of each controlled knob — prefill chunk size and
+     * the per-tier exit thresholds — from its discrete arm set,
+     * optimizing windowed SLO attainment.
      * Knob changes land at iteration boundaries and are recorded as
      * knob_change trace decisions and in FleetStats::controller.
      * Off (default) is bit-identical — emissions AND modeled costs —
@@ -442,13 +422,6 @@ struct FleetStats
      * kv_watermark * kv_budget_blocks. 0 while the watermark is off.
      */
     long watermark_rejections = 0;
-
-    /**
-     * Iteration boundaries where at least one arrived candidate was
-     * passed over because its consumer was at
-     * max_inflight_per_consumer. 0 while the cap is off.
-     */
-    long backpressure_deferrals = 0;
 
     /**
      * Pipeline-stage accounting (stage graph of the fleet's engines;

@@ -19,11 +19,6 @@ AdaptiveController::AdaptiveController(const ControllerOptions &opts,
                   opts_.epoch_s);
     for (int c : opts_.chunk_arms)
         specee_assert(c >= 1, "chunk arm must be >= 1, got %d", c);
-    for (double w : opts_.watermark_arms)
-        specee_assert(w > 0.0 && w <= 1.0,
-                      "watermark arm must be in (0, 1], got %g", w);
-    for (int a : opts_.admit_arms)
-        specee_assert(a >= 0, "admission arm must be >= 0, got %d", a);
     for (float t : opts_.interactive_exit_arms)
         specee_assert(t > 0.0f && t < 1.0f,
                       "exit-threshold arm must be in (0, 1), got %g",
@@ -38,8 +33,6 @@ AdaptiveController::AdaptiveController(const ControllerOptions &opts,
     // toggling chunking itself would change admission structure.
     const size_t n_arms[kNumKnobs] = {
         defaults.chunk_tokens > 0 ? opts_.chunk_arms.size() : 0,
-        opts_.watermark_arms.size(),
-        opts_.admit_arms.size(),
         opts_.interactive_exit_arms.size(),
         opts_.batch_exit_arms.size(),
     };
@@ -123,15 +116,6 @@ AdaptiveController::sampleKnob(KnobId k)
     case KnobId::Chunk:
         moved = knobs_.chunk_tokens != opts_.chunk_arms[best];
         knobs_.chunk_tokens = opts_.chunk_arms[best];
-        break;
-    case KnobId::Watermark:
-        moved = knobs_.kv_watermark != opts_.watermark_arms[best];
-        knobs_.kv_watermark = opts_.watermark_arms[best];
-        break;
-    case KnobId::Admit:
-        moved = knobs_.max_admissions_per_iteration !=
-                opts_.admit_arms[best];
-        knobs_.max_admissions_per_iteration = opts_.admit_arms[best];
         break;
     case KnobId::InteractiveExit:
         moved = knobs_.interactive_exit_threshold !=

@@ -3,12 +3,11 @@
  * AdaptiveController — SLO-driven feedback control over scheduler
  * knobs.
  *
- * The batch scheduler exposes several knobs whose best setting
- * depends on the workload mix of the moment: the prefill chunk size
- * (small chunks protect ITL, big chunks finish prompts sooner), the
- * KV admission watermark (admit eagerly vs keep headroom), the
- * per-iteration fresh-admission cap, and the per-tier SpecEE exit
- * threshold (aggressive exits trade a little depth for latency).
+ * The batch scheduler exposes knobs whose best setting depends on
+ * the workload mix of the moment: the prefill chunk size (small
+ * chunks protect ITL, big chunks finish prompts sooner) and the
+ * per-tier SpecEE exit threshold (aggressive exits trade a little
+ * depth for latency).
  * A static choice is tuned for one mix and loses goodput-under-SLO
  * when the mix shifts.
  *
@@ -72,12 +71,6 @@ struct ControllerOptions
      */
     std::vector<int> chunk_arms;
 
-    /** KV admission watermark arms, each in (0, 1]. */
-    std::vector<double> watermark_arms;
-
-    /** Fresh-admissions-per-iteration cap arms (0 = unlimited). */
-    std::vector<int> admit_arms;
-
     /** Interactive-tier exit-threshold arms, each in (0, 1). */
     std::vector<float> interactive_exit_arms;
 
@@ -89,8 +82,6 @@ struct ControllerOptions
 struct ControllerKnobs
 {
     int chunk_tokens = 0;
-    double kv_watermark = 1.0;
-    int max_admissions_per_iteration = 0; ///< 0 = unlimited
     float interactive_exit_threshold = 0.0f;
     float batch_exit_threshold = 0.0f;
 };
@@ -123,12 +114,10 @@ class AdaptiveController
     enum class KnobId
     {
         Chunk = 0,
-        Watermark,
-        Admit,
         InteractiveExit,
         BatchExit,
     };
-    static constexpr int kNumKnobs = 5;
+    static constexpr int kNumKnobs = 3;
 
     /** Disabled controller (decide() must not be called). */
     AdaptiveController() = default;

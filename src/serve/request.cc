@@ -47,11 +47,14 @@ synthesizeStream(const StreamOptions &opts)
         r.priority = opts.priority;
         r.gen.n_instances = 1;
         r.gen.gen_len = opts.gen_len;
-        r.gen.prompt_len_override = opts.prompt_len;
         // Independent prompt per request: the workload generator is
         // seeded per request, not per stream.
         r.gen.seed = rng.next();
         r.seed = rng.next();
+        // Unshared prompt of the stream's length (0 keeps the dataset
+        // profile's); conversations below replace the spec.
+        r.prompt.suffix_len = opts.prompt_len;
+        r.prompt.suffix_seed = r.gen.seed;
         if (opts.rate_rps > 0.0) {
             // Poisson arrivals: exponential inter-arrival gaps.
             clock += -std::log(1.0 - rng.uniform()) / opts.rate_rps;
@@ -81,13 +84,9 @@ synthesizeStream(const StreamOptions &opts)
                 prev_turn.reset();
                 prev_id = 0;
             }
-            if (turn == 0 && !conv_shared && opts.turns == 1) {
-                // Standalone unshared prompt: the legacy path, with
-                // the spec as deprecated-shim mirror of prompt_len.
-                r.prompt = PromptSpec{};
-                r.prompt.suffix_len = opts.prompt_len;
-                r.prompt.suffix_seed = r.gen.seed;
-            } else if (turn == 0) {
+            // A standalone unshared prompt (turn 0, not shared,
+            // single-turn) keeps the spec set above.
+            if (turn == 0 && (conv_shared || opts.turns > 1)) {
                 // Conversation root. A non-shared conversation gets
                 // a private template so its own later turns still
                 // chain (and re-use their history), without
@@ -101,14 +100,12 @@ synthesizeStream(const StreamOptions &opts)
                            1ull);
                 r.prompt.prefix_len = tpl_len;
                 r.prompt.suffix_len = prompt_len - tpl_len;
-                r.prompt.suffix_seed = r.gen.seed;
-            } else {
+            } else if (turn > 0) {
                 // Continuation turn: extend the parent's full prompt
                 // with this turn's fresh text.
                 r.prompt.parent = prev_turn;
                 r.prompt.parent_id = prev_id;
                 r.prompt.suffix_len = std::max(1, prompt_len - tpl_len);
-                r.prompt.suffix_seed = r.gen.seed;
             }
             if (r.prompt.shared()) {
                 prev_turn = std::make_shared<PromptSpec>(r.prompt);
@@ -130,20 +127,25 @@ mergeStreams(std::vector<Request> a, std::vector<Request> b)
             return x.arrival_s < y.arrival_s;
         return x.id < y.id;
     });
-    // Duplicate ids would make token streams and outcome attribution
-    // ambiguous; the contract (use StreamOptions::id_base) is
+    // The disjoint-ids contract (use StreamOptions::id_base) is
     // enforced, not just documented.
+    requireUniqueIds(a, "mergeStreams");
+    return a;
+}
+
+void
+requireUniqueIds(const std::vector<Request> &rs, const char *who)
+{
     std::vector<uint64_t> ids;
-    ids.reserve(a.size());
-    for (const Request &r : a)
+    ids.reserve(rs.size());
+    for (const Request &r : rs)
         ids.push_back(r.id);
     std::sort(ids.begin(), ids.end());
     for (size_t i = 1; i < ids.size(); ++i) {
         specee_assert(ids[i] != ids[i - 1],
-                      "mergeStreams: duplicate request id %llu",
+                      "%s: duplicate request id %llu", who,
                       static_cast<unsigned long long>(ids[i]));
     }
-    return a;
 }
 
 workload::Workload

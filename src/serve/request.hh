@@ -48,13 +48,12 @@ struct Request
     workload::GenOptions gen;
 
     /**
-     * Prompt identity (template + suffix + parent turn). The
-     * default-constructed spec is unshared: the request's prompt
-     * length falls back to the deprecated knobs
-     * (gen.prompt_len_override, then the dataset profile) and the
-     * request never matches the prefix cache. buildPromptWorkload()
-     * is the single place the three legacy length knobs and this
-     * spec are reconciled.
+     * Prompt identity (template + suffix + parent turn). An unshared
+     * spec never matches the prefix cache; its suffix_len, when set,
+     * is the prompt length, else gen.prompt_len_override, else the
+     * dataset profile's default. buildPromptWorkload() is the single
+     * place the spec and GenOptions::prompt_len_override are
+     * reconciled.
      */
     PromptSpec prompt;
 
@@ -70,16 +69,6 @@ struct Request
 
     /** Latency tier (admission order and preemption preference). */
     Priority priority = Priority::Interactive;
-
-    /**
-     * Originating consumer (tenant / API key) for admission-level
-     * backpressure: SchedulerOptions::max_inflight_per_consumer caps
-     * how many of one consumer's requests decode concurrently, so a
-     * bursty tenant queues behind itself instead of monopolizing the
-     * fleet. 0 (default) is the anonymous consumer — with the cap
-     * unset every request lands there and admission is unchanged.
-     */
-    uint64_t consumer = 0;
 };
 
 /** Functional result + serving timeline of one completed request. */
@@ -206,6 +195,14 @@ std::vector<Request> synthesizeStream(const StreamOptions &opts);
  */
 std::vector<Request> mergeStreams(std::vector<Request> a,
                                   std::vector<Request> b);
+
+/**
+ * Die unless every request id in `rs` is distinct: token streams,
+ * outcomes, SLO verdicts and trace flows are all keyed by id, so a
+ * shared id would credit one request's work to another. `who` names
+ * the caller in the message.
+ */
+void requireUniqueIds(const std::vector<Request> &rs, const char *who);
 
 /**
  * Build the single-instance workload a request decodes — the one

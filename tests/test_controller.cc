@@ -44,8 +44,6 @@ singleArmOpts()
     o.enabled = true;
     o.epoch_s = 0.25;
     o.chunk_arms = {64};
-    o.watermark_arms = {0.5};
-    o.admit_arms = {2};
     o.interactive_exit_arms = {0.4f};
     o.batch_exit_arms = {0.6f};
     return o;
@@ -56,8 +54,6 @@ chunkedDefaults()
 {
     ControllerKnobs d;
     d.chunk_tokens = 128;
-    d.kv_watermark = 1.0;
-    d.max_admissions_per_iteration = 0;
     d.interactive_exit_threshold = 0.5f;
     d.batch_exit_threshold = 0.5f;
     return d;
@@ -72,7 +68,7 @@ TEST(Controller, DisabledByDefault)
     // The default-constructed knob set is the scheduler's "no
     // override" sentinel.
     EXPECT_EQ(c.knobs().chunk_tokens, 0);
-    EXPECT_DOUBLE_EQ(c.knobs().kv_watermark, 1.0);
+    EXPECT_FLOAT_EQ(c.knobs().interactive_exit_threshold, 0.0f);
     EXPECT_EQ(c.stats().epochs, 0);
 }
 
@@ -88,7 +84,7 @@ TEST(Controller, EmptyArmSetsFreezeEveryKnob)
     // hold the scheduler's static values forever.
     EXPECT_EQ(c.decide(0.25, window(10, 5, 2)), 0);
     EXPECT_EQ(c.knobs().chunk_tokens, 128);
-    EXPECT_DOUBLE_EQ(c.knobs().kv_watermark, 1.0);
+    EXPECT_FLOAT_EQ(c.knobs().interactive_exit_threshold, 0.5f);
     EXPECT_EQ(c.stats().epochs, 1);
     EXPECT_EQ(c.stats().knob_changes, 0);
 }
@@ -100,7 +96,7 @@ TEST(Controller, ChunkKnobFreezesOnUnchunkedSchedulers)
     unchunked.chunk_tokens = 0; // scheduler runs without chunking
     AdaptiveController c(o, unchunked);
     EXPECT_FALSE(c.knobActive(KnobId::Chunk));
-    EXPECT_TRUE(c.knobActive(KnobId::Watermark));
+    EXPECT_TRUE(c.knobActive(KnobId::InteractiveExit));
     // Chunking on/off is structural: the knob must never turn it on.
     c.decide(0.25, window(10, 10, 2));
     EXPECT_EQ(c.knobs().chunk_tokens, 0);
@@ -125,8 +121,6 @@ TEST(Controller, PosteriorsFollowWindowRewards)
             << k;
     // Single-arm knobs moved onto their only arm.
     EXPECT_EQ(c.knobs().chunk_tokens, 64);
-    EXPECT_DOUBLE_EQ(c.knobs().kv_watermark, 0.5);
-    EXPECT_EQ(c.knobs().max_admissions_per_iteration, 2);
     EXPECT_FLOAT_EQ(c.knobs().interactive_exit_threshold, 0.4f);
     EXPECT_FLOAT_EQ(c.knobs().batch_exit_threshold, 0.6f);
 
@@ -158,13 +152,15 @@ TEST(Controller, StarvationIsZeroRewardButIdleIsNoEvidence)
     c.decide(0.5, window(0, 0, 4));
     EXPECT_TRUE(c.stats().trajectory[1].reward_valid);
     EXPECT_DOUBLE_EQ(c.stats().trajectory[1].reward, 0.0);
-    EXPECT_DOUBLE_EQ(c.posteriorMean(KnobId::Watermark, 0), 1.0 / 3.0);
+    EXPECT_DOUBLE_EQ(c.posteriorMean(KnobId::InteractiveExit, 0),
+                     1.0 / 3.0);
 
     // A fully idle window (no iterations at all) is not evidence:
     // posteriors must hold still.
     c.decide(0.75, window(0, 0, 0));
     EXPECT_FALSE(c.stats().trajectory[2].reward_valid);
-    EXPECT_DOUBLE_EQ(c.posteriorMean(KnobId::Watermark, 0), 1.0 / 3.0);
+    EXPECT_DOUBLE_EQ(c.posteriorMean(KnobId::InteractiveExit, 0),
+                     1.0 / 3.0);
 }
 
 TEST(Controller, TrajectoryIsDeterministicForFixedInputs)
@@ -174,8 +170,6 @@ TEST(Controller, TrajectoryIsDeterministicForFixedInputs)
     o.seed = 7;
     o.epoch_s = 0.1;
     o.chunk_arms = {32, 64, 256};
-    o.watermark_arms = {0.5, 0.7, 0.9};
-    o.admit_arms = {0, 1, 4};
     o.interactive_exit_arms = {0.3f, 0.7f};
     o.batch_exit_arms = {0.3f, 0.7f};
 
@@ -196,12 +190,6 @@ TEST(Controller, TrajectoryIsDeterministicForFixedInputs)
     for (size_t i = 0; i < ta.size(); ++i) {
         EXPECT_EQ(ta[i].knobs.chunk_tokens, tb[i].knobs.chunk_tokens)
             << i;
-        EXPECT_DOUBLE_EQ(ta[i].knobs.kv_watermark,
-                         tb[i].knobs.kv_watermark)
-            << i;
-        EXPECT_EQ(ta[i].knobs.max_admissions_per_iteration,
-                  tb[i].knobs.max_admissions_per_iteration)
-            << i;
         EXPECT_FLOAT_EQ(ta[i].knobs.interactive_exit_threshold,
                         tb[i].knobs.interactive_exit_threshold)
             << i;
@@ -221,8 +209,6 @@ TEST(Controller, EveryChosenValueIsAMemberOfItsArmSet)
     o.seed = 3;
     o.epoch_s = 0.1;
     o.chunk_arms = {32, 128};
-    o.watermark_arms = {0.6, 0.8};
-    o.admit_arms = {0, 2};
     o.interactive_exit_arms = {0.3f, 0.5f};
     o.batch_exit_arms = {0.5f, 0.7f};
     AdaptiveController c(o, chunkedDefaults());
@@ -240,10 +226,6 @@ TEST(Controller, EveryChosenValueIsAMemberOfItsArmSet)
     for (const auto &ep : st.trajectory) {
         EXPECT_TRUE(ep.knobs.chunk_tokens == 32 ||
                     ep.knobs.chunk_tokens == 128);
-        EXPECT_TRUE(ep.knobs.kv_watermark == 0.6 ||
-                    ep.knobs.kv_watermark == 0.8);
-        EXPECT_TRUE(ep.knobs.max_admissions_per_iteration == 0 ||
-                    ep.knobs.max_admissions_per_iteration == 2);
         EXPECT_TRUE(ep.knobs.interactive_exit_threshold == 0.3f ||
                     ep.knobs.interactive_exit_threshold == 0.5f);
         EXPECT_TRUE(ep.knobs.batch_exit_threshold == 0.5f ||
@@ -264,24 +246,24 @@ TEST(Controller, ThompsonConvergesOnTheRewardingArm)
     o.enabled = true;
     o.seed = 11;
     o.epoch_s = 0.1;
-    o.watermark_arms = {0.5, 0.9}; // arm 1 is the rewarding one
+    o.chunk_arms = {64, 256}; // arm 1 is the rewarding one
     AdaptiveController c(o, chunkedDefaults());
 
     c.decide(0.1, window(0, 0, 0)); // go live (no evidence yet)
     int good_late = 0;
     const int kEpochs = 300, kTail = 100;
     for (int i = 1; i <= kEpochs; ++i) {
-        // The environment pays off only when the live watermark is
-        // 0.9: the bandit sees attainment 1.0 under arm 1, 0.0 under
+        // The environment pays off only when the live chunk size is
+        // 256: the bandit sees attainment 1.0 under arm 1, 0.0 under
         // arm 0.
-        const bool good = c.knobs().kv_watermark == 0.9;
+        const bool good = c.knobs().chunk_tokens == 256;
         if (good && i > kEpochs - kTail)
             ++good_late;
         c.decide(0.1 * (i + 1), window(100, good ? 100 : 0, 10));
     }
-    EXPECT_GT(c.posteriorMean(KnobId::Watermark, 1),
-              c.posteriorMean(KnobId::Watermark, 0));
-    EXPECT_GT(c.posteriorMean(KnobId::Watermark, 1), 0.8);
+    EXPECT_GT(c.posteriorMean(KnobId::Chunk, 1),
+              c.posteriorMean(KnobId::Chunk, 0));
+    EXPECT_GT(c.posteriorMean(KnobId::Chunk, 1), 0.8);
     // Late in the run the rewarding arm dominates the choices.
     EXPECT_GT(good_late, kTail / 2);
 }
@@ -315,8 +297,6 @@ ctlOpts()
     c.seed = 5;
     c.epoch_s = 0.1;
     c.chunk_arms = {64, 128, 256};
-    c.watermark_arms = {0.6, 0.9};
-    c.admit_arms = {0, 2};
     c.interactive_exit_arms = {0.3f, 0.6f};
     c.batch_exit_arms = {0.3f, 0.6f};
     return c;
@@ -354,13 +334,11 @@ TEST(ControllerEndToEnd, DisabledControllerIsBitInert)
     const auto r_plain = plain.drain();
 
     // Same scheduler with the controller CONFIGURED but disabled —
-    // arm sets present, epoch set, master switch off — plus the
-    // admission cap at its inert zero. PR 9's modeled run must
-    // survive bit-identically.
+    // arm sets present, epoch set, master switch off. The modeled run
+    // must survive bit-identically.
     auto off = ctlServerOpts(3);
     off.sched.controller = ctlOpts();
     off.sched.controller.enabled = false;
-    off.sched.max_admissions_per_iteration = 0;
     serve::Server s_off(pipe, off);
     s_off.submit(stream);
     const auto r_off = s_off.drain();
@@ -413,11 +391,6 @@ TEST(ControllerEndToEnd, TrajectoryIsWorkerCountInvariant)
         EXPECT_EQ(x.reward_valid, y.reward_valid) << i;
         EXPECT_EQ(x.changed, y.changed) << i;
         EXPECT_EQ(x.knobs.chunk_tokens, y.knobs.chunk_tokens) << i;
-        EXPECT_DOUBLE_EQ(x.knobs.kv_watermark, y.knobs.kv_watermark)
-            << i;
-        EXPECT_EQ(x.knobs.max_admissions_per_iteration,
-                  y.knobs.max_admissions_per_iteration)
-            << i;
         EXPECT_FLOAT_EQ(x.knobs.interactive_exit_threshold,
                         y.knobs.interactive_exit_threshold)
             << i;
@@ -471,36 +444,4 @@ TEST(ControllerEndToEnd, KnobChangeTraceDecisionsReconcile)
     // One instant per epoch that moved >= 1 knob, carrying the count.
     EXPECT_EQ(events, moved_epochs);
     EXPECT_EQ(event_changed, changed_sum);
-}
-
-TEST(ControllerEndToEnd, StaticAdmissionCapPreservesEmissions)
-{
-    unsetenv("SPECEE_TRACE");
-    const auto &pipe = testutil::tinyPipeline();
-    // A burst: every request arrives at t = 0.
-    serve::StreamOptions burst;
-    burst.n_requests = 6;
-    burst.gen_len = 8;
-    burst.seed = 0xadc;
-    const auto stream = serve::synthesizeStream(burst);
-
-    serve::ServeReport reps[2];
-    const int caps[2] = {0, 1};
-    for (int i = 0; i < 2; ++i) {
-        auto o = ctlServerOpts(2);
-        o.sched.max_admissions_per_iteration = caps[i];
-        serve::Server s(pipe, o);
-        s.submit(stream);
-        reps[i] = s.drain();
-    }
-    // The cap spreads the burst over boundaries: scheduling changes,
-    // per-request emissions don't (seeded decode is schedule-blind).
-    EXPECT_EQ(reps[0].fleet.tokens, reps[1].fleet.tokens);
-    EXPECT_EQ(reps[1].fleet.dropped, 0);
-    ASSERT_EQ(reps[0].outcomes.size(), reps[1].outcomes.size());
-    for (size_t i = 0; i < reps[0].outcomes.size(); ++i) {
-        ASSERT_EQ(reps[1].outcomes[i].result.emissions.size(), 1u);
-        EXPECT_EQ(reps[0].outcomes[i].result.emissions[0].tokens,
-                  reps[1].outcomes[i].result.emissions[0].tokens);
-    }
 }

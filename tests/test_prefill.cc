@@ -129,10 +129,8 @@ TEST(ChunkedPrefill, DisabledStaysBitIdenticalToRunOne)
     auto engine = pipe.makeEngine(opts.engine, opts.spec);
     ASSERT_EQ(rep.outcomes.size(), stream.size());
     for (const auto &o : rep.outcomes) {
-        workload::GenOptions gen = o.request.gen;
-        gen.n_instances = 1;
-        const auto w = pipe.makeWorkload(o.request.dataset, gen,
-                                         engine->config().q4Calibrated());
+        const auto w = serve::buildPromptWorkload(
+            pipe, o.request, engine->config().q4Calibrated());
         auto ref = engine->runOne(w, 0, o.request.seed);
         ASSERT_EQ(o.result.emissions.size(), 1u);
         EXPECT_EQ(o.result.emissions[0].tokens, ref.emissions[0].tokens);
@@ -163,10 +161,8 @@ TEST(ChunkedPrefill, ChunkedOutputsBitIdenticalTokensCostedPrompts)
     ASSERT_EQ(rep.outcomes.size(), stream.size());
     long expect_chunks = 0, expect_tokens = 0;
     for (const auto &o : rep.outcomes) {
-        workload::GenOptions gen = o.request.gen;
-        gen.n_instances = 1;
-        const auto w = pipe.makeWorkload(o.request.dataset, gen,
-                                         engine->config().q4Calibrated());
+        const auto w = serve::buildPromptWorkload(
+            pipe, o.request, engine->config().q4Calibrated());
         auto ref = engine->runOne(w, 0, o.request.seed);
         ASSERT_EQ(o.result.emissions.size(), 1u);
         EXPECT_EQ(o.result.emissions[0].tokens, ref.emissions[0].tokens);

@@ -120,6 +120,22 @@ TEST(Server, BoundedQueueBackpressure)
     EXPECT_EQ(rep.outcomes.size(), 2u);
 }
 
+TEST(Server, DuplicateRequestIdsDie)
+{
+    // SLO verdicts, controller rewards and trace flows are keyed by
+    // request id: a shared id must fail loudly, not cross-credit.
+    const auto &pipe = testutil::tinyPipeline();
+    auto stream = makeStream(2, 0.0, 6);
+    stream[1].id = stream[0].id;
+    EXPECT_DEATH(
+        {
+            serve::Server server(pipe, serverOpts(1, 2));
+            server.submit(stream);
+            server.drain();
+        },
+        "duplicate request id");
+}
+
 TEST(RequestStream, PoissonArrivalsAreOrderedAndDeterministic)
 {
     auto a = makeStream(16, 4.0);
@@ -336,11 +352,8 @@ TEST(Server, LiveSequentialMatchesRunOne)
         hw::HardwareSpec::a100());
     ASSERT_EQ(rep.outcomes.size(), stream.size());
     for (const auto &o : rep.outcomes) {
-        workload::GenOptions gen = o.request.gen;
-        gen.n_instances = 1;
-        const auto w = pipe.makeWorkload(
-            o.request.dataset, gen,
-            engine->config().q4Calibrated());
+        const auto w = serve::buildPromptWorkload(
+            pipe, o.request, engine->config().q4Calibrated());
         auto ref = engine->runOne(w, 0, o.request.seed);
         ASSERT_EQ(o.result.emissions.size(), 1u);
         EXPECT_EQ(o.result.emissions[0].tokens, ref.emissions[0].tokens);
@@ -374,10 +387,8 @@ TEST(Server, BatchedRequestsBitIdenticalToRunOne)
         engines::EngineConfig::huggingFace().withSpecEE(),
         hw::HardwareSpec::a100());
     for (const auto &o : rep.outcomes) {
-        workload::GenOptions gen = o.request.gen;
-        gen.n_instances = 1;
-        const auto w = pipe.makeWorkload(
-            o.request.dataset, gen, engine->config().q4Calibrated());
+        const auto w = serve::buildPromptWorkload(
+            pipe, o.request, engine->config().q4Calibrated());
         auto ref = engine->runOne(w, 0, o.request.seed);
         EXPECT_EQ(o.result.emissions[0].tokens, ref.emissions[0].tokens);
         EXPECT_EQ(o.result.stats.modeled_time_s,

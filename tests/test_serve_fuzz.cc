@@ -3,7 +3,7 @@
  * Randomized scheduler stress harness (ctest label: fuzz).
  *
  * Every seed synthesizes a random serving scenario — arrivals,
- * tiers, deadlines, prompt lengths (GenOptions::prompt_len_override),
+ * tiers, deadlines, prompt lengths (StreamOptions::prompt_len),
  * chunk sizes, iteration budgets, KV budgets, watermarks, preempt
  * modes, batch widths, consumer cancellation, prefix-cache state
  * (shared templates, multi-turn chains, tight cache capacities) —
@@ -31,10 +31,7 @@
  *     UNSHARDED isolated decode (sharding re-prices, never
  *     re-tokenizes), and on tp = 1 / pp = 1 draws toggling the
  *     stage knobs is bit-inert;
- *  7. per-consumer backpressure: the deferral counter is zero while
- *     the cap is off, and capped streams still drain to terminal
- *     states (no starvation);
- *  8. fleet topologies (random device counts, prefill/decode
+ *  7. fleet topologies (random device counts, prefill/decode
  *     disaggregation, transfer overlap): transfer-byte conservation
  *     (every byte sent over a DMA channel is received, none lost or
  *     duplicated), in-flight accounting engages only while overlap
@@ -42,16 +39,16 @@
  *     completed request on a disaggregated fleet crossed the peer
  *     link at least once, and worker-count bit-determinism holds
  *     with all knobs on;
- *  9. observability (random trace / timeline / SLO draws): all three
+ *  8. observability (random trace / timeline / SLO draws): all three
  *     knobs are bit-inert on emissions and modeled costs; the trace's
  *     decision-event counts reconcile EXACTLY with the fleet counters
  *     (admits, preempts by mechanism, resumes, handoffs, backfill
- *     grants, cache hits, drops, cancels, watermark rejections,
- *     deferrals) and its iteration spans with the iteration count;
+ *     grants, cache hits, drops, cancels, watermark rejections) and
+ *     its iteration spans with the iteration count;
  *     step / chunk spans never overlap within one (device, lane)
  *     track; and the merged trace, the timeline windows and the SLO
  *     verdicts are bit-identical across worker counts.
- * 10. adaptive control plane (random controller draws): the knob
+ *  9. adaptive control plane (random controller draws): the knob
  *     trajectory is bit-identical across worker counts, every chosen
  *     knob value is a member of its arm set (frozen knobs never
  *     move), the trace's knob-change events reconcile exactly with
@@ -184,15 +181,6 @@ drawScenario(uint64_t seed)
     sc.opts.engine = sc.opts.engine.withSharding(tp, pp);
     sc.opts.sched.stage_backfill = rng.bernoulli(0.5);
 
-    // --- per-consumer backpressure ---------------------------------
-    if (rng.bernoulli(0.35)) {
-        sc.opts.sched.max_inflight_per_consumer = rng.uniformInt(1, 2);
-        const uint64_t consumers =
-            static_cast<uint64_t>(rng.uniformInt(1, 3));
-        for (auto &r : sc.stream)
-            r.consumer = r.id % consumers;
-    }
-
     // --- streaming backpressure ------------------------------------
     if (rng.bernoulli(0.3)) {
         const auto &victim =
@@ -225,20 +213,11 @@ drawScenario(uint64_t seed)
         if (sc.opts.sched.prefill.chunk_tokens > 0 &&
             rng.bernoulli(0.5))
             ctl.chunk_arms = {64, 256};
-        if (rng.bernoulli(0.5))
-            ctl.watermark_arms = {0.5, 0.7, 0.9};
-        if (rng.bernoulli(0.5))
-            ctl.admit_arms = {0, 1, 2, 4};
         if (rng.bernoulli(0.5)) {
             ctl.interactive_exit_arms = {0.3f, 0.5f, 0.7f};
             ctl.batch_exit_arms = {0.3f, 0.5f, 0.7f};
         }
     }
-    // A static fresh-admission cap must stay invariant-clean with or
-    // without the controller steering it.
-    if (rng.bernoulli(0.25))
-        sc.opts.sched.max_admissions_per_iteration =
-            rng.uniformInt(0, 2);
     return sc;
 }
 
@@ -295,8 +274,8 @@ referenceTokens(const serve::Request &r, ReferenceCache &cache)
     rr.gen.n_instances = 1;
     // buildPromptWorkload is the prompt-identity authority: it
     // resolves shared PromptSpecs (template/parent chains) the same
-    // way the scheduler does, and reduces to the legacy
-    // prompt_len_override path for unshared requests.
+    // way the scheduler does, and reduces to the plain
+    // prompt-length path for unshared requests.
     const auto w = serve::buildPromptWorkload(
         pipe, rr, engine->config().q4Calibrated());
     auto ref = engine->runOne(w, 0, r.seed);
@@ -344,8 +323,7 @@ checkInvariants(const Scenario &sc, const RunCapture &cap,
         EXPECT_EQ(fleet.peak_host_kv_blocks, 0);
     }
     EXPECT_GE(fleet.swaps_out, fleet.swaps_in);
-    if (sc.opts.sched.kv_watermark <= 0.0 &&
-        sc.opts.sched.controller.watermark_arms.empty()) {
+    if (sc.opts.sched.kv_watermark <= 0.0) {
         EXPECT_EQ(fleet.watermark_rejections, 0);
     }
 
@@ -364,7 +342,7 @@ checkInvariants(const Scenario &sc, const RunCapture &cap,
         EXPECT_EQ(fleet.backfill_tokens, 0);
     }
 
-    // (8) transfer-byte conservation and topology-knob gating.
+    // (7) transfer-byte conservation and topology-knob gating.
     EXPECT_EQ(fleet.transfer_bytes_sent, fleet.transfer_bytes_received)
         << "DMA byte census out of balance";
     EXPECT_EQ(fleet.n_devices, sc.opts.sched.topology.devices);
@@ -390,10 +368,6 @@ checkInvariants(const Scenario &sc, const RunCapture &cap,
         }
     }
 
-    // (7) backpressure off must be inert.
-    if (sc.opts.sched.max_inflight_per_consumer <= 0) {
-        EXPECT_EQ(fleet.backpressure_deferrals, 0);
-    }
     if (!sc.opts.sched.prefix_cache.enabled) {
         // Cache off must be inert, even on streams full of shared
         // prompts.
@@ -416,7 +390,7 @@ checkInvariants(const Scenario &sc, const RunCapture &cap,
         EXPECT_LE(hit_outcomes, fleet.prefix_hits);
     }
 
-    // (9) observability: off = empty artifacts; on = exact
+    // (8) observability: off = empty artifacts; on = exact
     // reconciliation with the fleet counters and ordered spans.
     if (!sc.opts.sched.trace.enabled) {
         EXPECT_TRUE(fleet.trace.empty());
@@ -451,8 +425,6 @@ checkInvariants(const Scenario &sc, const RunCapture &cap,
                   fleet.prefix_hits);
         EXPECT_EQ(dec[obs::TraceDecision::WatermarkReject],
                   fleet.watermark_rejections);
-        EXPECT_EQ(dec[obs::TraceDecision::Defer],
-                  fleet.backpressure_deferrals);
         // One knob-change instant per epoch that moved something,
         // carrying the number of knobs moved.
         long change_epochs = 0;
@@ -513,7 +485,7 @@ checkInvariants(const Scenario &sc, const RunCapture &cap,
         EXPECT_LE(fleet.slo_attained, fleet.slo_evaluated);
     }
 
-    // (10) adaptive control plane: off = no trajectory at all; on =
+    // (9) adaptive control plane: off = no trajectory at all; on =
     // every chosen knob value is a member of its arm set, frozen
     // knobs never leave their static value, and the change counters
     // agree with the trajectory.
@@ -542,21 +514,6 @@ checkInvariants(const Scenario &sc, const RunCapture &cap,
             } else {
                 EXPECT_EQ(ep.knobs.chunk_tokens,
                           sc.opts.sched.prefill.chunk_tokens);
-            }
-            if (!cop.watermark_arms.empty()) {
-                EXPECT_TRUE(member(cop.watermark_arms,
-                                   ep.knobs.kv_watermark));
-            } else {
-                EXPECT_EQ(ep.knobs.kv_watermark,
-                          sc.opts.sched.kv_watermark);
-            }
-            if (!cop.admit_arms.empty()) {
-                EXPECT_TRUE(
-                    member(cop.admit_arms,
-                           ep.knobs.max_admissions_per_iteration));
-            } else {
-                EXPECT_EQ(ep.knobs.max_admissions_per_iteration,
-                          sc.opts.sched.max_admissions_per_iteration);
             }
             if (!cop.interactive_exit_arms.empty()) {
                 EXPECT_TRUE(
@@ -633,7 +590,6 @@ struct Coverage
     long prefix_hits = 0;
     long cache_evictions = 0;
     long backfill_tokens = 0;
-    long backpressure = 0;
     long handoffs = 0;
     long overlapped = 0;
     long trace_events = 0;
@@ -848,26 +804,8 @@ directedScenarios()
         ctl.seed = 7;
         ctl.epoch_s = 0.05;
         ctl.chunk_arms = {64, 256};
-        ctl.watermark_arms = {0.6, 0.9};
-        ctl.admit_arms = {0, 2};
         ctl.interactive_exit_arms = {0.3f, 0.6f};
         ctl.batch_exit_arms = {0.3f, 0.6f};
-        out.push_back(std::move(sc));
-    }
-    {
-        // Backpressure coverage: one consumer, cap 1 — every
-        // boundary with queued peers defers, yet the stream drains.
-        serve::StreamOptions so;
-        so.n_requests = 5;
-        so.gen_len = 10;
-        so.seed = 0xcafe;
-        Scenario sc;
-        sc.stream = serve::synthesizeStream(so);
-        sc.opts.engine =
-            engines::EngineConfig::huggingFace().withSpecEE();
-        sc.opts.spec = hw::HardwareSpec::a100();
-        sc.opts.sched.max_batch = 4;
-        sc.opts.sched.max_inflight_per_consumer = 1;
         out.push_back(std::move(sc));
     }
     return out;
@@ -942,7 +880,6 @@ fuzzScenario(const Scenario &sc, Coverage &cov)
     cov.prefix_hits += r1.rep.fleet.prefix_hits;
     cov.cache_evictions += r1.rep.fleet.cache_evictions;
     cov.backfill_tokens += r1.rep.fleet.backfill_tokens;
-    cov.backpressure += r1.rep.fleet.backpressure_deferrals;
     cov.handoffs += r1.rep.fleet.handoffs;
     cov.overlapped += r1.rep.fleet.transfers_overlapped;
     cov.trace_events += static_cast<long>(r1.rep.fleet.trace.size());
@@ -975,8 +912,6 @@ fuzzScenario(const Scenario &sc, Coverage &cov)
               r3.rep.fleet.backfill_grants);
     EXPECT_EQ(r1.rep.fleet.backfill_tokens,
               r3.rep.fleet.backfill_tokens);
-    EXPECT_EQ(r1.rep.fleet.backpressure_deferrals,
-              r3.rep.fleet.backpressure_deferrals);
     EXPECT_EQ(r1.rep.fleet.handoffs, r3.rep.fleet.handoffs);
     EXPECT_DOUBLE_EQ(r1.rep.fleet.handoff_gb, r3.rep.fleet.handoff_gb);
     EXPECT_EQ(r1.rep.fleet.transfers_overlapped,
@@ -1004,7 +939,7 @@ fuzzScenario(const Scenario &sc, Coverage &cov)
         EXPECT_DOUBLE_EQ(a.max_itl_s, b.max_itl_s);
     }
 
-    // (9) the observability artifacts themselves are bit-identical
+    // (8) the observability artifacts themselves are bit-identical
     // across worker counts: shards merge back into one sequence.
     expectTraceEqual(r1.rep.fleet.trace, r3.rep.fleet.trace);
     ASSERT_EQ(r1.rep.fleet.timeline.size(), r3.rep.fleet.timeline.size());
@@ -1026,7 +961,7 @@ fuzzScenario(const Scenario &sc, Coverage &cov)
     EXPECT_DOUBLE_EQ(r1.rep.fleet.goodput_under_slo,
                      r3.rep.fleet.goodput_under_slo);
 
-    // (10) the knob trajectory is a pure function of the modeled
+    // (9) the knob trajectory is a pure function of the modeled
     // run: bit-identical across worker counts, epoch by epoch.
     const auto &c1 = r1.rep.fleet.controller;
     const auto &c3 = r3.rep.fleet.controller;
@@ -1042,16 +977,13 @@ fuzzScenario(const Scenario &sc, Coverage &cov)
         EXPECT_EQ(a.reward_valid, b.reward_valid) << "epoch " << i;
         EXPECT_EQ(a.changed, b.changed) << "epoch " << i;
         EXPECT_EQ(a.knobs.chunk_tokens, b.knobs.chunk_tokens);
-        EXPECT_DOUBLE_EQ(a.knobs.kv_watermark, b.knobs.kv_watermark);
-        EXPECT_EQ(a.knobs.max_admissions_per_iteration,
-                  b.knobs.max_admissions_per_iteration);
         EXPECT_EQ(a.knobs.interactive_exit_threshold,
                   b.knobs.interactive_exit_threshold);
         EXPECT_EQ(a.knobs.batch_exit_threshold,
                   b.knobs.batch_exit_threshold);
     }
 
-    // (9) all three observability knobs together are bit-inert: the
+    // (8) all three observability knobs together are bit-inert: the
     // same scenario with every knob off reproduces the modeled run
     // exactly and produces no artifacts. Not claimed for
     // controller-on draws — the controller deliberately closes the
@@ -1081,7 +1013,7 @@ fuzzScenario(const Scenario &sc, Coverage &cov)
         EXPECT_EQ(rp.rep.fleet.slo_evaluated, 0);
     }
 
-    // (10) a configured-but-disabled controller is bit-inert: it
+    // (9) a configured-but-disabled controller is bit-inert: it
     // reproduces a run with no controller configured at all, and the
     // strict reference-stream identity holds again.
     if (sc.opts.sched.controller.enabled) {
@@ -1179,7 +1111,6 @@ TEST(ServeFuzz, RandomizedSchedulerInvariants)
     EXPECT_GT(cov.prefix_hits, 0);
     EXPECT_GT(cov.cache_evictions, 0);
     EXPECT_GT(cov.backfill_tokens, 0);
-    EXPECT_GT(cov.backpressure, 0);
     EXPECT_GT(cov.handoffs, 0);
     EXPECT_GT(cov.overlapped, 0);
     EXPECT_GT(cov.trace_events, 0);

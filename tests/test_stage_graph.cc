@@ -12,9 +12,8 @@
  * partition conserves the deployment and shows a 70B-class model
  * overflowing one A100 but fitting a tp2 x pp2 fleet; the
  * scheduler's stage-split pricing is never cheaper than the legacy
- * whole-model max (and identical at pp = 1); pipeline backfill only
- * ever adds grants on sharded fleets; and per-consumer admission
- * backpressure caps concurrent decodes without losing requests.
+ * whole-model max (and identical at pp = 1); and pipeline backfill
+ * only ever adds grants on sharded fleets.
  */
 
 #include <gtest/gtest.h>
@@ -256,7 +255,7 @@ TEST(StageMemory, SeventyBOverflowsOneDeviceButFitsTp2Pp2)
               vram_gb);
 }
 
-// --- fleet-level stage pricing, backfill, backpressure ---------------------
+// --- fleet-level stage pricing and backfill -------------------------------
 
 TEST(ShardedFleet, StagePricingKeepsEmissionsAndBoundsOccupancy)
 {
@@ -380,41 +379,4 @@ TEST(ShardedFleet, BackfillRidesExitFreedStages)
         EXPECT_EQ(ron.outcomes[i].result.emissions[0].tokens,
                   roff.outcomes[i].result.emissions[0].tokens);
     }
-}
-
-TEST(ShardedFleet, ConsumerBackpressureCapsInflight)
-{
-    serve::ServerOptions opts;
-    opts.engine = engines::EngineConfig::huggingFace().withSpecEE();
-    opts.spec = hw::HardwareSpec::a100();
-    opts.workers = 1;
-    opts.sched.max_batch = 4;
-    auto stream = flatStream(6, 10);
-
-    // All six requests share the default consumer; a cap of one
-    // serializes them even with four free slots.
-    auto capped = opts;
-    capped.sched.max_inflight_per_consumer = 1;
-    const auto rc = serveStream(capped, stream);
-    EXPECT_DOUBLE_EQ(rc.fleet.mean_batch_occupancy, 1.0);
-    EXPECT_GT(rc.fleet.backpressure_deferrals, 0);
-    for (const auto &o : rc.outcomes) {
-        EXPECT_FALSE(o.dropped); // deferred, never starved
-        ASSERT_EQ(o.result.emissions.size(), 1u);
-    }
-
-    // Cap off: identical knobs admit the full batch and the counter
-    // stays untouched.
-    const auto ru = serveStream(opts, stream);
-    EXPECT_EQ(ru.fleet.backpressure_deferrals, 0);
-    EXPECT_GT(ru.fleet.mean_batch_occupancy, 1.0);
-    EXPECT_EQ(ru.fleet.tokens, rc.fleet.tokens);
-    EXPECT_LE(ru.fleet.makespan_s, rc.fleet.makespan_s);
-
-    // Two consumers, cap 1: at most two decode concurrently.
-    for (auto &r : stream)
-        r.consumer = r.id % 2;
-    const auto r2 = serveStream(capped, stream);
-    EXPECT_LE(r2.fleet.mean_batch_occupancy, 2.0);
-    EXPECT_EQ(r2.fleet.tokens, rc.fleet.tokens);
 }

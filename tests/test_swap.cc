@@ -9,7 +9,7 @@
  * resuming without re-ingesting chunks, the auto policy never losing
  * to the dearer fixed mode on a given stream, the watermark bounding
  * chunked-admission thrash (including its interaction with
- * GenOptions::prompt_len_override), and the mergeStreams
+ * StreamOptions::prompt_len), and the mergeStreams
  * ordering / id-collision contract.
  */
 
@@ -241,10 +241,8 @@ TEST(SwapPreemption, SwapModeReproducesUnpreemptedRunExactly)
     auto engine = pipe.makeEngine(opts.engine, opts.spec);
     long swapped_requests = 0;
     for (const auto &o : pressed.outcomes) {
-        workload::GenOptions gen = o.request.gen;
-        gen.n_instances = 1;
-        const auto w = pipe.makeWorkload(o.request.dataset, gen,
-                                         engine->config().q4Calibrated());
+        const auto w = serve::buildPromptWorkload(
+            pipe, o.request, engine->config().q4Calibrated());
         const auto ref = engine->runOne(w, 0, o.request.seed);
         ASSERT_EQ(o.result.emissions.size(), 1u);
         EXPECT_EQ(o.result.emissions[0].tokens, ref.emissions[0].tokens);
@@ -449,7 +447,7 @@ TEST(SwapPreemption, RecomputeModeBitIdenticalToLegacyScheduler)
 
 TEST(Watermark, BoundsChunkedAdmissionThrashForLongPrompts)
 {
-    // Long prompts via GenOptions::prompt_len_override, chunked
+    // Long prompts via StreamOptions::prompt_len, chunked
     // admission and a tight budget: without the watermark, the
     // first-chunk reservation over-admits and the fleet thrashes
     // (admit, chunk, evict, recompute); with it, long prompts wait
@@ -457,7 +455,7 @@ TEST(Watermark, BoundsChunkedAdmissionThrashForLongPrompts)
     serve::StreamOptions so;
     so.n_requests = 6;
     so.gen_len = 8;
-    so.prompt_len = 4096; // becomes GenOptions::prompt_len_override
+    so.prompt_len = 4096; // each request's PromptSpec suffix_len
     so.seed = 0x77a7;
     const auto stream = serve::synthesizeStream(so);
 
