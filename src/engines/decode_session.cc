@@ -247,10 +247,8 @@ DecodeSession::captureCost(
     last_.tokens = tokens;
     last_.deepest_layer = lastDeepest_;
     last_.stages_used = g.stagesForDepth(lastDeepest_);
-    if (n_stages > 1) {
-        last_.stage_shared_s.assign(static_cast<size_t>(n_stages), 0.0);
-        last_.stage_shared_j.assign(static_cast<size_t>(n_stages), 0.0);
-    }
+    last_.stage_shared_s.assign(static_cast<size_t>(n_stages), 0.0);
+    last_.stage_shared_j.assign(static_cast<size_t>(n_stages), 0.0);
     // Apportion a layer-range charge across the stages it overlaps.
     const auto spread = [&](double dt, double de, int lo, int hi) {
         const int span = hi - lo;
@@ -284,7 +282,7 @@ DecodeSession::captureCost(
         }
         last_.shared_s += dt;
         last_.shared_j += de;
-        if (n_stages <= 1 || (dt == 0.0 && de == 0.0))
+        if (dt == 0.0 && de == 0.0)
             continue;
         switch (cls) {
         case hw::OpClass::DecoderLayer:

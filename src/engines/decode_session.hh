@@ -77,8 +77,7 @@ struct StepCost
      * stream over the traversed layers, KV fill over the skipped
      * tail, prefill weights over the full depth, embed/draft on
      * stage 0, the LM head on the exit stage. Sums to shared_s /
-     * shared_j. Empty on single-stage engines — the scalar fields
-     * are the legacy pricing inputs.
+     * shared_j; empty only on a default-constructed (idle) cost.
      */
     std::vector<double> stage_shared_s;
     std::vector<double> stage_shared_j;

@@ -17,45 +17,6 @@
 
 namespace specee::serve {
 
-BatchScheduler::BatchScheduler(const SchedulerOptions &opts) : opts_(opts)
-{
-    specee_assert(opts.max_batch >= 1, "max_batch must be >= 1, got %d",
-                  opts.max_batch);
-    specee_assert(opts.kv_budget_blocks >= 0,
-                  "kv_budget_blocks must be >= 0, got %d",
-                  opts.kv_budget_blocks);
-    specee_assert(opts.kv_watermark >= 0.0 && opts.kv_watermark <= 1.0,
-                  "kv_watermark must be in [0, 1], got %f",
-                  opts.kv_watermark);
-    specee_assert(opts.prefix_cache.capacity_blocks >= 0,
-                  "prefix_cache.capacity_blocks must be >= 0, got %d",
-                  opts.prefix_cache.capacity_blocks);
-    specee_assert(opts.timeline.window_s >= 0.0,
-                  "timeline.window_s must be >= 0, got %f",
-                  opts.timeline.window_s);
-    specee_assert(opts.topology.devices >= 1,
-                  "topology.devices must be >= 1, got %d",
-                  opts.topology.devices);
-    specee_assert(opts.topology.prefill_devices >= 0 &&
-                      opts.topology.prefill_devices <
-                          opts.topology.devices,
-                  "topology.prefill_devices must be in [0, devices), "
-                  "got %d of %d",
-                  opts.topology.prefill_devices, opts.topology.devices);
-    specee_assert(opts.topology.prefill_devices == 0 ||
-                      opts.prefill.chunk_tokens > 0,
-                  "disaggregated prefill devices need chunked prefill "
-                  "(prefill.chunk_tokens > 0)");
-    PrefillPlanner(opts.prefill); // validates the prefill knobs
-    // Validate the controller's arm sets eagerly (fail fast at
-    // construction, not at the first decision epoch). The exit
-    // defaults here are placeholders — arm validation never reads
-    // the defaults.
-    AdaptiveController(opts.controller,
-                       ControllerKnobs{opts.prefill.chunk_tokens, 0.5f,
-                                       0.5f});
-}
-
 namespace {
 
 /** One request moving through the waiting queue / decode slots. */
@@ -132,7 +93,7 @@ take(Queue &q, size_t i)
 }
 
 /**
- * Everything one BatchScheduler::run mutates: the five request
+ * Everything one runScheduler call mutates: the five request
  * queues, the modeled clock, the KV pools and prefix cache, the DMA
  * channels, observability and control, the live knobs and the
  * counters. Each scheduling phase is one member function; run()
@@ -176,8 +137,6 @@ struct FleetState
             "peer link (interconnect_gbs = 0)",
             engines.front()->platform().name.c_str());
         fleet.n_stages = n_stages;
-        fleet.n_devices = opts.topology.devices;
-        fleet.n_prefill_devices = n_prefill_dev;
 
         // One shared KV pool per worker engine. Its capacity bounds
         // block ids: a full decode batch of maximum-context sequences
@@ -1395,37 +1354,29 @@ struct FleetState
         // in lockstep at the slowest device. One device reproduces the
         // single-device arithmetic bit-identically.
         double dt = 0.0;
+        std::vector<double> st, se;
         for (int d = 0; d < n_decode_dev; ++d) {
-            double shared_t = 0.0, private_t = 0.0;
-            double shared_e = 0.0, private_e = 0.0;
+            double private_t = 0.0, private_e = 0.0;
+            st.assign(static_cast<size_t>(n_stages), 0.0);
+            se.assign(static_cast<size_t>(n_stages), 0.0);
             for (const auto &a : active) {
                 if (static_cast<int>(a.device) != d)
                     continue;
                 private_t += a.cost.private_s;
                 private_e += a.cost.private_j;
-                if (!staged) {
-                    shared_t = std::max(shared_t, a.cost.shared_s);
-                    shared_e = std::max(shared_e, a.cost.shared_j);
+                // An idle (chunk-starved or mid-DMA) session carries an
+                // empty vector and no cost.
+                if (a.cost.stage_shared_s.empty())
+                    continue;
+                for (size_t s = 0; s < st.size(); ++s) {
+                    st[s] = std::max(st[s], a.cost.stage_shared_s[s]);
+                    se[s] = std::max(se[s], a.cost.stage_shared_j[s]);
                 }
             }
-            if (staged) {
-                std::vector<double> st(static_cast<size_t>(n_stages), 0.0);
-                std::vector<double> se(static_cast<size_t>(n_stages), 0.0);
-                for (const auto &a : active) {
-                    // An idle (chunk-starved or mid-DMA) session carries
-                    // an empty vector and no cost.
-                    if (static_cast<int>(a.device) != d ||
-                        a.cost.stage_shared_s.empty())
-                        continue;
-                    for (size_t s = 0; s < st.size(); ++s) {
-                        st[s] = std::max(st[s], a.cost.stage_shared_s[s]);
-                        se[s] = std::max(se[s], a.cost.stage_shared_j[s]);
-                    }
-                }
-                for (size_t s = 0; s < st.size(); ++s) {
-                    shared_t += st[s];
-                    shared_e += se[s];
-                }
+            double shared_t = 0.0, shared_e = 0.0;
+            for (size_t s = 0; s < st.size(); ++s) {
+                shared_t += st[s];
+                shared_e += se[s];
             }
             dt = std::max(dt, shared_t + private_t);
             fleet.energy_j += shared_e + private_e;
@@ -1747,26 +1698,56 @@ struct FleetState
 } // namespace
 
 FleetStats
-BatchScheduler::run(const engines::Pipeline &pipe,
-                    std::vector<engines::Engine *> engines,
-                    std::vector<Request> requests,
-                    std::vector<RequestOutcome> &outcomes,
-                    const TokenCallback &on_token) const
+runScheduler(const SchedulerOptions &opts, const engines::Pipeline &pipe,
+             std::vector<engines::Engine *> engines,
+             std::vector<Request> requests,
+             std::vector<RequestOutcome> &outcomes,
+             const TokenCallback &on_token)
 {
+    specee_assert(opts.max_batch >= 1, "max_batch must be >= 1, got %d",
+                  opts.max_batch);
+    specee_assert(opts.kv_budget_blocks >= 0,
+                  "kv_budget_blocks must be >= 0, got %d",
+                  opts.kv_budget_blocks);
+    specee_assert(opts.kv_watermark >= 0.0 && opts.kv_watermark <= 1.0,
+                  "kv_watermark must be in [0, 1], got %f",
+                  opts.kv_watermark);
+    specee_assert(opts.prefix_cache.capacity_blocks >= 0,
+                  "prefix_cache.capacity_blocks must be >= 0, got %d",
+                  opts.prefix_cache.capacity_blocks);
+    specee_assert(opts.timeline.window_s >= 0.0,
+                  "timeline.window_s must be >= 0, got %f",
+                  opts.timeline.window_s);
+    specee_assert(opts.topology.devices >= 1,
+                  "topology.devices must be >= 1, got %d",
+                  opts.topology.devices);
+    specee_assert(opts.topology.prefill_devices >= 0 &&
+                      opts.topology.prefill_devices <
+                          opts.topology.devices,
+                  "topology.prefill_devices must be in [0, devices), "
+                  "got %d of %d",
+                  opts.topology.prefill_devices, opts.topology.devices);
+    specee_assert(opts.topology.prefill_devices == 0 ||
+                      opts.prefill.chunk_tokens > 0,
+                  "disaggregated prefill devices need chunked prefill "
+                  "(prefill.chunk_tokens > 0)");
+    PrefillPlanner(opts.prefill); // validates the prefill knobs
+    // Validate the controller's arm sets eagerly (fail fast here,
+    // not at the first decision epoch). The exit defaults are
+    // placeholders — arm validation never reads them.
+    AdaptiveController(opts.controller,
+                       ControllerKnobs{opts.prefill.chunk_tokens, 0.5f,
+                                       0.5f});
+
     outcomes.clear();
     if (requests.empty())
         return FleetStats{};
     specee_assert(!engines.empty(), "scheduler needs >= 1 engine");
-    specee_assert(std::is_sorted(requests.begin(), requests.end(),
-                                 [](const Request &a, const Request &b) {
-                                     if (a.arrival_s != b.arrival_s)
-                                         return a.arrival_s < b.arrival_s;
-                                     return a.id < b.id;
-                                 }),
-                  "requests must be sorted by (arrival, id)");
-    requireUniqueIds(requests, "BatchScheduler::run");
+    // Admission order never depends on submission interleaving.
+    std::sort(requests.begin(), requests.end(), arrivesBefore);
+    requireUniqueIds(requests, "runScheduler");
 
-    FleetState fs(opts_, pipe, std::move(engines), std::move(requests),
+    FleetState fs(opts, pipe, std::move(engines), std::move(requests),
                   outcomes, on_token);
     while (fs.pending()) {
         fs.closeEpochs();

@@ -2,10 +2,12 @@
  * @file
  * Live iteration-level continuous-batching scheduler.
  *
- * The scheduler drives DecodeSessions directly, vllm-style. Every
- * iteration boundary runs these phases, in order, over one fleet
- * state (the queues, the clock, the KV pools, the DMA channels, the
- * controller and the counters):
+ * runScheduler() is its one entry point; serve::Server::drain() is
+ * its caller. It takes the requests in (arrival, id) order and
+ * drives DecodeSessions directly, vllm-style. Every iteration
+ * boundary runs these phases, in order, over one fleet state (the
+ * queues, the clock, the KV pools, the DMA channels, the controller
+ * and the counters):
  *
  *  1. close epochs: the adaptive controller reduces every decision
  *     window the clock has passed and applies its knob changes;
@@ -122,7 +124,7 @@ enum class PreemptMode : int {
 /**
  * Logical fleet topology: how many modeled devices the fleet's
  * pricing spreads over, and how they specialize. The physical worker
- * engines passed to BatchScheduler::run execute the functional work
+ * engines passed to runScheduler execute the functional work
  * and may differ in count freely; the topology is what the cost
  * model prices, so results stay bit-identical for any worker count
  * at a fixed topology. The defaults (one unified device, serialized
@@ -380,7 +382,6 @@ struct FleetStats
     long preemptions = 0;     ///< sessions evicted for KV pressure
     long dropped = 0;         ///< requests dropped past deadline
     long cancelled = 0;       ///< requests cancelled by the consumer
-    long rejected = 0;        ///< requests refused at the queue
     long peak_kv_blocks = 0;  ///< peak fleet paged-KV occupancy
     /**
      * Paged-KV blocks whose storage the worker pools allocated, summed
@@ -457,8 +458,6 @@ struct FleetStats
      * peak_inflight_kv_blocks / _mem_gb track blocks pinned by
      * in-flight transfers at the per-iteration peak.
      */
-    int n_devices = 1;
-    int n_prefill_devices = 0;
     long handoffs = 0;
     double handoff_gb = 0.0;
     long transfers_overlapped = 0;
@@ -516,32 +515,22 @@ struct FleetStats
     ControllerStats controller;
 };
 
-/** Live iteration-level continuous-batching scheduler. */
-class BatchScheduler
-{
-  public:
-    explicit BatchScheduler(const SchedulerOptions &opts);
-
-    /**
-     * Serve `requests` (must be sorted by (arrival, id)) to
-     * completion over `engines`, one live DecodeSession per admitted
-     * request. Outcomes are returned in request order. Sessions are
-     * pinned round-robin to engines; engines step their sessions in
-     * parallel threads, but every scheduling and pricing decision is
-     * made on the caller's thread in admission order, so the result
-     * is bit-identical for any engine count >= 1.
-     */
-    FleetStats run(const engines::Pipeline &pipe,
-                   std::vector<engines::Engine *> engines,
-                   std::vector<Request> requests,
-                   std::vector<RequestOutcome> &outcomes,
-                   const TokenCallback &on_token = {}) const;
-
-    const SchedulerOptions &options() const { return opts_; }
-
-  private:
-    SchedulerOptions opts_;
-};
+/**
+ * Serve `requests` to completion over `engines`, one live
+ * DecodeSession per admitted request. Requests may come in any
+ * order: they are sorted by (arrival, id) (see arrivesBefore), and
+ * `outcomes` comes back in that order. Sessions are pinned
+ * round-robin to engines; engines step their sessions in parallel
+ * threads, but every scheduling and pricing decision is made on the
+ * caller's thread, so the result is bit-identical for any engine
+ * count >= 1.
+ */
+FleetStats runScheduler(const SchedulerOptions &opts,
+                        const engines::Pipeline &pipe,
+                        std::vector<engines::Engine *> engines,
+                        std::vector<Request> requests,
+                        std::vector<RequestOutcome> &outcomes,
+                        const TokenCallback &on_token = {});
 
 } // namespace specee::serve
 

@@ -2,13 +2,13 @@
  * @file
  * PromptSpec — first-class prompt identity for the serving layer.
  *
- * A prompt length alone (GenOptions::prompt_len_override or the
- * dataset profile's default) cannot say "these two requests begin
- * the same way". A PromptSpec names the prompt as (shared template,
- * per-request suffix, optional parent turn), and the deterministic
- * TRUE-dims token sequence is derived from it — which is exactly
- * what a radix prefix cache needs as its key: two requests share
- * cached KV iff their derived token sequences share a prefix.
+ * A prompt length alone (an explicit one or the dataset profile's
+ * default) cannot say "these two requests begin the same way". A
+ * PromptSpec names the prompt as (shared template, per-request
+ * suffix, optional parent turn), and the deterministic TRUE-dims
+ * token sequence is derived from it — which is exactly what a radix
+ * prefix cache needs as its key: two requests share cached KV iff
+ * their derived token sequences share a prefix.
  *
  * The functional simulator runs prompts at sim dims (kSimPromptLen
  * tokens for legacy prompts). Shared prompts instead derive their
@@ -62,7 +62,7 @@ simRowsForSpan(int true_tokens)
  * without template or parent is UNSHARED and never enters the cache:
  * its suffix_len (synthesizeStream writes StreamOptions::prompt_len
  * there) sets the prompt length, and a zero suffix_len falls back to
- * GenOptions::prompt_len_override, then the dataset profile.
+ * the dataset profile's.
  */
 struct PromptSpec
 {

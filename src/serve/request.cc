@@ -45,16 +45,15 @@ synthesizeStream(const StreamOptions &opts)
         r.dataset =
             opts.datasets[static_cast<size_t>(i) % opts.datasets.size()];
         r.priority = opts.priority;
-        r.gen.n_instances = 1;
-        r.gen.gen_len = opts.gen_len;
+        r.gen_len = opts.gen_len;
         // Independent prompt per request: the workload generator is
         // seeded per request, not per stream.
-        r.gen.seed = rng.next();
+        r.gen_seed = rng.next();
         r.seed = rng.next();
         // Unshared prompt of the stream's length (0 keeps the dataset
         // profile's); conversations below replace the spec.
         r.prompt.suffix_len = opts.prompt_len;
-        r.prompt.suffix_seed = r.gen.seed;
+        r.prompt.suffix_seed = r.gen_seed;
         if (opts.rate_rps > 0.0) {
             // Poisson arrivals: exponential inter-arrival gaps.
             clock += -std::log(1.0 - rng.uniform()) / opts.rate_rps;
@@ -122,11 +121,7 @@ mergeStreams(std::vector<Request> a, std::vector<Request> b)
 {
     a.insert(a.end(), std::make_move_iterator(b.begin()),
              std::make_move_iterator(b.end()));
-    std::sort(a.begin(), a.end(), [](const Request &x, const Request &y) {
-        if (x.arrival_s != y.arrival_s)
-            return x.arrival_s < y.arrival_s;
-        return x.id < y.id;
-    });
+    std::sort(a.begin(), a.end(), arrivesBefore);
     // The disjoint-ids contract (use StreamOptions::id_base) is
     // enforced, not just documented.
     requireUniqueIds(a, "mergeStreams");
@@ -152,23 +147,18 @@ workload::Workload
 buildPromptWorkload(const engines::Pipeline &pipe, const Request &r,
                     bool quantized_cal)
 {
+    workload::GenOptions gen;
+    gen.n_instances = 1;
+    gen.gen_len = r.gen_len;
+    gen.seed = r.gen_seed;
     if (!r.prompt.shared()) {
-        workload::GenOptions gen = r.gen;
-        // Deprecated-shim reconciliation: an unshared spec with an
-        // explicit length behaves exactly like the old
-        // prompt_len_override knob (pinned by test); a
-        // default-constructed spec leaves the legacy path untouched.
-        if (r.prompt.suffix_len > 0)
-            gen.prompt_len_override = r.prompt.suffix_len;
+        gen.prompt_len_override = r.prompt.suffix_len;
         return pipe.makeWorkload(r.dataset, gen, quantized_cal);
     }
     const std::vector<int> toks = resolvePromptTokens(r.prompt);
-    workload::GenOptions gen = r.gen;
     gen.prompt_len_override = static_cast<int>(toks.size());
     workload::Workload w =
         pipe.makeWorkload(r.dataset, gen, quantized_cal);
-    specee_assert(w.instances.size() == 1,
-                  "shared prompts need single-instance workloads");
     // The sim prompt becomes the stride-derived view of the true
     // tokens, so any two requests sharing K true tokens share their
     // first simRowsForSpan(K) sim tokens — the property that makes

@@ -44,16 +44,13 @@ struct Request
     uint64_t id = 0;
     std::string dataset = "MT-Bench";
 
-    /** Per-request generation options (n_instances is forced to 1). */
-    workload::GenOptions gen;
+    int gen_len = 48;           ///< decode steps (capped by the profile's)
+    uint64_t gen_seed = 0x10ad; ///< workload-generator seed
 
     /**
      * Prompt identity (template + suffix + parent turn). An unshared
      * spec never matches the prefix cache; its suffix_len, when set,
-     * is the prompt length, else gen.prompt_len_override, else the
-     * dataset profile's default. buildPromptWorkload() is the single
-     * place the spec and GenOptions::prompt_len_override are
-     * reconciled.
+     * is the prompt length, else the dataset profile's default.
      */
     PromptSpec prompt;
 
@@ -70,6 +67,18 @@ struct Request
     /** Latency tier (admission order and preemption preference). */
     Priority priority = Priority::Interactive;
 };
+
+/**
+ * Strict (arrival, id) order: the order the scheduler takes requests
+ * in and returns their outcomes in.
+ */
+inline bool
+arrivesBefore(const Request &a, const Request &b)
+{
+    if (a.arrival_s != b.arrival_s)
+        return a.arrival_s < b.arrival_s;
+    return a.id < b.id;
+}
 
 /** Functional result + serving timeline of one completed request. */
 struct RequestOutcome
@@ -144,9 +153,8 @@ struct StreamOptions
     /**
      * Prompt length override (true dims) for every request; <= 0
      * keeps each dataset profile's prompt length. Long-prompt sweeps
-     * set this to stress chunked prefill. DEPRECATED as a prompt
-     * identity: it is mirrored into each request's PromptSpec, which
-     * is what the serving layer now reads.
+     * set this to stress chunked prefill. It is mirrored into each
+     * request's PromptSpec, which is what the serving layer reads.
      */
     int prompt_len = 0;
 
@@ -188,10 +196,10 @@ struct StreamOptions
 std::vector<Request> synthesizeStream(const StreamOptions &opts);
 
 /**
- * Merge two request streams into (arrival, id) order — the order
- * the scheduler admits in. Ids must be disjoint (use
- * StreamOptions::id_base); mixed interactive/batch sweeps merge a
- * short-prompt interactive stream with a long-prompt batch stream.
+ * Merge two request streams into (arrival, id) order. Ids must be
+ * disjoint (use StreamOptions::id_base); mixed interactive/batch
+ * sweeps merge a short-prompt interactive stream with a long-prompt
+ * batch stream.
  */
 std::vector<Request> mergeStreams(std::vector<Request> a,
                                   std::vector<Request> b);
@@ -206,10 +214,9 @@ void requireUniqueIds(const std::vector<Request> &rs, const char *who);
 
 /**
  * Build the single-instance workload a request decodes — the one
- * place the prompt-identity knobs are reconciled. An unshared spec
- * follows the legacy path exactly (prompt_len_override, then the
- * dataset profile default), so pre-PromptSpec callers are
- * bit-identical; a shared spec derives its true-token sequence,
+ * place a request's workload::GenOptions is built. An unshared spec
+ * sets the true prompt length to its suffix_len (else the dataset
+ * profile default); a shared spec derives its true-token sequence,
  * overrides the cost model's true prompt length with it and replaces
  * the sim prompt with the stride-derived tokens (see prompt_spec.hh)
  * so equal true prefixes produce equal sim KV.

@@ -1,6 +1,5 @@
 #include "serve/server.hh"
 
-#include <algorithm>
 #include <cstdlib>
 
 #include "obs/trace.hh"
@@ -9,7 +8,7 @@
 namespace specee::serve {
 
 Server::Server(const engines::Pipeline &pipe, const ServerOptions &opts)
-    : pipe_(pipe), opts_(opts), queue_(opts.queue_capacity)
+    : pipe_(pipe), opts_(opts)
 {
     specee_assert(opts.workers >= 1, "server needs >= 1 worker, got %d",
                   opts.workers);
@@ -18,40 +17,30 @@ Server::Server(const engines::Pipeline &pipe, const ServerOptions &opts)
         engines_.push_back(pipe_.makeEngine(opts_.engine, opts_.spec));
 }
 
-bool
+void
 Server::submit(Request r)
 {
-    specee_assert(r.gen.gen_len > 0,
-                  "request %llu needs gen_len > 0, got %d",
-                  static_cast<unsigned long long>(r.id), r.gen.gen_len);
-    r.gen.n_instances = 1; // one generation per request
-    return queue_.push(std::move(r));
+    specee_assert(r.gen_len > 0, "request %llu needs gen_len > 0, got %d",
+                  static_cast<unsigned long long>(r.id), r.gen_len);
+    std::lock_guard<std::mutex> lock(mu_);
+    pending_.push_back(std::move(r));
 }
 
-size_t
+void
 Server::submit(std::vector<Request> rs)
 {
-    size_t accepted = 0;
     for (auto &r : rs)
-        accepted += submit(std::move(r)) ? 1 : 0;
-    return accepted;
+        submit(std::move(r));
 }
 
 ServeReport
 Server::drain()
 {
     std::vector<Request> requests;
-    Request r;
-    while (queue_.tryPop(r))
-        requests.push_back(std::move(r));
-
-    // Admission order never depends on submission interleaving.
-    std::sort(requests.begin(), requests.end(),
-              [](const Request &a, const Request &b) {
-                  if (a.arrival_s != b.arrival_s)
-                      return a.arrival_s < b.arrival_s;
-                  return a.id < b.id;
-              });
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        requests.swap(pending_);
+    }
 
     std::vector<engines::Engine *> engines;
     engines.reserve(engines_.size());
@@ -69,10 +58,9 @@ Server::drain()
     SchedulerOptions sopts = opts_.sched;
     if (!trace_path.empty())
         sopts.trace.enabled = true;
-    BatchScheduler sched(sopts);
-    report.fleet = sched.run(pipe_, engines, std::move(requests),
-                             report.outcomes, opts_.on_token);
-    report.fleet.rejected = static_cast<long>(queue_.rejected());
+    report.fleet = runScheduler(sopts, pipe_, std::move(engines),
+                                std::move(requests), report.outcomes,
+                                opts_.on_token);
 
     if (!trace_path.empty()) {
         const bool ok = obs::writeChromeTrace(

@@ -2,16 +2,18 @@
  * @file
  * Multi-request serving node (§7.2.1 cloud scenario at fleet scale).
  *
- * A Server owns a pool of worker engines built from one shared
- * trained Pipeline (predictor bank, AdaInfer SVMs, RAEE index and
- * corpus are immutable after training and safe to share). drain()
- * runs the live iteration-level BatchScheduler over the queued
- * requests: each request becomes a stepwise DecodeSession pinned to
- * a worker engine, sessions step in parallel per iteration, queued
- * requests are admitted into free slots at every iteration boundary,
- * and sessions are preempted (KV evicted, re-enqueued) when the
- * fleet KV budget runs out. Tokens stream to `on_token` as they are
- * emitted.
+ * A Server is the serving front door. It owns a pool of worker
+ * engines built from one shared trained Pipeline (predictor bank,
+ * AdaInfer SVMs, RAEE index and corpus are immutable after training
+ * and safe to share) and holds the requests submitted since the last
+ * drain. drain() hands them to the live iteration-level scheduler
+ * (runScheduler, batch_scheduler.hh): each request becomes a
+ * stepwise DecodeSession pinned to a worker engine, sessions step in
+ * parallel per iteration, waiting requests are admitted into free
+ * slots at every iteration boundary (interactive tier first, then
+ * (arrival, id) order), and sessions are preempted (KV evicted,
+ * re-enqueued) when the fleet KV budget runs out. Tokens stream to
+ * `on_token` as they are emitted.
  *
  *   serve::Server server(pipe, {.engine = cfg.withSpecEE()});
  *   server.submit(serve::synthesizeStream({.rate_rps = 8.0}));
@@ -24,22 +26,23 @@
  * the critical path — see TopologyOptions.
  *
  * Results are bit-deterministic for a fixed request stream no matter
- * how many workers run: every request decodes under its own seed and
- * all scheduling decisions are made in admission order on the fleet
- * clock. With max_batch = 1 and an unbounded KV budget the timeline
- * reduces exactly to sequential one-request-at-a-time serving.
+ * how many workers run or which threads submitted which request:
+ * every request decodes under its own seed and all scheduling
+ * decisions are made in admission order on the fleet clock. With
+ * max_batch = 1 and an unbounded KV budget the timeline reduces
+ * exactly to sequential one-request-at-a-time serving.
  */
 
 #ifndef SPECEE_SERVE_SERVER_HH
 #define SPECEE_SERVE_SERVER_HH
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "engines/pipeline.hh"
 #include "serve/batch_scheduler.hh"
-#include "serve/request_queue.hh"
 
 namespace specee::serve {
 
@@ -78,13 +81,6 @@ struct ServerOptions
     }
 
     /**
-     * Ingress queue bound; 0 = unbounded. Submissions beyond the
-     * bound are rejected (submit() returns false) and counted in
-     * FleetStats::rejected — the backpressure knob.
-     */
-    size_t queue_capacity = 0;
-
-    /**
      * Write the fleet event trace of the next drain() here as Chrome
      * trace-event JSON (load at https://ui.perfetto.dev). Non-empty
      * forces sched.trace.enabled for the run; the environment
@@ -108,7 +104,11 @@ struct ServerOptions
 /** Everything a drained request stream produced. */
 struct ServeReport
 {
-    /** Per-request outcomes in admission order. */
+    /**
+     * Per-request outcomes in (arrival, id) order — not admission
+     * order, which puts the interactive tier first and re-admits
+     * preempted requests.
+     */
     std::vector<RequestOutcome> outcomes;
 
     FleetStats fleet;
@@ -120,19 +120,15 @@ class Server
   public:
     Server(const engines::Pipeline &pipe, const ServerOptions &opts);
 
-    /** @return false when the queue rejected the request. */
-    bool submit(Request r);
-    /** @return number of requests accepted. */
-    size_t submit(std::vector<Request> rs);
-
-    /** Requests submitted but not yet drained. */
-    size_t pending() const { return queue_.size(); }
-
-    /** Requests rejected by the bounded queue so far. */
-    size_t rejected() const { return queue_.rejected(); }
+    /**
+     * Hold requests for the next drain(). Safe to call from several
+     * threads: the report never depends on the interleaving.
+     */
+    void submit(Request r);
+    void submit(std::vector<Request> rs);
 
     /**
-     * Serve every queued request to completion through the live
+     * Serve every submitted request to completion through the live
      * scheduler and reduce the fleet metrics. Deterministic for a
      * fixed stream regardless of the worker count.
      */
@@ -143,7 +139,8 @@ class Server
   private:
     const engines::Pipeline &pipe_;
     ServerOptions opts_;
-    RequestQueue queue_;
+    std::mutex mu_; ///< guards pending_
+    std::vector<Request> pending_;
     std::vector<std::unique_ptr<engines::Engine>> engines_;
 };
 

@@ -5,8 +5,8 @@
  * bit-identity of chunked outputs, mid-prefill edge cases (deadline
  * drop while chunks remain, KV-budget preemption of a partially
  * prefilled session with bit-identical recompute), determinism
- * across worker counts, the two-tier priority policy (queue order,
- * admission, preemption victims), streaming backpressure
+ * across worker counts, the two-tier priority policy (admission,
+ * preemption victims), streaming backpressure
  * cancellation, and the interactive-TTFT win of chunking over
  * monolithic priced prefill.
  */
@@ -334,31 +334,6 @@ TEST(ChunkedPrefill, InteractiveTtftBeatsMonolithicPrefill)
         EXPECT_EQ(rm.outcomes[i].result.emissions[0].tokens,
                   rc.outcomes[i].result.emissions[0].tokens);
     }
-}
-
-TEST(Priority, RequestQueuePopsInteractiveFirstFifoWithinTier)
-{
-    serve::RequestQueue q;
-    const auto push = [&](uint64_t id, serve::Priority p) {
-        serve::Request r;
-        r.id = id;
-        r.priority = p;
-        ASSERT_TRUE(q.push(std::move(r)));
-    };
-    push(0, serve::Priority::Batch);
-    push(1, serve::Priority::Interactive);
-    push(2, serve::Priority::Batch);
-    push(3, serve::Priority::Interactive);
-
-    serve::Request out;
-    ASSERT_TRUE(q.tryPop(out));
-    EXPECT_EQ(out.id, 1u); // oldest interactive
-    ASSERT_TRUE(q.tryPop(out));
-    EXPECT_EQ(out.id, 3u);
-    ASSERT_TRUE(q.tryPop(out));
-    EXPECT_EQ(out.id, 0u); // then batch, FIFO
-    ASSERT_TRUE(q.tryPop(out));
-    EXPECT_EQ(out.id, 2u);
 }
 
 TEST(Priority, BatchTierPreemptedBeforeInteractive)

@@ -4,8 +4,8 @@
  * referenced blocks, double-free and retain-of-free fatal,
  * copy-on-write isolation between sequences sharing a block),
  * PromptSpec derivation (deterministic token streams, shared
- * template prefixes, parent chains, the stride-64 sim mapping, the
- * deprecated length-knob shim), the radix tree itself (longest-
+ * template prefixes, parent chains, the stride-64 sim mapping, an
+ * unshared spec's explicit length), the radix tree itself (longest-
  * prefix match, edge splits, deepest-wins block tables, LRU leaf
  * eviction, clear), and the scheduler integration: cache-off
  * bit-identity to the cache-less scheduler, cache-on emissions
@@ -257,30 +257,27 @@ TEST(PromptSpec, StrideMappingSharesSimPrefixForSharedTrueTokens)
     EXPECT_EQ(sa.back(), ta.back() % 512);
 }
 
-TEST(PromptSpec, DeprecatedLengthShimMatchesPromptLenOverride)
+TEST(PromptSpec, UnsharedSuffixLenMatchesPromptLenOverride)
 {
     // An unshared spec with an explicit suffix length must build the
-    // exact workload the old GenOptions::prompt_len_override path
-    // builds — the consolidation is a shim, not a behavior change.
+    // exact workload GenOptions::prompt_len_override builds.
     const auto &pipe = testutil::tinyPipeline();
-    serve::Request legacy;
-    legacy.dataset = "SUM";
-    legacy.gen.n_instances = 1;
-    legacy.gen.gen_len = 16;
-    legacy.gen.seed = 0xabc;
-    legacy.gen.prompt_len_override = 777;
+    workload::GenOptions gen;
+    gen.n_instances = 1;
+    gen.gen_len = 16;
+    gen.seed = 0xabc;
+    gen.prompt_len_override = 777;
 
-    serve::Request shim;
-    shim.dataset = "SUM";
-    shim.gen.n_instances = 1;
-    shim.gen.gen_len = 16;
-    shim.gen.seed = 0xabc;
-    shim.prompt.suffix_len = 777;
-    shim.prompt.suffix_seed = 0xabc;
-    ASSERT_FALSE(shim.prompt.shared());
+    serve::Request r;
+    r.dataset = "SUM";
+    r.gen_len = 16;
+    r.gen_seed = 0xabc;
+    r.prompt.suffix_len = 777;
+    r.prompt.suffix_seed = 0xabc;
+    ASSERT_FALSE(r.prompt.shared());
 
-    const auto wa = serve::buildPromptWorkload(pipe, legacy, false);
-    const auto wb = serve::buildPromptWorkload(pipe, shim, false);
+    const auto wa = pipe.makeWorkload("SUM", gen, false);
+    const auto wb = serve::buildPromptWorkload(pipe, r, false);
     EXPECT_EQ(wa.true_prompt_len, 777);
     EXPECT_EQ(wa.true_prompt_len, wb.true_prompt_len);
     ASSERT_EQ(wa.instances.size(), wb.instances.size());
@@ -307,7 +304,7 @@ TEST(PromptSpec, StreamSharingKnobsLeaveLegacySeedsUntouched)
     bool any_shared = false;
     for (size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].seed, b[i].seed);
-        EXPECT_EQ(a[i].gen.seed, b[i].gen.seed);
+        EXPECT_EQ(a[i].gen_seed, b[i].gen_seed);
         EXPECT_DOUBLE_EQ(a[i].arrival_s, b[i].arrival_s);
         EXPECT_FALSE(a[i].prompt.shared());
         any_shared = any_shared || b[i].prompt.shared();

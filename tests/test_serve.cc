@@ -1,8 +1,8 @@
 /**
  * @file
- * Serving-layer tests: FIFO queue semantics (incl. bounded capacity
- * and push-after-close), deterministic live-batched fleet results
- * regardless of worker count, FIFO admission fairness,
+ * Serving-layer tests: deterministic live-batched fleet results
+ * regardless of worker count or submitting threads, FIFO and
+ * tier-first admission,
  * fleet-vs-per-request stats consistency, sequential equivalence of
  * the live scheduler with Engine::runOne, KV-pressure preemption,
  * deadline drops, per-token streaming / TTFT metrics, the
@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <thread>
 
 #include "serve/server.hh"
 #include "test_util.hh"
@@ -45,80 +46,6 @@ serverOpts(int workers, int max_batch)
 }
 
 } // namespace
-
-TEST(RequestQueue, FifoOrderAndClose)
-{
-    serve::RequestQueue q;
-    for (uint64_t i = 0; i < 5; ++i) {
-        serve::Request r;
-        r.id = i;
-        EXPECT_TRUE(q.push(std::move(r)));
-    }
-    EXPECT_EQ(q.size(), 5u);
-
-    serve::Request out;
-    for (uint64_t i = 0; i < 5; ++i) {
-        ASSERT_TRUE(q.tryPop(out));
-        EXPECT_EQ(out.id, i);
-    }
-    EXPECT_FALSE(q.tryPop(out));
-
-    q.close();
-    EXPECT_TRUE(q.closed());
-    EXPECT_FALSE(q.pop(out)); // closed + empty: no block, no item
-}
-
-TEST(RequestQueue, PushAfterCloseIsCountedNoOp)
-{
-    serve::RequestQueue q;
-    serve::Request r;
-    r.id = 7;
-    EXPECT_TRUE(q.push(r));
-    q.close();
-    // Defined no-op: returns false, queue unchanged, rejection
-    // counted (previously undefined behavior by precondition).
-    EXPECT_FALSE(q.push(r));
-    EXPECT_EQ(q.size(), 1u);
-    EXPECT_EQ(q.rejected(), 1u);
-    serve::Request out;
-    EXPECT_TRUE(q.tryPop(out));
-    EXPECT_EQ(out.id, 7u);
-}
-
-TEST(RequestQueue, BoundedCapacityRejectsWithCounter)
-{
-    serve::RequestQueue q(/*capacity=*/2);
-    EXPECT_EQ(q.capacity(), 2u);
-    serve::Request r;
-    EXPECT_TRUE(q.push(r));
-    EXPECT_TRUE(q.push(r));
-    EXPECT_FALSE(q.push(r)); // full
-    EXPECT_FALSE(q.push(r));
-    EXPECT_EQ(q.size(), 2u);
-    EXPECT_EQ(q.rejected(), 2u);
-    // Draining frees capacity again.
-    serve::Request out;
-    EXPECT_TRUE(q.tryPop(out));
-    EXPECT_TRUE(q.push(r));
-    EXPECT_EQ(q.rejected(), 2u);
-}
-
-TEST(Server, BoundedQueueBackpressure)
-{
-    const auto &pipe = testutil::tinyPipeline();
-    auto stream = makeStream(5, 0.0, 6);
-
-    auto opts = serverOpts(1, 2);
-    opts.queue_capacity = 2;
-    serve::Server server(pipe, opts);
-    EXPECT_EQ(server.submit(stream), 2u);
-    EXPECT_EQ(server.rejected(), 3u);
-
-    auto rep = server.drain();
-    EXPECT_EQ(rep.fleet.requests, 2);
-    EXPECT_EQ(rep.fleet.rejected, 3);
-    EXPECT_EQ(rep.outcomes.size(), 2u);
-}
 
 TEST(Server, DuplicateRequestIdsDie)
 {
@@ -190,9 +117,9 @@ TEST(Server, FifoAdmissionFairness)
     auto rep = server.drain();
 
     ASSERT_EQ(rep.outcomes.size(), 6u);
-    // Outcomes come back in admission order; with equal arrivals the
-    // tie-break is submission (id) order, and admission times never
-    // go backwards: nobody overtakes the queue.
+    // Outcomes come back in (arrival, id) order; with equal arrivals
+    // and one tier, admission follows id order, and admission times
+    // never go backwards: nobody overtakes the queue.
     for (size_t i = 0; i < rep.outcomes.size(); ++i) {
         const auto &o = rep.outcomes[i];
         EXPECT_EQ(o.request.id, static_cast<uint64_t>(i));
@@ -205,6 +132,74 @@ TEST(Server, FifoAdmissionFairness)
     EXPECT_DOUBLE_EQ(rep.outcomes[0].admit_s, 0.0);
     EXPECT_DOUBLE_EQ(rep.outcomes[1].admit_s, 0.0);
     EXPECT_GT(rep.outcomes[2].admit_s, 0.0);
+}
+
+TEST(Server, TierFirstAdmission)
+{
+    // All four arrive at t = 0 and one slot serves them one by one:
+    // the interactive tier goes first, each tier in id order.
+    const auto &pipe = testutil::tinyPipeline();
+    auto stream = makeStream(4, 0.0, 6);
+    stream[0].priority = serve::Priority::Batch;
+    stream[1].priority = serve::Priority::Interactive;
+    stream[2].priority = serve::Priority::Batch;
+    stream[3].priority = serve::Priority::Interactive;
+
+    serve::Server server(pipe, serverOpts(1, 1));
+    server.submit(stream);
+    const auto rep = server.drain();
+
+    ASSERT_EQ(rep.outcomes.size(), 4u);
+    for (size_t i = 0; i < rep.outcomes.size(); ++i)
+        ASSERT_EQ(rep.outcomes[i].request.id, static_cast<uint64_t>(i));
+    const auto admit = [&](size_t id) { return rep.outcomes[id].admit_s; };
+    EXPECT_DOUBLE_EQ(admit(1), 0.0);
+    EXPECT_LT(admit(1), admit(3));
+    EXPECT_LT(admit(3), admit(0));
+    EXPECT_LT(admit(0), admit(2));
+}
+
+TEST(Server, ConcurrentSubmitIsDeterministic)
+{
+    // Four threads split one stream; the report must be the one a
+    // single-thread submit gets, bit for bit.
+    const auto &pipe = testutil::tinyPipeline();
+    const auto stream = makeStream(12, 8.0);
+
+    serve::Server single(pipe, serverOpts(2, 4));
+    single.submit(stream);
+    const auto want = single.drain();
+
+    serve::Server shared(pipe, serverOpts(2, 4));
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t] {
+            for (size_t i = t; i < stream.size(); i += 4)
+                shared.submit(stream[i]);
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    const auto got = shared.drain();
+
+    ASSERT_EQ(got.outcomes.size(), want.outcomes.size());
+    for (size_t i = 0; i < want.outcomes.size(); ++i) {
+        const auto &a = want.outcomes[i];
+        const auto &b = got.outcomes[i];
+        EXPECT_EQ(a.request.id, b.request.id);
+        ASSERT_EQ(b.result.emissions.size(), 1u);
+        EXPECT_EQ(a.result.emissions[0].tokens,
+                  b.result.emissions[0].tokens);
+        EXPECT_EQ(a.admit_s, b.admit_s);
+        EXPECT_EQ(a.finish_s, b.finish_s);
+        EXPECT_EQ(a.ttft_s, b.ttft_s);
+        EXPECT_EQ(a.max_itl_s, b.max_itl_s);
+    }
+    EXPECT_EQ(got.fleet.tokens, want.fleet.tokens);
+    EXPECT_EQ(got.fleet.iterations, want.fleet.iterations);
+    EXPECT_EQ(got.fleet.makespan_s, want.fleet.makespan_s);
+    EXPECT_EQ(got.fleet.energy_j, want.fleet.energy_j);
+    EXPECT_EQ(got.fleet.p99_itl_s, want.fleet.p99_itl_s);
 }
 
 TEST(Server, FleetStatsMatchPerRequestStats)

@@ -18,7 +18,7 @@
  *  3. device KV occupancy never exceeds the budget, and the host
  *     pool stays empty unless swap preemption is enabled;
  *  4. every request ends in exactly one terminal state
- *     (done / dropped / rejected / cancelled), and the fleet
+ *     (done / dropped / cancelled), and the fleet
  *     counters agree with the per-outcome flags;
  *  5. on deadline-free scenarios under KV pressure, `auto` preempt
  *     mode never yields a worse modeled makespan than the dearer of
@@ -270,14 +270,12 @@ referenceTokens(const serve::Request &r, ReferenceCache &cache)
             engines::EngineConfig::huggingFace().withSpecEE(),
             hw::HardwareSpec::a100());
     }
-    serve::Request rr = r;
-    rr.gen.n_instances = 1;
     // buildPromptWorkload is the prompt-identity authority: it
     // resolves shared PromptSpecs (template/parent chains) the same
     // way the scheduler does, and reduces to the plain
     // prompt-length path for unshared requests.
     const auto w = serve::buildPromptWorkload(
-        pipe, rr, engine->config().q4Calibrated());
+        pipe, r, engine->config().q4Calibrated());
     auto ref = engine->runOne(w, 0, r.seed);
     return cache.emplace(r.id, std::move(ref.emissions[0].tokens))
         .first->second;
@@ -311,7 +309,6 @@ checkInvariants(const Scenario &sc, const RunCapture &cap,
     EXPECT_EQ(cancelled, fleet.cancelled);
     EXPECT_EQ(done + dropped + cancelled,
               static_cast<long>(sc.stream.size()));
-    EXPECT_EQ(fleet.rejected, 0); // unbounded ingress in this harness
 
     // (3) device KV occupancy bounded; host pool only under swap.
     if (sc.opts.sched.kv_budget_blocks > 0) {
@@ -345,9 +342,6 @@ checkInvariants(const Scenario &sc, const RunCapture &cap,
     // (7) transfer-byte conservation and topology-knob gating.
     EXPECT_EQ(fleet.transfer_bytes_sent, fleet.transfer_bytes_received)
         << "DMA byte census out of balance";
-    EXPECT_EQ(fleet.n_devices, sc.opts.sched.topology.devices);
-    EXPECT_EQ(fleet.n_prefill_devices,
-              sc.opts.sched.topology.prefill_devices);
     if (!sc.opts.sched.topology.overlap_transfers) {
         EXPECT_EQ(fleet.transfers_overlapped, 0);
         EXPECT_EQ(fleet.peak_inflight_kv_blocks, 0);
