@@ -39,7 +39,8 @@ randomVec(int n, uint64_t seed)
 struct HeadFixture
 {
     model::ModelConfig cfg = simCfg();
-    model::Weights w{cfg, false};
+    model::Weights w{cfg, tensor::WeightBackend::Fp32,
+                     tensor::WeightBackend::Fp32};
     model::LmHead head{w.embedding(), w.rmsFinal()};
     tensor::Vec hidden = randomVec(cfg.sim.hidden, 1);
 };
@@ -157,7 +158,8 @@ static void
 BM_FfnDense(benchmark::State &state)
 {
     auto cfg = simCfg();
-    model::Weights w(cfg, false);
+    model::Weights w(cfg, tensor::WeightBackend::Fp32,
+                     tensor::WeightBackend::Fp32);
     model::Ffn ffn(cfg);
     auto x = randomVec(cfg.sim.hidden, 7);
     tensor::Vec out(static_cast<size_t>(cfg.sim.hidden));
@@ -172,7 +174,8 @@ static void
 BM_FfnSparse(benchmark::State &state)
 {
     auto cfg = simCfg();
-    model::Weights w(cfg, false);
+    model::Weights w(cfg, tensor::WeightBackend::Fp32,
+                     tensor::WeightBackend::Fp32);
     model::Ffn ffn(cfg);
     auto x = randomVec(cfg.sim.hidden, 8);
     tensor::Vec out(static_cast<size_t>(cfg.sim.hidden));

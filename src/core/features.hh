@@ -64,8 +64,6 @@ class FeatureExtractor
      */
     tensor::CSpan extractFromLogits(tensor::CSpan sliced_logits);
 
-    const std::vector<int> &specTokens() const { return specTokens_; }
-
     /** Local probabilities of the latest extraction. */
     tensor::CSpan localProbs() const { return probs_; }
 

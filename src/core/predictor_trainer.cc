@@ -10,15 +10,6 @@
 
 namespace specee::core {
 
-size_t
-ProfileData::totalSamples() const
-{
-    size_t n = 0;
-    for (const auto &d : specee)
-        n += d.size();
-    return n;
-}
-
 namespace {
 
 /**

@@ -41,8 +41,6 @@ struct ProfileData
     std::vector<tensor::Vec> raee_probes;
     /** RAEE labels: oracle exit layer per probe. */
     std::vector<int> raee_exits;
-
-    size_t totalSamples() const;
 };
 
 /** Training options. */

@@ -335,12 +335,6 @@ DecodeSession::swapIn()
 }
 
 double
-DecodeSession::handoffSeconds() const
-{
-    return eng_.kvHandoffSeconds(modeledPositions());
-}
-
-double
 DecodeSession::chargeHandoff()
 {
     specee_assert(prefilled_,

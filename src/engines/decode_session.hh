@@ -214,13 +214,6 @@ class DecodeSession
     bool awaitingTransfer() const { return kv_->inTransfer(); }
 
     /**
-     * Modeled peer-link time to stream this session's KV (at its
-     * current length) from its prefill device to a decode device.
-     * Pure pricing for handoff planning.
-     */
-    double handoffSeconds() const;
-
-    /**
      * Charge the prefill->decode KV handoff of this session's cached
      * positions (OpClass::KvHandoff at true dims) into the session's
      * oplog. @return modeled transfer seconds @pre prefillDone()
@@ -286,9 +279,6 @@ class DecodeSession
      * only forward in time.
      */
     void setExitThreshold(float t) { exitThreshold_ = t; }
-
-    /** Exit-confidence bar this session decodes under. */
-    float exitThreshold() const { return exitThreshold_; }
 
   private:
     /** Take `kv` (null: a private pool) as the sequence's KV store. */

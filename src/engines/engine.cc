@@ -395,23 +395,13 @@ Engine::chargeKvSwap(hw::OpLog &log, hw::OpClass cls,
 }
 
 double
-Engine::kvHandoffSeconds(long positions) const
+Engine::chargeKvHandoff(hw::OpLog &log, long positions) const
 {
     if (positions <= 0)
         return 0.0;
     // Like the swap DMAs, one copy-engine stream per layer moves that
     // layer's block chain — but over the peer link, decode-device
     // bound, at the true-dims KV bytes of every cached position.
-    return cost_->interconnectSeconds(mcfg_.truthKvBytesPerToken() *
-                                          static_cast<double>(positions),
-                                      mcfg_.n_layers);
-}
-
-double
-Engine::chargeKvHandoff(hw::OpLog &log, long positions) const
-{
-    if (positions <= 0)
-        return 0.0;
     return cost_->accountInterconnect(
         log, hw::OpClass::KvHandoff,
         mcfg_.truthKvBytesPerToken() * static_cast<double>(positions),

@@ -257,14 +257,6 @@ class Engine
                         long positions) const;
 
     /**
-     * Modeled peer-link time to stream the KV of `positions` cached
-     * positions (true dims) from a prefill device to a decode device
-     * — one copy-engine stream per layer's block chain. Pure pricing
-     * for the scheduler's handoff planning.
-     */
-    double kvHandoffSeconds(long positions) const;
-
-    /**
      * Price one prefill->decode KV handoff (OpClass::KvHandoff) of
      * `positions` cached positions at true dims into `log`. Handoff
      * bytes are private per-request peer-link traffic — they never

@@ -6,15 +6,6 @@
 
 namespace specee::engines {
 
-int
-TreeShape::totalNodes() const
-{
-    int n = 0;
-    for (int w : widths)
-        n += w;
-    return n;
-}
-
 EngineConfig
 EngineConfig::huggingFace()
 {

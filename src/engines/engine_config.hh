@@ -33,7 +33,6 @@ struct TreeShape
     std::vector<int> widths = {4, 2, 2};
 
     int depth() const { return static_cast<int>(widths.size()); }
-    int totalNodes() const;
 };
 
 /**

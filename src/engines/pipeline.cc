@@ -42,8 +42,7 @@ Pipeline::Pipeline(const PipelineOptions &opts)
     topts.train = opts.train_cfg;
     topts.data_ratio = opts.data_ratio;
     report_ = core::PredictorTrainer::train(*preds_, profile_, topts);
-    adaReport_ =
-        core::PredictorTrainer::trainAdaInfer(ada_.svms, profile_, topts);
+    core::PredictorTrainer::trainAdaInfer(ada_.svms, profile_, topts);
 
     // --- RAEE baseline database -------------------------------------------
     raee_ = std::make_unique<core::RaeeIndex>(mcfg_.sim.hidden,

@@ -69,7 +69,6 @@ class Pipeline
     const std::vector<int> &offlineHotLayers() const { return hot_; }
     const core::ProfileData &profileData() const { return profile_; }
     const core::TrainReport &trainReport() const { return report_; }
-    const core::TrainReport &adaTrainReport() const { return adaReport_; }
     const PipelineOptions &options() const { return opts_; }
 
     /**
@@ -99,7 +98,6 @@ class Pipeline
     AdaInferBank ada_;
     core::ProfileData profile_;
     core::TrainReport report_;
-    core::TrainReport adaReport_;
     std::vector<int> hot_;
 };
 

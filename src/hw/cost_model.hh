@@ -139,7 +139,6 @@ class CostModel
     double accountInterconnect(OpLog &log, OpClass cls, double bytes,
                                int kernels = 1) const;
 
-    double bwEfficiency() const { return bwEff_; }
     double deviceWeightFrac() const { return devFrac_; }
     /** Head / embedding / draft weight compression (bits / 16). */
     double headCompression() const { return headComp_; }

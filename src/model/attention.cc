@@ -28,9 +28,9 @@ Attention::forward(const LayerWeights &lw, int layer, tensor::CSpan x_normed,
                   out.size() == static_cast<size_t>(hidden_),
                   "attention io size");
 
-    lw.wq.gemv(x_normed, q_);
-    lw.wk.gemv(x_normed, k_);
-    lw.wv.gemv(x_normed, v_);
+    lw.wq->gemv(x_normed, q_);
+    lw.wk->gemv(x_normed, k_);
+    lw.wv->gemv(x_normed, v_);
     tensor::rope(q_, static_cast<size_t>(heads_),
                  static_cast<size_t>(headDim_), static_cast<size_t>(pos));
     tensor::rope(k_, static_cast<size_t>(heads_),
@@ -63,7 +63,7 @@ Attention::forward(const LayerWeights &lw, int layer, tensor::CSpan x_normed,
                 ch[static_cast<size_t>(d)] += w * vh[static_cast<size_t>(d)];
         }
     }
-    lw.wo.gemv(ctx_, out);
+    lw.wo->gemv(ctx_, out);
 }
 
 } // namespace specee::model

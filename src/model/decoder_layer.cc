@@ -43,8 +43,8 @@ DecoderLayer::fillKv(const LayerWeights &lw, int layer, tensor::CSpan x,
                      int pos, KvStore &kv)
 {
     tensor::rmsnorm(x, lw.rms_attn, normed_);
-    lw.wk.gemv(normed_, k_);
-    lw.wv.gemv(normed_, v_);
+    lw.wk->gemv(normed_, k_);
+    lw.wv->gemv(normed_, v_);
     tensor::rope(k_, static_cast<size_t>(heads_),
                  static_cast<size_t>(headDim_), static_cast<size_t>(pos));
     kv.append(layer, k_, v_);

@@ -39,8 +39,6 @@ class DraftModel
     DraftModel(const ModelConfig &cfg, const oracle::SyntheticCorpus &corpus,
                double hit_rate);
 
-    double hitRate() const { return hitRate_; }
-
     /**
      * Cost of one draft forward in target-decoder-layer equivalents
      * (§5.1: one decoder layer, plus ~20% for reusing the resident

@@ -24,14 +24,14 @@ Ffn::forward(const LayerWeights &lw, tensor::CSpan x_normed,
     specee_assert(x_normed.size() == static_cast<size_t>(hidden_) &&
                   out.size() == static_cast<size_t>(hidden_),
                   "ffn io size");
-    lw.w_gate.gemv(x_normed, gate_);
-    lw.w_up.gemv(x_normed, up_);
+    lw.w_gate->gemv(x_normed, gate_);
+    lw.w_up->gemv(x_normed, up_);
     for (int i = 0; i < ffnDim_; ++i) {
         const float g = gate_[static_cast<size_t>(i)];
         act_[static_cast<size_t>(i)] =
             g * tensor::sigmoid(g) * up_[static_cast<size_t>(i)];
     }
-    lw.w_down.gemv(act_, out);
+    lw.w_down->gemv(act_, out);
     lastActive_ = ffnDim_;
 }
 
@@ -48,7 +48,7 @@ Ffn::forwardSparse(const LayerWeights &lw, tensor::CSpan x_normed,
     // Gate scores select the active neuron set (PowerInfer predicts
     // this set; we compute it exactly — same selected set, same cost
     // charged by the cost model).
-    lw.w_gate.gemv(x_normed, gate_);
+    lw.w_gate->gemv(x_normed, gate_);
     for (int i = 0; i < ffnDim_; ++i) {
         const float g = gate_[static_cast<size_t>(i)];
         act_[static_cast<size_t>(i)] = g * tensor::sigmoid(g);
@@ -65,9 +65,9 @@ Ffn::forwardSparse(const LayerWeights &lw, tensor::CSpan x_normed,
     for (const auto &[idx, mag] : top) {
         (void)mag;
         const size_t i = static_cast<size_t>(idx);
-        const float u = lw.w_up.rowDot(i, x_normed);
+        const float u = lw.w_up->rowDot(i, x_normed);
         const float a = act_[i] * u;
-        lw.w_down.addScaledColumn(i, a, out);
+        lw.w_down->addScaledColumn(i, a, out);
     }
     lastActive_ = keep;
 }

@@ -45,8 +45,6 @@ class KvCache : public KvStore
     /** Drop everything. */
     void clear() override;
 
-    int maxSeq() const { return maxSeq_; }
-
   private:
     int nLayers_;
     int maxSeq_;

@@ -5,7 +5,8 @@
 
 namespace specee::model {
 
-LmHead::LmHead(const WeightMat &embedding, const tensor::Vec &rms_final)
+LmHead::LmHead(const tensor::WeightStore &embedding,
+               const tensor::Vec &rms_final)
     : embedding_(embedding),
       rmsFinal_(rms_final),
       scratch_(embedding.cols())

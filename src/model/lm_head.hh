@@ -16,8 +16,8 @@
 
 #include <vector>
 
-#include "model/weights.hh"
 #include "tensor/matrix.hh"
+#include "tensor/weight_store.hh"
 
 namespace specee::model {
 
@@ -33,7 +33,8 @@ class LmHead
      * @param embedding  tied embedding store (vocab x hidden)
      * @param rms_final  final RMSNorm weight (hidden)
      */
-    LmHead(const WeightMat &embedding, const tensor::Vec &rms_final);
+    LmHead(const tensor::WeightStore &embedding,
+           const tensor::Vec &rms_final);
 
     int vocab() const { return static_cast<int>(embedding_.rows()); }
     int hidden() const { return static_cast<int>(embedding_.cols()); }
@@ -63,7 +64,7 @@ class LmHead
     /** Apply the final RMSNorm into scratch_. */
     void normalize(tensor::CSpan hidden_state) const;
 
-    const WeightMat &embedding_;
+    const tensor::WeightStore &embedding_;
     const tensor::Vec &rmsFinal_;
     mutable tensor::Vec scratch_;
 };

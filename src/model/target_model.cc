@@ -229,12 +229,4 @@ TargetModel::logitsSliced(const std::vector<int> &tokens,
     lmHead_.sliced(seq_->hidden, tokens, out);
 }
 
-tensor::Vec
-TargetModel::fullLogits() const
-{
-    tensor::Vec logits(static_cast<size_t>(cfg_.sim.vocab));
-    lmHead_.full(seq_->hidden, logits);
-    return logits;
-}
-
 } // namespace specee::model

@@ -213,9 +213,6 @@ class TargetModel
     void logitsSliced(const std::vector<int> &tokens,
                       tensor::Span out) const;
 
-    /** Full logits on the current hidden state. */
-    tensor::Vec fullLogits() const;
-
     /** KV store of the bound sequence (for tests). */
     const KvStore &kv() const { return *seq_->kv; }
 

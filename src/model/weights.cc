@@ -3,86 +3,9 @@
 #include <cmath>
 
 #include "tensor/kernels.hh"
-#include "util/logging.hh"
 #include "util/rng.hh"
 
 namespace specee::model {
-
-WeightMat::WeightMat(tensor::Matrix dense, tensor::WeightBackend backend)
-    : store_(tensor::makeWeightStore(std::move(dense), backend))
-{
-}
-
-const tensor::WeightStore &
-WeightMat::store() const
-{
-    specee_assert(store_ != nullptr, "access to an unbuilt WeightMat");
-    return *store_;
-}
-
-void
-WeightMat::gemv(tensor::CSpan x, tensor::Span y) const
-{
-    store().gemv(x, y);
-}
-
-void
-WeightMat::gemvRows(const std::vector<int> &rows, tensor::CSpan x,
-                    tensor::Span y) const
-{
-    store().gemvRows(rows, x, y);
-}
-
-void
-WeightMat::copyRow(size_t r, tensor::Span out) const
-{
-    store().copyRow(r, out);
-}
-
-tensor::Vec
-WeightMat::denseRow(size_t r) const
-{
-    tensor::Vec out(cols());
-    store().copyRow(r, out);
-    return out;
-}
-
-float
-WeightMat::rowDot(size_t r, tensor::CSpan x) const
-{
-    return store().rowDot(r, x);
-}
-
-void
-WeightMat::addScaledColumn(size_t c, float scale, tensor::Span out) const
-{
-    store().addScaledColumn(c, scale, out);
-}
-
-size_t
-WeightMat::rows() const
-{
-    return store_ != nullptr ? store_->rows() : 0;
-}
-
-size_t
-WeightMat::cols() const
-{
-    return store_ != nullptr ? store_->cols() : 0;
-}
-
-size_t
-WeightMat::byteSize() const
-{
-    return store_ != nullptr ? store_->byteSize() : 0;
-}
-
-tensor::WeightBackend
-WeightMat::backend() const
-{
-    return store_ != nullptr ? store_->backend()
-                             : tensor::WeightBackend::Fp32;
-}
 
 namespace {
 
@@ -117,24 +40,25 @@ Weights::Weights(const ModelConfig &cfg,
         if (n > 0.0f)
             tensor::scaleInplace(row, 1.0f / n);
     }
-    embedding_ = WeightMat(std::move(emb), head_backend);
+    embedding_ = tensor::makeWeightStore(std::move(emb), head_backend);
 
     // Projection scale keeps layer outputs O(1) per dim before the
     // per-layer renormalization in TargetModel.
     const float ps = 1.0f / std::sqrt(static_cast<float>(h));
+    auto proj = [&](size_t rows, size_t cols, float sd) {
+        return tensor::makeWeightStore(randomMatrix(rows, cols, sd, rng),
+                                       proj_backend);
+    };
     layers_.reserve(static_cast<size_t>(cfg.n_layers));
     for (int l = 0; l < cfg.n_layers; ++l) {
         LayerWeights lw;
-        lw.wq = WeightMat(randomMatrix(h, h, ps, rng), proj_backend);
-        lw.wk = WeightMat(randomMatrix(h, h, ps, rng), proj_backend);
-        lw.wv = WeightMat(randomMatrix(h, h, ps, rng), proj_backend);
-        lw.wo = WeightMat(randomMatrix(h, h, ps, rng), proj_backend);
-        lw.w_gate = WeightMat(randomMatrix(f, h, ps, rng), proj_backend);
-        lw.w_up = WeightMat(randomMatrix(f, h, ps, rng), proj_backend);
-        lw.w_down = WeightMat(
-            randomMatrix(h, f, 1.0f / std::sqrt(static_cast<float>(f)),
-                         rng),
-            proj_backend);
+        lw.wq = proj(h, h, ps);
+        lw.wk = proj(h, h, ps);
+        lw.wv = proj(h, h, ps);
+        lw.wo = proj(h, h, ps);
+        lw.w_gate = proj(f, h, ps);
+        lw.w_up = proj(f, h, ps);
+        lw.w_down = proj(h, f, 1.0f / std::sqrt(static_cast<float>(f)));
         lw.rms_attn.assign(h, 1.0f);
         lw.rms_ffn.assign(h, 1.0f);
         layers_.push_back(std::move(lw));

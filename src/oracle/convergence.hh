@@ -75,9 +75,6 @@ class ConvergenceProcess
     /** Clear the context history (new sequence). */
     void reset();
 
-    /** The skewed base distribution over exit layers. */
-    const std::vector<float> &baseDistribution() const { return base_; }
-
     /** Highest exitable layer (n_layers - 2; last layer has no predictor). */
     int maxExitLayer() const { return params_.n_layers - 2; }
 

@@ -58,12 +58,6 @@ SyntheticCorpus::candidates(int prev) const
     return out;
 }
 
-int
-SyntheticCorpus::candidateAt(int prev, int i) const
-{
-    return candidates(prev)[static_cast<size_t>(i)];
-}
-
 double
 SyntheticCorpus::prob(int prev, int next) const
 {

@@ -60,12 +60,6 @@ class SyntheticCorpus
     std::vector<int> sampleSequence(int n, Rng &rng) const;
 
   private:
-    /** i-th candidate for context prev (deterministic hash). */
-    int candidateAt(int prev, int i) const;
-
-    /** Geometric weight of candidate slot i (normalized to peak_mass). */
-    double candidateWeight(int i) const;
-
     int vocab_;
     uint64_t seed_;
     double peakMass_;

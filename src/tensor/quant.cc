@@ -8,6 +8,40 @@
 
 namespace specee::tensor {
 
+namespace {
+
+/**
+ * The GEMV row loops both quantized stores share. `W` is a final
+ * class, so each w.rowDot is a direct call, not a virtual one.
+ */
+template <class W>
+void
+quantGemv(const W &w, CSpan x, Span y)
+{
+    specee_assert(x.size() == w.cols() && y.size() == w.rows(),
+                  "%s gemv shape mismatch", weightBackendName(w.backend()));
+    for (size_t r = 0; r < w.rows(); ++r)
+        y[r] = w.rowDot(r, x);
+}
+
+template <class W>
+void
+quantGemvRows(const W &w, const std::vector<int> &rows, CSpan x, Span y)
+{
+    specee_assert(x.size() == w.cols() && y.size() == rows.size(),
+                  "%s gemvRows shape mismatch",
+                  weightBackendName(w.backend()));
+    for (size_t i = 0; i < rows.size(); ++i) {
+        specee_assert(rows[i] >= 0 &&
+                      static_cast<size_t>(rows[i]) < w.rows(),
+                      "%s gemvRows row %d out of range",
+                      weightBackendName(w.backend()), rows[i]);
+        y[i] = w.rowDot(static_cast<size_t>(rows[i]), x);
+    }
+}
+
+} // namespace
+
 Q4Matrix
 Q4Matrix::quantize(const Matrix &m)
 {
@@ -97,23 +131,13 @@ Q4Matrix::rowDot(size_t r, CSpan x) const
 void
 Q4Matrix::gemv(CSpan x, Span y) const
 {
-    specee_assert(x.size() == cols_ && y.size() == rows_,
-                  "Q4 gemv shape mismatch");
-    for (size_t r = 0; r < rows_; ++r)
-        y[r] = rowDot(r, x);
+    quantGemv(*this, x, y);
 }
 
 void
 Q4Matrix::gemvRows(const std::vector<int> &rows, CSpan x, Span y) const
 {
-    specee_assert(x.size() == cols_ && y.size() == rows.size(),
-                  "Q4 gemvRows shape mismatch");
-    for (size_t i = 0; i < rows.size(); ++i) {
-        specee_assert(rows[i] >= 0 &&
-                      static_cast<size_t>(rows[i]) < rows_,
-                      "Q4 gemvRows row out of range");
-        y[i] = rowDot(static_cast<size_t>(rows[i]), x);
-    }
+    quantGemvRows(*this, rows, x, y);
 }
 
 size_t
@@ -174,23 +198,13 @@ Q8Matrix::rowDot(size_t r, CSpan x) const
 void
 Q8Matrix::gemv(CSpan x, Span y) const
 {
-    specee_assert(x.size() == cols_ && y.size() == rows_,
-                  "Q8 gemv shape mismatch");
-    for (size_t r = 0; r < rows_; ++r)
-        y[r] = rowDot(r, x);
+    quantGemv(*this, x, y);
 }
 
 void
 Q8Matrix::gemvRows(const std::vector<int> &rows, CSpan x, Span y) const
 {
-    specee_assert(x.size() == cols_ && y.size() == rows.size(),
-                  "Q8 gemvRows shape mismatch");
-    for (size_t i = 0; i < rows.size(); ++i) {
-        specee_assert(rows[i] >= 0 &&
-                      static_cast<size_t>(rows[i]) < rows_,
-                      "Q8 gemvRows row out of range");
-        y[i] = rowDot(static_cast<size_t>(rows[i]), x);
-    }
+    quantGemvRows(*this, rows, x, y);
 }
 
 size_t

@@ -6,7 +6,9 @@
  * (group size 32, per-group fp32 scale + minimum, asymmetric) and a
  * dequantize-on-the-fly GEMV. This is the real kernel behind the
  * "AWQ" and "llama.cpp" baseline engines; the hw::CostModel prices it
- * at one quarter of the fp16 weight traffic.
+ * at one quarter of the fp16 weight traffic. Q8Matrix and Q4Matrix
+ * are WeightStore backends themselves, and share one GEMV row loop
+ * over their own rowDot.
  */
 
 #ifndef SPECEE_TENSOR_QUANT_HH
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "tensor/matrix.hh"
+#include "tensor/weight_store.hh"
 
 namespace specee::tensor {
 
@@ -29,7 +32,7 @@ constexpr size_t kQ4GroupSize = 32;
  * bytes plus an fp32 (scale, min) pair: v ~= min + scale * q, q in
  * [0, 15]. Rows are padded up to a whole number of groups.
  */
-class Q4Matrix
+class Q4Matrix final : public WeightStore
 {
   public:
     Q4Matrix() = default;
@@ -40,23 +43,25 @@ class Q4Matrix
     /** Reconstruct the dense approximation. */
     Matrix dequantize() const;
 
-    /** Dequantized single element (for tests / sparse access). */
-    float at(size_t r, size_t c) const;
-
-    /** y = W~ x where W~ is the dequantized matrix. */
-    void gemv(CSpan x, Span y) const;
-
-    /** Sliced GEMV over selected rows (speculative LM head on Q4). */
-    void gemvRows(const std::vector<int> &rows, CSpan x, Span y) const;
-
-    /** Dot of (dequantized) row r with x. */
-    float rowDot(size_t r, CSpan x) const;
-
-    size_t rows() const { return rows_; }
-    size_t cols() const { return cols_; }
+    WeightBackend backend() const override { return WeightBackend::Q4; }
+    size_t rows() const override { return rows_; }
+    size_t cols() const override { return cols_; }
 
     /** Actual packed storage footprint in bytes. */
-    size_t byteSize() const;
+    size_t byteSize() const override;
+
+    /** y = W~ x where W~ is the dequantized matrix. */
+    void gemv(CSpan x, Span y) const override;
+
+    /** Sliced GEMV over selected rows (speculative LM head on Q4). */
+    void gemvRows(const std::vector<int> &rows, CSpan x,
+                  Span y) const override;
+
+    /** Dot of (dequantized) row r with x. */
+    float rowDot(size_t r, CSpan x) const override;
+
+    /** Dequantized single element (for tests / sparse access). */
+    float at(size_t r, size_t c) const override;
 
   private:
     size_t rows_ = 0;
@@ -70,7 +75,7 @@ class Q4Matrix
 /**
  * 8-bit row-quantized matrix (symmetric, per-row scale).
  */
-class Q8Matrix
+class Q8Matrix final : public WeightStore
 {
   public:
     Q8Matrix() = default;
@@ -78,20 +83,22 @@ class Q8Matrix
     static Q8Matrix quantize(const Matrix &m);
     Matrix dequantize() const;
 
-    /** Dequantized single element (for tests / sparse access). */
-    float at(size_t r, size_t c) const;
+    WeightBackend backend() const override { return WeightBackend::Q8; }
+    size_t rows() const override { return rows_; }
+    size_t cols() const override { return cols_; }
+    size_t byteSize() const override;
 
-    void gemv(CSpan x, Span y) const;
+    void gemv(CSpan x, Span y) const override;
 
     /** Sliced GEMV over selected rows (speculative LM head on Q8). */
-    void gemvRows(const std::vector<int> &rows, CSpan x, Span y) const;
+    void gemvRows(const std::vector<int> &rows, CSpan x,
+                  Span y) const override;
 
     /** Dot of (dequantized) row r with x. */
-    float rowDot(size_t r, CSpan x) const;
+    float rowDot(size_t r, CSpan x) const override;
 
-    size_t rows() const { return rows_; }
-    size_t cols() const { return cols_; }
-    size_t byteSize() const;
+    /** Dequantized single element (for tests / sparse access). */
+    float at(size_t r, size_t c) const override;
 
   private:
     size_t rows_ = 0;

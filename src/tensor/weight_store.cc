@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "tensor/kernels.hh"
+#include "tensor/quant.hh"
 #include "util/logging.hh"
 
 namespace specee::tensor {
@@ -78,9 +79,9 @@ makeWeightStore(Matrix dense, WeightBackend backend)
     case WeightBackend::Fp32:
         return std::make_unique<Fp32Store>(std::move(dense));
     case WeightBackend::Q8:
-        return std::make_unique<Q8Store>(dense);
+        return std::make_unique<Q8Matrix>(Q8Matrix::quantize(dense));
     case WeightBackend::Q4:
-        return std::make_unique<Q4Store>(dense);
+        return std::make_unique<Q4Matrix>(Q4Matrix::quantize(dense));
     }
     specee_panic("bad weight backend %d", static_cast<int>(backend));
 }
@@ -105,9 +106,18 @@ Fp32Store::rowDot(size_t r, CSpan x) const
     return tensor::dot(m_.row(r), x);
 }
 
+float
+Fp32Store::at(size_t r, size_t c) const
+{
+    specee_assert(r < m_.rows() && c < m_.cols(),
+                  "Fp32Store::at out of range");
+    return m_.at(r, c);
+}
+
 void
 Fp32Store::copyRow(size_t r, Span out) const
 {
+    specee_assert(r < m_.rows(), "copyRow row %zu out of range", r);
     specee_assert(out.size() == m_.cols(), "copyRow size mismatch");
     CSpan row = m_.row(r);
     std::copy(row.begin(), row.end(), out.begin());
@@ -116,6 +126,8 @@ Fp32Store::copyRow(size_t r, Span out) const
 void
 Fp32Store::addScaledColumn(size_t c, float scale, Span out) const
 {
+    specee_assert(c < m_.cols(), "addScaledColumn column %zu out of range",
+                  c);
     specee_assert(out.size() == m_.rows(),
                   "addScaledColumn size mismatch");
     const size_t stride = m_.cols();

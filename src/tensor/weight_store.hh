@@ -12,10 +12,10 @@
  * hw::CostModel prices the compressed weight traffic, and the serving
  * batch scheduler amortizes the compressed shared read.
  *
- * Matrix (fp32), Q8Matrix and Q4Matrix provide the concrete kernels
- * (gemv, gemvRows, rowDot, byteSize); the adapters here box them
- * behind the virtual interface. Inner loops run on the SIMD-dispatch
- * kernels of tensor/simd.hh.
+ * Three final classes implement it: Fp32Store here (a Matrix on the
+ * tensor/kernels.hh GEMVs), and Q8Matrix and Q4Matrix in
+ * tensor/quant.hh. Inner loops run on the SIMD-dispatch kernels of
+ * tensor/simd.hh.
  */
 
 #ifndef SPECEE_TENSOR_WEIGHT_STORE_HH
@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "tensor/matrix.hh"
-#include "tensor/quant.hh"
 
 namespace specee::tensor {
 
@@ -89,11 +88,21 @@ class WeightStore
 
     /** out += scale * column c (sparse down-projection accumulate). */
     virtual void addScaledColumn(size_t c, float scale, Span out) const;
+
+  protected:
+    // Backends are built and moved by value (Q8Matrix::quantize), so
+    // only derived classes copy or move the (stateless) base.
+    WeightStore() = default;
+    WeightStore(const WeightStore &) = default;
+    WeightStore(WeightStore &&) = default;
+    WeightStore &operator=(const WeightStore &) = default;
+    WeightStore &operator=(WeightStore &&) = default;
 };
 
 /**
  * Quantize (or move) a dense matrix into a store of the requested
- * backend. The dense source is dropped for compressed backends.
+ * backend: an Fp32Store, Q8Matrix or Q4Matrix. The dense source is
+ * dropped for compressed backends.
  */
 std::unique_ptr<WeightStore> makeWeightStore(Matrix dense,
                                              WeightBackend backend);
@@ -112,66 +121,12 @@ class Fp32Store final : public WeightStore
     void gemvRows(const std::vector<int> &rows, CSpan x,
                   Span y) const override;
     float rowDot(size_t r, CSpan x) const override;
-    float at(size_t r, size_t c) const override { return m_.at(r, c); }
+    float at(size_t r, size_t c) const override;
     void copyRow(size_t r, Span out) const override;
     void addScaledColumn(size_t c, float scale, Span out) const override;
 
-    const Matrix &matrix() const { return m_; }
-
   private:
     Matrix m_;
-};
-
-/** Row-quantized int8 store. */
-class Q8Store final : public WeightStore
-{
-  public:
-    explicit Q8Store(const Matrix &m) : q_(Q8Matrix::quantize(m)) {}
-
-    WeightBackend backend() const override { return WeightBackend::Q8; }
-    size_t rows() const override { return q_.rows(); }
-    size_t cols() const override { return q_.cols(); }
-    size_t byteSize() const override { return q_.byteSize(); }
-    void gemv(CSpan x, Span y) const override { q_.gemv(x, y); }
-    void gemvRows(const std::vector<int> &rows, CSpan x,
-                  Span y) const override
-    {
-        q_.gemvRows(rows, x, y);
-    }
-    float rowDot(size_t r, CSpan x) const override
-    {
-        return q_.rowDot(r, x);
-    }
-    float at(size_t r, size_t c) const override { return q_.at(r, c); }
-
-  private:
-    Q8Matrix q_;
-};
-
-/** Group-quantized int4 store. */
-class Q4Store final : public WeightStore
-{
-  public:
-    explicit Q4Store(const Matrix &m) : q_(Q4Matrix::quantize(m)) {}
-
-    WeightBackend backend() const override { return WeightBackend::Q4; }
-    size_t rows() const override { return q_.rows(); }
-    size_t cols() const override { return q_.cols(); }
-    size_t byteSize() const override { return q_.byteSize(); }
-    void gemv(CSpan x, Span y) const override { q_.gemv(x, y); }
-    void gemvRows(const std::vector<int> &rows, CSpan x,
-                  Span y) const override
-    {
-        q_.gemvRows(rows, x, y);
-    }
-    float rowDot(size_t r, CSpan x) const override
-    {
-        return q_.rowDot(r, x);
-    }
-    float at(size_t r, size_t c) const override { return q_.at(r, c); }
-
-  private:
-    Q4Matrix q_;
 };
 
 } // namespace specee::tensor

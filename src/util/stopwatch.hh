@@ -28,9 +28,6 @@ class Stopwatch
         return std::chrono::duration<double>(Clock::now() - start_).count();
     }
 
-    /** Milliseconds elapsed. */
-    double millis() const { return seconds() * 1e3; }
-
     /** Microseconds elapsed. */
     double micros() const { return seconds() * 1e6; }
 

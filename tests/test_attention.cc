@@ -14,6 +14,7 @@
 
 using namespace specee;
 using namespace specee::model;
+using tensor::WeightBackend;
 
 namespace {
 
@@ -38,7 +39,7 @@ randomVec(int n, uint64_t seed)
 TEST(Attention, FirstTokenAttendsOnlyToItself)
 {
     auto c = cfg();
-    Weights w(c, false);
+    Weights w(c, WeightBackend::Fp32, WeightBackend::Fp32);
     Attention attn(c);
     KvCache kv(c.n_layers, c.context_len, c.sim.hidden);
     auto x = randomVec(c.sim.hidden, 1);
@@ -47,9 +48,9 @@ TEST(Attention, FirstTokenAttendsOnlyToItself)
 
     // With one position the softmax weight is 1, so out = wo(v).
     tensor::Vec v(static_cast<size_t>(c.sim.hidden));
-    w.layer(0).wv.gemv(x, v);
+    w.layer(0).wv->gemv(x, v);
     tensor::Vec expect(static_cast<size_t>(c.sim.hidden));
-    w.layer(0).wo.gemv(v, expect);
+    w.layer(0).wo->gemv(v, expect);
     for (size_t i = 0; i < out.size(); ++i)
         EXPECT_NEAR(out[i], expect[i], 1e-4f);
 }
@@ -57,7 +58,7 @@ TEST(Attention, FirstTokenAttendsOnlyToItself)
 TEST(Attention, OutputChangesWithContext)
 {
     auto c = cfg();
-    Weights w(c, false);
+    Weights w(c, WeightBackend::Fp32, WeightBackend::Fp32);
     Attention attn(c);
     KvCache kv(c.n_layers, c.context_len, c.sim.hidden);
     auto x0 = randomVec(c.sim.hidden, 2);
@@ -81,7 +82,7 @@ TEST(Attention, OutputChangesWithContext)
 TEST(Attention, AppendsKvEachCall)
 {
     auto c = cfg();
-    Weights w(c, false);
+    Weights w(c, WeightBackend::Fp32, WeightBackend::Fp32);
     Attention attn(c);
     KvCache kv(c.n_layers, c.context_len, c.sim.hidden);
     auto x = randomVec(c.sim.hidden, 4);
@@ -95,7 +96,7 @@ TEST(Attention, AppendsKvEachCall)
 TEST(Ffn, SparseWithFullFractionMatchesDense)
 {
     auto c = cfg();
-    Weights w(c, false);
+    Weights w(c, WeightBackend::Fp32, WeightBackend::Fp32);
     Ffn ffn(c);
     auto x = randomVec(c.sim.hidden, 5);
     tensor::Vec dense(static_cast<size_t>(c.sim.hidden));
@@ -109,7 +110,7 @@ TEST(Ffn, SparseWithFullFractionMatchesDense)
 TEST(Ffn, SparseUsesRequestedNeuronBudget)
 {
     auto c = cfg();
-    Weights w(c, false);
+    Weights w(c, WeightBackend::Fp32, WeightBackend::Fp32);
     Ffn ffn(c);
     auto x = randomVec(c.sim.hidden, 6);
     tensor::Vec out(static_cast<size_t>(c.sim.hidden));
@@ -123,7 +124,7 @@ TEST(Ffn, SparseUsesRequestedNeuronBudget)
 TEST(Ffn, SparseApproximatesDense)
 {
     auto c = cfg();
-    Weights w(c, false);
+    Weights w(c, WeightBackend::Fp32, WeightBackend::Fp32);
     Ffn ffn(c);
     auto x = randomVec(c.sim.hidden, 7);
     tensor::Vec dense(static_cast<size_t>(c.sim.hidden));
@@ -142,7 +143,7 @@ TEST(Ffn, SparseApproximatesDense)
 TEST(DecoderLayer, ForwardUpdatesResidualAndKv)
 {
     auto c = cfg();
-    Weights w(c, false);
+    Weights w(c, WeightBackend::Fp32, WeightBackend::Fp32);
     DecoderLayer layer(c);
     KvCache kv(c.n_layers, c.context_len, c.sim.hidden);
     auto x = randomVec(c.sim.hidden, 8);
@@ -158,7 +159,7 @@ TEST(DecoderLayer, ForwardUpdatesResidualAndKv)
 TEST(DecoderLayer, FillKvMatchesForwardProjection)
 {
     auto c = cfg();
-    Weights w(c, false);
+    Weights w(c, WeightBackend::Fp32, WeightBackend::Fp32);
     DecoderLayer layer(c);
     KvCache kv_fwd(c.n_layers, c.context_len, c.sim.hidden);
     KvCache kv_fill(c.n_layers, c.context_len, c.sim.hidden);
@@ -180,14 +181,14 @@ TEST(DecoderLayer, FillKvMatchesForwardProjection)
 TEST(Weights, QuantizedProjectionsApproximateDense)
 {
     auto c = cfg();
-    Weights dense(c, false);
-    Weights quant(c, true);
-    EXPECT_TRUE(quant.quantized());
+    Weights dense(c, WeightBackend::Fp32, WeightBackend::Fp32);
+    Weights quant(c, WeightBackend::Q4, WeightBackend::Fp32);
+    EXPECT_EQ(quant.layer(0).wq->backend(), WeightBackend::Q4);
     auto x = randomVec(c.sim.hidden, 10);
     tensor::Vec yd(static_cast<size_t>(c.sim.hidden));
     tensor::Vec yq(static_cast<size_t>(c.sim.hidden));
-    dense.layer(0).wq.gemv(x, yd);
-    quant.layer(0).wq.gemv(x, yq);
+    dense.layer(0).wq->gemv(x, yd);
+    quant.layer(0).wq->gemv(x, yq);
     for (size_t i = 0; i < yd.size(); ++i)
         EXPECT_NEAR(yd[i], yq[i], 0.08f);
 }
@@ -195,29 +196,30 @@ TEST(Weights, QuantizedProjectionsApproximateDense)
 TEST(Weights, EmbeddingRowsAreUnitNorm)
 {
     auto c = cfg();
-    Weights w(c, false);
+    Weights w(c, WeightBackend::Fp32, WeightBackend::Fp32);
+    tensor::Vec row(static_cast<size_t>(c.sim.hidden));
     for (int t = 0; t < c.sim.vocab; t += 37) {
-        EXPECT_NEAR(tensor::norm2(w.embedding().denseRow(
-                        static_cast<size_t>(t))),
-                    1.0f, 1e-4f);
+        w.embedding().copyRow(static_cast<size_t>(t), row);
+        EXPECT_NEAR(tensor::norm2(row), 1.0f, 1e-4f);
     }
 }
 
 TEST(Weights, WholeModelBackendQuantizesHeadToo)
 {
     auto c = cfg();
-    Weights fp(c, tensor::WeightBackend::Fp32,
-               tensor::WeightBackend::Fp32);
-    Weights q8(c, tensor::WeightBackend::Q8, tensor::WeightBackend::Q8);
-    EXPECT_EQ(q8.embedding().backend(), tensor::WeightBackend::Q8);
-    EXPECT_TRUE(q8.quantized());
+    Weights fp(c, WeightBackend::Fp32, WeightBackend::Fp32);
+    Weights q8(c, WeightBackend::Q8, WeightBackend::Q8);
+    EXPECT_EQ(q8.embedding().backend(), WeightBackend::Q8);
+    EXPECT_EQ(q8.layer(0).wq->backend(), WeightBackend::Q8);
     // Quantized embedding rows stay close to the dense unit-norm rows.
-    auto dense_row = fp.embedding().denseRow(11);
-    auto q8_row = q8.embedding().denseRow(11);
+    tensor::Vec dense_row(static_cast<size_t>(c.sim.hidden));
+    tensor::Vec q8_row(dense_row.size());
+    fp.embedding().copyRow(11, dense_row);
+    q8.embedding().copyRow(11, q8_row);
     for (size_t i = 0; i < dense_row.size(); ++i)
         EXPECT_NEAR(q8_row[i], dense_row[i], 0.02f);
-    // The legacy AWQ mode keeps the head dense.
-    Weights awq(c, true);
-    EXPECT_EQ(awq.embedding().backend(), tensor::WeightBackend::Fp32);
-    EXPECT_EQ(awq.layer(0).wq.backend(), tensor::WeightBackend::Q4);
+    // The AWQ pair keeps the head dense.
+    Weights awq(c, WeightBackend::Q4, WeightBackend::Fp32);
+    EXPECT_EQ(awq.embedding().backend(), WeightBackend::Fp32);
+    EXPECT_EQ(awq.layer(0).wq->backend(), WeightBackend::Q4);
 }

@@ -19,7 +19,7 @@ namespace {
 struct Fixture
 {
     ModelConfig cfg = ModelConfig::tiny();
-    Weights w{cfg, false};
+    Weights w{cfg, tensor::WeightBackend::Fp32, tensor::WeightBackend::Fp32};
     LmHead head{w.embedding(), w.rmsFinal()};
 };
 

@@ -170,7 +170,9 @@ TEST(TargetModel, QuantizedModelStillEmitsTarget)
     auto cfg = tinyCfg();
     // AWQ pair: Q4 projections, dense tied head.
     model::TargetModel tm(
-        cfg, {}, std::make_shared<const model::Weights>(cfg, true));
+        cfg, {},
+        std::make_shared<const model::Weights>(
+            cfg, tensor::WeightBackend::Q4, tensor::WeightBackend::Fp32));
     tm.prefill(somePrompt(cfg, 6));
     Rng rng(17);
     int input = 2;

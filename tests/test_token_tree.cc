@@ -190,7 +190,8 @@ TEST(MergedMapping, CannikinIsMax)
 TEST(MergedMapping, GroupedLogitsDelegateToHead)
 {
     auto cfg = model::ModelConfig::tiny();
-    model::Weights w(cfg, false);
+    model::Weights w(cfg, tensor::WeightBackend::Fp32,
+                     tensor::WeightBackend::Fp32);
     model::LmHead head(w.embedding(), w.rmsFinal());
     tensor::Vec h1(static_cast<size_t>(cfg.sim.hidden), 0.3f);
     tensor::Vec h2(static_cast<size_t>(cfg.sim.hidden), -0.2f);

@@ -10,7 +10,6 @@
 #include "core/predictor_trainer.hh"
 #include "model/draft_model.hh"
 #include "oracle/profiles.hh"
-#include "tensor/simd.hh"
 #include "test_util.hh"
 
 using namespace specee;
@@ -44,53 +43,8 @@ collected()
     return c;
 }
 
-/** FNV-1a over raw bytes: pins values bit for bit. */
-class Digest
-{
-  public:
-    void
-    bytes(const void *p, size_t n)
-    {
-        const auto *b = static_cast<const unsigned char *>(p);
-        for (size_t i = 0; i < n; ++i) {
-            h_ ^= b[i];
-            h_ *= 0x100000001b3ull;
-        }
-    }
-
-    template <typename T>
-    void
-    pod(const T &v)
-    {
-        bytes(&v, sizeof(T));
-    }
-
-    void
-    span(tensor::CSpan v)
-    {
-        bytes(v.data(), v.size() * sizeof(float));
-    }
-
-    uint64_t value() const { return h_; }
-
-  private:
-    uint64_t h_ = 0xcbf29ce484222325ull;
-};
-
-/**
- * The expected digest for the kernels in use: the AVX2 and scalar
- * dot products round differently, so each pins its own value.
- */
-uint64_t
-pinned(uint64_t avx2, uint64_t scalar)
-{
-    return tensor::simd::activeLevel() == tensor::simd::Level::Avx2
-               ? avx2
-               : scalar;
-}
-
 void
-digestDatasets(Digest &d, const std::vector<nn::Dataset> &sets)
+digestDatasets(testutil::Digest &d, const std::vector<nn::Dataset> &sets)
 {
     for (const auto &ds : sets) {
         d.pod(ds.size());
@@ -124,7 +78,7 @@ TEST(Trainer, CollectShapes)
 TEST(Trainer, CollectIsBitStable)
 {
     const auto &c = collected();
-    Digest d;
+    testutil::Digest d;
     digestDatasets(d, c.data.specee);
     digestDatasets(d, c.data.adainfer);
     for (long h : c.data.oracle_exit_hist)
@@ -133,8 +87,8 @@ TEST(Trainer, CollectIsBitStable)
         d.span(p);
     for (int e : c.data.raee_exits)
         d.pod(e);
-    EXPECT_EQ(d.value(),
-              pinned(0x1cd8341ac72a6c60ull, 0xa97fb94f5e9278e9ull));
+    EXPECT_EQ(d.value(), testutil::pinned(0x1cd8341ac72a6c60ull,
+                                          0xa97fb94f5e9278e9ull));
 }
 
 // Pins a trained bank's outputs on a fixed probe set and its report:
@@ -147,7 +101,7 @@ TEST(Trainer, TrainIsBitStable)
     topts.train.epochs = 5;
     const auto rep = core::PredictorTrainer::train(bank, c.data, topts);
 
-    Digest d;
+    testutil::Digest d;
     d.pod(rep.mean_test_accuracy);
     d.pod(rep.mean_train_accuracy);
     d.pod(rep.samples_used);
@@ -161,8 +115,8 @@ TEST(Trainer, TrainIsBitStable)
         for (int l = 0; l < bank.nExitLayers(); ++l)
             d.pod(bank.mlp(l).predict(probe));
     }
-    EXPECT_EQ(d.value(),
-              pinned(0xf80e212e5349e0afull, 0x8dd39ffbb3ff3447ull));
+    EXPECT_EQ(d.value(), testutil::pinned(0xf80e212e5349e0afull,
+                                          0x8dd39ffbb3ff3447ull));
 }
 
 TEST(Trainer, LabelsBecomeMorePositiveWithDepth)

@@ -1,13 +1,17 @@
 /**
  * @file
  * Shared helpers for the test suite: a lazily-built tiny pipeline so
- * expensive training happens once per test binary.
+ * expensive training happens once per test binary, and an FNV-1a
+ * digest that pins results bit for bit.
  */
 
 #ifndef SPECEE_TESTS_TEST_UTIL_HH
 #define SPECEE_TESTS_TEST_UTIL_HH
 
+#include <cstdint>
+
 #include "engines/pipeline.hh"
+#include "tensor/simd.hh"
 
 namespace specee::testutil {
 
@@ -42,6 +46,51 @@ smallGen(int instances = 4, int gen_len = 32, uint64_t seed = 99)
     g.gen_len = gen_len;
     g.seed = seed;
     return g;
+}
+
+/** FNV-1a over raw bytes: pins values bit for bit. */
+class Digest
+{
+  public:
+    void
+    bytes(const void *p, size_t n)
+    {
+        const auto *b = static_cast<const unsigned char *>(p);
+        for (size_t i = 0; i < n; ++i) {
+            h_ ^= b[i];
+            h_ *= 0x100000001b3ull;
+        }
+    }
+
+    template <typename T>
+    void
+    pod(const T &v)
+    {
+        bytes(&v, sizeof(T));
+    }
+
+    void
+    span(tensor::CSpan v)
+    {
+        bytes(v.data(), v.size() * sizeof(float));
+    }
+
+    uint64_t value() const { return h_; }
+
+  private:
+    uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+/**
+ * The expected digest for the kernels in use: the AVX2 and scalar
+ * dot products round differently, so each pins its own value.
+ */
+inline uint64_t
+pinned(uint64_t avx2, uint64_t scalar)
+{
+    return tensor::simd::activeLevel() == tensor::simd::Level::Avx2
+               ? avx2
+               : scalar;
 }
 
 } // namespace specee::testutil

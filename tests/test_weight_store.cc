@@ -2,17 +2,24 @@
  * @file
  * WeightStore backend tests: q8/q4 parity with fp32 (gemv, gemvRows,
  * rowDot, ragged q4 groups), fp32 backend bit-identity with the raw
- * Matrix kernels, byte footprints, and SIMD-vs-scalar dispatch
- * equivalence for every inner-product kernel.
+ * Matrix kernels, byte footprints, the shape and range checks every
+ * backend makes, SIMD-vs-scalar dispatch equivalence for every
+ * inner-product kernel, and a digest pinning quantized-engine decode
+ * bit for bit under each dispatch level.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <iterator>
+#include <string>
 
+#include "engines/engine.hh"
 #include "tensor/kernels.hh"
 #include "tensor/simd.hh"
 #include "tensor/weight_store.hh"
+#include "test_util.hh"
 #include "util/rng.hh"
 
 using namespace specee;
@@ -174,6 +181,36 @@ TEST(WeightStore, AddScaledColumnMatchesDense)
     }
 }
 
+TEST(WeightStoreDeathTest, EveryBackendChecksShapesAndRanges)
+{
+    // 8 x 32: row 8 and column 32 are one past the end.
+    Vec x(32), x_short(31), y(8), y_long(9), one(1), two(2), row(32);
+    const struct
+    {
+        std::function<void(const WeightStore &)> call;
+        const char *panic;
+    } cases[] = {
+        {[&](auto &s) { s.gemv(x_short, y); }, "gemv shape mismatch"},
+        {[&](auto &s) { s.gemv(x, y_long); }, "gemv shape mismatch"},
+        {[&](auto &s) { s.gemvRows({0, 1}, x, one); }, "shape mismatch"},
+        {[&](auto &s) { s.gemvRows({0, 8}, x, two); }, "out of range"},
+        {[&](auto &s) { s.gemvRows({-1}, x, one); }, "out of range"},
+        {[&](auto &s) { s.at(8, 0); }, "out of range"},
+        {[&](auto &s) { s.at(0, 32); }, "out of range"},
+        {[&](auto &s) { s.copyRow(8, row); }, "out of range"},
+        {[&](auto &s) { s.addScaledColumn(32, 1.0f, y); }, "out of range"},
+    };
+    auto m = randomMatrix(8, 32, 13);
+    for (WeightBackend b : kAll) {
+        auto store = makeWeightStore(m, b);
+        for (size_t i = 0; i < std::size(cases); ++i) {
+            SCOPED_TRACE(std::string(weightBackendName(b)) + " case " +
+                         std::to_string(i));
+            EXPECT_DEATH(cases[i].call(*store), cases[i].panic);
+        }
+    }
+}
+
 TEST(WeightStore, ByteSizeShrinksWithBackend)
 {
     auto m = randomMatrix(64, 256, 9);
@@ -251,4 +288,62 @@ TEST(Simd, QuantizedGemvEqualAcrossDispatchPaths)
                         1e-3f + 1e-3f * std::fabs(y_scalar[i]))
                 << weightBackendName(b) << " row " << i;
     }
+}
+
+// --- quantized kernels and decode, pinned ----------------------------------
+
+// Pins every output of the quantized stores bit for bit, under
+// whichever SIMD level the suite runs: the tolerance tests above would
+// not see a change that moves only the rounding. The shape has no
+// ragged tail, because the AVX2 kernels' scalar tails round
+// differently at different optimization levels.
+TEST(WeightStore, QuantizedKernelsAreBitStable)
+{
+    auto m = randomMatrix(16, 64, 14, 0.1f);
+    auto x = randomVec(64, 15);
+    testutil::Digest d;
+    for (WeightBackend b : {WeightBackend::Q8, WeightBackend::Q4}) {
+        auto store = makeWeightStore(m, b);
+        Vec y(16), sliced(3), row(64), col(16, 0.0f);
+        store->gemv(x, y);
+        store->gemvRows({15, 0, 7}, x, sliced);
+        store->copyRow(9, row);
+        store->addScaledColumn(63, 0.5f, col);
+        for (const Vec &v : {y, sliced, row, col})
+            d.span(v);
+        d.pod(store->byteSize());
+    }
+    EXPECT_EQ(d.value(), testutil::pinned(0xf4b4f38c4d5d4b43ull,
+                                          0xb1a4d3938e2e6acfull));
+}
+
+// Pins the tokens, exit layers and modeled seconds of SpecEE decode on
+// every quantized weight format, end to end through the model stack.
+TEST(WeightStore, QuantizedDecodeIsBitStable)
+{
+    const auto &pipe = testutil::tinyPipeline();
+    const auto w = pipe.makeWorkload("MT-Bench", testutil::smallGen());
+    const engines::EngineConfig configs[] = {
+        engines::EngineConfig::huggingFace().withSpecEE().withWeightBackend(
+            WeightBackend::Q8),
+        engines::EngineConfig::huggingFace().withSpecEE().withWeightBackend(
+            WeightBackend::Q4),
+        engines::EngineConfig::awq().withSpecEE(),
+    };
+    testutil::Digest d;
+    for (const auto &cfg : configs) {
+        auto engine = pipe.makeEngine(cfg, hw::HardwareSpec::a100());
+        const auto r = engine->run(w, 11);
+        for (const auto &e : r.emissions) {
+            d.pod(e.tokens.size());
+            for (int t : e.tokens)
+                d.pod(t);
+            for (int l : e.exit_layers)
+                d.pod(l);
+        }
+        d.pod(r.stats.modeled_time_s);
+    }
+    // Both dispatch levels emit the same bits on this workload.
+    EXPECT_EQ(d.value(), testutil::pinned(0xbd9eb41ee815cd57ull,
+                                          0xbd9eb41ee815cd57ull));
 }
