@@ -4,7 +4,6 @@
 
 #include "core/hyper_token.hh"
 #include "core/token_tree.hh"
-#include "oracle/profiles.hh"
 #include "util/logging.hh"
 
 namespace specee::engines {
@@ -60,31 +59,13 @@ DecodeSession::DecodeSession(Engine &eng, workload::Workload w,
       online_(eng.nExitLayers(), eng.ecfg_.online_window,
               eng.ecfg_.online_radius)
 {
-    // This preamble mirrors Engine::run exactly so an owning
-    // session's finalized result is bit-identical to runOne.
     specee_assert(w_->instances.size() == 1,
                   "owning sessions decode single-instance workloads");
     eng_.checkRunnable();
-
-    const auto &profile = oracle::profileByName(w_->dataset);
-    const double hit = eng_.ecfg_.draft_hit_override >= 0.0
-                           ? eng_.ecfg_.draft_hit_override
-                           : profile.draft_hit_rate;
-    ownedDlm_.emplace(eng_.mcfg_, eng_.corpus_, hit);
-    dlm_ = &*ownedDlm_;
-
-    ownedOut_.emplace();
-    out_ = &*ownedOut_;
-    out_->stats.engine = eng_.ecfg_.name;
-    out_->stats.dataset = w_->dataset;
-    out_->stats.model = eng_.mcfg_.name;
-    out_->stats.platform = eng_.hwspec_.name;
-    out_->stats.exit_histogram.assign(
-        static_cast<size_t>(eng_.nExitLayers()), 0);
-
-    ownedRng_.emplace(seed ^ eng_.mcfg_.weight_seed);
-    rng_ = &*ownedRng_;
-
+    owned_.emplace(eng_, *w_, seed);
+    dlm_ = &owned_->dlm;
+    out_ = &owned_->out;
+    rng_ = &owned_->rng;
     initKv(std::move(kv));
     exitThreshold_ = eng_.ecfg_.exit_threshold;
 }
@@ -99,19 +80,41 @@ DecodeSession::initKv(std::unique_ptr<model::SequenceKv> kv)
 }
 
 void
+DecodeSession::startSequence()
+{
+    if (prefillStarted_)
+        return;
+    // fork() keeps the decode rng stream untouched (draft draws stay
+    // comparable across engine configs); the instance index makes the
+    // noise substreams distinct even for engines whose decode never
+    // advances the parent rng.
+    eng_.tm_->reset(rng_->fork(0x7e5e + instance_).next());
+    prefillStarted_ = true;
+}
+
+void
+DecodeSession::finishPrefill()
+{
+    input_ = w_->instances[instance_].prompt.back();
+    prefilled_ = true;
+}
+
+int
+simPrefixRows(int prefix_len, int ingested, int total)
+{
+    return ingested >= total
+               ? prefix_len
+               : static_cast<int>(static_cast<long>(prefix_len) *
+                                  ingested / total);
+}
+
+void
 DecodeSession::prefill()
 {
     specee_assert(!prefilled_, "prefill() after prefill done");
     const auto &inst = w_->instances[instance_];
     BindGuard bind(*eng_.tm_, &seq_);
-    if (!prefillStarted_) {
-        // fork() keeps the decode rng stream untouched (draft draws
-        // stay comparable across engine configs); the instance index
-        // makes the noise substreams distinct even for engines whose
-        // decode never advances the parent rng.
-        eng_.tm_->reset(rng_->fork(0x7e5e + instance_).next());
-        prefillStarted_ = true;
-    }
+    startSequence();
     // After adoptCachedPrefix() only the uncached tail is appended;
     // cold sessions start at simFilled_ = 0 — the legacy path.
     const int prefix_len = static_cast<int>(inst.prompt.size()) - 1;
@@ -121,9 +124,8 @@ DecodeSession::prefill()
         eng_.tm_->prefill(slice);
         simFilled_ = prefix_len;
     }
-    input_ = inst.prompt.back();
     prefillTrue_ = prefillTotal();
-    prefilled_ = true;
+    finishPrefill();
 }
 
 void
@@ -144,8 +146,7 @@ DecodeSession::adoptCachedPrefix(
     BindGuard bind(*eng_.tm_, &seq_);
     // Same sequence initialization (and rng fork) as a cold
     // prefill, so the resumed decode is bit-identical to a cold run.
-    eng_.tm_->reset(rng_->fork(0x7e5e + instance_).next());
-    prefillStarted_ = true;
+    startSequence();
     kv_->adoptPrefix(table, sim_matched);
     seq_.pos = sim_matched;
     simFilled_ = sim_matched;
@@ -153,8 +154,7 @@ DecodeSession::adoptCachedPrefix(
     if (prefillTrue_ >= prefillTotal()) {
         // Full-prompt hit: nothing left to ingest, TTFT is
         // decode-only.
-        input_ = inst.prompt.back();
-        prefilled_ = true;
+        finishPrefill();
     }
 }
 
@@ -169,19 +169,17 @@ DecodeSession::prefillChunk(int n_tokens)
 {
     specee_assert(n_tokens > 0, "prefillChunk() needs n_tokens > 0");
     specee_assert(!prefilled_, "prefillChunk() after prefill done");
-    specee_assert(!swapped_, "prefillChunk() on a swapped-out session");
+    specee_assert(!kv_->swapped(),
+                  "prefillChunk() on a swapped-out session");
     specee_assert(!awaitingTransfer(),
                   "prefillChunk() on a session with an in-flight KV "
                   "transfer");
     const auto &inst = w_->instances[instance_];
     const auto before = snapshotOplog();
     BindGuard bind(*eng_.tm_, &seq_);
-    if (!prefillStarted_) {
-        // Same sequence initialization as prefill() — the chunked
-        // and atomic paths are bit-identical once the prompt lands.
-        eng_.tm_->reset(rng_->fork(0x7e5e + instance_).next());
-        prefillStarted_ = true;
-    }
+    // Same sequence initialization as prefill(): the chunked and
+    // atomic paths are bit-identical once the prompt lands.
+    startSequence();
     const int total = std::max(prefillTotal(), 1);
     const int take = std::min(n_tokens, total - prefillTrue_);
     eng_.chargePrefillChunk(out_->stats.oplog, take, prefillTrue_);
@@ -191,11 +189,7 @@ DecodeSession::prefillChunk(int n_tokens)
     // TargetModel::prefill is a pure per-token append, so slice-wise
     // calls reproduce the atomic prefill() state exactly.
     const int prefix_len = static_cast<int>(inst.prompt.size()) - 1;
-    const int sim_target =
-        prefillTrue_ >= total
-            ? prefix_len
-            : static_cast<int>(static_cast<long>(prefix_len) *
-                               prefillTrue_ / total);
+    const int sim_target = simPrefixRows(prefix_len, prefillTrue_, total);
     if (sim_target > simFilled_) {
         std::vector<int> slice(
             inst.prompt.begin() + simFilled_,
@@ -203,10 +197,8 @@ DecodeSession::prefillChunk(int n_tokens)
         eng_.tm_->prefill(slice);
         simFilled_ = sim_target;
     }
-    if (prefillTrue_ >= total) {
-        input_ = inst.prompt.back();
-        prefilled_ = true;
-    }
+    if (prefillTrue_ >= total)
+        finishPrefill();
     // A prefill chunk streams every layer's weights: it occupies the
     // whole pipeline and skips no KV.
     lastDeepest_ = eng_.mcfg_.n_layers;
@@ -317,9 +309,7 @@ DecodeSession::captureCost(
 double
 DecodeSession::swapOut()
 {
-    specee_assert(!swapped_, "double swap-out");
     kv_->swapOut();
-    swapped_ = true;
     return eng_.chargeKvSwap(out_->stats.oplog, hw::OpClass::KvSwapOut,
                              modeledPositions());
 }
@@ -327,9 +317,7 @@ DecodeSession::swapOut()
 double
 DecodeSession::swapIn()
 {
-    specee_assert(swapped_, "swapIn() of a device-resident session");
     kv_->swapIn();
-    swapped_ = false;
     return eng_.chargeKvSwap(out_->stats.oplog, hw::OpClass::KvSwapIn,
                              modeledPositions());
 }
@@ -365,7 +353,7 @@ bool
 DecodeSession::step()
 {
     specee_assert(prefilled_, "step() before prefill()");
-    specee_assert(!swapped_, "step() on a swapped-out session");
+    specee_assert(!kv_->swapped(), "step() on a swapped-out session");
     specee_assert(!awaitingTransfer(),
                   "step() on a session with an in-flight KV transfer");
     if (finished())
@@ -570,12 +558,12 @@ DecodeSession::finishEmission()
 RunResult
 DecodeSession::finalize()
 {
-    specee_assert(ownedOut_.has_value(),
+    specee_assert(owned_.has_value(),
                   "finalize() is only for owning sessions");
     if (!emissionDone_)
         finishEmission();
     eng_.finalizeRun(*out_, *w_, committed_);
-    return std::move(*ownedOut_);
+    return std::move(owned_->out);
 }
 
 } // namespace specee::engines

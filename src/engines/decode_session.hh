@@ -91,6 +91,14 @@ struct StepCost
     std::vector<std::pair<int, double>> class_s;
 };
 
+/**
+ * Sim-dims prefix rows a session has filled once `ingested` of its
+ * `total` TRUE-dims prompt tokens are in: the whole `prefix_len` at
+ * the end, a proportional share (rounded down) before. Chunked
+ * prefill and the scheduler's admission reservation share this rule.
+ */
+int simPrefixRows(int prefix_len, int ingested, int total);
+
 /** Stepwise decode of one workload instance on one Engine. */
 class DecodeSession
 {
@@ -166,12 +174,10 @@ class DecodeSession
     /**
      * Advance one iteration unit (one token, or one speculative
      * pass). @return true while more scripted steps remain.
-     * @pre prefill() was called, !finished() and !swapped()
+     * @pre prefill() was called, !finished() and the KV is on the
+     * device
      */
     bool step();
-
-    /** True while the session's KV lives in the host pool. */
-    bool swapped() const { return swapped_; }
 
     /**
      * Swap-to-host preemption: move this session's KV blocks to the
@@ -284,6 +290,16 @@ class DecodeSession
     /** Take `kv` (null: a private pool) as the sequence's KV store. */
     void initKv(std::unique_ptr<model::SequenceKv> kv);
 
+    /**
+     * Reset the bound model to a fresh sequence with this instance's
+     * noise seed, once: later calls (the next prompt chunk) are
+     * no-ops.
+     */
+    void startSequence();
+
+    /** The whole prompt is in: decode starts from its last token. */
+    void finishPrefill();
+
     bool stepAutoregressive();
     bool stepSpeculative();
 
@@ -305,11 +321,9 @@ class DecodeSession
     std::optional<workload::Workload> ownedW_;
     const workload::Workload *w_;
     size_t instance_;
-    std::optional<model::DraftModel> ownedDlm_;
+    std::optional<Engine::RunStart> owned_; ///< owning mode only
     const model::DraftModel *dlm_;
-    std::optional<RunResult> ownedOut_;
     RunResult *out_;
-    std::optional<Rng> ownedRng_;
     Rng *rng_;
 
     model::SequenceState seq_;
@@ -321,7 +335,6 @@ class DecodeSession
     int input_ = 0;      ///< next input token (autoregressive path)
     long committed_ = 0;
     bool prefilled_ = false;
-    bool swapped_ = false;        ///< KV lives in the host pool
     bool prefillStarted_ = false; ///< sequence reset / first chunk ran
     int prefillTrue_ = 0;         ///< true-dims prompt tokens ingested
     int simFilled_ = 0;           ///< sim prefix tokens appended to KV

@@ -641,38 +641,40 @@ Engine::makeMemoryTracker() const
                              pred_params);
 }
 
+Engine::RunStart::RunStart(const Engine &eng, const workload::Workload &w,
+                           uint64_t seed)
+    : dlm(eng.mcfg_, eng.corpus_,
+          eng.ecfg_.draft_hit_override >= 0.0
+              ? eng.ecfg_.draft_hit_override
+              : oracle::profileByName(w.dataset).draft_hit_rate),
+      rng(seed ^ eng.mcfg_.weight_seed)
+{
+    out.stats.engine = eng.ecfg_.name;
+    out.stats.dataset = w.dataset;
+    out.stats.model = eng.mcfg_.name;
+    out.stats.platform = eng.hwspec_.name;
+    out.stats.exit_histogram.assign(
+        static_cast<size_t>(eng.nExitLayers()), 0);
+}
+
 RunResult
 Engine::run(const workload::Workload &w, uint64_t seed)
 {
     specee_assert(!w.instances.empty(), "empty workload");
     checkRunnable();
 
-    const auto &profile = oracle::profileByName(w.dataset);
-    const double hit = ecfg_.draft_hit_override >= 0.0
-                           ? ecfg_.draft_hit_override
-                           : profile.draft_hit_rate;
-    model::DraftModel dlm(mcfg_, corpus_, hit);
-
-    RunResult out;
-    out.stats.engine = ecfg_.name;
-    out.stats.dataset = w.dataset;
-    out.stats.model = mcfg_.name;
-    out.stats.platform = hwspec_.name;
-    out.stats.exit_histogram.assign(static_cast<size_t>(nExitLayers()),
-                                    0);
-
-    Rng rng(seed ^ mcfg_.weight_seed);
+    RunStart rs(*this, w, seed);
     long total_committed = 0;
     for (size_t i = 0; i < w.instances.size(); ++i) {
-        DecodeSession session(*this, w, i, dlm, out, rng);
+        DecodeSession session(*this, w, i, rs.dlm, rs.out, rs.rng);
         session.prefill();
         while (session.step()) {
         }
         total_committed += session.committed();
         session.finishEmission();
     }
-    finalizeRun(out, w, total_committed);
-    return out;
+    finalizeRun(rs.out, w, total_committed);
+    return std::move(rs.out);
 }
 
 std::unique_ptr<DecodeSession>

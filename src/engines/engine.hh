@@ -164,6 +164,23 @@ class Engine
   private:
     friend class DecodeSession;
 
+    /**
+     * What every run of `w` starts from: the draft model at the
+     * dataset's hit rate (unless overridden), the result header with
+     * an empty exit histogram, and the decode rng. run() and an
+     * owning DecodeSession both build one, so an owning session's
+     * result is bit-identical to runOne.
+     */
+    struct RunStart
+    {
+        RunStart(const Engine &eng, const workload::Workload &w,
+                 uint64_t seed);
+
+        model::DraftModel dlm;
+        RunResult out;
+        Rng rng;
+    };
+
     struct TokenOutcome
     {
         int token = -1;      ///< emitted token

@@ -60,41 +60,14 @@ traceDecisionName(TraceDecision d)
     return "?";
 }
 
-TraceRecorder::TraceRecorder(size_t n_workers, bool enabled)
-    : enabled_(enabled)
+void
+sortTrace(std::vector<TraceEvent> &events)
 {
-    // Shards exist even while disabled so call sites stay branch-
-    // free; a disabled recorder is never emitted into (the scheduler
-    // guards every emit on enabled()), so the buffers stay empty.
-    shards_.resize(n_workers + 1);
-}
-
-std::vector<TraceEvent>
-TraceRecorder::merged() const
-{
-    std::vector<TraceEvent> all;
-    if (!enabled_)
-        return all;
-    size_t total = 0;
-    for (const auto &s : shards_)
-        total += s.events().size();
-    all.reserve(total);
-    for (const auto &s : shards_) {
-        all.insert(all.end(), s.events().begin(), s.events().end());
-    }
-    // Deterministic total order over everything that identifies an
-    // event: which shard an event came from (a worker-count artifact)
-    // never influences the result. Two fully equal keys can only be
-    // two identical events.
-    std::stable_sort(
-        all.begin(), all.end(),
-        [](const TraceEvent &a, const TraceEvent &b) {
-            return std::tie(a.t0, a.device, a.kind, a.seq, a.request,
-                            a.channel, a.lane, a.t1, a.decision) <
-                   std::tie(b.t0, b.device, b.kind, b.seq, b.request,
-                            b.channel, b.lane, b.t1, b.decision);
-        });
-    return all;
+    std::stable_sort(events.begin(), events.end(),
+                     [](const TraceEvent &a, const TraceEvent &b) {
+                         return std::tie(a.t0, a.device, a.kind) <
+                                std::tie(b.t0, b.device, b.kind);
+                     });
 }
 
 namespace {

@@ -3,24 +3,22 @@
  * Fleet event trace: typed records of everything the scheduler did,
  * exportable as Chrome trace-event JSON (Perfetto-loadable).
  *
- * The scheduler (and the worker threads stepping its sessions)
- * record typed events — iteration boundaries with batch composition,
- * per-session step spans carrying the op-class cost breakdown and
- * the early-exit depth, scheduler decisions (admit / drop /
- * preempt / resume / cache-hit / backfill-grant / handoff), and DMA
- * channel busy spans — against the MODELED clock only. Recording is
- * pure appending: turning the trace on or off never changes
- * emissions or modeled costs (pinned by test, like every other
- * scheduler knob).
+ * The scheduler records typed events — iteration boundaries with
+ * batch composition, per-session step spans carrying the op-class
+ * cost breakdown and the early-exit depth, scheduler decisions
+ * (admit / drop / preempt / resume / cache-hit / backfill-grant /
+ * handoff), and DMA channel busy spans — against the MODELED clock
+ * only. Recording is pure appending: turning the trace on or off
+ * never changes emissions or modeled costs (pinned by test, like
+ * every other scheduler knob).
  *
- * Threading: engines step their sessions in parallel, so the
- * recorder is sharded — each engine appends to its own shard (one
- * thread at a time steps an engine) and the scheduler thread to a
- * control shard, lock-free because no shard is ever shared. merged()
- * then sorts every shard's events by (time, track, kind, seq,
- * request): worker events carry their admission-order slot as `seq`,
- * so the merged trace is bit-identical no matter how many workers
- * recorded it or which shard an event landed in.
+ * Threading: one writer. Worker threads only step sessions; every
+ * event, step spans included, is appended on the scheduler thread
+ * at phase boundaries (step spans in admission order right after an
+ * iteration is priced). Emission order therefore never depends on
+ * the worker count, and sortTrace() puts the events in time order
+ * by (time, track, kind) with ties kept in emission order, so the
+ * trace is bit-identical no matter how many workers ran the fleet.
  *
  * Export maps devices (and their DMA channels) to Perfetto tracks:
  * one process per modeled device plus a fleet/scheduler process,
@@ -81,7 +79,10 @@ struct TraceEvent
     int device = -1;
     /** DMA channel for Transfer events (hw::DmaChannel value). */
     int channel = -1;
-    /** Per-device sub-track (admission-order slot) for step spans. */
+    /**
+     * Step spans: per-device sub-track, the session's admission-order
+     * slot in the active batch (never a worker or engine index).
+     */
     int lane = 0;
 
     uint64_t request = 0; ///< 0 = no single request (e.g. KnobChange)
@@ -92,14 +93,6 @@ struct TraceEvent
     int stages_used = 0;   ///< step spans: pipeline stages occupied
     int batch = 0;         ///< iteration spans: decode-slot sessions
     int prefilling = 0;    ///< iteration spans: mid-prefill sessions
-
-    /**
-     * Deterministic same-time tiebreak: the control shard stamps a
-     * monotonic counter (scheduler decisions replay identically for
-     * any worker count); worker shards stamp the session's
-     * admission-order slot in the active batch.
-     */
-    uint64_t seq = 0;
 
     /**
      * Step spans: modeled seconds per op class, (hw::OpClass value,
@@ -115,66 +108,14 @@ struct TraceOptions
     bool enabled = false;
 };
 
-/** One thread's private append-only event buffer. */
-class TraceShard
-{
-  public:
-    void emit(TraceEvent e) { events_.push_back(std::move(e)); }
-    const std::vector<TraceEvent> &events() const { return events_; }
-    size_t size() const { return events_.size(); }
-
-    /**
-     * Clamp the end of every event from index `from` on to `t_max`.
-     * The scheduler uses this to pin worker step spans inside their
-     * iteration: the clock advance is priced from per-device (or
-     * per-stage) reductions whose fp rounding can land an ulp below
-     * a single session's cost sum, and a span must never outlive
-     * the iteration that charged it.
-     */
-    void clampEnds(size_t from, double t_max)
-    {
-        for (size_t i = from; i < events_.size(); ++i)
-            if (events_[i].t1 > t_max)
-                events_[i].t1 = t_max;
-    }
-
-  private:
-    std::vector<TraceEvent> events_;
-};
-
 /**
- * Sharded fleet-trace recorder: one shard per worker engine plus a
- * control shard for the scheduler thread. Shards are plain vectors a
- * single thread appends to — no locks, no atomics — merged into one
- * deterministic sequence after the workers join.
+ * Stable-sort `events` into trace order: by (t0, device, kind), ties
+ * kept in emission order.
  */
-class TraceRecorder
-{
-  public:
-    TraceRecorder(size_t n_workers, bool enabled);
-
-    bool enabled() const { return enabled_; }
-
-    /** The scheduler thread's shard. */
-    TraceShard &control() { return shards_.back(); }
-    /** Engine `i`'s shard (exclusive to the thread stepping it). */
-    TraceShard &worker(size_t i) { return shards_[i]; }
-
-    /**
-     * All shards' events in one deterministic order: sorted by
-     * (t0, device, kind, seq, request, channel, lane, t1). The
-     * result is bit-identical for any worker count recording the
-     * same modeled run. Empty while disabled.
-     */
-    std::vector<TraceEvent> merged() const;
-
-  private:
-    std::vector<TraceShard> shards_;
-    bool enabled_;
-};
+void sortTrace(std::vector<TraceEvent> &events);
 
 /**
- * Render merged events as Chrome trace-event JSON. Processes:
+ * Render sorted events as Chrome trace-event JSON. Processes:
  * pid 0 = fleet/scheduler, pid 1+d = modeled device d (named by its
  * prefill/decode role). Threads within a device: one per step-span
  * lane, plus one per DMA channel. Requests become flow events

@@ -287,13 +287,11 @@ struct FleetState
     // --- observability: event trace + metrics timeline -------------
     // Both record against the MODELED clock and never advance it or
     // touch any scheduling state, so emissions and modeled costs are
-    // bit-identical whether they are on or off. Worker threads write
-    // step spans into their own recorder shard (lock-free by
-    // exclusivity); everything decided on this thread goes to the
-    // control shard with a monotonic seq stamp, and the merge is
-    // deterministic across worker counts.
-    obs::TraceRecorder rec{engines.size(), tracing};
-    uint64_t trace_seq = 0;
+    // bit-identical whether they are on or off. Every trace event is
+    // appended on this thread (worker threads only step sessions), so
+    // emission order, and with it the sorted trace, is the same for
+    // any worker count.
+    std::vector<obs::TraceEvent> trace;
     obs::Timeline timeline{opts.timeline, t0, mcfg.n_layers, n_stages};
 
     // --- adaptive control plane ------------------------------------
@@ -351,10 +349,6 @@ struct FleetState
     // --- per-boundary / per-iteration scratch ----------------------
     std::vector<int> grant; ///< planned prompt tokens per active slot
     double step_t0 = 0.0;
-    // Shard high-water marks: everything a worker emits past its
-    // mark belongs to THIS iteration and gets its end clamped to the
-    // iteration's actual clock advance.
-    std::vector<size_t> shard_mark;
     int busy_stages = 0;
 
     bool pending() const
@@ -394,13 +388,6 @@ struct FleetState
             f(s);
     }
 
-    /** Stamp `ev` with the next control-shard seq and record it. */
-    void emit(obs::TraceEvent ev)
-    {
-        ev.seq = trace_seq++;
-        rec.control().emit(std::move(ev));
-    }
-
     void decision(obs::TraceDecision d, uint64_t req_id, int d_tokens = 0)
     {
         if (!tracing)
@@ -411,7 +398,7 @@ struct FleetState
         ev.decision = d;
         ev.request = req_id;
         ev.tokens = d_tokens;
-        emit(std::move(ev));
+        trace.push_back(std::move(ev));
     }
 
     /** One DMA busy span [a, b) on `device`'s channel — fed to both the
@@ -429,7 +416,7 @@ struct FleetState
         ev.device = static_cast<int>(device);
         ev.channel = static_cast<int>(ch);
         ev.request = req_id;
-        emit(std::move(ev));
+        trace.push_back(std::move(ev));
     }
 
     /**
@@ -537,8 +524,7 @@ struct FleetState
             // proportional share of the sim prefix.
             if (chunk < total) {
                 sim = std::max(
-                    1, static_cast<int>(static_cast<long>(prompt - 1) *
-                                        chunk / total));
+                    1, engines::simPrefixRows(prompt - 1, chunk, total));
             }
         }
         return mcfg.n_layers *
@@ -777,7 +763,7 @@ struct FleetState
                 ev.t1 = clock;
                 ev.device = static_cast<int>(e.device);
                 ev.request = e.req.id;
-                emit(std::move(ev));
+                trace.push_back(std::move(ev));
             }
             break;
         }
@@ -1075,7 +1061,7 @@ struct FleetState
                     ev.deepest_layer = c.deepest_layer;
                     ev.stages_used = c.stages_used;
                     ev.op_s = c.class_s;
-                    emit(std::move(ev));
+                    trace.push_back(std::move(ev));
                 }
             }
             if (p.sess->prefillDone()) {
@@ -1249,37 +1235,10 @@ struct FleetState
         }
     }
 
-    /** Step worker `eng`'s sessions (on one thread of step()'s). */
+    /** Step worker `eng`'s sessions (on one thread of step()'s). Writes
+     * nothing but those sessions and their Entry's grant and cost. */
     void stepEngine(size_t eng)
     {
-        // This engine's private shard. Events carry the session's
-        // admission-order slot `i` as lane AND seq (never the physical
-        // engine index, which depends on the worker count), so merged()
-        // replays identically for any engine fan-out.
-        obs::TraceShard &shard = rec.worker(eng);
-        const auto emitStep = [&](size_t i, const Entry &a) {
-            if (!tracing || (a.granted <= 0 && a.cost.tokens <= 0))
-                return; // idle: no span
-            obs::TraceEvent ev;
-            ev.kind = a.granted > 0 ? obs::TraceKind::PrefillChunk
-                                    : obs::TraceKind::Step;
-            ev.t0 = step_t0;
-            // Parenthesized to match the iteration pricing's
-            // association; any remaining ulp overhang versus the priced
-            // dt (per-stage pricing re-associates the sums) is clamped to
-            // the new clock after the join, so per-lane spans are exactly
-            // disjoint.
-            ev.t1 = step_t0 + (a.cost.shared_s + a.cost.private_s);
-            ev.device = static_cast<int>(a.device);
-            ev.lane = static_cast<int>(i);
-            ev.request = a.req.id;
-            ev.tokens = a.granted > 0 ? a.granted : a.cost.tokens;
-            ev.deepest_layer = a.cost.deepest_layer;
-            ev.stages_used = a.cost.stages_used;
-            ev.op_s = a.cost.class_s;
-            ev.seq = i;
-            shard.emit(std::move(ev));
-        };
         for (size_t i = 0; i < active.size(); ++i) {
             Entry &a = active[i];
             if (a.engine != eng)
@@ -1300,7 +1259,6 @@ struct FleetState
                 a.sess->step();
             }
             a.cost = a.sess->lastStep();
-            emitStep(i, a);
         }
     }
 
@@ -1308,11 +1266,6 @@ struct FleetState
     void step()
     {
         step_t0 = clock;
-        if (tracing) {
-            shard_mark.resize(engines.size());
-            for (size_t e = 0; e < engines.size(); ++e)
-                shard_mark[e] = rec.worker(e).size();
-        }
         std::vector<bool> has(engines.size(), false);
         for (const auto &a : active)
             has[a.engine] = true;
@@ -1323,6 +1276,38 @@ struct FleetState
         }
         // One engine in use steps on this thread; more fan out.
         parallelFor(used.size(), [&](size_t k) { stepEngine(used[k]); });
+    }
+
+    /**
+     * Trace one Step or PrefillChunk span per session that did work
+     * this iteration, in admission order; the slot `i` is the span's
+     * lane. A span ends at step_t0 + (shared + private), parenthesized
+     * like the pricing, but the clock advance reduces the same costs
+     * per device (or per stage), so a span can overhang the new clock
+     * by an ulp of fp re-association. Clamp: a span never outlives its
+     * iteration, and per-lane spans stay exactly disjoint.
+     */
+    void stepSpans()
+    {
+        for (size_t i = 0; i < active.size(); ++i) {
+            const Entry &a = active[i];
+            if (a.granted <= 0 && a.cost.tokens <= 0)
+                continue; // idle: no span
+            obs::TraceEvent ev;
+            ev.kind = a.granted > 0 ? obs::TraceKind::PrefillChunk
+                                    : obs::TraceKind::Step;
+            ev.t0 = step_t0;
+            ev.t1 = std::min(step_t0 + (a.cost.shared_s + a.cost.private_s),
+                             clock);
+            ev.device = static_cast<int>(a.device);
+            ev.lane = static_cast<int>(i);
+            ev.request = a.req.id;
+            ev.tokens = a.granted > 0 ? a.granted : a.cost.tokens;
+            ev.deepest_layer = a.cost.deepest_layer;
+            ev.stages_used = a.cost.stages_used;
+            ev.op_s = a.cost.class_s;
+            trace.push_back(std::move(ev));
+        }
     }
 
     /**
@@ -1382,15 +1367,8 @@ struct FleetState
             fleet.energy_j += shared_e + private_e;
         }
         clock += dt;
-        if (tracing) {
-            // Workers computed each span end as step_t0 + (shared +
-            // private); dt reduces the same costs per device (or per
-            // stage), so a span can overhang the new clock by an ulp of
-            // fp re-association. Clamp: a span never outlives its
-            // iteration, and per-lane spans stay exactly disjoint.
-            for (size_t e = 0; e < engines.size(); ++e)
-                rec.worker(e).clampEnds(shard_mark[e], clock);
-        }
+        if (tracing)
+            stepSpans();
         if (overlap && dt == 0.0) {
             // Every active session is pinned mid-DMA and nothing stepped:
             // jump to the next modeled event (a transfer landing, a
@@ -1420,7 +1398,7 @@ struct FleetState
             ev.prefilling =
                 mid_prefill + static_cast<int>(prefilling.size());
             ev.tokens = iter_tokens;
-            emit(std::move(ev));
+            trace.push_back(std::move(ev));
         }
         // Stage occupancy: every session's weight stream covers the
         // contiguous stage prefix [0, stages_used), so the union is the
@@ -1679,8 +1657,10 @@ struct FleetState
         }
         fleet.goodput_under_slo =
             ratio(static_cast<double>(slo_tokens), fleet.makespan_s);
-        if (tracing)
-            fleet.trace = rec.merged();
+        if (tracing) {
+            obs::sortTrace(trace);
+            fleet.trace = std::move(trace);
+        }
         if (timeline.enabled()) {
             std::unordered_set<uint64_t> attained;
             for (const auto &o : outcomes)

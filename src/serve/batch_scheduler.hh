@@ -293,12 +293,11 @@ struct SchedulerOptions
 
     /**
      * Fleet event trace (see obs/trace.hh): typed iteration / step /
-     * decision / DMA events merged into FleetStats::trace, ready for
+     * decision / DMA events, sorted into FleetStats::trace, ready for
      * Chrome trace-event export. Off (default) records nothing; on
      * or off, emissions and modeled costs are bit-identical — the
      * trace only observes the modeled clock, never advances it — and
-     * the merged trace is itself bit-deterministic across worker
-     * counts.
+     * the trace is itself bit-deterministic across worker counts.
      */
     obs::TraceOptions trace;
 };

@@ -1,12 +1,12 @@
 /**
  * @file
- * Observability subsystem: trace recorder units and deterministic
- * shard merging, Chrome trace-event JSON schema for every event
- * kind, timeline window bucketing at boundaries, SLO judging on
- * hand-built outcomes, and end-to-end pins on a real tiny server —
- * tracing/timeline/SLO are bit-inert on the modeled run, and the
- * merged trace is bit-identical across worker counts (the workers=3
- * runs also give TSan real parallel shard writes to check).
+ * Observability subsystem: trace ordering (sortTrace), Chrome
+ * trace-event JSON schema for every event kind, timeline window
+ * bucketing at boundaries, SLO judging on hand-built outcomes, and
+ * end-to-end pins on a real tiny server — tracing/timeline/SLO are
+ * bit-inert on the modeled run, and the trace is bit-identical
+ * across worker counts (the workers=3 runs also give TSan traced
+ * drains under real parallel workers to check).
  */
 
 #include <gtest/gtest.h>
@@ -92,60 +92,36 @@ TEST(Slo, JudgeVerdicts)
 
 // -------------------------------------------------------------- trace
 
-TEST(Trace, DisabledRecorderStaysEmpty)
+TEST(Trace, SortOrdersByTimeTrackKindAndKeepsEmissionOrderOnTies)
 {
-    obs::TraceRecorder rec(3, false);
-    EXPECT_FALSE(rec.enabled());
-    obs::TraceEvent ev;
-    rec.control().emit(ev);
-    rec.worker(0).emit(ev);
-    EXPECT_TRUE(rec.merged().empty());
-}
-
-TEST(Trace, MergeIsDeterministicAcrossShardLayouts)
-{
-    // The same logical events land in different shards depending on
-    // the worker count; the merged sequence must not care.
-    const auto mk = [](double t0, int device, uint64_t seq) {
+    // `request` records each event's emission index.
+    std::vector<obs::TraceEvent> events;
+    const auto mk = [&](double t0, int device, obs::TraceKind kind) {
         obs::TraceEvent ev;
-        ev.kind = obs::TraceKind::Step;
+        ev.kind = kind;
         ev.t0 = t0;
-        ev.t1 = t0 + 0.5;
         ev.device = device;
-        ev.lane = static_cast<int>(seq);
-        ev.seq = seq;
-        return ev;
+        ev.request = events.size();
+        events.push_back(ev);
     };
+    mk(2.0, 0, obs::TraceKind::Step);       // 0
+    mk(1.0, 1, obs::TraceKind::Step);       // 1
+    mk(1.0, 0, obs::TraceKind::Transfer);   // 2
+    mk(1.0, 0, obs::TraceKind::Step);       // 3
+    mk(1.0, -1, obs::TraceKind::Decision);  // 4
+    mk(1.0, 0, obs::TraceKind::Step);       // 5: ties with 3
+    mk(1.0, -1, obs::TraceKind::Iteration); // 6
+    mk(1.0, -1, obs::TraceKind::Decision);  // 7: ties with 4
+    mk(1.0, 0, obs::TraceKind::Step);       // 8: ties with 3 and 5
 
-    obs::TraceRecorder one(1, true);
-    one.worker(0).emit(mk(1.0, 0, 0));
-    one.worker(0).emit(mk(1.0, 0, 1));
-    one.worker(0).emit(mk(1.0, 1, 0));
-    one.worker(0).emit(mk(2.0, 0, 0));
-
-    obs::TraceRecorder three(3, true);
-    // Same events, scattered over shards in scrambled order.
-    three.worker(2).emit(mk(2.0, 0, 0));
-    three.worker(0).emit(mk(1.0, 0, 1));
-    three.worker(1).emit(mk(1.0, 1, 0));
-    three.worker(1).emit(mk(1.0, 0, 0));
-
-    const auto a = one.merged();
-    const auto b = three.merged();
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_DOUBLE_EQ(a[i].t0, b[i].t0);
-        EXPECT_EQ(a[i].device, b[i].device);
-        EXPECT_EQ(a[i].seq, b[i].seq);
-    }
-    // Sorted by (t0, device, ...): the t=1 events come first,
-    // devices ascending, seq ascending within a device.
-    EXPECT_DOUBLE_EQ(a[0].t0, 1.0);
-    EXPECT_EQ(a[0].device, 0);
-    EXPECT_EQ(a[0].seq, 0u);
-    EXPECT_EQ(a[1].seq, 1u);
-    EXPECT_EQ(a[2].device, 1);
-    EXPECT_DOUBLE_EQ(a[3].t0, 2.0);
+    obs::sortTrace(events);
+    std::vector<uint64_t> order;
+    for (const auto &e : events)
+        order.push_back(e.request);
+    // Time first, then track (fleet -1 before devices), then kind
+    // (Iteration < Step < Transfer < Decision); ties stay in emission
+    // order.
+    EXPECT_EQ(order, (std::vector<uint64_t>{6, 4, 7, 3, 5, 8, 2, 1, 0}));
 }
 
 TEST(Trace, ChromeJsonSchemaCoversEveryKind)
@@ -514,7 +490,6 @@ TEST(ObsEndToEnd, MergedTraceIsIdenticalAcrossWorkerCounts)
         EXPECT_EQ(a[i].device, b[i].device) << i;
         EXPECT_EQ(a[i].lane, b[i].lane) << i;
         EXPECT_EQ(a[i].request, b[i].request) << i;
-        EXPECT_EQ(a[i].seq, b[i].seq) << i;
         EXPECT_EQ(a[i].op_s, b[i].op_s) << i;
     }
     // And the rendered artifact is byte-identical.

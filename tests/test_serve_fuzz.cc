@@ -46,8 +46,9 @@
  *     grants, cache hits, drops, cancels, watermark rejections) and
  *     its iteration spans with the iteration count;
  *     step / chunk spans never overlap within one (device, lane)
- *     track; and the merged trace, the timeline windows and the SLO
- *     verdicts are bit-identical across worker counts.
+ *     track, and on a decode device none outlives the iteration
+ *     span with the same t0; and the trace, the timeline windows and
+ *     the SLO verdicts are bit-identical across worker counts.
  *  9. adaptive control plane (random controller draws): the knob
  *     trajectory is bit-identical across worker counts, every chosen
  *     knob value is a member of its arm set (frozen knobs never
@@ -430,7 +431,7 @@ checkInvariants(const Scenario &sc, const RunCapture &cap,
         // Execution spans never overlap within one (device, lane)
         // track: a session's span is bounded by its device's
         // iteration time, which is bounded by the clock advance (the
-        // merge is t0-ordered, so a single forward sweep suffices).
+        // trace is t0-ordered, so a single forward sweep suffices).
         std::map<std::pair<int, int>, double> track_end;
         for (const auto &ev : fleet.trace) {
             if (ev.kind != obs::TraceKind::Step &&
@@ -441,6 +442,31 @@ checkInvariants(const Scenario &sc, const RunCapture &cap,
                 << "span overlap on device " << ev.device << " lane "
                 << ev.lane << " at t=" << ev.t0;
             end = std::max(end, ev.t1);
+        }
+        // A decode device's step / chunk span never outlives the
+        // iteration that priced it (the Iteration span with the same
+        // t0). Prefill devices run their own timelines.
+        const int n_decode = sc.opts.sched.topology.devices -
+                             sc.opts.sched.topology.prefill_devices;
+        std::map<double, double> iteration_end;
+        for (const auto &ev : fleet.trace) {
+            if (ev.kind == obs::TraceKind::Iteration) {
+                double &end = iteration_end[ev.t0];
+                end = std::max(end, ev.t1);
+            }
+        }
+        for (const auto &ev : fleet.trace) {
+            if ((ev.kind != obs::TraceKind::Step &&
+                 ev.kind != obs::TraceKind::PrefillChunk) ||
+                ev.device >= n_decode)
+                continue;
+            const auto it = iteration_end.find(ev.t0);
+            ASSERT_NE(it, iteration_end.end())
+                << "span on device " << ev.device << " at t=" << ev.t0
+                << " has no iteration";
+            EXPECT_LE(ev.t1, it->second)
+                << "span on device " << ev.device << " lane " << ev.lane
+                << " outlives its iteration at t=" << ev.t0;
         }
     }
     if (sc.opts.sched.timeline.window_s <= 0.0) {
@@ -593,7 +619,7 @@ struct Coverage
     long knob_changes = 0;
 };
 
-/** Bitwise equality of two merged traces (worker-count invariance). */
+/** Bitwise equality of two traces (worker-count invariance). */
 void
 expectTraceEqual(const std::vector<obs::TraceEvent> &a,
                  const std::vector<obs::TraceEvent> &b)
@@ -615,7 +641,6 @@ expectTraceEqual(const std::vector<obs::TraceEvent> &a,
         EXPECT_EQ(x.stages_used, y.stages_used) << "event " << i;
         EXPECT_EQ(x.batch, y.batch) << "event " << i;
         EXPECT_EQ(x.prefilling, y.prefilling) << "event " << i;
-        EXPECT_EQ(x.seq, y.seq) << "event " << i;
         EXPECT_EQ(x.op_s, y.op_s) << "event " << i;
     }
 }
@@ -802,6 +827,16 @@ directedScenarios()
         ctl.batch_exit_arms = {0.3f, 0.6f};
         out.push_back(std::move(sc));
     }
+    {
+        // Random seed 23 prices an iteration an ulp below one
+        // session's own shared + private sum, which the fixed seed
+        // set never does. Without the clamp of step-span ends to the
+        // clock, invariant (8) fails here: the span outlives its
+        // iteration and overlaps its lane's next span.
+        Scenario sc = drawScenario(23);
+        sc.opts.sched.trace.enabled = true;
+        out.push_back(std::move(sc));
+    }
     return out;
 }
 
@@ -934,7 +969,7 @@ fuzzScenario(const Scenario &sc, Coverage &cov)
     }
 
     // (8) the observability artifacts themselves are bit-identical
-    // across worker counts: shards merge back into one sequence.
+    // across worker counts: the scheduler thread emits every event.
     expectTraceEqual(r1.rep.fleet.trace, r3.rep.fleet.trace);
     ASSERT_EQ(r1.rep.fleet.timeline.size(), r3.rep.fleet.timeline.size());
     for (size_t i = 0; i < r1.rep.fleet.timeline.size(); ++i) {
