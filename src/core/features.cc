@@ -55,7 +55,13 @@ FeatureExtractor::beginToken(const std::vector<int> &spec_tokens)
 tensor::CSpan
 FeatureExtractor::extract(const model::TargetModel &tm)
 {
-    tm.logitsSliced(specTokens_, logits_);
+    return extract(tm.lmHead(), tm.hidden());
+}
+
+tensor::CSpan
+FeatureExtractor::extract(const model::LmHead &head, tensor::CSpan hidden)
+{
+    head.sliced(hidden, specTokens_, logits_);
     return extractFromLogits(logits_);
 }
 

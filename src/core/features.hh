@@ -58,6 +58,9 @@ class FeatureExtractor
      */
     tensor::CSpan extract(const model::TargetModel &tm);
 
+    /** Same, from `hidden` through `head` (a block-decoded token). */
+    tensor::CSpan extract(const model::LmHead &head, tensor::CSpan hidden);
+
     /**
      * Same computation from an externally supplied sliced-logit
      * vector (used by the grouped hyper-token path).

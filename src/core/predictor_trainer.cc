@@ -32,6 +32,8 @@ PredictorTrainer::collect(const workload::Workload &w,
     const model::ModelConfig &cfg = tm.config();
     const auto n_exit = static_cast<size_t>(cfg.n_layers - 1);
     const auto n_feat = static_cast<size_t>(3 * cfg.num_spec_tokens);
+    const auto hidden = static_cast<size_t>(cfg.sim.hidden);
+    const auto vocab = static_cast<size_t>(cfg.sim.vocab);
 
     ProfileData data;
     data.specee.assign(n_exit, nn::Dataset(n_feat));
@@ -40,49 +42,59 @@ PredictorTrainer::collect(const workload::Workload &w,
 
     // Allocated on the calling thread, whichever thread fills them,
     // so the memory returns to its malloc arena rather than staying
-    // resident in a worker's.
+    // resident in a worker's. The stepping scratch below is reused
+    // by every instance for the same reason.
     const auto buffers = [&](size_t ii) {
         const size_t rows = w.instances[ii].steps.size() * n_exit;
-        return Stepped{
-            tensor::Matrix(rows, static_cast<size_t>(cfg.sim.hidden)),
-            tensor::Matrix(rows, n_feat)};
+        return Stepped{tensor::Matrix(rows, hidden),
+                       tensor::Matrix(rows, n_feat)};
     };
+    size_t max_tok = 0;
+    for (const auto &inst : w.instances)
+        max_tok = std::max(max_tok, inst.steps.size());
+    std::vector<int> inputs(max_tok);
+    std::vector<FeatureExtractor> fx(max_tok,
+                                     FeatureExtractor(cfg.num_spec_tokens));
 
     Rng rng(seed);
-    FeatureExtractor fx(cfg.num_spec_tokens);
     const auto step = [&](size_t ii, Stepped &out) {
         const auto &inst = w.instances[ii];
+        const size_t n_tok = inst.steps.size();
         // Independent noise substream per profiled instance (fork()
         // leaves the speculation rng stream untouched), so collected
         // features cover the noise diversity served requests see.
         tm.reset(rng.fork(0x7e5e + ii).next());
         tm.prefill(inst.prompt);
+        // Each token feeds back the previous target, so the whole
+        // block is known before it runs.
+        inputs.resize(n_tok);
         int prev = inst.prompt.back();
-        for (size_t t = 0; t < inst.steps.size(); ++t) {
-            const model::TokenScript &script = inst.steps[t];
-            auto spec = dlm.speculate(prev, script.target,
-                                      cfg.num_spec_tokens, rng);
-            fx.beginToken(spec);
-            tm.beginToken(prev, script);
-            for (size_t l = 0; l < n_exit; ++l) {
-                tm.runLayer();
-                const tensor::CSpan h = tm.hidden();
-                const tensor::CSpan f = fx.extract(tm);
-                std::copy(h.begin(), h.end(),
-                          out.hiddens.row(t * n_exit + l).begin());
-                std::copy(f.begin(), f.end(),
-                          out.feats.row(t * n_exit + l).begin());
-            }
-            tm.runRemainingLayers();
-            prev = script.target;
+        for (size_t t = 0; t < n_tok; ++t) {
+            inputs[t] = prev;
+            fx[t].beginToken(dlm.speculate(prev, inst.steps[t].target,
+                                           cfg.num_spec_tokens, rng));
+            prev = inst.steps[t].target;
         }
+        tm.decodeScripted(
+            inputs, inst.steps, [&](int l, size_t t, tensor::CSpan h) {
+                if (static_cast<size_t>(l) >= n_exit)
+                    return;
+                const size_t r = t * n_exit + static_cast<size_t>(l);
+                const tensor::CSpan f = fx[t].extract(tm.lmHead(), h);
+                std::copy(h.begin(), h.end(), out.hiddens.row(r).begin());
+                std::copy(f.begin(), f.end(), out.feats.row(r).begin());
+            });
     };
 
     // The model is one sequential chain; the full-vocabulary head
     // that labels each row is most of the remaining work and is
-    // independent per token. Each round steps the next instance
+    // independent per row. Each round steps the next instance
     // (index 0, claimed first) while the other threads run the
-    // current instance's heads.
+    // current instance's heads, kHeadRows rows per pass over the
+    // embedding. A pass's logits (kHeadRows x vocab, 64 KB at vocab
+    // 4096) stay below malloc's mmap threshold, so the buffers the
+    // workers free and keep in their arenas stay small.
+    constexpr size_t kHeadRows = 4;
     Stepped cur;
     if (!w.instances.empty()) {
         cur = buffers(0);
@@ -91,29 +103,34 @@ PredictorTrainer::collect(const workload::Workload &w,
     for (size_t ii = 0; ii < w.instances.size(); ++ii) {
         const auto &inst = w.instances[ii];
         const size_t n_tok = inst.steps.size();
+        const size_t n_rows = cur.hiddens.rows();
         const size_t ahead = ii + 1 < w.instances.size() ? 1 : 0;
         Stepped next = ahead ? buffers(ii + 1) : Stepped{};
-        std::vector<float> labels(cur.hiddens.rows());
-        std::vector<std::array<float, 3>> ada(cur.hiddens.rows());
-        parallelFor(ahead + n_tok, [&](size_t k) {
+        std::vector<float> labels(n_rows);
+        std::vector<std::array<float, 3>> ada(n_rows);
+        const size_t n_groups = (n_rows + kHeadRows - 1) / kHeadRows;
+        parallelFor(ahead + n_groups, [&](size_t k) {
             if (k < ahead) {
                 step(ii + 1, next);
                 return;
             }
-            const size_t t = k - ahead;
-            // A head of its own: heads keep a normalization scratch.
-            const model::LmHead head(tm.weights().embedding(),
-                                     tm.weights().rmsFinal());
-            tensor::Vec logits(static_cast<size_t>(cfg.sim.vocab));
-            for (size_t r = t * n_exit; r < (t + 1) * n_exit; ++r) {
-                head.full(cur.hiddens.row(r), logits);
+            const size_t r0 = (k - ahead) * kHeadRows;
+            const size_t n = std::min(kHeadRows, n_rows - r0);
+            tensor::Vec logits(n * vocab);
+            tm.lmHead().fullRows(
+                tensor::CSpan(cur.hiddens.row(r0).data(), n * hidden),
+                logits);
+            for (size_t j = 0; j < n; ++j) {
+                const size_t r = r0 + j;
+                const tensor::Span row =
+                    tensor::Span(logits).subspan(j * vocab, vocab);
                 // Label per §7.4.4: exiting here emits the same token
                 // as the full forward pass (which emits the script
                 // target by construction).
-                const int global =
-                    static_cast<int>(tensor::argmax(logits));
-                labels[r] = global == inst.steps[t].target ? 1.0f : 0.0f;
-                ada[r] = adaInferFeatures(logits);
+                const int global = static_cast<int>(tensor::argmax(row));
+                labels[r] =
+                    global == inst.steps[r / n_exit].target ? 1.0f : 0.0f;
+                ada[r] = adaInferFeatures(row);
             }
         });
 

@@ -67,8 +67,11 @@ class PredictorTrainer
     /**
      * Profile `tm` over `workload` with `dlm` proposing speculative
      * tokens; fills per-layer datasets for both predictor families.
-     * The model steps one instance at a time while the other cores
-     * run the full-vocabulary head that labels the previous one, so
+     * Each instance's scripted tokens are known up front, so the
+     * model decodes them layer by layer (TargetModel::decodeScripted)
+     * and streams each layer's weights once per instance. One
+     * instance steps at a time while the other cores run the
+     * full-vocabulary heads that label the previous one, so
      * profiling holds one sequence's KV, as a sequential pass does.
      * The result does not depend on the thread count.
      */

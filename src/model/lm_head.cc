@@ -1,5 +1,8 @@
 #include "model/lm_head.hh"
 
+#include <algorithm>
+#include <numeric>
+
 #include "tensor/kernels.hh"
 #include "util/logging.hh"
 
@@ -27,6 +30,33 @@ LmHead::full(tensor::CSpan hidden_state, tensor::Span logits) const
     specee_assert(logits.size() == embedding_.rows(), "full logits size");
     normalize(hidden_state);
     embedding_.gemv(scratch_, logits);
+}
+
+void
+LmHead::fullRows(tensor::CSpan hiddens, tensor::Span logits) const
+{
+    const size_t h = embedding_.cols();
+    const size_t v = embedding_.rows();
+    const size_t n = hiddens.size() / h;
+    specee_assert(hiddens.size() == n * h && logits.size() == n * v,
+                  "fullRows sizes");
+    tensor::Vec normed(hiddens.size());
+    for (size_t j = 0; j < n; ++j) {
+        tensor::rmsnorm(hiddens.subspan(j * h, h), rmsFinal_,
+                        tensor::Span(normed).subspan(j * h, h));
+    }
+    // A tile of embedding rows stays in cache while every hidden
+    // state takes its dot products against it.
+    constexpr size_t kTile = 64;
+    std::vector<int> tile;
+    for (size_t r0 = 0; r0 < v; r0 += kTile) {
+        tile.resize(std::min(kTile, v - r0));
+        std::iota(tile.begin(), tile.end(), static_cast<int>(r0));
+        for (size_t j = 0; j < n; ++j) {
+            embedding_.gemvRows(tile, tensor::CSpan(normed).subspan(j * h, h),
+                                logits.subspan(j * v + r0, tile.size()));
+        }
+    }
 }
 
 void

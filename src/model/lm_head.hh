@@ -42,6 +42,16 @@ class LmHead
     /** Full-vocabulary logits (the expensive online search). */
     void full(tensor::CSpan hidden_state, tensor::Span logits) const;
 
+    /**
+     * Full logits of several hidden states: row j of `hiddens`
+     * (n x hidden, row-major) into row j of `logits` (n x vocab).
+     * One pass over the embedding serves all n rows, a vocabulary
+     * tile at a time, and each logit is the dot product full()
+     * computes, so every row equals full() bit for bit. Uses no head
+     * scratch: threads may share one head.
+     */
+    void fullRows(tensor::CSpan hiddens, tensor::Span logits) const;
+
     /** Logits for selected tokens only (speculative LM head). */
     void sliced(tensor::CSpan hidden_state, const std::vector<int> &tokens,
                 tensor::Span out) const;

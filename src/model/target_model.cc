@@ -62,9 +62,7 @@ TargetModel::makeSequence(std::unique_ptr<KvStore> kv) const
     SequenceState s;
     s.kv = kv ? std::move(kv) : makeSequenceKv();
     s.noiseRng = Rng(opts_.noise_seed);
-    s.hidden.resize(static_cast<size_t>(cfg_.sim.hidden));
-    s.dirTarget.resize(static_cast<size_t>(cfg_.sim.hidden));
-    s.dirDistractor.resize(static_cast<size_t>(cfg_.sim.hidden));
+    s.tok.hidden.resize(static_cast<size_t>(cfg_.sim.hidden));
     return s;
 }
 
@@ -73,7 +71,7 @@ TargetModel::bindSequence(SequenceState *seq)
 {
     seq_ = seq != nullptr ? seq : &own_;
     specee_assert(seq_->kv != nullptr &&
-                      seq_->hidden.size() ==
+                      seq_->tok.hidden.size() ==
                           static_cast<size_t>(cfg_.sim.hidden),
                   "bound sequence state does not match the model");
 }
@@ -100,12 +98,51 @@ TargetModel::prefill(const std::vector<int> &tokens)
     for (int tok : tokens) {
         specee_assert(tok >= 0 && tok < cfg_.sim.vocab,
                       "prompt token %d out of range", tok);
-        weights_->embedding().copyRow(static_cast<size_t>(tok), s.hidden);
+        weights_->embedding().copyRow(static_cast<size_t>(tok),
+                                      s.tok.hidden);
         for (int l = 0; l < cfg_.n_layers; ++l)
-            layerBlock_.fillKv(weights_->layer(l), l, s.hidden, s.pos,
+            layerBlock_.fillKv(weights_->layer(l), l, s.tok.hidden, s.pos,
                                *s.kv);
         ++s.pos;
     }
+}
+
+void
+TargetModel::beginSteer(TokenSteer &ts, int input_token,
+                        const TokenScript &script, Rng &noise)
+{
+    specee_assert(input_token >= 0 && input_token < cfg_.sim.vocab,
+                  "input token out of range");
+    specee_assert(script.target >= 0 && script.target < cfg_.sim.vocab &&
+                  script.distractor >= 0 &&
+                  script.distractor < cfg_.sim.vocab,
+                  "script token out of range");
+    const auto h = static_cast<size_t>(cfg_.sim.hidden);
+    ts.script = script;
+    ts.hidden.resize(h);
+    ts.dirTarget.resize(h);
+    ts.dirDistractor.resize(h);
+
+    // Residual stream starts at the input embedding.
+    weights_->embedding().copyRow(static_cast<size_t>(input_token),
+                                  ts.hidden);
+
+    // Per-token noisy target direction: dir = unit(E[target] + nu*z).
+    weights_->embedding().copyRow(static_cast<size_t>(script.target),
+                                  erow_);
+    const float nu = opts_.steer.target_noise;
+    const float per_dim = nu / std::sqrt(static_cast<float>(h));
+    for (size_t i = 0; i < h; ++i) {
+        ts.dirTarget[i] =
+            erow_[i] + static_cast<float>(noise.normal(0.0, per_dim));
+    }
+    unitize(ts.dirTarget);
+
+    weights_->embedding().copyRow(static_cast<size_t>(script.distractor),
+                                  ts.dirDistractor);
+
+    const float j = opts_.steer.distractor_jitter;
+    ts.distractorScale = static_cast<float>(noise.uniform(1.0 - j, 1.0 + j));
 }
 
 void
@@ -113,50 +150,51 @@ TargetModel::beginToken(int input_token, const TokenScript &script)
 {
     SequenceState &s = *seq_;
     specee_assert(!s.inToken, "beginToken during a decode step");
-    specee_assert(input_token >= 0 && input_token < cfg_.sim.vocab,
-                  "input token out of range");
-    specee_assert(script.target >= 0 && script.target < cfg_.sim.vocab &&
-                  script.distractor >= 0 &&
-                  script.distractor < cfg_.sim.vocab,
-                  "script token out of range");
-    s.script = script;
+    beginSteer(s.tok, input_token, script, s.noiseRng);
     s.layer = 0;
     s.inToken = true;
-
-    // Residual stream starts at the input embedding.
-    weights_->embedding().copyRow(static_cast<size_t>(input_token),
-                                  s.hidden);
-
-    // Per-token noisy target direction: dir = unit(E[target] + nu*z).
-    weights_->embedding().copyRow(static_cast<size_t>(script.target),
-                                  erow_);
-    const float nu = opts_.steer.target_noise;
-    const float per_dim =
-        nu / std::sqrt(static_cast<float>(cfg_.sim.hidden));
-    for (size_t i = 0; i < s.dirTarget.size(); ++i) {
-        s.dirTarget[i] =
-            erow_[i] +
-            static_cast<float>(s.noiseRng.normal(0.0, per_dim));
-    }
-    unitize(s.dirTarget);
-
-    weights_->embedding().copyRow(static_cast<size_t>(script.distractor),
-                                  s.dirDistractor);
-
-    const float j = opts_.steer.distractor_jitter;
-    s.distractorScale =
-        static_cast<float>(s.noiseRng.uniform(1.0 - j, 1.0 + j));
 }
 
 void
-TargetModel::steer(int layer_just_run)
+TargetModel::decodeScripted(const std::vector<int> &inputs,
+                            const std::vector<TokenScript> &scripts,
+                            const LayerFn &on_layer)
 {
     SequenceState &s = *seq_;
+    specee_assert(!s.inToken, "decodeScripted during a decode step");
+    specee_assert(inputs.size() == scripts.size(),
+                  "decodeScripted: %zu inputs, %zu scripts", inputs.size(),
+                  scripts.size());
+    if (inputs.empty())
+        return;
+    // block_ outlives the call, so a block reuses the last one's
+    // buffers wherever it runs.
+    block_.resize(inputs.size());
+    for (size_t t = 0; t < block_.size(); ++t)
+        beginSteer(block_[t], inputs[t], scripts[t], s.noiseRng);
+    for (int l = 0; l < cfg_.n_layers; ++l) {
+        for (size_t t = 0; t < block_.size(); ++t) {
+            TokenSteer &ts = block_[t];
+            layerBlock_.forward(weights_->layer(l), l, ts.hidden,
+                                s.pos + static_cast<int>(t), *s.kv,
+                                opts_.sparse_ffn, opts_.ffn_active_frac);
+            steer(ts, l);
+            on_layer(l, t, ts.hidden);
+        }
+    }
+    s.tok = block_.back();
+    s.pos += static_cast<int>(block_.size());
+    s.layer = cfg_.n_layers;
+}
+
+void
+TargetModel::steer(TokenSteer &ts, int layer_just_run) const
+{
     const SteerParams &sp = opts_.steer;
     const int l = layer_just_run;
 
     float alpha = tensor::sigmoid(
-        (static_cast<float>(l - s.script.conv_layer) + 0.5f) / sp.tau);
+        (static_cast<float>(l - ts.script.conv_layer) + 0.5f) / sp.tau);
     if (l == cfg_.n_layers - 1)
         alpha = std::max(alpha, sp.final_alpha);
 
@@ -164,16 +202,16 @@ TargetModel::steer(int layer_just_run)
     // the target takes over.
     const float ramp =
         std::min(1.0f, static_cast<float>(l + 1) / 4.0f);
-    const float beta = sp.distractor_strength * s.distractorScale *
+    const float beta = sp.distractor_strength * ts.distractorScale *
                        (1.0f - alpha) * ramp;
 
-    unitize(s.hidden); // texture component on the unit sphere
+    unitize(ts.hidden); // texture component on the unit sphere
     const float tex = std::max(0.0f, 1.0f - alpha - beta);
-    for (size_t i = 0; i < s.hidden.size(); ++i) {
-        s.hidden[i] = tex * s.hidden[i] + alpha * s.dirTarget[i] +
-                      beta * s.dirDistractor[i];
+    for (size_t i = 0; i < ts.hidden.size(); ++i) {
+        ts.hidden[i] = tex * ts.hidden[i] + alpha * ts.dirTarget[i] +
+                       beta * ts.dirDistractor[i];
     }
-    unitize(s.hidden);
+    unitize(ts.hidden);
 }
 
 tensor::CSpan
@@ -182,12 +220,12 @@ TargetModel::runLayer()
     SequenceState &s = *seq_;
     specee_assert(s.inToken, "runLayer outside a decode step");
     specee_assert(s.layer < cfg_.n_layers, "runLayer past last layer");
-    layerBlock_.forward(weights_->layer(s.layer), s.layer, s.hidden,
+    layerBlock_.forward(weights_->layer(s.layer), s.layer, s.tok.hidden,
                         s.pos, *s.kv, opts_.sparse_ffn,
                         opts_.ffn_active_frac);
-    steer(s.layer);
+    steer(s.tok, s.layer);
     ++s.layer;
-    return s.hidden;
+    return s.tok.hidden;
 }
 
 int
@@ -199,7 +237,7 @@ TargetModel::runRemainingLayers()
         runLayer();
     s.inToken = false;
     ++s.pos;
-    return lmHead_.argmaxToken(s.hidden);
+    return lmHead_.argmaxToken(s.tok.hidden);
 }
 
 int
@@ -209,7 +247,8 @@ TargetModel::finishEarly()
     specee_assert(s.inToken, "finishEarly outside a decode step");
     const int filled = cfg_.n_layers - s.layer;
     for (int l = s.layer; l < cfg_.n_layers; ++l)
-        layerBlock_.fillKv(weights_->layer(l), l, s.hidden, s.pos, *s.kv);
+        layerBlock_.fillKv(weights_->layer(l), l, s.tok.hidden, s.pos,
+                           *s.kv);
     s.layer = cfg_.n_layers;
     s.inToken = false;
     ++s.pos;
@@ -219,14 +258,7 @@ TargetModel::finishEarly()
 int
 TargetModel::globalArgmax() const
 {
-    return lmHead_.argmaxToken(seq_->hidden);
-}
-
-void
-TargetModel::logitsSliced(const std::vector<int> &tokens,
-                          tensor::Span out) const
-{
-    lmHead_.sliced(seq_->hidden, tokens, out);
+    return lmHead_.argmaxToken(seq_->tok.hidden);
 }
 
 } // namespace specee::model

@@ -38,6 +38,7 @@
 #ifndef SPECEE_MODEL_TARGET_MODEL_HH
 #define SPECEE_MODEL_TARGET_MODEL_HH
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -86,6 +87,19 @@ struct TargetModelOptions
 };
 
 /**
+ * Steering state of one token in flight: its script, its residual
+ * stream, and the directions and strength the steering blends in.
+ */
+struct TokenSteer
+{
+    TokenScript script{};
+    tensor::Vec hidden;
+    tensor::Vec dirTarget;
+    tensor::Vec dirDistractor;
+    float distractorScale = 1.0f; ///< per-token strength multiplier
+};
+
+/**
  * Everything one decoded sequence mutates: its KV store, decode
  * position, current-token steering state and the per-sequence noise
  * rng. A DecodeSession owns one of these; the model operates on
@@ -95,14 +109,10 @@ struct SequenceState
 {
     std::unique_ptr<KvStore> kv;
     Rng noiseRng{0};
-    TokenScript script{};
-    tensor::Vec hidden;
-    tensor::Vec dirTarget;
-    tensor::Vec dirDistractor;
+    TokenSteer tok;          ///< the current token
     int pos = 0;             ///< position of the token being decoded
     int layer = 0;           ///< next layer to run for the current token
     bool inToken = false;
-    float distractorScale = 1.0f; ///< per-token strength multiplier
 };
 
 /**
@@ -179,6 +189,25 @@ class TargetModel
     /** Begin a decode step for `input_token` under `script`. */
     void beginToken(int input_token, const TokenScript &script);
 
+    /** Observer of one steered layer output: (layer, token, hidden). */
+    using LayerFn = std::function<void(int, size_t, tensor::CSpan)>;
+
+    /**
+     * Decode a block of scripted tokens layer by layer: token t
+     * enters as inputs[t] under scripts[t] at position()+t. Every
+     * token's steering noise is drawn first, in token order, as
+     * beginToken() draws it. Then each layer runs over tokens
+     * 0..T-1 in order, so its weights stay in cache across the
+     * block, and on_layer sees every steered output. KV is appended
+     * layer by layer. The hidden states and KV rows equal those of
+     * beginToken() and runLayer() per token bit for bit. No LM head
+     * runs. The bound sequence ends past the block with the last
+     * token's state current.
+     */
+    void decodeScripted(const std::vector<int> &inputs,
+                        const std::vector<TokenScript> &scripts,
+                        const LayerFn &on_layer);
+
     /** Layer that runLayer() would execute next (0-based). */
     int currentLayer() const { return seq_->layer; }
 
@@ -192,7 +221,7 @@ class TargetModel
     tensor::CSpan runLayer();
 
     /** Current steered hidden state. */
-    tensor::CSpan hidden() const { return seq_->hidden; }
+    tensor::CSpan hidden() const { return seq_->tok.hidden; }
 
     /** Run all remaining layers; returns the final argmax token. */
     int runRemainingLayers();
@@ -209,16 +238,19 @@ class TargetModel
     /** Full-vocabulary argmax on the current hidden state. */
     int globalArgmax() const;
 
-    /** Sliced logits of `tokens` on the current hidden state. */
-    void logitsSliced(const std::vector<int> &tokens,
-                      tensor::Span out) const;
-
     /** KV store of the bound sequence (for tests). */
     const KvStore &kv() const { return *seq_->kv; }
 
   private:
+    /**
+     * Start `ts` as a token entering as `input_token` under
+     * `script`, drawing its steering noise from `noise`.
+     */
+    void beginSteer(TokenSteer &ts, int input_token,
+                    const TokenScript &script, Rng &noise);
+
     /** Apply convergence steering to the raw layer output. */
-    void steer(int layer_just_run);
+    void steer(TokenSteer &ts, int layer_just_run) const;
 
     ModelConfig cfg_;
     TargetModelOptions opts_;
@@ -228,6 +260,7 @@ class TargetModel
     SequenceState own_;        ///< default state (single-sequence use)
     SequenceState *seq_ = nullptr; ///< bound state (defaults to &own_)
     tensor::Vec erow_; ///< embedding-row scratch (backend dequantize)
+    std::vector<TokenSteer> block_; ///< decodeScripted's tokens
 };
 
 } // namespace specee::model

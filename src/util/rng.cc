@@ -19,6 +19,9 @@ splitmix64(uint64_t &x)
     return z ^ (z >> 31);
 }
 
+/** Box-Muller redraws a u1 at or below this, so log(u1) stays finite. */
+constexpr double kMinU1 = 1e-300;
+
 inline uint64_t
 rotl(uint64_t x, int k)
 {
@@ -79,13 +82,32 @@ Rng::normal(double mean, double sd)
     double u1 = 0.0;
     do {
         u1 = uniform();
-    } while (u1 <= 1e-300);
+    } while (u1 <= kMinU1);
     double u2 = uniform();
     double r = std::sqrt(-2.0 * std::log(u1));
     double theta = 2.0 * M_PI * u2;
     spare_ = r * std::sin(theta);
     haveSpare_ = true;
     return mean + sd * r * std::cos(theta);
+}
+
+void
+Rng::skipNormals(size_t n)
+{
+    if (n > 0 && haveSpare_) {
+        haveSpare_ = false;
+        --n;
+    }
+    // A pair costs the draws normal() makes for it: u1 until it
+    // passes the rejection, then u2.
+    for (; n >= 2; n -= 2) {
+        while (uniform() <= kMinU1) {
+        }
+        uniform();
+    }
+    // An odd tail leaves a spare behind, whose value must be real.
+    if (n == 1)
+        normal();
 }
 
 bool

@@ -42,6 +42,14 @@ class Rng
     /** Standard normal via Box-Muller (mean/sd parameterized). */
     double normal(double mean = 0.0, double sd = 1.0);
 
+    /**
+     * Advance the stream exactly as `n` normal() calls would, spare
+     * included, without computing the values of the pairs it
+     * consumes. A copy taken afterwards is a checkpoint from which
+     * later normals can be drawn on another thread.
+     */
+    void skipNormals(size_t n);
+
     /** Bernoulli draw with success probability p. */
     bool bernoulli(double p);
 

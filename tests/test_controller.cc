@@ -325,7 +325,7 @@ ctlStream()
 
 TEST(ControllerEndToEnd, DisabledControllerIsBitInert)
 {
-    unsetenv("SPECEE_TRACE");
+    const testutil::ScopedUnsetenv no_trace("SPECEE_TRACE");
     const auto &pipe = testutil::tinyPipeline();
     const auto stream = ctlStream();
 
@@ -365,7 +365,7 @@ TEST(ControllerEndToEnd, DisabledControllerIsBitInert)
 
 TEST(ControllerEndToEnd, TrajectoryIsWorkerCountInvariant)
 {
-    unsetenv("SPECEE_TRACE");
+    const testutil::ScopedUnsetenv no_trace("SPECEE_TRACE");
     const auto &pipe = testutil::tinyPipeline();
     const auto stream = ctlStream();
 
@@ -414,7 +414,7 @@ TEST(ControllerEndToEnd, TrajectoryIsWorkerCountInvariant)
 
 TEST(ControllerEndToEnd, KnobChangeTraceDecisionsReconcile)
 {
-    unsetenv("SPECEE_TRACE");
+    const testutil::ScopedUnsetenv no_trace("SPECEE_TRACE");
     const auto &pipe = testutil::tinyPipeline();
     auto o = ctlServerOpts(2);
     o.sched.controller = ctlOpts();

@@ -151,7 +151,7 @@ TEST(Features, ExtractMatchesModelSlicedLogits)
     fx.beginToken(spec);
     auto f = fx.extract(tm);
     tensor::Vec direct(4);
-    tm.logitsSliced(spec, direct);
+    tm.lmHead().sliced(tm.hidden(), spec, direct);
     for (int i = 0; i < 4; ++i)
         EXPECT_FLOAT_EQ(f[static_cast<size_t>(i)],
                         direct[static_cast<size_t>(i)]);

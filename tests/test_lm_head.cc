@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "model/lm_head.hh"
 #include "model/weights.hh"
 #include "tensor/kernels.hh"
+#include "tensor/simd.hh"
 #include "util/rng.hh"
 
 using namespace specee;
@@ -66,6 +69,48 @@ TEST(LmHead, GroupedEqualsPerGroupSliced)
         EXPECT_FLOAT_EQ(grouped[0][i], s1[i]);
     for (size_t i = 0; i < 2; ++i)
         EXPECT_FLOAT_EQ(grouped[1][i], s2[i]);
+}
+
+// The multi-row head labels profiling rows; every row must equal
+// full() bit for bit on every backend and under both SIMD dispatch
+// levels. The 200-token vocabulary leaves a ragged last tile.
+TEST(LmHead, FullRowsEqualsFullBitwise)
+{
+    const tensor::simd::Level prev = tensor::simd::activeLevel();
+    const tensor::Matrix dense = [] {
+        tensor::Matrix m(200, 24);
+        Rng rng(6);
+        for (size_t i = 0; i < m.size(); ++i)
+            m.data()[i] = static_cast<float>(rng.normal());
+        return m;
+    }();
+    const tensor::Vec rms = randomVec(24, 7);
+    const tensor::Vec hiddens = randomVec(5 * 24, 8);
+    for (auto level : {tensor::simd::Level::Scalar,
+                       tensor::simd::detectLevel()}) {
+        tensor::simd::setLevel(level);
+        for (auto b : {tensor::WeightBackend::Fp32, tensor::WeightBackend::Q8,
+                       tensor::WeightBackend::Q4}) {
+            const auto emb = tensor::makeWeightStore(dense, b);
+            const LmHead head(*emb, rms);
+            for (size_t n : {1, 4, 5}) {
+                tensor::Vec rows(n * 200);
+                head.fullRows(tensor::CSpan(hiddens).first(n * 24), rows);
+                tensor::Vec one(200);
+                for (size_t j = 0; j < n; ++j) {
+                    head.full(tensor::CSpan(hiddens).subspan(j * 24, 24),
+                              one);
+                    EXPECT_EQ(std::memcmp(rows.data() + j * 200, one.data(),
+                                          200 * sizeof(float)),
+                              0)
+                        << tensor::simd::levelName(level) << " "
+                        << tensor::weightBackendName(b) << " n=" << n
+                        << " row " << j;
+                }
+            }
+        }
+    }
+    tensor::simd::setLevel(prev);
 }
 
 TEST(LmHead, ArgmaxConsistentWithFull)

@@ -413,8 +413,8 @@ obsStream()
 TEST(ObsEndToEnd, KnobsAreBitInertOnTheModeledRun)
 {
     // The SPECEE_TRACE env override would force tracing into the
-    // "off" control run; neutralize it for this comparison.
-    unsetenv("SPECEE_TRACE");
+    // "off" control run; neutralize it for this comparison only.
+    const testutil::ScopedUnsetenv no_trace("SPECEE_TRACE");
     const auto &pipe = testutil::tinyPipeline();
     const auto stream = obsStream();
 
@@ -463,9 +463,8 @@ TEST(ObsEndToEnd, KnobsAreBitInertOnTheModeledRun)
 
 TEST(ObsEndToEnd, MergedTraceIsIdenticalAcrossWorkerCounts)
 {
-    // No unsetenv here: tracing is already on in-code, so letting a
-    // CI-set SPECEE_TRACE flow through only adds the export path
-    // (the TSan job uses exactly that to force traced drains).
+    // Tracing is already on in-code, so a SPECEE_TRACE set for the
+    // process only makes each drain also export its trace there.
     const auto &pipe = testutil::tinyPipeline();
     const auto stream = obsStream();
 
@@ -499,7 +498,8 @@ TEST(ObsEndToEnd, MergedTraceIsIdenticalAcrossWorkerCounts)
 
 TEST(ObsEndToEnd, ServerWritesTraceFile)
 {
-    unsetenv("SPECEE_TRACE");
+    // The env override would win over the option's path.
+    const testutil::ScopedUnsetenv no_trace("SPECEE_TRACE");
     const auto &pipe = testutil::tinyPipeline();
     auto o = obsServerOpts(2);
     o.trace_path = "test_obs_server_trace.json";

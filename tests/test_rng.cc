@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "util/rng.hh"
 
@@ -69,6 +71,33 @@ TEST(Rng, NormalMomentsMatch)
     const double var = sq / n - mean * mean;
     EXPECT_NEAR(mean, 2.0, 0.1);
     EXPECT_NEAR(std::sqrt(var), 3.0, 0.1);
+}
+
+// skipNormals(n) must leave the stream exactly where n normal() calls
+// leave it, spare included: the weight generator checkpoints its
+// stream with it and fills the matrices in parallel from the copies.
+TEST(Rng, SkipNormalsMatchesDrawing)
+{
+    for (bool spare_pending : {false, true}) {
+        for (size_t n : {0, 1, 2, 3, 4, 5, 7, 64, 101}) {
+            Rng drawn(31 + n);
+            if (spare_pending)
+                drawn.normal(); // leaves a spare behind
+            Rng skipped = drawn;
+            for (size_t i = 0; i < n; ++i)
+                drawn.normal();
+            skipped.skipNormals(n);
+            // The next normals (the first may be a pending spare)
+            // and the raw stream after them agree bit for bit.
+            for (int i = 0; i < 3; ++i) {
+                EXPECT_EQ(std::bit_cast<uint64_t>(skipped.normal()),
+                          std::bit_cast<uint64_t>(drawn.normal()))
+                    << "n=" << n << " spare=" << spare_pending;
+            }
+            EXPECT_EQ(skipped.next(), drawn.next())
+                << "n=" << n << " spare=" << spare_pending;
+        }
+    }
 }
 
 TEST(Rng, BernoulliRate)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <type_traits>
 
@@ -86,7 +87,7 @@ TEST(TargetModel, ProbabilityShiftAtConvergenceLayer)
     tensor::Vec sliced(spec.size());
     for (int l = 0; l < cfg.n_layers; ++l) {
         tm.runLayer();
-        tm.logitsSliced(spec, sliced);
+        tm.lmHead().sliced(tm.hidden(), spec, sliced);
         tensor::Vec probs(sliced.begin(), sliced.end());
         tensor::softmax(probs);
         target_prob_per_layer.push_back(probs[0]);
@@ -233,4 +234,112 @@ TEST(TargetModel, ResetClearsState)
     EXPECT_EQ(tm.position(), 0);
     for (int l = 0; l < cfg.n_layers; ++l)
         EXPECT_EQ(tm.kv().length(l), 0);
+}
+
+namespace {
+
+/** Bitwise equality of two float spans. */
+bool
+sameBits(tensor::CSpan a, tensor::CSpan b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/**
+ * Decode the same scripted block token by token (beginToken plus a
+ * runLayer() per layer) and layer by layer (decodeScripted) on two
+ * models over one weight set, and check that they agree bit for bit.
+ */
+void
+expectScriptedBlockMatches(const model::ModelConfig &cfg,
+                           const model::TargetModelOptions &opts)
+{
+    SCOPED_TRACE(cfg.name + (opts.sparse_ffn ? " sparse" : " dense"));
+    const auto weights = std::make_shared<const model::Weights>(
+        cfg, tensor::WeightBackend::Fp32, tensor::WeightBackend::Fp32);
+    model::TargetModel byToken(cfg, opts, weights);
+    model::TargetModel byLayer(cfg, opts, weights);
+    const auto prompt = somePrompt(cfg, 12);
+    for (model::TargetModel *tm : {&byToken, &byLayer}) {
+        tm->reset(0x5eed);
+        tm->prefill(prompt);
+    }
+
+    const size_t n_tok = 6;
+    const auto n_layers = static_cast<size_t>(cfg.n_layers);
+    Rng rng(13);
+    std::vector<int> inputs;
+    std::vector<model::TokenScript> scripts;
+    int prev = prompt.back();
+    for (size_t t = 0; t < n_tok; ++t) {
+        const int target = rng.uniformInt(0, cfg.sim.vocab - 1);
+        inputs.push_back(prev);
+        scripts.push_back(script(target, (target + 3) % cfg.sim.vocab,
+                                 rng.uniformInt(1, cfg.n_layers - 1)));
+        prev = target;
+    }
+
+    // hiddens[l * n_tok + t]: token t after layer l.
+    std::vector<tensor::Vec> want(n_layers * n_tok);
+    for (size_t t = 0; t < n_tok; ++t) {
+        byToken.beginToken(inputs[t], scripts[t]);
+        for (size_t l = 0; l < n_layers; ++l) {
+            const tensor::CSpan h = byToken.runLayer();
+            want[l * n_tok + t].assign(h.begin(), h.end());
+        }
+        byToken.runRemainingLayers();
+    }
+    std::vector<tensor::Vec> got(n_layers * n_tok);
+    std::vector<size_t> order;
+    byLayer.decodeScripted(
+        inputs, scripts, [&](int l, size_t t, tensor::CSpan h) {
+            const size_t i = static_cast<size_t>(l) * n_tok + t;
+            order.push_back(i);
+            got[i].assign(h.begin(), h.end());
+        });
+
+    // Layer-major order, every steered output seen once.
+    ASSERT_EQ(order.size(), want.size());
+    for (size_t i = 0; i < order.size(); ++i)
+        EXPECT_EQ(order[i], i);
+    for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_TRUE(sameBits(got[i], want[i]))
+            << "layer " << i / n_tok << " token " << i % n_tok;
+    }
+    EXPECT_TRUE(sameBits(byLayer.hidden(), byToken.hidden()));
+    EXPECT_EQ(byLayer.position(), byToken.position());
+    EXPECT_EQ(byLayer.doneAllLayers(), byToken.doneAllLayers());
+
+    // Every KV row, prompt and block.
+    for (int l = 0; l < cfg.n_layers; ++l) {
+        ASSERT_EQ(byLayer.kv().length(l), byToken.kv().length(l));
+        for (int p = 0; p < byToken.kv().length(l); ++p) {
+            EXPECT_TRUE(sameBits(byLayer.kv().key(l, p),
+                                 byToken.kv().key(l, p)))
+                << "key layer " << l << " pos " << p;
+            EXPECT_TRUE(sameBits(byLayer.kv().value(l, p),
+                                 byToken.kv().value(l, p)))
+                << "value layer " << l << " pos " << p;
+        }
+    }
+
+    // The noise stream ends in the same state.
+    Rng a = byLayer.sequence().noiseRng;
+    Rng b = byToken.sequence().noiseRng;
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(a.next(), b.next());
+}
+
+} // namespace
+
+// Profiling decodes each instance as one scripted block, layer by
+// layer; what it records must be what token-by-token decode computes.
+TEST(TargetModel, ScriptedBlockMatchesTokenByToken)
+{
+    expectScriptedBlockMatches(tinyCfg(), {});
+    model::TargetModelOptions sparse;
+    sparse.sparse_ffn = true;
+    expectScriptedBlockMatches(tinyCfg(), sparse);
+    expectScriptedBlockMatches(model::ModelConfig::llama2_7b(), {});
 }

@@ -55,6 +55,22 @@ digestDatasets(testutil::Digest &d, const std::vector<nn::Dataset> &sets)
     }
 }
 
+/** Digest of every collected value. */
+uint64_t
+digestProfile(const core::ProfileData &data)
+{
+    testutil::Digest d;
+    digestDatasets(d, data.specee);
+    digestDatasets(d, data.adainfer);
+    for (long h : data.oracle_exit_hist)
+        d.pod(h);
+    for (const auto &p : data.raee_probes)
+        d.span(p);
+    for (int e : data.raee_exits)
+        d.pod(e);
+    return d.value();
+}
+
 } // namespace
 
 TEST(Trainer, CollectShapes)
@@ -77,18 +93,30 @@ TEST(Trainer, CollectShapes)
 // however its work is spread over threads.
 TEST(Trainer, CollectIsBitStable)
 {
-    const auto &c = collected();
-    testutil::Digest d;
-    digestDatasets(d, c.data.specee);
-    digestDatasets(d, c.data.adainfer);
-    for (long h : c.data.oracle_exit_hist)
-        d.pod(h);
-    for (const auto &p : c.data.raee_probes)
-        d.span(p);
-    for (int e : c.data.raee_exits)
-        d.pod(e);
-    EXPECT_EQ(d.value(), testutil::pinned(0x1cd8341ac72a6c60ull,
-                                          0xa97fb94f5e9278e9ull));
+    EXPECT_EQ(digestProfile(collected().data),
+              testutil::pinned(0x1cd8341ac72a6c60ull,
+                               0xa97fb94f5e9278e9ull));
+}
+
+// The same pin at llama2-7b dims (32 layers, hidden 192, vocab 4096),
+// the shapes Pipeline profiles by default.
+TEST(Trainer, CollectIsBitStableAt7bDims)
+{
+    const auto cfg = model::ModelConfig::llama2_7b();
+    oracle::SyntheticCorpus corpus(cfg.sim.vocab, 0xc0de ^ 7);
+    workload::WorkloadGen gen(corpus);
+    workload::GenOptions gopts;
+    gopts.n_instances = 2;
+    gopts.gen_len = 8;
+    gopts.seed = 0x7e57;
+    const auto w =
+        gen.generate(oracle::profileByName("MT-Bench"), cfg, gopts);
+    model::TargetModel tm(cfg, {});
+    model::DraftModel dlm(cfg, corpus, 0.9);
+    const auto data = core::PredictorTrainer::collect(w, tm, dlm, 0x5eed);
+    ASSERT_EQ(data.raee_exits.size(), 16u);
+    EXPECT_EQ(digestProfile(data),
+              testutil::pinned(0x8aa392c49221f547ull, 0x356a86ef4682e8a8ull));
 }
 
 // Pins a trained bank's outputs on a fixed probe set and its report:

@@ -9,6 +9,9 @@
 #define SPECEE_TESTS_TEST_UTIL_HH
 
 #include <cstdint>
+#include <cstdlib>
+#include <optional>
+#include <string>
 
 #include "engines/pipeline.hh"
 #include "tensor/simd.hh"
@@ -79,6 +82,35 @@ class Digest
 
   private:
     uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+/**
+ * Unsets an environment variable for one scope and restores it on
+ * exit, so a value set for the whole process (CI forces
+ * SPECEE_TRACE) still reaches the tests that run later.
+ */
+class ScopedUnsetenv
+{
+  public:
+    explicit ScopedUnsetenv(const char *name) : name_(name)
+    {
+        if (const char *v = std::getenv(name))
+            saved_ = v;
+        unsetenv(name);
+    }
+
+    ~ScopedUnsetenv()
+    {
+        if (saved_)
+            setenv(name_.c_str(), saved_->c_str(), 1);
+    }
+
+    ScopedUnsetenv(const ScopedUnsetenv &) = delete;
+    ScopedUnsetenv &operator=(const ScopedUnsetenv &) = delete;
+
+  private:
+    std::string name_;
+    std::optional<std::string> saved_;
 };
 
 /**

@@ -16,6 +16,7 @@
 #include <string>
 
 #include "engines/engine.hh"
+#include "model/weights.hh"
 #include "tensor/kernels.hh"
 #include "tensor/simd.hh"
 #include "tensor/weight_store.hh"
@@ -288,6 +289,40 @@ TEST(Simd, QuantizedGemvEqualAcrossDispatchPaths)
                         1e-3f + 1e-3f * std::fabs(y_scalar[i]))
                 << weightBackendName(b) << " row " << i;
     }
+}
+
+// --- generated weights, pinned ---------------------------------------------
+
+// Pins every generated weight of two model configs. The generator
+// fills its matrices in parallel from checkpoints of one stream and
+// must reproduce the sequential draw.
+TEST(Weights, GeneratedValuesArePinned)
+{
+    const auto digest = [](const model::ModelConfig &cfg) {
+        const model::Weights w(cfg, WeightBackend::Fp32,
+                               WeightBackend::Fp32);
+        testutil::Digest d;
+        const auto store = [&](const WeightStore &s) {
+            Vec row(s.cols());
+            for (size_t r = 0; r < s.rows(); ++r) {
+                s.copyRow(r, row);
+                d.span(row);
+            }
+        };
+        store(w.embedding());
+        for (int l = 0; l < w.nLayers(); ++l) {
+            const model::LayerWeights &lw = w.layer(l);
+            for (const auto *s : {&lw.wq, &lw.wk, &lw.wv, &lw.wo,
+                                  &lw.w_gate, &lw.w_up, &lw.w_down})
+                store(**s);
+            d.span(lw.rms_attn);
+            d.span(lw.rms_ffn);
+        }
+        d.span(w.rmsFinal());
+        return d.value();
+    };
+    EXPECT_EQ(digest(model::ModelConfig::tiny()), 0x8e7543fffb2b82a2ull);
+    EXPECT_EQ(digest(model::ModelConfig::llama2_7b()), 0x5b1b655bb1e094b8ull);
 }
 
 // --- quantized kernels and decode, pinned ----------------------------------
