@@ -25,12 +25,19 @@ main()
                                 "profiling, training), wall clock on "
                                 "%u hardware threads",
                                 std::thread::hardware_concurrency()));
-    setup.header({"model", "samples/layer", "wall s"});
+    setup.header({"model", "samples/layer", "wall s", "weights s",
+                  "profiling s", "training s"});
     for (const char *model : {"llama2-7b", "llama2-13b"}) {
         const Stopwatch sw;
-        const auto &data = pipeline(model).profileData();
+        const auto &pipe = pipeline(model);
+        const double wall = sw.seconds();
+        const auto &data = pipe.profileData();
+        const auto &phase = pipe.phaseTimes();
         setup.row({model, std::to_string(data.specee.front().size()),
-                   metrics::Table::num(sw.seconds(), 2)});
+                   metrics::Table::num(wall, 2),
+                   metrics::Table::num(phase.weights_s, 2),
+                   metrics::Table::num(phase.profiling_s, 2),
+                   metrics::Table::num(phase.training_s, 2)});
         metrics::Table t(std::string("Figure 18: accuracy vs training "
                                      "set ratio, ") +
                          model);

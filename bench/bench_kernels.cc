@@ -3,7 +3,8 @@
  * Kernel micro-benchmarks (google-benchmark): the functional-kernel
  * costs behind the paper's claims — full vs sliced LM head (Fig. 2b),
  * grouped hyper-token GEMV (Fig. 13), Q4 vs fp32 GEMV (AWQ), the
- * predictor MLP, and the sparse FFN (PowerInfer).
+ * batched fp32 GEMV of block decode, the predictor MLP, and the
+ * sparse FFN (PowerInfer).
  */
 
 #include <benchmark/benchmark.h>
@@ -122,6 +123,31 @@ BM_GemvFp32(benchmark::State &state)
     state.SetBytesProcessed(state.iterations() * w.byteSize());
 }
 BENCHMARK(BM_GemvFp32)->Arg(192)->Arg(512);
+
+// gemvBatch over k vectors of 192 on a rows x 192 matrix (the sim
+// llama2-7b attention and gate/up shapes). k = 1 runs gemv's kernel;
+// items/s against k = 4 and 36 is the speedup of reading each weight
+// row once per four vectors.
+static void
+BM_GemvFp32Batch(benchmark::State &state)
+{
+    const auto rows = static_cast<size_t>(state.range(0));
+    const auto k = static_cast<size_t>(state.range(1));
+    constexpr size_t kCols = 192;
+    tensor::Matrix w(rows, kCols);
+    Rng rng(2);
+    for (size_t i = 0; i < w.size(); ++i)
+        w.data()[i] = static_cast<float>(rng.normal());
+    auto x = randomVec(static_cast<int>(k * kCols), 3);
+    tensor::Vec y(k * rows);
+    for (auto _ : state) {
+        tensor::gemvBatch(w, x, y);
+        benchmark::DoNotOptimize(y.data());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(k));
+}
+BENCHMARK(BM_GemvFp32Batch)->ArgsProduct({{192, 516}, {1, 4, 36}});
 
 static void
 BM_GemvQ4(benchmark::State &state)

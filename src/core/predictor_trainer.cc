@@ -10,20 +10,6 @@
 
 namespace specee::core {
 
-namespace {
-
-/**
- * One instance's pass through the model. Row t * n_exit + l holds
- * token t after exit layer l.
- */
-struct Stepped
-{
-    tensor::Matrix hiddens; ///< hidden state
-    tensor::Matrix feats;   ///< speculation features
-};
-
-} // namespace
-
 ProfileData
 PredictorTrainer::collect(const workload::Workload &w,
                           model::TargetModel &tm,
@@ -40,26 +26,30 @@ PredictorTrainer::collect(const workload::Workload &w,
     data.adainfer.assign(n_exit, nn::Dataset(3));
     data.oracle_exit_hist.assign(n_exit, 0);
 
-    // Allocated on the calling thread, whichever thread fills them,
-    // so the memory returns to its malloc arena rather than staying
-    // resident in a worker's. The stepping scratch below is reused
-    // by every instance for the same reason.
-    const auto buffers = [&](size_t ii) {
-        const size_t rows = w.instances[ii].steps.size() * n_exit;
-        return Stepped{tensor::Matrix(rows, hidden),
-                       tensor::Matrix(rows, n_feat)};
-    };
+    // One instance's rows at a time: row t * n_exit + l holds token t
+    // after exit layer l. Sized once for the longest instance.
     size_t max_tok = 0;
     for (const auto &inst : w.instances)
         max_tok = std::max(max_tok, inst.steps.size());
-    std::vector<int> inputs(max_tok);
+    tensor::Matrix hiddens(max_tok * n_exit, hidden);
+    tensor::Matrix feats(max_tok * n_exit, n_feat);
+    std::vector<int> inputs;
     std::vector<FeatureExtractor> fx(max_tok,
                                      FeatureExtractor(cfg.num_spec_tokens));
 
+    // Each round steps one instance on a team of threads, then labels
+    // its rows: the full-vocabulary head behind each label is
+    // independent per row, so parallelFor runs kHeadRows rows per
+    // task, one batched pass over the embedding each. A task's logits
+    // (kHeadRows x vocab, 64 KB at vocab 4096) stay below malloc's
+    // mmap threshold, so the buffers the workers free and keep in
+    // their arenas stay small.
+    constexpr size_t kHeadRows = 4;
     Rng rng(seed);
-    const auto step = [&](size_t ii, Stepped &out) {
+    for (size_t ii = 0; ii < w.instances.size(); ++ii) {
         const auto &inst = w.instances[ii];
         const size_t n_tok = inst.steps.size();
+        const size_t n_rows = n_tok * n_exit;
         // Independent noise substream per profiled instance (fork()
         // leaves the speculation rng stream untouched), so collected
         // features cover the noise diversity served requests see.
@@ -75,51 +65,24 @@ PredictorTrainer::collect(const workload::Workload &w,
                                            cfg.num_spec_tokens, rng));
             prev = inst.steps[t].target;
         }
-        tm.decodeScripted(
-            inputs, inst.steps, [&](int l, size_t t, tensor::CSpan h) {
-                if (static_cast<size_t>(l) >= n_exit)
-                    return;
-                const size_t r = t * n_exit + static_cast<size_t>(l);
-                const tensor::CSpan f = fx[t].extract(tm.lmHead(), h);
-                std::copy(h.begin(), h.end(), out.hiddens.row(r).begin());
-                std::copy(f.begin(), f.end(), out.feats.row(r).begin());
-            });
-    };
+        tm.decodeScripted(inputs, inst.steps,
+                          tensor::Span(hiddens.data(), n_rows * hidden));
+        // A token's features fold in its previous exit layer, so they
+        // run layer by layer.
+        for (size_t r = 0; r < n_rows; ++r) {
+            const tensor::CSpan f =
+                fx[r / n_exit].extract(tm.lmHead(), hiddens.row(r));
+            std::copy(f.begin(), f.end(), feats.row(r).begin());
+        }
 
-    // The model is one sequential chain; the full-vocabulary head
-    // that labels each row is most of the remaining work and is
-    // independent per row. Each round steps the next instance
-    // (index 0, claimed first) while the other threads run the
-    // current instance's heads, kHeadRows rows per pass over the
-    // embedding. A pass's logits (kHeadRows x vocab, 64 KB at vocab
-    // 4096) stay below malloc's mmap threshold, so the buffers the
-    // workers free and keep in their arenas stay small.
-    constexpr size_t kHeadRows = 4;
-    Stepped cur;
-    if (!w.instances.empty()) {
-        cur = buffers(0);
-        step(0, cur);
-    }
-    for (size_t ii = 0; ii < w.instances.size(); ++ii) {
-        const auto &inst = w.instances[ii];
-        const size_t n_tok = inst.steps.size();
-        const size_t n_rows = cur.hiddens.rows();
-        const size_t ahead = ii + 1 < w.instances.size() ? 1 : 0;
-        Stepped next = ahead ? buffers(ii + 1) : Stepped{};
         std::vector<float> labels(n_rows);
         std::vector<std::array<float, 3>> ada(n_rows);
-        const size_t n_groups = (n_rows + kHeadRows - 1) / kHeadRows;
-        parallelFor(ahead + n_groups, [&](size_t k) {
-            if (k < ahead) {
-                step(ii + 1, next);
-                return;
-            }
-            const size_t r0 = (k - ahead) * kHeadRows;
+        parallelFor((n_rows + kHeadRows - 1) / kHeadRows, [&](size_t k) {
+            const size_t r0 = k * kHeadRows;
             const size_t n = std::min(kHeadRows, n_rows - r0);
             tensor::Vec logits(n * vocab);
             tm.lmHead().fullRows(
-                tensor::CSpan(cur.hiddens.row(r0).data(), n * hidden),
-                logits);
+                tensor::CSpan(hiddens.row(r0).data(), n * hidden), logits);
             for (size_t j = 0; j < n; ++j) {
                 const size_t r = r0 + j;
                 const tensor::Span row =
@@ -136,12 +99,12 @@ PredictorTrainer::collect(const workload::Workload &w,
 
         for (size_t t = 0; t < n_tok; ++t) {
             // RAEE probe: the hidden state after layer 0.
-            const tensor::CSpan h = cur.hiddens.row(t * n_exit);
+            const tensor::CSpan h = hiddens.row(t * n_exit);
             data.raee_probes.emplace_back(h.begin(), h.end());
             int first_true = -1;
             for (size_t l = 0; l < n_exit; ++l) {
                 const size_t r = t * n_exit + l;
-                data.specee[l].add(cur.feats.row(r), labels[r]);
+                data.specee[l].add(feats.row(r), labels[r]);
                 data.adainfer[l].add(
                     tensor::CSpan(ada[r].data(), ada[r].size()),
                     labels[r]);
@@ -153,7 +116,6 @@ PredictorTrainer::collect(const workload::Workload &w,
             data.raee_exits.push_back(
                 first_true >= 0 ? first_true : cfg.n_layers - 1);
         }
-        cur = std::move(next);
     }
     return data;
 }

@@ -68,12 +68,13 @@ class PredictorTrainer
      * Profile `tm` over `workload` with `dlm` proposing speculative
      * tokens; fills per-layer datasets for both predictor families.
      * Each instance's scripted tokens are known up front, so the
-     * model decodes them layer by layer (TargetModel::decodeScripted)
-     * and streams each layer's weights once per instance. One
-     * instance steps at a time while the other cores run the
-     * full-vocabulary heads that label the previous one, so
-     * profiling holds one sequence's KV, as a sequential pass does.
-     * The result does not depend on the thread count.
+     * model decodes them as one block (TargetModel::decodeScripted):
+     * layer by layer on a team of threads, each weight row read once
+     * per four tokens. Then parallelFor runs the full-vocabulary
+     * heads that label the instance's rows, and the next instance
+     * starts. Profiling holds one sequence's KV and one instance's
+     * hidden states, as a sequential pass does. The result does not
+     * depend on the thread count.
      */
     static ProfileData collect(const workload::Workload &w,
                                model::TargetModel &tm,

@@ -4,16 +4,19 @@
 #include "model/draft_model.hh"
 #include "oracle/profiles.hh"
 #include "util/logging.hh"
+#include "util/stopwatch.hh"
 
 namespace specee::engines {
 
 Pipeline::Pipeline(const PipelineOptions &opts)
-    : opts_(opts),
-      mcfg_(model::ModelConfig::byName(opts.model)),
-      weights_(std::make_shared<const model::Weights>(
-          mcfg_, tensor::WeightBackend::Fp32,
-          tensor::WeightBackend::Fp32))
+    : opts_(opts), mcfg_(model::ModelConfig::byName(opts.model))
 {
+    Stopwatch sw;
+    weights_ = std::make_shared<const model::Weights>(
+        mcfg_, tensor::WeightBackend::Fp32, tensor::WeightBackend::Fp32);
+    times_.weights_s = sw.seconds();
+
+    sw.reset();
     corpus_ = std::make_unique<oracle::SyntheticCorpus>(
         mcfg_.sim.vocab, opts.seed ^ 0xc0de);
 
@@ -33,8 +36,10 @@ Pipeline::Pipeline(const PipelineOptions &opts)
     model::DraftModel dlm(mcfg_, *corpus_, profile.draft_hit_rate);
     profile_ = core::PredictorTrainer::collect(train_w, tm, dlm,
                                                opts.seed ^ 0xc011);
+    times_.profiling_s = sw.seconds();
 
     // --- train the predictor banks ----------------------------------------
+    sw.reset();
     preds_ = std::make_unique<core::ExitPredictor>(
         mcfg_.n_layers - 1, 3 * mcfg_.num_spec_tokens, opts.mlp_hidden,
         opts.mlp_depth, opts.seed ^ 0xec5);
@@ -57,6 +62,7 @@ Pipeline::Pipeline(const PipelineOptions &opts)
             off.recordExit(static_cast<int>(l));
     }
     hot_ = off.hotLayers(core::kOfflineHotMass);
+    times_.training_s = sw.seconds();
 }
 
 Pipeline::~Pipeline() = default;

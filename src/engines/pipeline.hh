@@ -54,6 +54,14 @@ struct PipelineOptions
     uint64_t seed = 42;
 };
 
+/** Wall seconds of each phase of Pipeline construction. */
+struct PipelineTimes
+{
+    double weights_s = 0.0;   ///< drawing the dense weight set
+    double profiling_s = 0.0; ///< profiling workload and collect()
+    double training_s = 0.0;  ///< banks, RAEE index, offline schedule
+};
+
 /** Trained, ready-to-run SpecEE deployment for one model. */
 class Pipeline
 {
@@ -70,6 +78,8 @@ class Pipeline
     const core::ProfileData &profileData() const { return profile_; }
     const core::TrainReport &trainReport() const { return report_; }
     const PipelineOptions &options() const { return opts_; }
+    /** How long construction took, phase by phase. */
+    const PipelineTimes &phaseTimes() const { return times_; }
 
     /**
      * Build a workload for one of the nine dataset profiles.
@@ -99,6 +109,7 @@ class Pipeline
     core::ProfileData profile_;
     core::TrainReport report_;
     std::vector<int> hot_;
+    PipelineTimes times_;
 };
 
 } // namespace specee::engines

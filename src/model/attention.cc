@@ -7,6 +7,34 @@
 
 namespace specee::model {
 
+void
+attend(tensor::CSpan q, const KvStore &kv, int layer, int n_pos, int heads,
+       int head_dim, tensor::Span ctx, tensor::Span scores)
+{
+    specee_assert(n_pos <= static_cast<int>(scores.size()),
+                  "context overflow: %d", n_pos);
+    const auto hd = static_cast<size_t>(head_dim);
+    const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(head_dim));
+
+    std::fill(ctx.begin(), ctx.end(), 0.0f);
+    for (int h = 0; h < heads; ++h) {
+        const size_t off = static_cast<size_t>(h) * hd;
+        const tensor::CSpan qh = q.subspan(off, hd);
+        for (int p = 0; p < n_pos; ++p) {
+            tensor::CSpan kh = kv.key(layer, p).subspan(off, hd);
+            scores[static_cast<size_t>(p)] = tensor::dot(qh, kh) * inv_sqrt_d;
+        }
+        tensor::softmax(scores, static_cast<size_t>(n_pos));
+        const tensor::Span ch = ctx.subspan(off, hd);
+        for (int p = 0; p < n_pos; ++p) {
+            tensor::CSpan vh = kv.value(layer, p).subspan(off, hd);
+            const float w = scores[static_cast<size_t>(p)];
+            for (size_t d = 0; d < hd; ++d)
+                ch[d] += w * vh[d];
+        }
+    }
+}
+
 Attention::Attention(const ModelConfig &cfg)
     : hidden_(cfg.sim.hidden),
       heads_(cfg.sim.heads),
@@ -37,32 +65,7 @@ Attention::forward(const LayerWeights &lw, int layer, tensor::CSpan x_normed,
                  static_cast<size_t>(headDim_), static_cast<size_t>(pos));
     kv.append(layer, k_, v_);
 
-    const int n_pos = kv.length(layer);
-    specee_assert(n_pos <= static_cast<int>(scores_.size()),
-                  "context overflow: %d", n_pos);
-    const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(headDim_));
-
-    std::fill(ctx_.begin(), ctx_.end(), 0.0f);
-    for (int h = 0; h < heads_; ++h) {
-        const size_t off = static_cast<size_t>(h) *
-                           static_cast<size_t>(headDim_);
-        tensor::CSpan qh(q_.data() + off, static_cast<size_t>(headDim_));
-        for (int p = 0; p < n_pos; ++p) {
-            tensor::CSpan kh = kv.key(layer, p).subspan(
-                off, static_cast<size_t>(headDim_));
-            scores_[static_cast<size_t>(p)] =
-                tensor::dot(qh, kh) * inv_sqrt_d;
-        }
-        tensor::softmax(scores_, static_cast<size_t>(n_pos));
-        tensor::Span ch(ctx_.data() + off, static_cast<size_t>(headDim_));
-        for (int p = 0; p < n_pos; ++p) {
-            tensor::CSpan vh = kv.value(layer, p).subspan(
-                off, static_cast<size_t>(headDim_));
-            const float w = scores_[static_cast<size_t>(p)];
-            for (int d = 0; d < headDim_; ++d)
-                ch[static_cast<size_t>(d)] += w * vh[static_cast<size_t>(d)];
-        }
-    }
+    attend(q_, kv, layer, kv.length(layer), heads_, headDim_, ctx_, scores_);
     lw.wo->gemv(ctx_, out);
 }
 

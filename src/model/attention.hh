@@ -18,6 +18,17 @@
 namespace specee::model {
 
 /**
+ * Attention of one token whose k/v are cached: scores of q against
+ * positions [0, n_pos) of `layer`, their softmax, and the weighted
+ * sum of the values into ctx, head by head. `scores` is scratch of
+ * at least n_pos floats. Attention::forward() runs this with n_pos
+ * the cached length; a block decode, which caches the whole block's
+ * k/v first, passes each token's own n_pos.
+ */
+void attend(tensor::CSpan q, const KvStore &kv, int layer, int n_pos,
+            int heads, int head_dim, tensor::Span ctx, tensor::Span scores);
+
+/**
  * Single-token decode attention. Projects q/k/v from the normalized
  * input, applies rotary embeddings, appends k/v to the cache, and
  * attends over all cached positions (causal by construction).

@@ -26,13 +26,18 @@ Ffn::forward(const LayerWeights &lw, tensor::CSpan x_normed,
                   "ffn io size");
     lw.w_gate->gemv(x_normed, gate_);
     lw.w_up->gemv(x_normed, up_);
-    for (int i = 0; i < ffnDim_; ++i) {
-        const float g = gate_[static_cast<size_t>(i)];
-        act_[static_cast<size_t>(i)] =
-            g * tensor::sigmoid(g) * up_[static_cast<size_t>(i)];
-    }
+    swiglu(gate_, up_, act_);
     lw.w_down->gemv(act_, out);
     lastActive_ = ffnDim_;
+}
+
+void
+Ffn::swiglu(tensor::CSpan gate, tensor::CSpan up, tensor::Span act)
+{
+    for (size_t i = 0; i < act.size(); ++i) {
+        const float g = gate[i];
+        act[i] = g * tensor::sigmoid(g) * up[i];
+    }
 }
 
 void

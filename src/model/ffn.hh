@@ -40,6 +40,13 @@ class Ffn
     void forwardSparse(const LayerWeights &lw, tensor::CSpan x_normed,
                        float active_frac, tensor::Span out);
 
+    /**
+     * act[i] = silu(gate[i]) * up[i], the dense forward's gating;
+     * act may alias gate.
+     */
+    static void swiglu(tensor::CSpan gate, tensor::CSpan up,
+                       tensor::Span act);
+
     /** Neurons used by the most recent sparse forward. */
     int lastActiveNeurons() const { return lastActive_; }
 

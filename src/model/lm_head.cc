@@ -1,8 +1,5 @@
 #include "model/lm_head.hh"
 
-#include <algorithm>
-#include <numeric>
-
 #include "tensor/kernels.hh"
 #include "util/logging.hh"
 
@@ -45,18 +42,7 @@ LmHead::fullRows(tensor::CSpan hiddens, tensor::Span logits) const
         tensor::rmsnorm(hiddens.subspan(j * h, h), rmsFinal_,
                         tensor::Span(normed).subspan(j * h, h));
     }
-    // A tile of embedding rows stays in cache while every hidden
-    // state takes its dot products against it.
-    constexpr size_t kTile = 64;
-    std::vector<int> tile;
-    for (size_t r0 = 0; r0 < v; r0 += kTile) {
-        tile.resize(std::min(kTile, v - r0));
-        std::iota(tile.begin(), tile.end(), static_cast<int>(r0));
-        for (size_t j = 0; j < n; ++j) {
-            embedding_.gemvRows(tile, tensor::CSpan(normed).subspan(j * h, h),
-                                logits.subspan(j * v + r0, tile.size()));
-        }
-    }
+    embedding_.gemvBatch(normed, logits);
 }
 
 void

@@ -45,10 +45,10 @@ class LmHead
     /**
      * Full logits of several hidden states: row j of `hiddens`
      * (n x hidden, row-major) into row j of `logits` (n x vocab).
-     * One pass over the embedding serves all n rows, a vocabulary
-     * tile at a time, and each logit is the dot product full()
-     * computes, so every row equals full() bit for bit. Uses no head
-     * scratch: threads may share one head.
+     * The rows go through the embedding's batched GEMV, which reads
+     * each embedding row once per four hidden states, and every row
+     * equals full() bit for bit. Uses no head scratch: threads may
+     * share one head.
      */
     void fullRows(tensor::CSpan hiddens, tensor::Span logits) const;
 

@@ -1,9 +1,11 @@
 #include "model/target_model.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "tensor/kernels.hh"
 #include "util/logging.hh"
+#include "util/parallel.hh"
 
 namespace specee::model {
 
@@ -158,32 +160,108 @@ TargetModel::beginToken(int input_token, const TokenScript &script)
 void
 TargetModel::decodeScripted(const std::vector<int> &inputs,
                             const std::vector<TokenScript> &scripts,
-                            const LayerFn &on_layer)
+                            tensor::Span hiddens, size_t team)
 {
     SequenceState &s = *seq_;
+    const size_t n_tok = inputs.size();
+    const auto h = static_cast<size_t>(cfg_.sim.hidden);
+    const auto f = static_cast<size_t>(cfg_.sim.ffn);
+    const auto n_exit = static_cast<size_t>(cfg_.n_layers - 1);
     specee_assert(!s.inToken, "decodeScripted during a decode step");
-    specee_assert(inputs.size() == scripts.size(),
-                  "decodeScripted: %zu inputs, %zu scripts", inputs.size(),
+    specee_assert(scripts.size() == n_tok,
+                  "decodeScripted: %zu inputs, %zu scripts", n_tok,
                   scripts.size());
-    if (inputs.empty())
+    specee_assert(hiddens.size() == n_tok * n_exit * h,
+                  "decodeScripted: %zu hidden floats for %zu tokens",
+                  hiddens.size(), n_tok);
+    if (n_tok == 0)
         return;
-    // block_ outlives the call, so a block reuses the last one's
-    // buffers wherever it runs.
-    block_.resize(inputs.size());
-    for (size_t t = 0; t < block_.size(); ++t)
-        beginSteer(block_[t], inputs[t], scripts[t], s.noiseRng);
-    for (int l = 0; l < cfg_.n_layers; ++l) {
-        for (size_t t = 0; t < block_.size(); ++t) {
-            TokenSteer &ts = block_[t];
-            layerBlock_.forward(weights_->layer(l), l, ts.hidden,
-                                s.pos + static_cast<int>(t), *s.kv,
-                                opts_.sparse_ffn, opts_.ffn_active_frac);
-            steer(ts, l);
-            on_layer(l, t, ts.hidden);
+
+    // Everything the team touches is allocated here, on the calling
+    // thread: one row per token, and per member its attention scores
+    // and, for the sparse FFN, its own selection scratch.
+    std::vector<TokenSteer> block(n_tok);
+    for (size_t t = 0; t < n_tok; ++t)
+        beginSteer(block[t], inputs[t], scripts[t], s.noiseRng);
+    tensor::Matrix normed(n_tok, h), q(n_tok, h), k(n_tok, h), v(n_tok, h),
+        ctx(n_tok, h), sub(n_tok, h), gate(n_tok, f), up(n_tok, f);
+    const size_t members =
+        std::min(n_tok, team > 0 ? team : hardwareThreads());
+    std::vector<tensor::Vec> scores(
+        members, tensor::Vec(static_cast<size_t>(cfg_.context_len)));
+    std::vector<Ffn> sparse;
+    if (opts_.sparse_ffn)
+        sparse.assign(members, Ffn(cfg_));
+    const auto heads = static_cast<size_t>(cfg_.sim.heads);
+    const auto head_dim = static_cast<size_t>(cfg_.sim.headDim());
+
+    // Each member runs DecoderLayer::forward's steps over its own run
+    // of tokens, batching every projection across them.
+    runTeam(members, [&](size_t m, std::barrier<> &sync) {
+        const size_t t0 = n_tok * m / members;
+        const size_t t1 = n_tok * (m + 1) / members;
+        const auto mine = [&](tensor::Matrix &x) {
+            return tensor::Span(x.row(t0).data(), (t1 - t0) * x.cols());
+        };
+        for (int l = 0; l < cfg_.n_layers; ++l) {
+            const LayerWeights &lw = weights_->layer(l);
+            for (size_t t = t0; t < t1; ++t)
+                tensor::rmsnorm(block[t].hidden, lw.rms_attn, normed.row(t));
+            lw.wq->gemvBatch(mine(normed), mine(q));
+            lw.wk->gemvBatch(mine(normed), mine(k));
+            lw.wv->gemvBatch(mine(normed), mine(v));
+            for (size_t t = t0; t < t1; ++t) {
+                const size_t pos = static_cast<size_t>(s.pos) + t;
+                tensor::rope(q.row(t), heads, head_dim, pos);
+                tensor::rope(k.row(t), heads, head_dim, pos);
+            }
+            sync.arrive_and_wait();
+            if (m == 0) {
+                for (size_t t = 0; t < n_tok; ++t)
+                    s.kv->append(l, k.row(t), v.row(t));
+            }
+            sync.arrive_and_wait();
+
+            // Token t sees what was cached before the block and the
+            // block's tokens up to itself.
+            const int cached = s.kv->length(l) - static_cast<int>(n_tok);
+            for (size_t t = t0; t < t1; ++t) {
+                attend(q.row(t), *s.kv, l, cached + static_cast<int>(t) + 1,
+                       cfg_.sim.heads, cfg_.sim.headDim(), ctx.row(t),
+                       scores[m]);
+            }
+            lw.wo->gemvBatch(mine(ctx), mine(sub));
+            for (size_t t = t0; t < t1; ++t) {
+                tensor::addInplace(block[t].hidden, sub.row(t));
+                tensor::rmsnorm(block[t].hidden, lw.rms_ffn, normed.row(t));
+            }
+            if (opts_.sparse_ffn) {
+                for (size_t t = t0; t < t1; ++t) {
+                    sparse[m].forwardSparse(lw, normed.row(t),
+                                            opts_.ffn_active_frac,
+                                            sub.row(t));
+                }
+            } else {
+                lw.w_gate->gemvBatch(mine(normed), mine(gate));
+                lw.w_up->gemvBatch(mine(normed), mine(up));
+                for (size_t t = t0; t < t1; ++t)
+                    Ffn::swiglu(gate.row(t), up.row(t), gate.row(t));
+                lw.w_down->gemvBatch(mine(gate), mine(sub));
+            }
+            for (size_t t = t0; t < t1; ++t) {
+                TokenSteer &ts = block[t];
+                tensor::addInplace(ts.hidden, sub.row(t));
+                steer(ts, l);
+                if (static_cast<size_t>(l) < n_exit) {
+                    const size_t r = t * n_exit + static_cast<size_t>(l);
+                    std::copy(ts.hidden.begin(), ts.hidden.end(),
+                              hiddens.begin() + static_cast<long>(r * h));
+                }
+            }
         }
-    }
-    s.tok = block_.back();
-    s.pos += static_cast<int>(block_.size());
+    });
+    s.tok = std::move(block.back());
+    s.pos += static_cast<int>(n_tok);
     s.layer = cfg_.n_layers;
 }
 

@@ -38,7 +38,6 @@
 #ifndef SPECEE_MODEL_TARGET_MODEL_HH
 #define SPECEE_MODEL_TARGET_MODEL_HH
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -189,24 +188,32 @@ class TargetModel
     /** Begin a decode step for `input_token` under `script`. */
     void beginToken(int input_token, const TokenScript &script);
 
-    /** Observer of one steered layer output: (layer, token, hidden). */
-    using LayerFn = std::function<void(int, size_t, tensor::CSpan)>;
-
     /**
      * Decode a block of scripted tokens layer by layer: token t
      * enters as inputs[t] under scripts[t] at position()+t. Every
      * token's steering noise is drawn first, in token order, as
-     * beginToken() draws it. Then each layer runs over tokens
-     * 0..T-1 in order, so its weights stay in cache across the
-     * block, and on_layer sees every steered output. KV is appended
-     * layer by layer. The hidden states and KV rows equal those of
-     * beginToken() and runLayer() per token bit for bit. No LM head
-     * runs. The bound sequence ends past the block with the last
-     * token's state current.
+     * beginToken() draws it. Then each layer runs over the whole
+     * block: its projections and FFN as batched GEMVs over the
+     * block's tokens, so each weight row is read once per four
+     * tokens, and attention per token. A team of `team` threads
+     * (0 takes one per hardware thread, at most one per token)
+     * splits the tokens into contiguous runs. The members meet at
+     * a barrier after each layer's K/V projection, and the calling
+     * thread appends that layer's K/V for every token, in token
+     * order, before any member attends; so the store grows layer
+     * by layer as under sequential decode, and only the caller
+     * allocates in it.
+     *
+     * Row t * (nLayers() - 1) + l of `hiddens` (row-major, hidden
+     * wide) receives token t's steered output of exit layer l,
+     * every layer but the last. The hidden states and KV rows equal
+     * those of beginToken() and runLayer() per token bit for bit,
+     * whatever the team size. No LM head runs. The bound sequence
+     * ends past the block with the last token's state current.
      */
     void decodeScripted(const std::vector<int> &inputs,
                         const std::vector<TokenScript> &scripts,
-                        const LayerFn &on_layer);
+                        tensor::Span hiddens, size_t team = 0);
 
     /** Layer that runLayer() would execute next (0-based). */
     int currentLayer() const { return seq_->layer; }
@@ -260,7 +267,6 @@ class TargetModel
     SequenceState own_;        ///< default state (single-sequence use)
     SequenceState *seq_ = nullptr; ///< bound state (defaults to &own_)
     tensor::Vec erow_; ///< embedding-row scratch (backend dequantize)
-    std::vector<TokenSteer> block_; ///< decodeScripted's tokens
 };
 
 } // namespace specee::model

@@ -20,6 +20,32 @@ gemv(const Matrix &w, CSpan x, Span y)
 }
 
 void
+gemvBatch(const Matrix &w, CSpan x, Span y)
+{
+    const size_t n = w.cols();
+    const size_t m = w.rows();
+    const size_t k = n > 0 ? x.size() / n : 0;
+    specee_assert(n > 0 && x.size() == k * n && y.size() == k * m,
+                  "gemvBatch shape mismatch: W %zux%zu, x %zu, y %zu",
+                  m, n, x.size(), y.size());
+    for (size_t r = 0; r < m; ++r) {
+        const float *row = w.data() + r * n;
+        size_t j = 0;
+        for (; j + 4 <= k; j += 4) {
+            const float *xs[4] = {x.data() + j * n, x.data() + (j + 1) * n,
+                                  x.data() + (j + 2) * n,
+                                  x.data() + (j + 3) * n};
+            float out[4];
+            simd::dotF32x4(row, xs, n, out);
+            for (size_t i = 0; i < 4; ++i)
+                y[(j + i) * m + r] = out[i];
+        }
+        for (; j < k; ++j)
+            y[j * m + r] = simd::dotF32(row, x.data() + j * n, n);
+    }
+}
+
+void
 gemvT(const Matrix &w, CSpan x, Span y)
 {
     specee_assert(x.size() == w.rows() && y.size() == w.cols(),

@@ -2,8 +2,8 @@
  * @file
  * Math kernels used by the functional LLM simulator.
  *
- * Correctness-first kernels whose hot inner products (gemv/gemvRows/
- * dot) route through the runtime-dispatched SIMD loops in
+ * Correctness-first kernels whose hot inner products (gemv/gemvBatch/
+ * gemvRows/dot) route through the runtime-dispatched SIMD loops in
  * tensor/simd.hh (AVX2 when the CPU has it, scalar otherwise);
  * paper-figure latencies are produced by the analytic hw::CostModel,
  * not by timing these loops.
@@ -22,6 +22,13 @@ namespace specee::tensor {
 
 /** y = W x with W (m x n), x (n), y (m). */
 void gemv(const Matrix &w, CSpan x, Span y);
+
+/**
+ * Batched GEMV: row j of y = W times row j of x, for x (k x n) and
+ * y (k x m), both row-major. Each weight row is read once for every
+ * four vectors, and every output equals gemv()'s bit for bit.
+ */
+void gemvBatch(const Matrix &w, CSpan x, Span y);
 
 /** y = W^T x with W (m x n), x (m), y (n). */
 void gemvT(const Matrix &w, CSpan x, Span y);

@@ -73,6 +73,21 @@ hsum256(__m256 v)
     return _mm_cvtss_f32(s);
 }
 
+/**
+ * The scalar tail of the AVX2 fp32 dot: acc + a[i] * b[i] for i from
+ * `i` to n, in order. dotF32Avx2 and dotF32x4Avx2 both end here, and
+ * it is never inlined, so FMA contraction cannot round the two tails
+ * differently.
+ */
+__attribute__((target("avx2,fma"), noinline)) float
+dotF32TailAvx2(const float *a, const float *b, size_t i, size_t n,
+               float acc)
+{
+    for (; i < n; ++i)
+        acc += a[i] * b[i];
+    return acc;
+}
+
 __attribute__((target("avx2,fma"))) float
 dotF32Avx2(const float *a, const float *b, size_t n)
 {
@@ -89,10 +104,37 @@ dotF32Avx2(const float *a, const float *b, size_t n)
         acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i),
                                _mm256_loadu_ps(b + i), acc0);
     }
-    float acc = hsum256(_mm256_add_ps(acc0, acc1));
-    for (; i < n; ++i)
-        acc += a[i] * b[i];
-    return acc;
+    const float acc = hsum256(_mm256_add_ps(acc0, acc1));
+    return i < n ? dotF32TailAvx2(a, b, i, n, acc) : acc;
+}
+
+__attribute__((target("avx2,fma"))) void
+dotF32x4Avx2(const float *w, const float *const x[4], size_t n,
+             float out[4])
+{
+    // dotF32Avx2's acc0/acc1 lanes, once per vector.
+    __m256 acc0[4], acc1[4];
+    for (int j = 0; j < 4; ++j)
+        acc0[j] = acc1[j] = _mm256_setzero_ps();
+    size_t i = 0;
+    for (; i + 16 <= n; i += 16) {
+        const __m256 w0 = _mm256_loadu_ps(w + i);
+        const __m256 w1 = _mm256_loadu_ps(w + i + 8);
+        for (int j = 0; j < 4; ++j) {
+            acc0[j] = _mm256_fmadd_ps(w0, _mm256_loadu_ps(x[j] + i), acc0[j]);
+            acc1[j] =
+                _mm256_fmadd_ps(w1, _mm256_loadu_ps(x[j] + i + 8), acc1[j]);
+        }
+    }
+    for (; i + 8 <= n; i += 8) {
+        const __m256 w0 = _mm256_loadu_ps(w + i);
+        for (int j = 0; j < 4; ++j)
+            acc0[j] = _mm256_fmadd_ps(w0, _mm256_loadu_ps(x[j] + i), acc0[j]);
+    }
+    for (int j = 0; j < 4; ++j) {
+        const float acc = hsum256(_mm256_add_ps(acc0[j], acc1[j]));
+        out[j] = i < n ? dotF32TailAvx2(w, x[j], i, n, acc) : acc;
+    }
 }
 
 __attribute__((target("avx2,fma"))) float
@@ -224,6 +266,19 @@ dotF32(const float *a, const float *b, size_t n)
         return dotF32Avx2(a, b, n);
 #endif
     return dotF32Scalar(a, b, n);
+}
+
+void
+dotF32x4(const float *w, const float *const x[4], size_t n, float out[4])
+{
+#if SPECEE_SIMD_X86
+    if (activeLevel() == Level::Avx2) {
+        dotF32x4Avx2(w, x, n, out);
+        return;
+    }
+#endif
+    for (int j = 0; j < 4; ++j)
+        out[j] = dotF32Scalar(w, x[j], n);
 }
 
 float

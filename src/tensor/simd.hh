@@ -2,11 +2,12 @@
  * @file
  * Runtime-dispatched SIMD inner loops for the hot tensor kernels.
  *
- * The functional simulator spends nearly all of its time in three
- * inner products: the fp32 row dot behind gemv/gemvRows/dot, the int8
- * row dot behind Q8Matrix, and the packed-nibble group dot behind
- * Q4Matrix. Each has an AVX2+FMA implementation selected once at
- * startup by CPUID (scalar everywhere else), so one binary runs
+ * The functional simulator spends nearly all of its time in four
+ * inner loops: the fp32 row dot behind gemv/gemvRows/dot, the fp32
+ * row dot against four vectors at once behind the batched gemv, the
+ * int8 row dot behind Q8Matrix, and the packed-nibble group dot
+ * behind Q4Matrix. Each has an AVX2+FMA implementation selected once
+ * at startup by CPUID (scalar everywhere else), so one binary runs
  * fast on AVX2 hosts and correctly on any x86-64 or non-x86 target.
  *
  * Dispatch control:
@@ -59,6 +60,14 @@ void setLevel(Level lvl);
 
 /** sum_i a[i] * b[i] (fp32 gemv / attention-score inner loop). */
 float dotF32(const float *a, const float *b, size_t n);
+
+/**
+ * Four row dots in one pass over the row: out[j] = dotF32(w, x[j], n)
+ * bit for bit at either dispatch level (the same lanes, horizontal
+ * sum and tail per vector), with w read once for all four.
+ */
+void dotF32x4(const float *w, const float *const x[4], size_t n,
+              float out[4]);
 
 /** sum_i q[i] * x[i] with int8 weights (Q8 row dot, pre-scale). */
 float dotQ8(const int8_t *q, const float *x, size_t n);

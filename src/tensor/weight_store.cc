@@ -56,6 +56,17 @@ weightCompression(WeightBackend b)
 }
 
 void
+WeightStore::gemvBatch(CSpan x, Span y) const
+{
+    const size_t n = cols();
+    const size_t k = n > 0 ? x.size() / n : 0;
+    specee_assert(n > 0 && x.size() == k * n && y.size() == k * rows(),
+                  "gemvBatch shape mismatch");
+    for (size_t j = 0; j < k; ++j)
+        gemv(x.subspan(j * n, n), y.subspan(j * rows(), rows()));
+}
+
+void
 WeightStore::copyRow(size_t r, Span out) const
 {
     specee_assert(out.size() == cols(), "copyRow size mismatch");
@@ -90,6 +101,12 @@ void
 Fp32Store::gemv(CSpan x, Span y) const
 {
     tensor::gemv(m_, x, y);
+}
+
+void
+Fp32Store::gemvBatch(CSpan x, Span y) const
+{
+    tensor::gemvBatch(m_, x, y);
 }
 
 void

@@ -73,6 +73,14 @@ class WeightStore
     /** y = W x (dequantize-on-the-fly for compressed backends). */
     virtual void gemv(CSpan x, Span y) const = 0;
 
+    /**
+     * Batched GEMV: row j of y = W times row j of x, for x
+     * (k x cols) and y (k x rows), both row-major; every row equals
+     * gemv()'s bit for bit. Fp32Store reads each weight row once
+     * per four vectors; the quantized backends run gemv() per row.
+     */
+    virtual void gemvBatch(CSpan x, Span y) const;
+
     /** y[i] = W.row(rows[i]) . x — the speculative LM head slice. */
     virtual void gemvRows(const std::vector<int> &rows, CSpan x,
                           Span y) const = 0;
@@ -118,6 +126,7 @@ class Fp32Store final : public WeightStore
     size_t cols() const override { return m_.cols(); }
     size_t byteSize() const override { return m_.byteSize(); }
     void gemv(CSpan x, Span y) const override;
+    void gemvBatch(CSpan x, Span y) const override;
     void gemvRows(const std::vector<int> &rows, CSpan x,
                   Span y) const override;
     float rowDot(size_t r, CSpan x) const override;

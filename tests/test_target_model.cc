@@ -8,6 +8,7 @@
 
 #include <cstring>
 #include <memory>
+#include <string>
 #include <type_traits>
 
 #include "model/draft_model.hh"
@@ -247,28 +248,28 @@ sameBits(tensor::CSpan a, tensor::CSpan b)
 }
 
 /**
- * Decode the same scripted block token by token (beginToken plus a
- * runLayer() per layer) and layer by layer (decodeScripted) on two
- * models over one weight set, and check that they agree bit for bit.
+ * Decode the same scripted block of n_tok tokens after a prompt of
+ * prompt_len tokens token by token (beginToken plus a runLayer() per
+ * layer) on one model, and layer by layer (decodeScripted) at team
+ * sizes 1 to 4 on another over the same weights, and check that they
+ * agree bit for bit.
  */
 void
 expectScriptedBlockMatches(const model::ModelConfig &cfg,
-                           const model::TargetModelOptions &opts)
+                           const model::TargetModelOptions &opts,
+                           size_t prompt_len, size_t n_tok)
 {
-    SCOPED_TRACE(cfg.name + (opts.sparse_ffn ? " sparse" : " dense"));
+    SCOPED_TRACE(cfg.name + (opts.sparse_ffn ? " sparse" : " dense") +
+                 ", prompt " + std::to_string(prompt_len) + ", block " +
+                 std::to_string(n_tok));
     const auto weights = std::make_shared<const model::Weights>(
         cfg, tensor::WeightBackend::Fp32, tensor::WeightBackend::Fp32);
     model::TargetModel byToken(cfg, opts, weights);
     model::TargetModel byLayer(cfg, opts, weights);
-    const auto prompt = somePrompt(cfg, 12);
-    for (model::TargetModel *tm : {&byToken, &byLayer}) {
-        tm->reset(0x5eed);
-        tm->prefill(prompt);
-    }
-
-    const size_t n_tok = 6;
-    const auto n_layers = static_cast<size_t>(cfg.n_layers);
+    oracle::SyntheticCorpus corpus(cfg.sim.vocab, 12);
     Rng rng(13);
+    const auto prompt =
+        corpus.sampleSequence(static_cast<int>(prompt_len), rng);
     std::vector<int> inputs;
     std::vector<model::TokenScript> scripts;
     int prev = prompt.back();
@@ -280,66 +281,76 @@ expectScriptedBlockMatches(const model::ModelConfig &cfg,
         prev = target;
     }
 
-    // hiddens[l * n_tok + t]: token t after layer l.
-    std::vector<tensor::Vec> want(n_layers * n_tok);
+    const auto h = static_cast<size_t>(cfg.sim.hidden);
+    const auto n_exit = static_cast<size_t>(cfg.n_layers - 1);
+    // want[t * n_exit + l]: token t after exit layer l.
+    std::vector<tensor::Vec> want(n_tok * n_exit);
+    byToken.reset(0x5eed);
+    byToken.prefill(prompt);
     for (size_t t = 0; t < n_tok; ++t) {
         byToken.beginToken(inputs[t], scripts[t]);
-        for (size_t l = 0; l < n_layers; ++l) {
-            const tensor::CSpan h = byToken.runLayer();
-            want[l * n_tok + t].assign(h.begin(), h.end());
+        for (size_t l = 0; l < n_exit; ++l) {
+            const tensor::CSpan out = byToken.runLayer();
+            want[t * n_exit + l].assign(out.begin(), out.end());
         }
         byToken.runRemainingLayers();
     }
-    std::vector<tensor::Vec> got(n_layers * n_tok);
-    std::vector<size_t> order;
-    byLayer.decodeScripted(
-        inputs, scripts, [&](int l, size_t t, tensor::CSpan h) {
-            const size_t i = static_cast<size_t>(l) * n_tok + t;
-            order.push_back(i);
-            got[i].assign(h.begin(), h.end());
-        });
 
-    // Layer-major order, every steered output seen once.
-    ASSERT_EQ(order.size(), want.size());
-    for (size_t i = 0; i < order.size(); ++i)
-        EXPECT_EQ(order[i], i);
-    for (size_t i = 0; i < want.size(); ++i) {
-        EXPECT_TRUE(sameBits(got[i], want[i]))
-            << "layer " << i / n_tok << " token " << i % n_tok;
-    }
-    EXPECT_TRUE(sameBits(byLayer.hidden(), byToken.hidden()));
-    EXPECT_EQ(byLayer.position(), byToken.position());
-    EXPECT_EQ(byLayer.doneAllLayers(), byToken.doneAllLayers());
-
-    // Every KV row, prompt and block.
-    for (int l = 0; l < cfg.n_layers; ++l) {
-        ASSERT_EQ(byLayer.kv().length(l), byToken.kv().length(l));
-        for (int p = 0; p < byToken.kv().length(l); ++p) {
-            EXPECT_TRUE(sameBits(byLayer.kv().key(l, p),
-                                 byToken.kv().key(l, p)))
-                << "key layer " << l << " pos " << p;
-            EXPECT_TRUE(sameBits(byLayer.kv().value(l, p),
-                                 byToken.kv().value(l, p)))
-                << "value layer " << l << " pos " << p;
+    for (size_t team = 1; team <= 4; ++team) {
+        SCOPED_TRACE("team " + std::to_string(team));
+        byLayer.reset(0x5eed);
+        byLayer.prefill(prompt);
+        tensor::Vec got(n_tok * n_exit * h);
+        byLayer.decodeScripted(inputs, scripts, got, team);
+        for (size_t r = 0; r < want.size(); ++r) {
+            EXPECT_TRUE(sameBits(tensor::CSpan(got).subspan(r * h, h),
+                                 want[r]))
+                << "token " << r / n_exit << " layer " << r % n_exit;
         }
-    }
+        EXPECT_TRUE(sameBits(byLayer.hidden(), byToken.hidden()));
+        EXPECT_EQ(byLayer.position(), byToken.position());
+        EXPECT_EQ(byLayer.doneAllLayers(), byToken.doneAllLayers());
 
-    // The noise stream ends in the same state.
-    Rng a = byLayer.sequence().noiseRng;
-    Rng b = byToken.sequence().noiseRng;
-    for (int i = 0; i < 4; ++i)
-        EXPECT_EQ(a.next(), b.next());
+        // Every KV row, prompt and block.
+        for (int l = 0; l < cfg.n_layers; ++l) {
+            ASSERT_EQ(byLayer.kv().length(l), byToken.kv().length(l));
+            for (int p = 0; p < byToken.kv().length(l); ++p) {
+                EXPECT_TRUE(sameBits(byLayer.kv().key(l, p),
+                                     byToken.kv().key(l, p)))
+                    << "key layer " << l << " pos " << p;
+                EXPECT_TRUE(sameBits(byLayer.kv().value(l, p),
+                                     byToken.kv().value(l, p)))
+                    << "value layer " << l << " pos " << p;
+            }
+        }
+
+        // The noise stream ends in the same state.
+        Rng a = byLayer.sequence().noiseRng;
+        Rng b = byToken.sequence().noiseRng;
+        for (int i = 0; i < 4; ++i)
+            EXPECT_EQ(a.next(), b.next());
+    }
 }
 
 } // namespace
 
 // Profiling decodes each instance as one scripted block, layer by
-// layer; what it records must be what token-by-token decode computes.
+// layer on a team of threads; what it records must be what
+// token-by-token decode computes, whatever the team size. Blocks of
+// 1, 9 and 37 tokens leave a ragged run of fewer than four tokens on
+// some member at every team size from 1 to 4, and the last tiny block
+// ends exactly at the context window.
 TEST(TargetModel, ScriptedBlockMatchesTokenByToken)
 {
-    expectScriptedBlockMatches(tinyCfg(), {});
+    const auto tiny = tinyCfg();
+    for (size_t n_tok : {1u, 6u, 9u, 37u})
+        expectScriptedBlockMatches(tiny, {}, 8, n_tok);
+    expectScriptedBlockMatches(
+        tiny, {}, static_cast<size_t>(tiny.context_len) - 37, 37);
     model::TargetModelOptions sparse;
     sparse.sparse_ffn = true;
-    expectScriptedBlockMatches(tinyCfg(), sparse);
-    expectScriptedBlockMatches(model::ModelConfig::llama2_7b(), {});
+    expectScriptedBlockMatches(tiny, sparse, 8, 9);
+    for (size_t n_tok : {6u, 37u})
+        expectScriptedBlockMatches(model::ModelConfig::llama2_7b(), {}, 8,
+                                   n_tok);
 }

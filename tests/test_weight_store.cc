@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <iterator>
 #include <string>
@@ -156,6 +157,36 @@ TEST(WeightStore, GemvRowsAndRowDotMatchGemvPerBackend)
     }
 }
 
+// Batching vectors changes how often a weight row is read, never a
+// result: every row of gemvBatch equals gemv on that vector, bit for
+// bit, at 1 to 9 vectors (whole groups of four and ragged rests). The
+// 70-wide rows end in a tail under AVX2 and a ragged Q4 group.
+TEST(WeightStore, GemvBatchEqualsGemvPerVector)
+{
+    SimdLevelGuard guard;
+    const Matrix m = randomMatrix(13, 70, 71, 0.1f);
+    const Vec xs = randomVec(9 * 70, 72);
+    for (simd::Level level : {simd::Level::Scalar, simd::detectLevel()}) {
+        simd::setLevel(level);
+        for (WeightBackend b : kAll) {
+            const auto store = makeWeightStore(m, b);
+            for (size_t k = 1; k <= 9; ++k) {
+                Vec batch(k * 13);
+                store->gemvBatch(CSpan(xs).first(k * 70), batch);
+                for (size_t j = 0; j < k; ++j) {
+                    Vec one(13);
+                    store->gemv(CSpan(xs).subspan(j * 70, 70), one);
+                    EXPECT_EQ(std::memcmp(batch.data() + j * 13, one.data(),
+                                          13 * sizeof(float)),
+                              0)
+                        << simd::levelName(level) << " "
+                        << weightBackendName(b) << " k=" << k << " j=" << j;
+                }
+            }
+        }
+    }
+}
+
 TEST(WeightStore, CopyRowAndAtAgreeAcrossBackends)
 {
     auto m = randomMatrix(9, 40, 7);
@@ -248,6 +279,34 @@ TEST(Simd, DotF32MatchesScalarWithinRounding)
         const float tol =
             1e-5f * static_cast<float>(n) + 1e-5f * std::fabs(ref);
         EXPECT_NEAR(fast, ref, tol) << "n=" << n;
+    }
+}
+
+// The batched GEMV's kernel must give every vector dotF32's exact
+// result: same lanes, same horizontal sum, same tail. The sizes cover
+// every loop (16-wide, 8-wide, tail) alone and together, and the
+// start pointers are one float off a 32-byte boundary.
+TEST(Simd, DotF32x4EqualsDotF32Bitwise)
+{
+    SimdLevelGuard guard;
+    for (simd::Level level : {simd::Level::Scalar, simd::detectLevel()}) {
+        simd::setLevel(level);
+        for (size_t n : {0, 1, 7, 8, 12, 15, 16, 17, 192, 200, 516}) {
+            const Vec w = randomVec(n + 1, 50 + n);
+            Vec xs[4];
+            const float *x[4];
+            for (size_t j = 0; j < 4; ++j) {
+                xs[j] = randomVec(n + 1, 60 + 4 * n + j);
+                x[j] = xs[j].data() + 1;
+            }
+            float out[4];
+            simd::dotF32x4(w.data() + 1, x, n, out);
+            for (size_t j = 0; j < 4; ++j) {
+                const float want = simd::dotF32(w.data() + 1, x[j], n);
+                EXPECT_EQ(std::memcmp(&out[j], &want, sizeof(float)), 0)
+                    << simd::levelName(level) << " n=" << n << " j=" << j;
+            }
+        }
     }
 }
 
