@@ -53,12 +53,6 @@ FeatureExtractor::beginToken(const std::vector<int> &spec_tokens)
 }
 
 tensor::CSpan
-FeatureExtractor::extract(const model::TargetModel &tm)
-{
-    return extract(tm.lmHead(), tm.hidden());
-}
-
-tensor::CSpan
 FeatureExtractor::extract(const model::LmHead &head, tensor::CSpan hidden)
 {
     head.sliced(hidden, specTokens_, logits_);

@@ -21,7 +21,7 @@
 #include <array>
 #include <vector>
 
-#include "model/target_model.hh"
+#include "model/lm_head.hh"
 #include "tensor/matrix.hh"
 
 namespace specee::core {
@@ -50,15 +50,12 @@ class FeatureExtractor
     void beginToken(const std::vector<int> &spec_tokens);
 
     /**
-     * Extract features from the model's current hidden state.
+     * Extract features from `hidden` through the sliced `head`.
      * The previous-layer probabilities are whatever the last call to
      * extract() produced for this token (a uniform prior before the
      * first call), so skipped layers fold into the variation feature
      * exactly as they do in the scheduled system.
      */
-    tensor::CSpan extract(const model::TargetModel &tm);
-
-    /** Same, from `hidden` through `head` (a block-decoded token). */
     tensor::CSpan extract(const model::LmHead &head, tensor::CSpan hidden);
 
     /**

@@ -12,7 +12,7 @@ namespace specee::core {
 
 ProfileData
 PredictorTrainer::collect(const workload::Workload &w,
-                          model::TargetModel &tm,
+                          const model::TargetModel &tm,
                           const model::DraftModel &dlm, uint64_t seed)
 {
     const model::ModelConfig &cfg = tm.config();
@@ -45,6 +45,7 @@ PredictorTrainer::collect(const workload::Workload &w,
     // mmap threshold, so the buffers the workers free and keep in
     // their arenas stay small.
     constexpr size_t kHeadRows = 4;
+    model::SequenceState seq = tm.makeSequence();
     Rng rng(seed);
     for (size_t ii = 0; ii < w.instances.size(); ++ii) {
         const auto &inst = w.instances[ii];
@@ -53,8 +54,8 @@ PredictorTrainer::collect(const workload::Workload &w,
         // Independent noise substream per profiled instance (fork()
         // leaves the speculation rng stream untouched), so collected
         // features cover the noise diversity served requests see.
-        tm.reset(rng.fork(0x7e5e + ii).next());
-        tm.prefill(inst.prompt);
+        tm.reset(seq, rng.fork(0x7e5e + ii).next());
+        tm.prefill(seq, inst.prompt);
         // Each token feeds back the previous target, so the whole
         // block is known before it runs.
         inputs.resize(n_tok);
@@ -65,7 +66,7 @@ PredictorTrainer::collect(const workload::Workload &w,
                                            cfg.num_spec_tokens, rng));
             prev = inst.steps[t].target;
         }
-        tm.decodeScripted(inputs, inst.steps,
+        tm.decodeScripted(seq, inputs, inst.steps,
                           tensor::Span(hiddens.data(), n_rows * hidden));
         // A token's features fold in its previous exit layer, so they
         // run layer by layer.

@@ -72,12 +72,12 @@ class PredictorTrainer
      * layer by layer on a team of threads, each weight row read once
      * per four tokens. Then parallelFor runs the full-vocabulary
      * heads that label the instance's rows, and the next instance
-     * starts. Profiling holds one sequence's KV and one instance's
-     * hidden states, as a sequential pass does. The result does not
-     * depend on the thread count.
+     * starts. Profiling holds one sequence state, reset per
+     * instance, and one instance's hidden states, as a sequential
+     * pass does. The result does not depend on the thread count.
      */
     static ProfileData collect(const workload::Workload &w,
-                               model::TargetModel &tm,
+                               const model::TargetModel &tm,
                                const model::DraftModel &dlm,
                                uint64_t seed);
 

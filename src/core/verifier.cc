@@ -1,26 +1,14 @@
 #include "core/verifier.hh"
 
-#include <algorithm>
-
 namespace specee::core {
 
 VerifyResult
-Verifier::verify(const model::TargetModel &tm, int local_best)
+Verifier::verify(const model::LmHead &head, tensor::CSpan hidden,
+                 int local_best)
 {
     VerifyResult r;
-    r.token = tm.globalArgmax();
+    r.token = head.argmaxToken(hidden);
     r.verified = r.token == local_best;
-    return r;
-}
-
-VerifyResult
-Verifier::verifyMembership(const model::TargetModel &tm,
-                           const std::vector<int> &spec_tokens)
-{
-    VerifyResult r;
-    r.token = tm.globalArgmax();
-    r.verified = std::find(spec_tokens.begin(), spec_tokens.end(),
-                           r.token) != spec_tokens.end();
     return r;
 }
 

@@ -1,18 +1,16 @@
 /**
  * @file
  * Exit verification (§4.3.3): an exit is taken only when the global
- * argmax (full LM head at the exit layer) is one of the speculative
- * tokens. Local probabilities alone use only local information; this
- * check folds the global information back in.
+ * argmax (full LM head at the exit layer) equals the local result,
+ * the speculative token with the highest sliced logit. Local
+ * probabilities alone use only local information; this check folds
+ * the global information back in.
  */
 
 #ifndef SPECEE_CORE_VERIFIER_HH
 #define SPECEE_CORE_VERIFIER_HH
 
-#include <utility>
-#include <vector>
-
-#include "model/target_model.hh"
+#include "model/lm_head.hh"
 
 namespace specee::core {
 
@@ -30,20 +28,12 @@ class Verifier
     /**
      * Fig. 5 algorithm: T' = the local result (speculative token with
      * the highest sliced logit), T = the global result (full-vocab
-     * argmax); exit iff T == T'.
+     * argmax of `hidden` through `head`); exit iff T == T'.
      *
      * @param local_best the local result T' (argmax over spec tokens)
      */
-    static VerifyResult verify(const model::TargetModel &tm,
-                               int local_best);
-
-    /**
-     * Membership variant (looser; kept for ablation in tests):
-     * verified iff the global argmax is anywhere in the set.
-     */
-    static VerifyResult verifyMembership(
-        const model::TargetModel &tm,
-        const std::vector<int> &spec_tokens);
+    static VerifyResult verify(const model::LmHead &head,
+                               tensor::CSpan hidden, int local_best);
 };
 
 } // namespace specee::core

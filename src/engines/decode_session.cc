@@ -8,26 +8,6 @@
 
 namespace specee::engines {
 
-namespace {
-
-/** Rebinds the model to the session's sequence for one operation. */
-class BindGuard
-{
-  public:
-    BindGuard(model::TargetModel &tm, model::SequenceState *seq) : tm_(tm)
-    {
-        tm_.bindSequence(seq);
-    }
-    ~BindGuard() { tm_.bindSequence(nullptr); }
-    BindGuard(const BindGuard &) = delete;
-    BindGuard &operator=(const BindGuard &) = delete;
-
-  private:
-    model::TargetModel &tm_;
-};
-
-} // namespace
-
 DecodeSession::DecodeSession(Engine &eng, const workload::Workload &w,
                              size_t instance_idx,
                              const model::DraftModel &dlm, RunResult &out,
@@ -88,7 +68,7 @@ DecodeSession::startSequence()
     // comparable across engine configs); the instance index makes the
     // noise substreams distinct even for engines whose decode never
     // advances the parent rng.
-    eng_.tm_->reset(rng_->fork(0x7e5e + instance_).next());
+    eng_.tm_->reset(seq_, rng_->fork(0x7e5e + instance_).next());
     prefillStarted_ = true;
 }
 
@@ -113,7 +93,6 @@ DecodeSession::prefill()
 {
     specee_assert(!prefilled_, "prefill() after prefill done");
     const auto &inst = w_->instances[instance_];
-    BindGuard bind(*eng_.tm_, &seq_);
     startSequence();
     // After adoptCachedPrefix() only the uncached tail is appended;
     // cold sessions start at simFilled_ = 0 — the legacy path.
@@ -121,7 +100,7 @@ DecodeSession::prefill()
     if (prefix_len > simFilled_) {
         std::vector<int> slice(inst.prompt.begin() + simFilled_,
                                inst.prompt.end() - 1);
-        eng_.tm_->prefill(slice);
+        eng_.tm_->prefill(seq_, slice);
         simFilled_ = prefix_len;
     }
     prefillTrue_ = prefillTotal();
@@ -143,7 +122,6 @@ DecodeSession::adoptCachedPrefix(
     specee_assert(sim_matched > 0 && sim_matched <= prefix_len,
                   "adopted sim span %d outside prefix of %d",
                   sim_matched, prefix_len);
-    BindGuard bind(*eng_.tm_, &seq_);
     // Same sequence initialization (and rng fork) as a cold
     // prefill, so the resumed decode is bit-identical to a cold run.
     startSequence();
@@ -176,7 +154,6 @@ DecodeSession::prefillChunk(int n_tokens)
                   "transfer");
     const auto &inst = w_->instances[instance_];
     const auto before = snapshotOplog();
-    BindGuard bind(*eng_.tm_, &seq_);
     // Same sequence initialization as prefill(): the chunked and
     // atomic paths are bit-identical once the prompt lands.
     startSequence();
@@ -194,7 +171,7 @@ DecodeSession::prefillChunk(int n_tokens)
         std::vector<int> slice(
             inst.prompt.begin() + simFilled_,
             inst.prompt.begin() + sim_target);
-        eng_.tm_->prefill(slice);
+        eng_.tm_->prefill(seq_, slice);
         simFilled_ = sim_target;
     }
     if (prefillTrue_ >= total)
@@ -362,12 +339,8 @@ DecodeSession::step()
     const auto before = snapshotOplog();
     const auto tokens_before = em_.tokens.size();
 
-    bool more;
-    {
-        BindGuard bind(*eng_.tm_, &seq_);
-        more = eng_.ecfg_.spec_decode ? stepSpeculative()
-                                      : stepAutoregressive();
-    }
+    const bool more = eng_.ecfg_.spec_decode ? stepSpeculative()
+                                             : stepAutoregressive();
 
     captureCost(before,
                 static_cast<int>(em_.tokens.size() - tokens_before));
@@ -380,9 +353,9 @@ DecodeSession::stepAutoregressive()
     const auto &inst = w_->instances[instance_];
     const int logical_pos =
         w_->true_prompt_len + static_cast<int>(stepIdx_);
-    auto o = eng_.decodeToken(input_, inst.steps[stepIdx_], *dlm_, fx_,
-                              eng_.ecfg_.online_sched ? &online_
-                                                      : nullptr,
+    auto o = eng_.decodeToken(seq_, input_, inst.steps[stepIdx_], *dlm_,
+                              fx_, eng_.ecfg_.online_sched ? &online_
+                                                           : nullptr,
                               &out_->stats.oplog, logical_pos, *rng_,
                               out_->stats, exitThreshold_);
     em_.tokens.push_back(o.token);
@@ -410,7 +383,7 @@ DecodeSession::stepSpeculative()
 
     // First token decodes normally (as in EAGLE).
     if (stepIdx_ == 0) {
-        auto o = eng_.decodeToken(inst.prompt.back(), inst.steps[0],
+        auto o = eng_.decodeToken(seq_, inst.prompt.back(), inst.steps[0],
                                   *dlm_, fx_, onl, &out.stats.oplog,
                                   w_->true_prompt_len, *rng_, out.stats,
                                   exitThreshold_);
@@ -458,8 +431,8 @@ DecodeSession::stepSpeculative()
     while (step < n_steps && d <= static_cast<size_t>(tree.depth())) {
         const int logical_pos =
             w_->true_prompt_len + static_cast<int>(step);
-        auto o = eng_.decodeToken(input, inst.steps[step], *dlm_, fx_,
-                                  onl, nullptr, logical_pos, *rng_,
+        auto o = eng_.decodeToken(seq_, input, inst.steps[step], *dlm_,
+                                  fx_, onl, nullptr, logical_pos, *rng_,
                                   out.stats, exitThreshold_);
         if (o.exited) {
             ++fill_nodes;

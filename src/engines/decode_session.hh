@@ -291,9 +291,8 @@ class DecodeSession
     void initKv(std::unique_ptr<model::SequenceKv> kv);
 
     /**
-     * Reset the bound model to a fresh sequence with this instance's
-     * noise seed, once: later calls (the next prompt chunk) are
-     * no-ops.
+     * Reset seq_ to a fresh sequence with this instance's noise
+     * seed, once: later calls (the next prompt chunk) are no-ops.
      */
     void startSequence();
 
@@ -326,6 +325,11 @@ class DecodeSession
     RunResult *out_;
     Rng *rng_;
 
+    /**
+     * The session's decode state (KV, position, current token,
+     * noise rng and layer scratch): every model operation of the
+     * session advances it on the engine's shared, immutable model.
+     */
     model::SequenceState seq_;
     model::SequenceKv *kv_ = nullptr; ///< the session's KV (owned by seq_)
     core::FeatureExtractor fx_;

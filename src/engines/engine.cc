@@ -422,7 +422,8 @@ Engine::chargeOverhead(hw::OpLog &log) const
 // ---------------------------------------------------------------------------
 
 Engine::TokenOutcome
-Engine::decodeToken(int input_token, const model::TokenScript &script,
+Engine::decodeToken(model::SequenceState &seq, int input_token,
+                    const model::TokenScript &script,
                     const model::DraftModel &dlm,
                     core::FeatureExtractor &fx,
                     core::OnlineScheduler *online, hw::OpLog *log,
@@ -446,7 +447,7 @@ Engine::decodeToken(int input_token, const model::TokenScript &script,
             chargeDraft(*log, 1);
     }
 
-    tm_->beginToken(input_token, script);
+    tm_->beginToken(seq, input_token, script);
     if (log != nullptr)
         chargeEmbed(*log, 1);
 
@@ -460,9 +461,9 @@ Engine::decodeToken(int input_token, const model::TokenScript &script,
     // AdaInfer patience counter (consecutive positive SVM decisions).
     int ada_streak = 0;
 
-    while (!tm_->doneAllLayers()) {
-        const int l = tm_->currentLayer();
-        tm_->runLayer();
+    while (seq.layer < mcfg_.n_layers) {
+        const int l = seq.layer;
+        const tensor::CSpan hidden = tm_->runLayer(seq);
 
         if (l >= n_exit)
             continue; // last layer hosts no predictor
@@ -473,8 +474,7 @@ Engine::decodeToken(int input_token, const model::TokenScript &script,
                 // the true entry count and hidden width (Table 1's
                 // High-memory / Heavy-prediction row).
                 ++stats.predictor_invocations;
-                raee_exit =
-                    raee_->predictExitLayer(tm_->hidden(), core::kRaeeK);
+                raee_exit = raee_->predictExitLayer(hidden, core::kRaeeK);
                 if (log != nullptr) {
                     const double scan_bytes = core::kRaeeDbEntries *
                                               core::kRaeeScanFrac *
@@ -484,7 +484,8 @@ Engine::decodeToken(int input_token, const model::TokenScript &script,
                 }
             }
             if (l == raee_exit) {
-                out.token = tm_->globalArgmax(); // no verification
+                // No verification.
+                out.token = tm_->lmHead().argmaxToken(hidden);
                 if (log != nullptr)
                     chargeLmHeadFull(*log, 1);
                 out.exited = true;
@@ -496,7 +497,7 @@ Engine::decodeToken(int input_token, const model::TokenScript &script,
                 continue;
             ++active_this_token;
             ++stats.predictor_invocations;
-            tensor::CSpan feats = fx.extract(*tm_);
+            tensor::CSpan feats = fx.extract(tm_->lmHead(), hidden);
             if (log != nullptr) {
                 chargeLmHeadSliced(*log, 1, mcfg_.num_spec_tokens, 1);
                 chargePredictor(*log, 1, 1);
@@ -509,7 +510,8 @@ Engine::decodeToken(int input_token, const model::TokenScript &script,
             if (log != nullptr)
                 chargeLmHeadFull(*log, 1);
             const size_t local_idx = tensor::argmax(fx.localProbs());
-            auto v = core::Verifier::verify(*tm_, spec_tokens[local_idx]);
+            auto v = core::Verifier::verify(tm_->lmHead(), hidden,
+                                            spec_tokens[local_idx]);
             if (!v.verified) {
                 ++stats.verify_rejects;
                 continue;
@@ -526,7 +528,7 @@ Engine::decodeToken(int input_token, const model::TokenScript &script,
                 chargeLmHeadFull(*log, 1);
                 chargePredictor(*log, 1, 1);
             }
-            tm_->lmHead().full(tm_->hidden(), full_logits);
+            tm_->lmHead().full(hidden, full_logits);
             const int global =
                 static_cast<int>(tensor::argmax(full_logits));
             auto af = core::adaInferFeatures(full_logits);
@@ -548,7 +550,7 @@ Engine::decodeToken(int input_token, const model::TokenScript &script,
 
     if (out.exited) {
         out.layers_used = out.exit_layer + 1;
-        const int filled = tm_->finishEarly();
+        const int filled = tm_->finishEarly(seq);
         if (log != nullptr)
             chargeKvFill(*log, filled, 1);
         ++stats.exits;
@@ -559,7 +561,7 @@ Engine::decodeToken(int input_token, const model::TokenScript &script,
         if (online != nullptr)
             online->recordExit(out.exit_layer);
     } else {
-        out.token = tm_->runRemainingLayers();
+        out.token = tm_->runRemainingLayers(seq);
         out.layers_used = mcfg_.n_layers;
         if (log != nullptr)
             chargeLmHeadFull(*log, 1);

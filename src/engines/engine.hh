@@ -195,8 +195,8 @@ class Engine
                          const core::OnlineScheduler *online) const;
 
     /**
-     * Functionally decode one token (input -> emission) with the
-     * configured exit policy. Does not charge costs when
+     * Functionally decode one token of `seq` (input -> emission)
+     * with the configured exit policy. Does not charge costs when
      * `log == nullptr` (used inside speculative passes, which charge
      * at pass granularity). `exit_threshold` is the SpecEE predictor
      * confidence bar for this token — sessions pass their own copy
@@ -204,7 +204,7 @@ class Engine
      * overrode it), so exit aggressiveness is per-request state, not
      * engine state.
      */
-    TokenOutcome decodeToken(int input_token,
+    TokenOutcome decodeToken(model::SequenceState &seq, int input_token,
                              const model::TokenScript &script,
                              const model::DraftModel &dlm,
                              core::FeatureExtractor &fx,
@@ -299,7 +299,7 @@ class Engine
     hw::HardwareSpec hwspec_;
     model::StageGraph stages_;
     const oracle::SyntheticCorpus &corpus_;
-    std::unique_ptr<model::TargetModel> tm_;
+    std::unique_ptr<const model::TargetModel> tm_;
     const core::ExitPredictor *preds_ = nullptr;
     const AdaInferBank *ada_ = nullptr;
     const core::RaeeIndex *raee_ = nullptr;

@@ -36,6 +36,7 @@ void attend(tensor::CSpan q, const KvStore &kv, int layer, int n_pos,
 class Attention
 {
   public:
+    Attention() = default; ///< empty (unsized) scratch
     explicit Attention(const ModelConfig &cfg);
 
     /**
@@ -52,9 +53,9 @@ class Attention
                  int pos, KvStore &kv, tensor::Span out);
 
   private:
-    int hidden_;
-    int heads_;
-    int headDim_;
+    int hidden_ = 0;
+    int heads_ = 0;
+    int headDim_ = 0;
     tensor::Vec q_, k_, v_, ctx_;
     tensor::Vec scores_;
 };

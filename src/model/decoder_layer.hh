@@ -15,10 +15,16 @@
 
 namespace specee::model {
 
-/** Llama-style pre-norm decoder layer. */
+/**
+ * Llama-style pre-norm decoder layer. It holds only the scratch one
+ * token's layer computes in, not weights: each SequenceState owns
+ * one, so sequences decoding on one model never share it.
+ */
 class DecoderLayer
 {
   public:
+    /** Empty (unsized) scratch; assign a sized layer before use. */
+    DecoderLayer() = default;
     explicit DecoderLayer(const ModelConfig &cfg);
 
     /**
@@ -42,13 +48,10 @@ class DecoderLayer
     void fillKv(const LayerWeights &lw, int layer, tensor::CSpan x,
                 int pos, KvStore &kv);
 
-    /** Neurons used by the last sparse FFN call. */
-    int lastActiveNeurons() const { return ffn_.lastActiveNeurons(); }
-
   private:
-    int hidden_;
-    int heads_;
-    int headDim_;
+    int hidden_ = 0;
+    int heads_ = 0;
+    int headDim_ = 0;
     Attention attn_;
     Ffn ffn_;
     tensor::Vec normed_, sub_, k_, v_;

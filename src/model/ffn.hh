@@ -27,6 +27,7 @@ namespace specee::model {
 class Ffn
 {
   public:
+    Ffn() = default; ///< empty (unsized) scratch
     explicit Ffn(const ModelConfig &cfg);
 
     /** Dense forward. */
@@ -51,8 +52,8 @@ class Ffn
     int lastActiveNeurons() const { return lastActive_; }
 
   private:
-    int hidden_;
-    int ffnDim_;
+    int hidden_ = 0;
+    int ffnDim_ = 0;
     int lastActive_ = 0;
     tensor::Vec gate_, up_, act_;
 };

@@ -8,25 +8,25 @@ namespace specee::model {
 LmHead::LmHead(const tensor::WeightStore &embedding,
                const tensor::Vec &rms_final)
     : embedding_(embedding),
-      rmsFinal_(rms_final),
-      scratch_(embedding.cols())
+      rmsFinal_(rms_final)
 {
     specee_assert(embedding.cols() == rms_final.size(),
                   "lm head dims mismatch");
 }
 
-void
+tensor::Vec
 LmHead::normalize(tensor::CSpan hidden_state) const
 {
-    tensor::rmsnorm(hidden_state, rmsFinal_, scratch_);
+    tensor::Vec normed(embedding_.cols());
+    tensor::rmsnorm(hidden_state, rmsFinal_, normed);
+    return normed;
 }
 
 void
 LmHead::full(tensor::CSpan hidden_state, tensor::Span logits) const
 {
     specee_assert(logits.size() == embedding_.rows(), "full logits size");
-    normalize(hidden_state);
-    embedding_.gemv(scratch_, logits);
+    embedding_.gemv(normalize(hidden_state), logits);
 }
 
 void
@@ -50,8 +50,7 @@ LmHead::sliced(tensor::CSpan hidden_state, const std::vector<int> &tokens,
                tensor::Span out) const
 {
     specee_assert(out.size() == tokens.size(), "sliced logits size");
-    normalize(hidden_state);
-    embedding_.gemvRows(tokens, scratch_, out);
+    embedding_.gemvRows(tokens, normalize(hidden_state), out);
 }
 
 void
@@ -63,8 +62,7 @@ LmHead::grouped(const std::vector<tensor::CSpan> &hiddens,
     out.resize(groups.size());
     for (size_t g = 0; g < groups.size(); ++g) {
         out[g].assign(groups[g].size(), 0.0f);
-        normalize(hiddens[g]);
-        embedding_.gemvRows(groups[g], scratch_, out[g]);
+        embedding_.gemvRows(groups[g], normalize(hiddens[g]), out[g]);
     }
 }
 

@@ -24,7 +24,9 @@ namespace specee::model {
 /**
  * LM head tied to the embedding store (vocab x hidden). The store's
  * backend decides whether full/sliced logits run on dense fp32 rows
- * or dequantize-on-the-fly quantized rows.
+ * or dequantize-on-the-fly quantized rows. Every method is const and
+ * normalizes into its own local buffer, so threads may share one
+ * head.
  */
 class LmHead
 {
@@ -47,8 +49,7 @@ class LmHead
      * (n x hidden, row-major) into row j of `logits` (n x vocab).
      * The rows go through the embedding's batched GEMV, which reads
      * each embedding row once per four hidden states, and every row
-     * equals full() bit for bit. Uses no head scratch: threads may
-     * share one head.
+     * equals full() bit for bit.
      */
     void fullRows(tensor::CSpan hiddens, tensor::Span logits) const;
 
@@ -71,12 +72,11 @@ class LmHead
     int argmaxToken(tensor::CSpan hidden_state) const;
 
   private:
-    /** Apply the final RMSNorm into scratch_. */
-    void normalize(tensor::CSpan hidden_state) const;
+    /** The final RMSNorm of a hidden state. */
+    tensor::Vec normalize(tensor::CSpan hidden_state) const;
 
     const tensor::WeightStore &embedding_;
     const tensor::Vec &rmsFinal_;
-    mutable tensor::Vec scratch_;
 };
 
 } // namespace specee::model

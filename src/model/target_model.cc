@@ -41,12 +41,8 @@ TargetModel::TargetModel(const ModelConfig &cfg,
     : cfg_(cfg),
       opts_(opts),
       weights_(weightsFor(cfg, std::move(weights))),
-      lmHead_(weights_->embedding(), weights_->rmsFinal()),
-      layerBlock_(cfg),
-      erow_(static_cast<size_t>(cfg.sim.hidden))
+      lmHead_(weights_->embedding(), weights_->rmsFinal())
 {
-    own_ = makeSequence();
-    seq_ = &own_;
 }
 
 std::unique_ptr<SequenceKv>
@@ -65,23 +61,23 @@ TargetModel::makeSequence(std::unique_ptr<KvStore> kv) const
     s.kv = kv ? std::move(kv) : makeSequenceKv();
     s.noiseRng = Rng(opts_.noise_seed);
     s.tok.hidden.resize(static_cast<size_t>(cfg_.sim.hidden));
+    s.scratch = DecoderLayer(cfg_);
     return s;
 }
 
 void
-TargetModel::bindSequence(SequenceState *seq)
+TargetModel::checkShape(const SequenceState &s) const
 {
-    seq_ = seq != nullptr ? seq : &own_;
-    specee_assert(seq_->kv != nullptr &&
-                      seq_->tok.hidden.size() ==
+    specee_assert(s.kv != nullptr &&
+                      s.tok.hidden.size() ==
                           static_cast<size_t>(cfg_.sim.hidden),
-                  "bound sequence state does not match the model");
+                  "sequence state does not match the model");
 }
 
 void
-TargetModel::reset(uint64_t noise_stream)
+TargetModel::reset(SequenceState &s, uint64_t noise_stream) const
 {
-    SequenceState &s = *seq_;
+    checkShape(s);
     s.kv->clear();
     s.pos = 0;
     s.layer = 0;
@@ -93,9 +89,9 @@ TargetModel::reset(uint64_t noise_stream)
 }
 
 void
-TargetModel::prefill(const std::vector<int> &tokens)
+TargetModel::prefill(SequenceState &s, const std::vector<int> &tokens) const
 {
-    SequenceState &s = *seq_;
+    checkShape(s);
     specee_assert(!s.inToken, "prefill during a decode step");
     for (int tok : tokens) {
         specee_assert(tok >= 0 && tok < cfg_.sim.vocab,
@@ -103,15 +99,15 @@ TargetModel::prefill(const std::vector<int> &tokens)
         weights_->embedding().copyRow(static_cast<size_t>(tok),
                                       s.tok.hidden);
         for (int l = 0; l < cfg_.n_layers; ++l)
-            layerBlock_.fillKv(weights_->layer(l), l, s.tok.hidden, s.pos,
-                               *s.kv);
+            s.scratch.fillKv(weights_->layer(l), l, s.tok.hidden, s.pos,
+                             *s.kv);
         ++s.pos;
     }
 }
 
 void
 TargetModel::beginSteer(TokenSteer &ts, int input_token,
-                        const TokenScript &script, Rng &noise)
+                        const TokenScript &script, Rng &noise) const
 {
     specee_assert(input_token >= 0 && input_token < cfg_.sim.vocab,
                   "input token out of range");
@@ -131,13 +127,11 @@ TargetModel::beginSteer(TokenSteer &ts, int input_token,
 
     // Per-token noisy target direction: dir = unit(E[target] + nu*z).
     weights_->embedding().copyRow(static_cast<size_t>(script.target),
-                                  erow_);
+                                  ts.dirTarget);
     const float nu = opts_.steer.target_noise;
     const float per_dim = nu / std::sqrt(static_cast<float>(h));
-    for (size_t i = 0; i < h; ++i) {
-        ts.dirTarget[i] =
-            erow_[i] + static_cast<float>(noise.normal(0.0, per_dim));
-    }
+    for (size_t i = 0; i < h; ++i)
+        ts.dirTarget[i] += static_cast<float>(noise.normal(0.0, per_dim));
     unitize(ts.dirTarget);
 
     weights_->embedding().copyRow(static_cast<size_t>(script.distractor),
@@ -148,9 +142,10 @@ TargetModel::beginSteer(TokenSteer &ts, int input_token,
 }
 
 void
-TargetModel::beginToken(int input_token, const TokenScript &script)
+TargetModel::beginToken(SequenceState &s, int input_token,
+                        const TokenScript &script) const
 {
-    SequenceState &s = *seq_;
+    checkShape(s);
     specee_assert(!s.inToken, "beginToken during a decode step");
     beginSteer(s.tok, input_token, script, s.noiseRng);
     s.layer = 0;
@@ -158,11 +153,12 @@ TargetModel::beginToken(int input_token, const TokenScript &script)
 }
 
 void
-TargetModel::decodeScripted(const std::vector<int> &inputs,
+TargetModel::decodeScripted(SequenceState &s,
+                            const std::vector<int> &inputs,
                             const std::vector<TokenScript> &scripts,
-                            tensor::Span hiddens, size_t team)
+                            tensor::Span hiddens, size_t team) const
 {
-    SequenceState &s = *seq_;
+    checkShape(s);
     const size_t n_tok = inputs.size();
     const auto h = static_cast<size_t>(cfg_.sim.hidden);
     const auto f = static_cast<size_t>(cfg_.sim.ffn);
@@ -293,50 +289,40 @@ TargetModel::steer(TokenSteer &ts, int layer_just_run) const
 }
 
 tensor::CSpan
-TargetModel::runLayer()
+TargetModel::runLayer(SequenceState &s) const
 {
-    SequenceState &s = *seq_;
     specee_assert(s.inToken, "runLayer outside a decode step");
     specee_assert(s.layer < cfg_.n_layers, "runLayer past last layer");
-    layerBlock_.forward(weights_->layer(s.layer), s.layer, s.tok.hidden,
-                        s.pos, *s.kv, opts_.sparse_ffn,
-                        opts_.ffn_active_frac);
+    s.scratch.forward(weights_->layer(s.layer), s.layer, s.tok.hidden,
+                      s.pos, *s.kv, opts_.sparse_ffn,
+                      opts_.ffn_active_frac);
     steer(s.tok, s.layer);
     ++s.layer;
     return s.tok.hidden;
 }
 
 int
-TargetModel::runRemainingLayers()
+TargetModel::runRemainingLayers(SequenceState &s) const
 {
-    SequenceState &s = *seq_;
     specee_assert(s.inToken, "runRemainingLayers outside a decode step");
     while (s.layer < cfg_.n_layers)
-        runLayer();
+        runLayer(s);
     s.inToken = false;
     ++s.pos;
     return lmHead_.argmaxToken(s.tok.hidden);
 }
 
 int
-TargetModel::finishEarly()
+TargetModel::finishEarly(SequenceState &s) const
 {
-    SequenceState &s = *seq_;
     specee_assert(s.inToken, "finishEarly outside a decode step");
     const int filled = cfg_.n_layers - s.layer;
     for (int l = s.layer; l < cfg_.n_layers; ++l)
-        layerBlock_.fillKv(weights_->layer(l), l, s.tok.hidden, s.pos,
-                           *s.kv);
+        s.scratch.fillKv(weights_->layer(l), l, s.tok.hidden, s.pos, *s.kv);
     s.layer = cfg_.n_layers;
     s.inToken = false;
     ++s.pos;
     return filled;
-}
-
-int
-TargetModel::globalArgmax() const
-{
-    return lmHead_.argmaxToken(seq_->tok.hidden);
 }
 
 } // namespace specee::model

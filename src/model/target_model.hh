@@ -25,14 +25,15 @@
  * repo does not ship; everything else in the pipeline operates on the
  * model exactly as it would on a real checkpoint.
  *
- * Weights are sequence-independent and immutable, so one set can back
- * several models (engines::Pipeline shares its dense set with every
- * dense engine it builds); everything a decode mutates (KV, position,
- * per-token steering directions, the noise rng) lives in a
- * SequenceState. The model owns one default state — single-sequence
- * callers never see the indirection — and can temporarily bind an
- * external state, which is how the serving layer interleaves many
- * DecodeSessions on one model without duplicating weights.
+ * The model is immutable after construction: its weights are
+ * sequence-independent (one set can back several models;
+ * engines::Pipeline shares its dense set with every dense engine it
+ * builds), and every decode operation is const and takes the
+ * SequenceState it advances. A state holds everything a decode
+ * mutates (KV, position, per-token steering directions, the noise
+ * rng and the layer scratch), so the serving layer interleaves many
+ * DecodeSessions on one model, and threads may decode different
+ * sequences on it at once.
  */
 
 #ifndef SPECEE_MODEL_TARGET_MODEL_HH
@@ -100,9 +101,10 @@ struct TokenSteer
 
 /**
  * Everything one decoded sequence mutates: its KV store, decode
- * position, current-token steering state and the per-sequence noise
- * rng. A DecodeSession owns one of these; the model operates on
- * whichever state is currently bound.
+ * position, current-token steering state, the per-sequence noise rng
+ * and the scratch its layers compute in. TargetModel::makeSequence()
+ * builds one sized for the model; a DecodeSession owns one, and
+ * every decode operation of the model takes the state it advances.
  */
 struct SequenceState
 {
@@ -111,16 +113,18 @@ struct SequenceState
     TokenSteer tok;          ///< the current token
     int pos = 0;             ///< position of the token being decoded
     int layer = 0;           ///< next layer to run for the current token
+    DecoderLayer scratch;    ///< attention and FFN buffers of one layer
     bool inToken = false;
 };
 
 /**
- * Layer-steppable target model. Weights are shared; per-sequence
- * decode state is swappable via bindSequence().
+ * Layer-steppable target model over shared weights. Immutable after
+ * construction: every decode operation is const and advances the
+ * SequenceState it is given, so one model serves any number of
+ * sequences, on any number of threads, each with its own state.
  *
- * Neither copyable nor movable: the default binding points at the
- * model's own state and the LM head references its weights, so a
- * copy would silently alias the source's decode state.
+ * Not copyable: one model serves all of its sequences, so it is
+ * shared by reference, never duplicated.
  */
 class TargetModel
 {
@@ -155,27 +159,13 @@ class TargetModel
     std::unique_ptr<SequenceKv> makeSequenceKv() const;
 
     /**
-     * Operate on `seq` until further notice; nullptr rebinds the
-     * model's own default state. The bound state must outlive the
-     * binding. Binding is cheap (one pointer) — sessions bind around
-     * every step.
+     * Clear KV, position and steering-noise state of `s`.
+     * `noise_stream` selects an independent noise substream (e.g.
+     * per instance), so the decode of a sequence is a pure function
+     * of (options, noise_stream, scripts) — the re-entrancy the
+     * serving layer relies on.
      */
-    void bindSequence(SequenceState *seq);
-
-    /** Currently bound state (the default one unless rebound). */
-    const SequenceState &sequence() const { return *seq_; }
-
-    /**
-     * Clear KV, position and steering-noise state of the bound
-     * sequence. `noise_stream` selects an independent noise
-     * substream (e.g. per instance), so the decode of a sequence is
-     * a pure function of (options, noise_stream, scripts) — the
-     * re-entrancy the serving layer relies on.
-     */
-    void reset(uint64_t noise_stream = 0);
-
-    /** Next absolute position to be written. */
-    int position() const { return seq_->pos; }
+    void reset(SequenceState &s, uint64_t noise_stream = 0) const;
 
     /**
      * Fast prompt ingestion: fills every layer's KV from the token
@@ -183,15 +173,16 @@ class TargetModel
      * only matters through attention texture, and decode-time costs
      * are charged by the cost model at the true prompt length.
      */
-    void prefill(const std::vector<int> &tokens);
+    void prefill(SequenceState &s, const std::vector<int> &tokens) const;
 
-    /** Begin a decode step for `input_token` under `script`. */
-    void beginToken(int input_token, const TokenScript &script);
+    /** Begin a decode step of `s` for `input_token` under `script`. */
+    void beginToken(SequenceState &s, int input_token,
+                    const TokenScript &script) const;
 
     /**
-     * Decode a block of scripted tokens layer by layer: token t
-     * enters as inputs[t] under scripts[t] at position()+t. Every
-     * token's steering noise is drawn first, in token order, as
+     * Decode a block of scripted tokens of `s` layer by layer: token
+     * t enters as inputs[t] under scripts[t] at position s.pos + t.
+     * Every token's steering noise is drawn first, in token order, as
      * beginToken() draws it. Then each layer runs over the whole
      * block: its projections and FFN as batched GEMVs over the
      * block's tokens, so each weight row is read once per four
@@ -208,30 +199,21 @@ class TargetModel
      * wide) receives token t's steered output of exit layer l,
      * every layer but the last. The hidden states and KV rows equal
      * those of beginToken() and runLayer() per token bit for bit,
-     * whatever the team size. No LM head runs. The bound sequence
-     * ends past the block with the last token's state current.
+     * whatever the team size. No LM head runs. `s` ends past the
+     * block with the last token's state current.
      */
-    void decodeScripted(const std::vector<int> &inputs,
+    void decodeScripted(SequenceState &s, const std::vector<int> &inputs,
                         const std::vector<TokenScript> &scripts,
-                        tensor::Span hiddens, size_t team = 0);
-
-    /** Layer that runLayer() would execute next (0-based). */
-    int currentLayer() const { return seq_->layer; }
-
-    /** True once all layers have run for the current token. */
-    bool doneAllLayers() const { return seq_->layer >= cfg_.n_layers; }
+                        tensor::Span hiddens, size_t team = 0) const;
 
     /**
-     * Run the next layer (attention + FFN + steering); returns the
-     * steered hidden state after that layer.
+     * Run layer s.layer of the current token (attention + FFN +
+     * steering); returns the steered hidden state after it.
      */
-    tensor::CSpan runLayer();
-
-    /** Current steered hidden state. */
-    tensor::CSpan hidden() const { return seq_->tok.hidden; }
+    tensor::CSpan runLayer(SequenceState &s) const;
 
     /** Run all remaining layers; returns the final argmax token. */
-    int runRemainingLayers();
+    int runRemainingLayers(SequenceState &s) const;
 
     /**
      * Finish the current token after an early exit: fills KV for all
@@ -240,21 +222,18 @@ class TargetModel
      *
      * @return number of layers whose KV was filled
      */
-    int finishEarly();
-
-    /** Full-vocabulary argmax on the current hidden state. */
-    int globalArgmax() const;
-
-    /** KV store of the bound sequence (for tests). */
-    const KvStore &kv() const { return *seq_->kv; }
+    int finishEarly(SequenceState &s) const;
 
   private:
+    /** Assert that `s` was made for a model of this shape. */
+    void checkShape(const SequenceState &s) const;
+
     /**
      * Start `ts` as a token entering as `input_token` under
      * `script`, drawing its steering noise from `noise`.
      */
     void beginSteer(TokenSteer &ts, int input_token,
-                    const TokenScript &script, Rng &noise);
+                    const TokenScript &script, Rng &noise) const;
 
     /** Apply convergence steering to the raw layer output. */
     void steer(TokenSteer &ts, int layer_just_run) const;
@@ -263,10 +242,6 @@ class TargetModel
     TargetModelOptions opts_;
     std::shared_ptr<const Weights> weights_;
     LmHead lmHead_;
-    DecoderLayer layerBlock_;
-    SequenceState own_;        ///< default state (single-sequence use)
-    SequenceState *seq_ = nullptr; ///< bound state (defaults to &own_)
-    tensor::Vec erow_; ///< embedding-row scratch (backend dequantize)
 };
 
 } // namespace specee::model

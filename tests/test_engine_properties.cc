@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/verifier.hh"
 #include "test_util.hh"
 #include "workload/evaluator.hh"
 
@@ -139,27 +138,6 @@ TEST(FailureInjection, PerfectDraftMaximizesExits)
     EXPECT_GT(r_high.stats.exits, r_low.stats.exits);
     EXPECT_LT(r_high.stats.avg_forward_layers,
               r_low.stats.avg_forward_layers);
-}
-
-TEST(Verification, MembershipVariantIsLooser)
-{
-    // Property pinned at the verifier level: exact-match verification
-    // implies membership, never the reverse.
-    auto &pipe = testutil::tinyPipeline();
-    model::TargetModelOptions opts;
-    model::TargetModel tm(pipe.modelConfig(), opts);
-    model::TokenScript s;
-    s.target = 40;
-    s.distractor = 50;
-    s.conv_layer = 2;
-    tm.beginToken(3, s);
-    while (tm.currentLayer() < 4)
-        tm.runLayer();
-    const std::vector<int> spec = {40, 41, 42, 43};
-    auto exact = core::Verifier::verify(tm, 40);
-    auto member = core::Verifier::verifyMembership(tm, spec);
-    EXPECT_TRUE(member.verified || !exact.verified);
-    EXPECT_EQ(exact.token, member.token);
 }
 
 class TreeShapeSweep

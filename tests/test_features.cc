@@ -9,6 +9,7 @@
 #include <cmath>
 
 #include "core/features.hh"
+#include "model/target_model.hh"
 #include "tensor/kernels.hh"
 
 using namespace specee;
@@ -138,20 +139,21 @@ TEST(Features, AdaInferEntropyBounds)
 TEST(Features, ExtractMatchesModelSlicedLogits)
 {
     auto cfg = model::ModelConfig::tiny();
-    model::TargetModel tm(cfg, {});
+    const model::TargetModel tm(cfg, {});
+    auto seq = tm.makeSequence();
     model::TokenScript s;
     s.target = 40;
     s.distractor = 50;
     s.conv_layer = 3;
-    tm.beginToken(7, s);
-    tm.runLayer();
+    tm.beginToken(seq, 7, s);
+    const tensor::CSpan hidden = tm.runLayer(seq);
 
     FeatureExtractor fx(4);
     std::vector<int> spec = {40, 41, 42, 43};
     fx.beginToken(spec);
-    auto f = fx.extract(tm);
+    auto f = fx.extract(tm.lmHead(), hidden);
     tensor::Vec direct(4);
-    tm.lmHead().sliced(tm.hidden(), spec, direct);
+    tm.lmHead().sliced(hidden, spec, direct);
     for (int i = 0; i < 4; ++i)
         EXPECT_FLOAT_EQ(f[static_cast<size_t>(i)],
                         direct[static_cast<size_t>(i)]);

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <type_traits>
 
 #include "model/draft_model.hh"
@@ -19,8 +20,8 @@
 
 using namespace specee;
 
-// The default binding points at the model's own state and the LM head
-// references its weights: a copy or move would alias the source.
+// One model serves all of its sequences, each carrying its own state,
+// so it is shared by reference, never duplicated.
 static_assert(!std::is_copy_constructible_v<model::TargetModel>);
 static_assert(!std::is_copy_assignable_v<model::TargetModel>);
 static_assert(!std::is_move_constructible_v<model::TargetModel>);
@@ -57,8 +58,9 @@ somePrompt(const model::ModelConfig &cfg, uint64_t seed)
 TEST(TargetModel, FinalArgmaxIsAlwaysScriptTarget)
 {
     auto cfg = tinyCfg();
-    model::TargetModel tm(cfg, {});
-    tm.prefill(somePrompt(cfg, 1));
+    const model::TargetModel tm(cfg, {});
+    auto s = tm.makeSequence();
+    tm.prefill(s, somePrompt(cfg, 1));
     Rng rng(3);
     int input = 5;
     for (int t = 0; t < 24; ++t) {
@@ -67,8 +69,8 @@ TEST(TargetModel, FinalArgmaxIsAlwaysScriptTarget)
         if (distract == target)
             distract = (distract + 1) % cfg.sim.vocab;
         const int conv = rng.uniformInt(1, cfg.n_layers - 1);
-        tm.beginToken(input, script(target, distract, conv));
-        const int out = tm.runRemainingLayers();
+        tm.beginToken(s, input, script(target, distract, conv));
+        const int out = tm.runRemainingLayers(s);
         EXPECT_EQ(out, target) << "token " << t << " conv " << conv;
         input = out;
     }
@@ -77,18 +79,18 @@ TEST(TargetModel, FinalArgmaxIsAlwaysScriptTarget)
 TEST(TargetModel, ProbabilityShiftAtConvergenceLayer)
 {
     auto cfg = tinyCfg();
-    model::TargetModel tm(cfg, {});
-    tm.prefill(somePrompt(cfg, 2));
+    const model::TargetModel tm(cfg, {});
+    auto s = tm.makeSequence();
+    tm.prefill(s, somePrompt(cfg, 2));
 
     const int target = 100, distract = 200, conv = 4;
-    tm.beginToken(7, script(target, distract, conv));
+    tm.beginToken(s, 7, script(target, distract, conv));
 
     std::vector<float> target_prob_per_layer;
     const std::vector<int> spec = {target, 150, 250, 300};
     tensor::Vec sliced(spec.size());
     for (int l = 0; l < cfg.n_layers; ++l) {
-        tm.runLayer();
-        tm.lmHead().sliced(tm.hidden(), spec, sliced);
+        tm.lmHead().sliced(tm.runLayer(s), spec, sliced);
         tensor::Vec probs(sliced.begin(), sliced.end());
         tensor::softmax(probs);
         target_prob_per_layer.push_back(probs[0]);
@@ -108,60 +110,64 @@ TEST(TargetModel, ProbabilityShiftAtConvergenceLayer)
 TEST(TargetModel, PreConvergenceArgmaxIsDistractor)
 {
     auto cfg = tinyCfg();
-    model::TargetModel tm(cfg, {});
-    tm.prefill(somePrompt(cfg, 3));
+    const model::TargetModel tm(cfg, {});
+    auto s = tm.makeSequence();
+    tm.prefill(s, somePrompt(cfg, 3));
 
     const int target = 101, distract = 201, conv = 6;
-    tm.beginToken(9, script(target, distract, conv));
+    tm.beginToken(s, 9, script(target, distract, conv));
     int distractor_hits = 0;
     for (int l = 0; l < conv - 1; ++l) {
-        tm.runLayer();
-        if (l >= 2 && tm.globalArgmax() == distract)
+        const tensor::CSpan h = tm.runLayer(s);
+        if (l >= 2 && tm.lmHead().argmaxToken(h) == distract)
             ++distractor_hits;
     }
     // After the distractor ramp-in, the global argmax should usually
     // be the distractor before convergence.
     EXPECT_GE(distractor_hits, 2);
     // And after convergence it must be the target.
-    while (tm.currentLayer() < conv + 2)
-        tm.runLayer();
-    EXPECT_EQ(tm.globalArgmax(), target);
+    while (s.layer < conv + 2)
+        tm.runLayer(s);
+    EXPECT_EQ(tm.lmHead().argmaxToken(s.tok.hidden), target);
 }
 
 TEST(TargetModel, EarlyExitFillsKvForSkippedLayers)
 {
     auto cfg = tinyCfg();
-    model::TargetModel tm(cfg, {});
+    const model::TargetModel tm(cfg, {});
+    auto s = tm.makeSequence();
     auto prompt = somePrompt(cfg, 4);
-    tm.prefill(prompt);
+    tm.prefill(s, prompt);
     const int base = static_cast<int>(prompt.size());
-    EXPECT_EQ(tm.position(), base);
+    EXPECT_EQ(s.pos, base);
 
-    tm.beginToken(3, script(50, 60, 2));
-    tm.runLayer();
-    tm.runLayer();
-    tm.runLayer(); // exit after layer 2
-    const int filled = tm.finishEarly();
+    tm.beginToken(s, 3, script(50, 60, 2));
+    tm.runLayer(s);
+    tm.runLayer(s);
+    tm.runLayer(s); // exit after layer 2
+    const int filled = tm.finishEarly(s);
     EXPECT_EQ(filled, cfg.n_layers - 3);
-    EXPECT_EQ(tm.position(), base + 1);
+    EXPECT_EQ(s.pos, base + 1);
     // Every layer must now hold KV for the new position.
     for (int l = 0; l < cfg.n_layers; ++l)
-        EXPECT_EQ(tm.kv().length(l), base + 1) << "layer " << l;
+        EXPECT_EQ(s.kv->length(l), base + 1) << "layer " << l;
 }
 
 TEST(TargetModel, DeterministicAcrossInstances)
 {
     auto cfg = tinyCfg();
-    model::TargetModel a(cfg, {});
-    model::TargetModel b(cfg, {});
+    const model::TargetModel a(cfg, {});
+    const model::TargetModel b(cfg, {});
+    auto sa = a.makeSequence();
+    auto sb = b.makeSequence();
     auto prompt = somePrompt(cfg, 5);
-    a.prefill(prompt);
-    b.prefill(prompt);
-    a.beginToken(11, script(70, 80, 3));
-    b.beginToken(11, script(70, 80, 3));
+    a.prefill(sa, prompt);
+    b.prefill(sb, prompt);
+    a.beginToken(sa, 11, script(70, 80, 3));
+    b.beginToken(sb, 11, script(70, 80, 3));
     for (int l = 0; l < cfg.n_layers; ++l) {
-        auto ha = a.runLayer();
-        auto hb = b.runLayer();
+        auto ha = a.runLayer(sa);
+        auto hb = b.runLayer(sb);
         for (size_t i = 0; i < ha.size(); ++i)
             ASSERT_FLOAT_EQ(ha[i], hb[i]);
     }
@@ -171,42 +177,41 @@ TEST(TargetModel, QuantizedModelStillEmitsTarget)
 {
     auto cfg = tinyCfg();
     // AWQ pair: Q4 projections, dense tied head.
-    model::TargetModel tm(
+    const model::TargetModel tm(
         cfg, {},
         std::make_shared<const model::Weights>(
             cfg, tensor::WeightBackend::Q4, tensor::WeightBackend::Fp32));
-    tm.prefill(somePrompt(cfg, 6));
+    auto s = tm.makeSequence();
+    tm.prefill(s, somePrompt(cfg, 6));
     Rng rng(17);
     int input = 2;
     for (int t = 0; t < 12; ++t) {
         const int target = rng.uniformInt(10, cfg.sim.vocab - 1);
         const int conv = rng.uniformInt(1, cfg.n_layers - 1);
-        tm.beginToken(input, script(target, (target + 7) % cfg.sim.vocab,
-                                    conv));
-        EXPECT_EQ(tm.runRemainingLayers(), target);
+        tm.beginToken(s, input,
+                      script(target, (target + 7) % cfg.sim.vocab, conv));
+        EXPECT_EQ(tm.runRemainingLayers(s), target);
         input = target;
     }
 }
 
 TEST(TargetModel, PagedKvVariantMatchesContiguous)
 {
-    // The default sequence is paged; `b` runs on the contiguous
-    // reference store bound through makeSequence().
+    // A default sequence is paged; `contiguous` runs on the reference
+    // store passed to makeSequence().
     auto cfg = tinyCfg();
-    model::TargetModel a(cfg, {});
-    model::TargetModel b(cfg, {});
-    model::SequenceState contiguous = b.makeSequence(
-        std::make_unique<model::KvCache>(cfg.n_layers, cfg.context_len,
-                                         cfg.sim.hidden));
-    b.bindSequence(&contiguous);
+    const model::TargetModel tm(cfg, {});
+    auto paged = tm.makeSequence();
+    auto contiguous = tm.makeSequence(std::make_unique<model::KvCache>(
+        cfg.n_layers, cfg.context_len, cfg.sim.hidden));
     auto prompt = somePrompt(cfg, 7);
-    a.prefill(prompt);
-    b.prefill(prompt);
-    a.beginToken(4, script(90, 91, 5));
-    b.beginToken(4, script(90, 91, 5));
+    tm.prefill(paged, prompt);
+    tm.prefill(contiguous, prompt);
+    tm.beginToken(paged, 4, script(90, 91, 5));
+    tm.beginToken(contiguous, 4, script(90, 91, 5));
     for (int l = 0; l < cfg.n_layers; ++l) {
-        auto ha = a.runLayer();
-        auto hb = b.runLayer();
+        auto ha = tm.runLayer(paged);
+        auto hb = tm.runLayer(contiguous);
         for (size_t i = 0; i < ha.size(); ++i)
             ASSERT_NEAR(ha[i], hb[i], 1e-6f);
     }
@@ -218,23 +223,25 @@ TEST(TargetModel, SparseFfnChangesTextureButNotTarget)
     model::TargetModelOptions opts;
     opts.sparse_ffn = true;
     opts.ffn_active_frac = 0.3f;
-    model::TargetModel tm(cfg, opts);
-    tm.prefill(somePrompt(cfg, 8));
-    tm.beginToken(6, script(120, 121, 3));
-    EXPECT_EQ(tm.runRemainingLayers(), 120);
+    const model::TargetModel tm(cfg, opts);
+    auto s = tm.makeSequence();
+    tm.prefill(s, somePrompt(cfg, 8));
+    tm.beginToken(s, 6, script(120, 121, 3));
+    EXPECT_EQ(tm.runRemainingLayers(s), 120);
 }
 
 TEST(TargetModel, ResetClearsState)
 {
     auto cfg = tinyCfg();
-    model::TargetModel tm(cfg, {});
-    tm.prefill(somePrompt(cfg, 9));
-    tm.beginToken(1, script(30, 31, 2));
-    tm.runRemainingLayers();
-    tm.reset();
-    EXPECT_EQ(tm.position(), 0);
+    const model::TargetModel tm(cfg, {});
+    auto s = tm.makeSequence();
+    tm.prefill(s, somePrompt(cfg, 9));
+    tm.beginToken(s, 1, script(30, 31, 2));
+    tm.runRemainingLayers(s);
+    tm.reset(s);
+    EXPECT_EQ(s.pos, 0);
     for (int l = 0; l < cfg.n_layers; ++l)
-        EXPECT_EQ(tm.kv().length(l), 0);
+        EXPECT_EQ(s.kv->length(l), 0);
 }
 
 namespace {
@@ -248,10 +255,33 @@ sameBits(tensor::CSpan a, tensor::CSpan b)
 }
 
 /**
+ * Every KV row of every layer of `a` and `b` is equal bit for bit,
+ * and so are the next draws of their noise streams.
+ */
+void
+expectSameKvAndNoise(const model::SequenceState &a,
+                     const model::SequenceState &b, int n_layers)
+{
+    for (int l = 0; l < n_layers; ++l) {
+        ASSERT_EQ(a.kv->length(l), b.kv->length(l));
+        for (int p = 0; p < b.kv->length(l); ++p) {
+            EXPECT_TRUE(sameBits(a.kv->key(l, p), b.kv->key(l, p)))
+                << "key layer " << l << " pos " << p;
+            EXPECT_TRUE(sameBits(a.kv->value(l, p), b.kv->value(l, p)))
+                << "value layer " << l << " pos " << p;
+        }
+    }
+    Rng ra = a.noiseRng;
+    Rng rb = b.noiseRng;
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(ra.next(), rb.next());
+}
+
+/**
  * Decode the same scripted block of n_tok tokens after a prompt of
  * prompt_len tokens token by token (beginToken plus a runLayer() per
- * layer) on one model, and layer by layer (decodeScripted) at team
- * sizes 1 to 4 on another over the same weights, and check that they
+ * layer) on one sequence, and layer by layer (decodeScripted) at team
+ * sizes 1 to 4 on another of the same model, and check that they
  * agree bit for bit.
  */
 void
@@ -264,8 +294,10 @@ expectScriptedBlockMatches(const model::ModelConfig &cfg,
                  std::to_string(n_tok));
     const auto weights = std::make_shared<const model::Weights>(
         cfg, tensor::WeightBackend::Fp32, tensor::WeightBackend::Fp32);
-    model::TargetModel byToken(cfg, opts, weights);
-    model::TargetModel byLayer(cfg, opts, weights);
+    const model::TargetModel tokenModel(cfg, opts, weights);
+    const model::TargetModel layerModel(cfg, opts, weights);
+    auto byToken = tokenModel.makeSequence();
+    auto byLayer = layerModel.makeSequence();
     oracle::SyntheticCorpus corpus(cfg.sim.vocab, 12);
     Rng rng(13);
     const auto prompt =
@@ -285,50 +317,33 @@ expectScriptedBlockMatches(const model::ModelConfig &cfg,
     const auto n_exit = static_cast<size_t>(cfg.n_layers - 1);
     // want[t * n_exit + l]: token t after exit layer l.
     std::vector<tensor::Vec> want(n_tok * n_exit);
-    byToken.reset(0x5eed);
-    byToken.prefill(prompt);
+    tokenModel.reset(byToken, 0x5eed);
+    tokenModel.prefill(byToken, prompt);
     for (size_t t = 0; t < n_tok; ++t) {
-        byToken.beginToken(inputs[t], scripts[t]);
+        tokenModel.beginToken(byToken, inputs[t], scripts[t]);
         for (size_t l = 0; l < n_exit; ++l) {
-            const tensor::CSpan out = byToken.runLayer();
+            const tensor::CSpan out = tokenModel.runLayer(byToken);
             want[t * n_exit + l].assign(out.begin(), out.end());
         }
-        byToken.runRemainingLayers();
+        tokenModel.runRemainingLayers(byToken);
     }
 
     for (size_t team = 1; team <= 4; ++team) {
         SCOPED_TRACE("team " + std::to_string(team));
-        byLayer.reset(0x5eed);
-        byLayer.prefill(prompt);
+        layerModel.reset(byLayer, 0x5eed);
+        layerModel.prefill(byLayer, prompt);
         tensor::Vec got(n_tok * n_exit * h);
-        byLayer.decodeScripted(inputs, scripts, got, team);
+        layerModel.decodeScripted(byLayer, inputs, scripts, got, team);
         for (size_t r = 0; r < want.size(); ++r) {
             EXPECT_TRUE(sameBits(tensor::CSpan(got).subspan(r * h, h),
                                  want[r]))
                 << "token " << r / n_exit << " layer " << r % n_exit;
         }
-        EXPECT_TRUE(sameBits(byLayer.hidden(), byToken.hidden()));
-        EXPECT_EQ(byLayer.position(), byToken.position());
-        EXPECT_EQ(byLayer.doneAllLayers(), byToken.doneAllLayers());
-
-        // Every KV row, prompt and block.
-        for (int l = 0; l < cfg.n_layers; ++l) {
-            ASSERT_EQ(byLayer.kv().length(l), byToken.kv().length(l));
-            for (int p = 0; p < byToken.kv().length(l); ++p) {
-                EXPECT_TRUE(sameBits(byLayer.kv().key(l, p),
-                                     byToken.kv().key(l, p)))
-                    << "key layer " << l << " pos " << p;
-                EXPECT_TRUE(sameBits(byLayer.kv().value(l, p),
-                                     byToken.kv().value(l, p)))
-                    << "value layer " << l << " pos " << p;
-            }
-        }
-
-        // The noise stream ends in the same state.
-        Rng a = byLayer.sequence().noiseRng;
-        Rng b = byToken.sequence().noiseRng;
-        for (int i = 0; i < 4; ++i)
-            EXPECT_EQ(a.next(), b.next());
+        EXPECT_TRUE(sameBits(byLayer.tok.hidden, byToken.tok.hidden));
+        EXPECT_EQ(byLayer.pos, byToken.pos);
+        EXPECT_EQ(byLayer.layer, byToken.layer);
+        // Every KV row, prompt and block, and the noise stream.
+        expectSameKvAndNoise(byLayer, byToken, cfg.n_layers);
     }
 }
 
@@ -353,4 +368,137 @@ TEST(TargetModel, ScriptedBlockMatchesTokenByToken)
     for (size_t n_tok : {6u, 37u})
         expectScriptedBlockMatches(model::ModelConfig::llama2_7b(), {}, 8,
                                    n_tok);
+}
+
+namespace {
+
+/**
+ * One sequence's scripted decode on a shared model: n tokens after
+ * its prompt, each fed the previous emission. With exit_after > 0
+ * every token exits after that many layers through finishEarly(),
+ * emitting the head's argmax there; otherwise it runs its last layer
+ * through runRemainingLayers(). step() advances one layer, so
+ * several sequences can be interleaved layer by layer.
+ */
+struct ScriptedSequence
+{
+    const model::TargetModel &tm;
+    std::vector<model::TokenScript> scripts;
+    int exit_after;
+    model::SequenceState s;
+    int input = 0;
+    std::vector<tensor::Vec> hiddens; ///< every layer's output, in order
+    std::vector<int> emitted;
+
+    ScriptedSequence(const model::TargetModel &model, uint64_t seed,
+                     size_t n_tok, int exit_layers)
+        : tm(model), exit_after(exit_layers), s(model.makeSequence())
+    {
+        const int vocab = tm.config().sim.vocab;
+        Rng rng(seed);
+        for (size_t t = 0; t < n_tok; ++t) {
+            const int target = rng.uniformInt(0, vocab - 1);
+            scripts.push_back(script(target, (target + 5) % vocab,
+                                     rng.uniformInt(1, tm.nLayers() - 1)));
+        }
+        const auto prompt = somePrompt(tm.config(), seed);
+        tm.reset(s, seed);
+        tm.prefill(s, prompt);
+        input = prompt.back();
+    }
+
+    /** Run the next layer; false once every token is emitted. */
+    bool step()
+    {
+        if (emitted.size() == scripts.size())
+            return false;
+        if (!s.inToken)
+            tm.beginToken(s, input, scripts[emitted.size()]);
+        if (exit_after == 0 && s.layer == tm.nLayers() - 1) {
+            input = tm.runRemainingLayers(s);
+        } else {
+            tm.runLayer(s);
+            if (s.layer == exit_after) {
+                input = tm.lmHead().argmaxToken(s.tok.hidden);
+                tm.finishEarly(s);
+            }
+        }
+        hiddens.emplace_back(s.tok.hidden.begin(), s.tok.hidden.end());
+        if (!s.inToken)
+            emitted.push_back(input);
+        return true;
+    }
+
+    void run()
+    {
+        while (step()) {
+        }
+    }
+};
+
+/** `got` computed exactly what `want` computed, bit for bit. */
+void
+expectSameDecode(const ScriptedSequence &got, const ScriptedSequence &want)
+{
+    EXPECT_EQ(got.emitted, want.emitted);
+    ASSERT_EQ(got.hiddens.size(), want.hiddens.size());
+    for (size_t i = 0; i < want.hiddens.size(); ++i) {
+        EXPECT_TRUE(sameBits(got.hiddens[i], want.hiddens[i]))
+            << "step " << i;
+    }
+    EXPECT_EQ(got.s.pos, want.s.pos);
+    expectSameKvAndNoise(got.s, want.s, want.tm.nLayers());
+}
+
+} // namespace
+
+// Sequences share only the immutable model: two of them, with their
+// own scripts, noise streams and exit depths, decode exactly as they
+// do alone, whether interleaved layer by layer on one thread or run
+// concurrently on two.
+TEST(TargetModel, SequencesDecodeIndependently)
+{
+    const auto cfg = tinyCfg();
+    const model::TargetModel tm(cfg, {});
+    const auto make = [&](uint64_t seed, int exit_after) {
+        return ScriptedSequence(tm, seed, 5, exit_after);
+    };
+    ScriptedSequence full = make(21, 0), early = make(22, 3);
+    full.run();
+    early.run();
+    ASSERT_EQ(full.emitted.size(), 5u);
+    ASSERT_EQ(early.hiddens.size(), 5u * 3u);
+
+    // Both take their first tokens' layers in lockstep.
+    ScriptedSequence a = make(21, 0), b = make(22, 3);
+    bool more = true;
+    while (more) {
+        more = a.step();
+        more = b.step() || more;
+    }
+    expectSameDecode(a, full);
+    expectSameDecode(b, early);
+
+    ScriptedSequence c = make(21, 0), d = make(22, 3);
+    std::thread tc([&] { c.run(); });
+    std::thread td([&] { d.run(); });
+    tc.join();
+    td.join();
+    expectSameDecode(c, full);
+    expectSameDecode(d, early);
+}
+
+// A state sized for one model must not enter another: the tiny
+// model's 64-wide hidden state cannot run through llama2-7b's layers.
+TEST(TargetModelDeathTest, ForeignSequenceStateIsRejected)
+{
+    const model::TargetModel tiny(tinyCfg(), {});
+    const model::TargetModel big(model::ModelConfig::llama2_7b(), {});
+    auto s = tiny.makeSequence();
+    const char *msg = "sequence state does not match the model";
+    EXPECT_DEATH(big.reset(s), msg);
+    EXPECT_DEATH(big.prefill(s, {1, 2}), msg);
+    EXPECT_DEATH(big.beginToken(s, 1, script(2, 3, 1)), msg);
+    tensor::Vec none;
+    EXPECT_DEATH(big.decodeScripted(s, {}, {}, none), msg);
 }
