@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 
 #include "nn/mlp.hh"
 #include "nn/svm.hh"
 #include "tensor/kernels.hh"
+#include "test_util.hh"
 
 using namespace specee;
 using namespace specee::nn;
@@ -45,6 +47,25 @@ xorData(int n, uint64_t seed)
         float label = (x * y > 0.0f) ? 1.0f : 0.0f;
         std::vector<float> f = {x, y};
         d.add(f, label);
+    }
+    return d;
+}
+
+/** 12-dim features with a noisy linear label, like the exit features. */
+Dataset
+exitLike(int n, uint64_t seed)
+{
+    Dataset d(12);
+    Rng rng(seed);
+    std::vector<float> f(12);
+    for (int i = 0; i < n; ++i) {
+        float score = 0.0f;
+        for (size_t k = 0; k < f.size(); ++k) {
+            f[k] = static_cast<float>(rng.uniform(-1.0, 1.0));
+            score += (k % 3 == 0 ? 1.0f : -0.5f) * f[k];
+        }
+        score += static_cast<float>(rng.uniform(-0.3, 0.3));
+        d.add(f, score > 0.0f ? 1.0f : 0.0f);
     }
     return d;
 }
@@ -155,6 +176,43 @@ TEST(Mlp, AccuracyOnHeldOut)
     cfg.epochs = 30;
     mlp.fit(train, cfg);
     EXPECT_GT(mlp.accuracy(test), 0.92);
+}
+
+// Pins the trained weights, final loss and train accuracy of fits that
+// cover each training edge: a ragged last batch (173 = 5 * 32 + 13),
+// a hidden-to-hidden backward, no hidden layer, batch 1 and batch 0
+// (one step per epoch, over more samples than one block holds).
+// Training never depends on the SIMD dispatch level, so one value
+// holds at both.
+TEST(Mlp, FitIsBitStable)
+{
+    struct Case
+    {
+        std::vector<size_t> dims;
+        size_t batch;
+        int n;
+    };
+    const Case cases[] = {
+        {{12, 512, 1}, 32, 173}, {{12, 64, 64, 1}, 32, 173},
+        {{12, 1}, 32, 173},      {{12, 16, 1}, 1, 61},
+        {{12, 16, 1}, 0, 173},
+    };
+    testutil::Digest d;
+    for (const Case &c : cases) {
+        Mlp mlp(c.dims, 0x5eed + c.dims.size());
+        TrainConfig cfg;
+        cfg.epochs = 4;
+        cfg.batch = c.batch;
+        cfg.lr = 2e-3;
+        const auto stats = mlp.fit(exitLike(c.n, 0xda7a), cfg);
+        std::ostringstream os;
+        mlp.save(os);
+        const std::string bytes = os.str();
+        d.bytes(bytes.data(), bytes.size());
+        d.pod(stats.final_loss);
+        d.pod(stats.train_accuracy);
+    }
+    EXPECT_EQ(d.value(), 0xba4bfa971eacd7a4ull);
 }
 
 TEST(Svm, LearnsSeparableData)
