@@ -3,8 +3,8 @@
  * Kernel micro-benchmarks (google-benchmark): the functional-kernel
  * costs behind the paper's claims — full vs sliced LM head (Fig. 2b),
  * grouped hyper-token GEMV (Fig. 13), Q4 vs fp32 GEMV (AWQ), the
- * batched fp32 GEMV of block decode, the predictor MLP, and the
- * sparse FFN (PowerInfer).
+ * batched fp32 GEMV of block decode, the predictor MLP's inference and
+ * training, and the sparse FFN (PowerInfer).
  */
 
 #include <benchmark/benchmark.h>
@@ -14,6 +14,7 @@
 #include "tensor/kernels.hh"
 #include "model/lm_head.hh"
 #include "model/weights.hh"
+#include "nn/mlp.hh"
 #include "tensor/quant.hh"
 #include "util/rng.hh"
 
@@ -179,6 +180,34 @@ BM_PredictorMlp(benchmark::State &state)
         benchmark::DoNotOptimize(bank.score(0, f));
 }
 BENCHMARK(BM_PredictorMlp)->Arg(64)->Arg(512)->Arg(1024);
+
+// One exit-predictor fit at Pipeline's TrainConfig (20 epochs, batch
+// 32, lr 2e-3) on 173 samples, so the last minibatch is ragged.
+// Arg = hidden layers of 512: 1 is the Fig. 8 optimum {12, 512, 1},
+// 2 the depth case {12, 512, 512, 1}.
+static void
+BM_MlpFit(benchmark::State &state)
+{
+    std::vector<size_t> dims = {12};
+    for (int64_t i = 0; i < state.range(0); ++i)
+        dims.push_back(512);
+    dims.push_back(1);
+    const nn::Mlp init(dims, 3);
+    nn::Dataset data(12);
+    Rng rng(4);
+    tensor::Vec f(12);
+    for (int i = 0; i < 173; ++i) {
+        for (auto &x : f)
+            x = static_cast<float>(rng.normal());
+        data.add(f, f[0] + 0.5f * f[5] > 0.0f ? 1.0f : 0.0f);
+    }
+    const nn::TrainConfig cfg{.epochs = 20, .batch = 32, .lr = 2e-3};
+    for (auto _ : state) {
+        nn::Mlp mlp = init;
+        benchmark::DoNotOptimize(mlp.fit(data, cfg).final_loss);
+    }
+}
+BENCHMARK(BM_MlpFit)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
 static void
 BM_FfnDense(benchmark::State &state)

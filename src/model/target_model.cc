@@ -11,6 +11,14 @@ namespace specee::model {
 
 namespace {
 
+/**
+ * Prompt tokens prefilled per block: each layer's K and V projections
+ * run over the block as one batched GEMV, which reads a weight row
+ * once per four vectors. The block's K/V rows for every layer are
+ * held until it is appended, so a larger block costs memory.
+ */
+constexpr size_t kPrefillBlock = 4;
+
 /** Normalize v to unit L2 norm (no-op on zero vectors). */
 void
 unitize(tensor::Span v)
@@ -96,12 +104,46 @@ TargetModel::prefill(SequenceState &s, const std::vector<int> &tokens) const
     for (int tok : tokens) {
         specee_assert(tok >= 0 && tok < cfg_.sim.vocab,
                       "prompt token %d out of range", tok);
-        weights_->embedding().copyRow(static_cast<size_t>(tok),
-                                      s.tok.hidden);
-        for (int l = 0; l < cfg_.n_layers; ++l)
-            s.scratch.fillKv(weights_->layer(l), l, s.tok.hidden, s.pos,
-                             *s.kv);
-        ++s.pos;
+    }
+    const size_t n_tok = tokens.size();
+    if (n_tok == 0)
+        return;
+    // Each token's K/V at every layer comes from its own embedding,
+    // as DecoderLayer::fillKv computes it; gemvBatch equals gemv bit
+    // for bit. k and v hold a block's rows layer-major, so the block
+    // is appended token by token, every layer per token.
+    const auto h = static_cast<size_t>(cfg_.sim.hidden);
+    const auto heads = static_cast<size_t>(cfg_.sim.heads);
+    const auto head_dim = static_cast<size_t>(cfg_.sim.headDim());
+    const auto n_layers = static_cast<size_t>(cfg_.n_layers);
+    const size_t cap = std::min(n_tok, kPrefillBlock);
+    tensor::Matrix emb(cap, h), normed(cap, h), k(n_layers * cap, h),
+        v(n_layers * cap, h);
+    for (size_t t0 = 0; t0 < n_tok; t0 += cap) {
+        const size_t m = std::min(cap, n_tok - t0);
+        for (size_t t = 0; t < m; ++t) {
+            weights_->embedding().copyRow(
+                static_cast<size_t>(tokens[t0 + t]), emb.row(t));
+        }
+        for (size_t l = 0; l < n_layers; ++l) {
+            const LayerWeights &lw = weights_->layer(static_cast<int>(l));
+            for (size_t t = 0; t < m; ++t)
+                tensor::rmsnorm(emb.row(t), lw.rms_attn, normed.row(t));
+            const tensor::CSpan x(normed.row(0).data(), m * h);
+            lw.wk->gemvBatch(x, tensor::Span(k.row(l * cap).data(), m * h));
+            lw.wv->gemvBatch(x, tensor::Span(v.row(l * cap).data(), m * h));
+            for (size_t t = 0; t < m; ++t) {
+                tensor::rope(k.row(l * cap + t), heads, head_dim,
+                             static_cast<size_t>(s.pos) + t);
+            }
+        }
+        for (size_t t = 0; t < m; ++t) {
+            for (size_t l = 0; l < n_layers; ++l) {
+                s.kv->append(static_cast<int>(l), k.row(l * cap + t),
+                             v.row(l * cap + t));
+            }
+        }
+        s.pos += static_cast<int>(m);
     }
 }
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "tensor/simd.hh"
 #include "util/logging.hh"
 
 namespace specee::nn {
@@ -37,63 +38,42 @@ Linear::forward(tensor::CSpan x, tensor::Span out) const
 }
 
 void
-Linear::backward(tensor::CSpan x, tensor::CSpan d_out, tensor::Span d_x)
+Linear::forwardBatch(const float *x, size_t n, bool relu, float *y) const
 {
-    specee_assert(x.size() == w_.cols() && d_out.size() == w_.rows(),
-                  "linear backward shape");
-    for (size_t r = 0; r < w_.rows(); ++r) {
-        const float g = d_out[r];
-        gb_[r] += g;
-        float *grow = gw_.data() + r * gw_.cols();
-        for (size_t c = 0; c < w_.cols(); ++c)
-            grow[c] += g * x[c];
-    }
-    if (!d_x.empty()) {
-        specee_assert(d_x.size() == w_.cols(), "linear backward d_x shape");
-        for (size_t c = 0; c < w_.cols(); ++c) {
-            float acc = 0.0f;
-            for (size_t r = 0; r < w_.rows(); ++r)
-                acc += w_.at(r, c) * d_out[r];
-            d_x[c] = acc;
-        }
-    }
+    tensor::simd::linearForwardBatch(w_.data(), b_.data(), w_.rows(),
+                                     w_.cols(), x, n, relu, y);
 }
 
 void
-Linear::zeroGrad()
+Linear::accumulateGrad(const float *dy, const float *x, size_t n)
 {
-    gw_.fill(0.0f);
-    std::fill(gb_.begin(), gb_.end(), 0.0f);
+    tensor::simd::linearParamGrad(dy, x, w_.rows(), w_.cols(), n,
+                                  gw_.data(), gb_.data());
+}
+
+void
+Linear::inputGrad(const float *dy, size_t n, const float *relu_out,
+                  float *dx) const
+{
+    tensor::simd::linearInputGrad(w_.data(), w_.rows(), w_.cols(), dy, n,
+                                  relu_out, dx);
 }
 
 void
 Linear::adamStep(double lr, double beta1, double beta2, double eps,
                  int t, size_t batch)
 {
-    const double bc1 = 1.0 - std::pow(beta1, t);
-    const double bc2 = 1.0 - std::pow(beta2, t);
-    const double inv_batch = 1.0 / static_cast<double>(batch);
-    for (size_t i = 0; i < w_.size(); ++i) {
-        const double g = gw_.data()[i] * inv_batch;
-        double m = mw_.data()[i] = static_cast<float>(
-            beta1 * mw_.data()[i] + (1.0 - beta1) * g);
-        double v = vw_.data()[i] = static_cast<float>(
-            beta2 * vw_.data()[i] + (1.0 - beta2) * g * g);
-        const double mhat = m / bc1;
-        const double vhat = v / bc2;
-        w_.data()[i] -= static_cast<float>(lr * mhat /
-                                           (std::sqrt(vhat) + eps));
-    }
-    for (size_t i = 0; i < b_.size(); ++i) {
-        const double g = gb_[i] * inv_batch;
-        double m = mb_[i] = static_cast<float>(
-            beta1 * mb_[i] + (1.0 - beta1) * g);
-        double v = vb_[i] = static_cast<float>(
-            beta2 * vb_[i] + (1.0 - beta2) * g * g);
-        const double mhat = m / bc1;
-        const double vhat = v / bc2;
-        b_[i] -= static_cast<float>(lr * mhat / (std::sqrt(vhat) + eps));
-    }
+    const tensor::simd::AdamCoeffs a{lr,
+                                     beta1,
+                                     beta2,
+                                     eps,
+                                     1.0 - std::pow(beta1, t),
+                                     1.0 - std::pow(beta2, t),
+                                     1.0 / static_cast<double>(batch)};
+    tensor::simd::adamUpdate(w_.data(), mw_.data(), vw_.data(), gw_.data(),
+                             w_.size(), a);
+    tensor::simd::adamUpdate(b_.data(), mb_.data(), vb_.data(), gb_.data(),
+                             b_.size(), a);
 }
 
 } // namespace specee::nn

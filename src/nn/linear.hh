@@ -12,9 +12,11 @@
 namespace specee::nn {
 
 /**
- * Dense layer y = W x + b with gradient accumulation and an Adam
- * update step. Sized for the tiny exit-predictor MLPs (inputs of a
- * few dozen dims), so no batching inside the layer.
+ * Dense layer y = W x + b with Adam state. Inference runs one sample
+ * at a time (forward). Training runs a minibatch at a time, with
+ * activations and their gradients laid out [unit][sample] (see
+ * tensor/simd.hh): forwardBatch, then accumulateGrad and inputGrad
+ * from the output gradient, then one adamStep per minibatch.
  */
 class Linear
 {
@@ -28,15 +30,30 @@ class Linear
     void forward(tensor::CSpan x, tensor::Span out) const;
 
     /**
-     * Backward for one sample: accumulates dW, db from d_out and
-     * writes d_x (may be empty for the first layer).
+     * Forward over n samples: x is (in x n), y is (out x n); ReLU on
+     * the output if `relu`. Each sample's output equals forward()'s
+     * (then tensor::relu's) bit for bit.
      */
-    void backward(tensor::CSpan x, tensor::CSpan d_out, tensor::Span d_x);
+    void forwardBatch(const float *x, size_t n, bool relu,
+                      float *y) const;
 
-    /** Zero accumulated gradients. */
-    void zeroGrad();
+    /**
+     * Adds n samples' dW and db to the accumulated gradients, in
+     * sample order, from dy (out x n) and the layer input x (in x n).
+     */
+    void accumulateGrad(const float *dy, const float *x, size_t n);
 
-    /** Adam step over accumulated gradients (divided by batch). */
+    /**
+     * Input gradient dx = W^T dy for n samples, dy (out x n) and dx
+     * (in x n); zeroed where relu_out <= 0 unless relu_out is null.
+     */
+    void inputGrad(const float *dy, size_t n, const float *relu_out,
+                   float *dx) const;
+
+    /**
+     * Adam step over the accumulated gradients (divided by batch);
+     * leaves the gradients zeroed for the next minibatch.
+     */
     void adamStep(double lr, double beta1, double beta2, double eps,
                   int t, size_t batch);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
+#include <numeric>
 #include <ostream>
 
 #include "tensor/kernels.hh"
@@ -17,12 +18,6 @@ Mlp::Mlp(const std::vector<size_t> &dims, uint64_t seed)
     Rng rng(seed);
     for (size_t i = 0; i + 1 < dims.size(); ++i)
         layers_.emplace_back(dims[i], dims[i + 1], rng);
-    act_.resize(layers_.size());
-    dact_.resize(layers_.size());
-    for (size_t i = 0; i < layers_.size(); ++i) {
-        act_[i].assign(layers_[i].outDim(), 0.0f);
-        dact_[i].assign(layers_[i].outDim(), 0.0f);
-    }
 }
 
 float
@@ -30,9 +25,9 @@ Mlp::forwardLogit(tensor::CSpan x) const
 {
     specee_assert(!layers_.empty(), "forward on empty MLP");
     // Inference scratch is thread-local: one trained bank is shared
-    // read-only by every serving worker, so predict() must not touch
-    // the shared act_ buffers (those are for training only). resize()
-    // without zeroing is safe — Linear::forward overwrites out fully.
+    // read-only by every serving worker, so predict() keeps no state
+    // in the model. resize() without zeroing is safe — Linear::forward
+    // overwrites out fully.
     static thread_local tensor::Vec ping, pong;
     tensor::CSpan cur = x;
     for (size_t i = 0; i < layers_.size(); ++i) {
@@ -52,69 +47,16 @@ Mlp::predict(tensor::CSpan x) const
     return tensor::sigmoid(forwardLogit(x));
 }
 
-double
-Mlp::trainEpoch(const Dataset &data, const TrainConfig &cfg, Rng &rng,
-                int &adam_t)
-{
-    std::vector<size_t> order(data.size());
-    for (size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    rng.shuffle(order);
+namespace {
 
-    double total_loss = 0.0;
-    size_t batch_fill = 0;
-    for (auto &l : layers_)
-        l.zeroGrad();
+/**
+ * At most this many samples of a minibatch run as one block. A larger
+ * minibatch (batch 0 means the whole dataset) accumulates its
+ * gradients block after block, which keeps their sample order.
+ */
+constexpr size_t kMaxBlock = 64;
 
-    // Retained pre-activation inputs per layer for backward.
-    std::vector<tensor::Vec> inputs(layers_.size());
-
-    for (size_t oi = 0; oi < order.size(); ++oi) {
-        const size_t i = order[oi];
-        tensor::CSpan x = data.features(i);
-        const float y = data.label(i);
-
-        // Forward, retaining layer inputs.
-        tensor::CSpan cur = x;
-        for (size_t li = 0; li < layers_.size(); ++li) {
-            inputs[li].assign(cur.begin(), cur.end());
-            layers_[li].forward(cur, act_[li]);
-            if (li + 1 < layers_.size())
-                tensor::relu(act_[li]);
-            cur = act_[li];
-        }
-        const float logit = act_.back()[0];
-        const float p = tensor::sigmoid(logit);
-        const float pc = std::clamp(p, 1e-7f, 1.0f - 1e-7f);
-        total_loss += -(y * std::log(pc) + (1.0f - y) * std::log(1.0f - pc));
-
-        // Backward. dL/dlogit = p - y for sigmoid+BCE.
-        dact_.back()[0] = p - y;
-        for (size_t li = layers_.size(); li-- > 0;) {
-            tensor::Span d_x = li > 0 ? tensor::Span(dact_[li - 1])
-                                      : tensor::Span();
-            layers_[li].backward(inputs[li], dact_[li], d_x);
-            if (li > 0) {
-                // Backprop through the ReLU of the previous layer.
-                for (size_t k = 0; k < dact_[li - 1].size(); ++k) {
-                    if (act_[li - 1][k] <= 0.0f)
-                        dact_[li - 1][k] = 0.0f;
-                }
-            }
-        }
-
-        if (++batch_fill == cfg.batch || oi + 1 == order.size()) {
-            ++adam_t;
-            for (auto &l : layers_)
-                l.adamStep(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps, adam_t,
-                           batch_fill);
-            for (auto &l : layers_)
-                l.zeroGrad();
-            batch_fill = 0;
-        }
-    }
-    return total_loss / static_cast<double>(data.size());
-}
+} // namespace
 
 TrainStats
 Mlp::fit(const Dataset &data, const TrainConfig &cfg)
@@ -123,11 +65,74 @@ Mlp::fit(const Dataset &data, const TrainConfig &cfg)
     specee_assert(data.dim() == inputDim(),
                   "dataset dim %zu != MLP input %zu", data.dim(),
                   inputDim());
+    const size_t n = data.size();
+    const size_t in = inputDim();
+    const size_t depth = layers_.size();
+    // Batch 0, or one past the dataset, is one step per epoch.
+    const size_t batch = cfg.batch == 0 ? n : std::min(cfg.batch, n);
+    const size_t cap = std::min(batch, kMaxBlock);
+
+    // One block's inputs, activations and output gradients, each laid
+    // out [unit][sample].
+    std::vector<float> x(in * cap);
+    std::vector<std::vector<float>> act(depth), grad(depth);
+    for (size_t li = 0; li < depth; ++li) {
+        act[li].resize(layers_[li].outDim() * cap);
+        grad[li].resize(layers_[li].outDim() * cap);
+    }
+
     Rng rng(cfg.seed);
+    std::vector<size_t> order(n);
     TrainStats stats;
     int adam_t = 0;
     for (int e = 0; e < cfg.epochs; ++e) {
-        stats.final_loss = trainEpoch(data, cfg, rng, adam_t);
+        std::iota(order.begin(), order.end(), size_t{0});
+        rng.shuffle(order);
+        double total_loss = 0.0;
+        for (size_t b0 = 0; b0 < n; b0 += batch) {
+            const size_t b1 = std::min(b0 + batch, n);
+            for (size_t k0 = b0; k0 < b1; k0 += cap) {
+                const size_t k = std::min(cap, b1 - k0);
+                for (size_t j = 0; j < k; ++j) {
+                    const tensor::CSpan f = data.features(order[k0 + j]);
+                    for (size_t c = 0; c < in; ++c)
+                        x[c * k + j] = f[c];
+                }
+
+                const float *cur = x.data();
+                for (size_t li = 0; li < depth; ++li) {
+                    layers_[li].forwardBatch(cur, k, li + 1 < depth,
+                                             act[li].data());
+                    cur = act[li].data();
+                }
+
+                // BCE loss, and dL/dlogit = p - y for sigmoid + BCE.
+                for (size_t j = 0; j < k; ++j) {
+                    const float y = data.label(order[k0 + j]);
+                    const float p = tensor::sigmoid(act.back()[j]);
+                    const float pc = std::clamp(p, 1e-7f, 1.0f - 1e-7f);
+                    total_loss += -(y * std::log(pc) +
+                                    (1.0f - y) * std::log(1.0f - pc));
+                    grad.back()[j] = p - y;
+                }
+
+                // Backward; a hidden layer's input is the ReLU output
+                // below it, which masks the gradient passed down.
+                for (size_t li = depth; li-- > 0;) {
+                    const float *input =
+                        li > 0 ? act[li - 1].data() : x.data();
+                    layers_[li].accumulateGrad(grad[li].data(), input, k);
+                    if (li > 0)
+                        layers_[li].inputGrad(grad[li].data(), k, input,
+                                              grad[li - 1].data());
+                }
+            }
+            ++adam_t;
+            for (auto &l : layers_)
+                l.adamStep(cfg.lr, cfg.beta1, cfg.beta2, cfg.eps, adam_t,
+                           b1 - b0);
+        }
+        stats.final_loss = total_loss / static_cast<double>(n);
         stats.epochs_run = e + 1;
     }
     stats.train_accuracy = accuracy(data);

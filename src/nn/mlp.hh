@@ -45,6 +45,21 @@ struct TrainStats
  * Architecture: dims = {in, h1, ..., 1}; ReLU between hidden layers.
  * "Layers" in the paper's Fig. 8 counts weight matrices, so the
  * 2-layer/512-hidden optimum is dims {12, 512, 1}.
+ *
+ * Training is minibatch-major. The weights do not change inside a
+ * minibatch, so fit() runs each one as a block: every layer forward
+ * for all of its samples, activations laid out [unit][sample], then
+ * backward for all of them, then one Adam step. Each element keeps
+ * the arithmetic order of training one sample at a time, so the
+ * trained weights are the same bits at every SIMD level:
+ *  - an output is its bias plus the inputs' terms in column order;
+ *    an input gradient is 0.0f plus the rows' terms in row order;
+ *    each term is one float multiply then one float add;
+ *  - a weight or bias gradient adds the samples in minibatch order;
+ *  - the loss is a double sum in sample order;
+ *  - Adam is a per-element double expression.
+ * The kernels (tensor/simd.hh) vectorize across samples, output rows
+ * or parameters, never across a sum's terms, and use no FMA.
  */
 class Mlp
 {
@@ -60,11 +75,12 @@ class Mlp
     /** Pre-sigmoid logit for one sample. */
     float forwardLogit(tensor::CSpan x) const;
 
-    /** One Adam epoch over the dataset; returns mean BCE loss. */
-    double trainEpoch(const Dataset &data, const TrainConfig &cfg,
-                      Rng &rng, int &adam_t);
-
-    /** Full training loop. */
+    /**
+     * Full training loop: per epoch, reshuffle and take one Adam step
+     * per minibatch of cfg.batch samples (a ragged last one divides
+     * by its own size; batch 0 is one step over the whole dataset).
+     * final_loss is the last epoch's mean BCE loss.
+     */
     TrainStats fit(const Dataset &data, const TrainConfig &cfg);
 
     /** Classification accuracy at `threshold` on a dataset. */
@@ -96,10 +112,6 @@ class Mlp
 
   private:
     std::vector<Linear> layers_;
-    // Scratch activations for training; inference uses stack-local
-    // buffers so a shared trained bank is safe to query concurrently.
-    std::vector<tensor::Vec> act_;
-    std::vector<tensor::Vec> dact_;
 };
 
 } // namespace specee::nn

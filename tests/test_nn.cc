@@ -94,8 +94,8 @@ TEST(Linear, BackwardMatchesNumericGradient)
     tensor::Vec x = {0.3f, -0.2f, 0.8f, 0.1f};
     tensor::Vec d_out = {1.0f, -0.5f, 0.25f};
     tensor::Vec d_x(4);
-    lin.zeroGrad();
-    lin.backward(x, d_out, d_x);
+    // One sample: its [unit][sample] columns are plain vectors.
+    lin.inputGrad(d_out.data(), 1, nullptr, d_x.data());
 
     // Numeric check of d_x: loss = d_out . f(x).
     const float eps = 1e-3f;

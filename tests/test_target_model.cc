@@ -456,6 +456,50 @@ expectSameDecode(const ScriptedSequence &got, const ScriptedSequence &want)
 // own scripts, noise streams and exit depths, decode exactly as they
 // do alone, whether interleaved layer by layer on one thread or run
 // concurrently on two.
+// Prefill projects a block of prompt tokens at a time; every KV row
+// must equal what DecoderLayer::fillKv writes for that token alone.
+// 11 tokens end in a ragged block, a second call continues at the
+// next position, and Q8 weights cover the backends whose batched
+// GEMV loops the single one.
+TEST(TargetModel, PrefillMatchesTokenByTokenFill)
+{
+    const auto cfg = tinyCfg();
+    oracle::SyntheticCorpus corpus(cfg.sim.vocab, 21);
+    Rng rng(22);
+    const auto prompt = corpus.sampleSequence(11, rng);
+    const std::vector<int> more = {prompt[3], prompt[0]};
+    for (const auto backend :
+         {tensor::WeightBackend::Fp32, tensor::WeightBackend::Q8}) {
+        SCOPED_TRACE(tensor::weightBackendName(backend));
+        const auto weights = std::make_shared<const model::Weights>(
+            cfg, backend, tensor::WeightBackend::Fp32);
+        const model::TargetModel tm(cfg, {}, weights);
+        auto batched = tm.makeSequence();
+        tm.reset(batched, 3);
+        tm.prefill(batched, prompt);
+        tm.prefill(batched, more);
+
+        auto byToken = tm.makeSequence();
+        tm.reset(byToken, 3);
+        model::DecoderLayer layer(cfg);
+        tensor::Vec emb(static_cast<size_t>(cfg.sim.hidden));
+        int pos = 0;
+        for (const auto *toks : {&prompt, &more}) {
+            for (int tok : *toks) {
+                weights->embedding().copyRow(static_cast<size_t>(tok),
+                                             emb);
+                for (int l = 0; l < cfg.n_layers; ++l) {
+                    layer.fillKv(weights->layer(l), l, emb, pos,
+                                 *byToken.kv);
+                }
+                ++pos;
+            }
+        }
+        EXPECT_EQ(batched.pos, pos);
+        expectSameKvAndNoise(batched, byToken, cfg.n_layers);
+    }
+}
+
 TEST(TargetModel, SequencesDecodeIndependently)
 {
     const auto cfg = tinyCfg();
