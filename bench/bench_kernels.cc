@@ -4,17 +4,22 @@
  * costs behind the paper's claims — full vs sliced LM head (Fig. 2b),
  * grouped hyper-token GEMV (Fig. 13), Q4 vs fp32 GEMV (AWQ), the
  * batched fp32 GEMV of block decode, the predictor MLP's inference and
- * training, and the sparse FFN (PowerInfer).
+ * training, one decoder layer per row of a block, and the sparse FFN
+ * (PowerInfer).
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "core/predictor.hh"
+#include "model/decoder_layer.hh"
 #include "model/ffn.hh"
-#include "tensor/kernels.hh"
+#include "model/kv_cache.hh"
 #include "model/lm_head.hh"
 #include "model/weights.hh"
 #include "nn/mlp.hh"
+#include "tensor/kernels.hh"
 #include "tensor/quant.hh"
 #include "util/rng.hh"
 
@@ -209,21 +214,46 @@ BM_MlpFit(benchmark::State &state)
 }
 BENCHMARK(BM_MlpFit)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
+// One decoder layer (llama2-7b sim dims, Fp32) over a block of `rows`
+// hidden rows after 64 cached positions: the projection phase, the
+// block's k/v appended, each row's attention over the positions up to
+// its own, then the finish phase. Items/s is rows per second, the
+// per-row layer cost a layer-major batch would amortize: 1 row is
+// token-by-token decode, 4 and 36 read each weight row once per four.
 static void
-BM_FfnDense(benchmark::State &state)
+BM_DecoderLayer(benchmark::State &state)
 {
-    auto cfg = simCfg();
-    model::Weights w(cfg, tensor::WeightBackend::Fp32,
-                     tensor::WeightBackend::Fp32);
-    model::Ffn ffn(cfg);
-    auto x = randomVec(cfg.sim.hidden, 7);
-    tensor::Vec out(static_cast<size_t>(cfg.sim.hidden));
-    for (auto _ : state) {
-        ffn.forward(w.layer(0), x, out);
-        benchmark::DoNotOptimize(out.data());
+    constexpr int kCached = 64;
+    const auto cfg = simCfg();
+    const auto rows = static_cast<size_t>(state.range(0));
+    const auto h = static_cast<size_t>(cfg.sim.hidden);
+    const model::Weights w(cfg, tensor::WeightBackend::Fp32,
+                           tensor::WeightBackend::Fp32);
+    const model::LayerWeights &lw = w.layer(0);
+    model::KvCache kv(1, cfg.context_len, cfg.sim.hidden);
+    model::DecoderLayer layer(cfg, rows);
+    for (int p = 0; p < kCached; ++p) {
+        layer.projectKv(lw, randomVec(cfg.sim.hidden, 100 + p), p);
+        kv.append(0, layer.k(0), layer.v(0));
     }
+    const auto input = randomVec(static_cast<int>(rows * h), 9);
+    tensor::Vec x(input.size());
+    for (auto _ : state) {
+        std::ranges::copy(input, x.begin());
+        layer.project(lw, x, kCached);
+        for (size_t t = 0; t < rows; ++t)
+            kv.append(0, layer.k(t), layer.v(t));
+        for (size_t t = 0; t < rows; ++t)
+            layer.attend(t, kv, 0, kCached + static_cast<int>(t) + 1);
+        layer.finish(lw, x);
+        kv.truncate(kCached);
+        benchmark::DoNotOptimize(x.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(rows));
 }
-BENCHMARK(BM_FfnDense);
+BENCHMARK(BM_DecoderLayer)->Arg(1)->Arg(4)->Arg(36);
 
 static void
 BM_FfnSparse(benchmark::State &state)

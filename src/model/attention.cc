@@ -35,38 +35,4 @@ attend(tensor::CSpan q, const KvStore &kv, int layer, int n_pos, int heads,
     }
 }
 
-Attention::Attention(const ModelConfig &cfg)
-    : hidden_(cfg.sim.hidden),
-      heads_(cfg.sim.heads),
-      headDim_(cfg.sim.headDim()),
-      q_(static_cast<size_t>(hidden_)),
-      k_(static_cast<size_t>(hidden_)),
-      v_(static_cast<size_t>(hidden_)),
-      ctx_(static_cast<size_t>(hidden_)),
-      scores_(static_cast<size_t>(cfg.context_len))
-{
-    specee_assert(hidden_ % heads_ == 0, "hidden %% heads != 0");
-}
-
-void
-Attention::forward(const LayerWeights &lw, int layer, tensor::CSpan x_normed,
-                   int pos, KvStore &kv, tensor::Span out)
-{
-    specee_assert(x_normed.size() == static_cast<size_t>(hidden_) &&
-                  out.size() == static_cast<size_t>(hidden_),
-                  "attention io size");
-
-    lw.wq->gemv(x_normed, q_);
-    lw.wk->gemv(x_normed, k_);
-    lw.wv->gemv(x_normed, v_);
-    tensor::rope(q_, static_cast<size_t>(heads_),
-                 static_cast<size_t>(headDim_), static_cast<size_t>(pos));
-    tensor::rope(k_, static_cast<size_t>(heads_),
-                 static_cast<size_t>(headDim_), static_cast<size_t>(pos));
-    kv.append(layer, k_, v_);
-
-    attend(q_, kv, layer, kv.length(layer), heads_, headDim_, ctx_, scores_);
-    lw.wo->gemv(ctx_, out);
-}
-
 } // namespace specee::model

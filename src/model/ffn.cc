@@ -12,23 +12,8 @@ Ffn::Ffn(const ModelConfig &cfg)
     : hidden_(cfg.sim.hidden),
       ffnDim_(cfg.sim.ffn),
       gate_(static_cast<size_t>(ffnDim_)),
-      up_(static_cast<size_t>(ffnDim_)),
       act_(static_cast<size_t>(ffnDim_))
 {
-}
-
-void
-Ffn::forward(const LayerWeights &lw, tensor::CSpan x_normed,
-             tensor::Span out)
-{
-    specee_assert(x_normed.size() == static_cast<size_t>(hidden_) &&
-                  out.size() == static_cast<size_t>(hidden_),
-                  "ffn io size");
-    lw.w_gate->gemv(x_normed, gate_);
-    lw.w_up->gemv(x_normed, up_);
-    swiglu(gate_, up_, act_);
-    lw.w_down->gemv(act_, out);
-    lastActive_ = ffnDim_;
 }
 
 void

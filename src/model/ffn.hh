@@ -1,17 +1,18 @@
 /**
  * @file
- * SwiGLU feed-forward network, dense and sparse-activated.
+ * SwiGLU feed-forward pieces: the gating the dense FFN applies, and
+ * the sparse-activated FFN.
  *
+ * The dense FFN runs inside DecoderLayer::finish(): gate and up as
+ * batched GEMVs over the layer's rows, swiglu() per row, then down.
  * The sparse path implements the PowerInfer-style activation
  * sparsity baseline: only the top fraction of neurons by gate
  * magnitude contribute, and the hw::CostModel charges only the
  * touched rows. (Functionally we compute all gate scores to select
  * the top set; PowerInfer predicts them — the selected set is what
- * matters for the output and the cost.)
- *
- * Both paths are WeightStore-backend-agnostic: the dense GEMVs and
- * the sparse rowDot / addScaledColumn accesses dequantize on the fly
- * under q8/q4 weights.
+ * matters for the output and the cost.) It runs row by row over
+ * rowDot / addScaledColumn, which dequantize on the fly under q8/q4
+ * weights.
  */
 
 #ifndef SPECEE_MODEL_FFN_HH
@@ -23,16 +24,15 @@
 
 namespace specee::model {
 
-/** Feed-forward block: down( silu(gate(x)) * up(x) ). */
+/**
+ * Feed-forward block down( silu(gate(x)) * up(x) ): the sparse forward
+ * and its scratch, and the SwiGLU gating.
+ */
 class Ffn
 {
   public:
     Ffn() = default; ///< empty (unsized) scratch
     explicit Ffn(const ModelConfig &cfg);
-
-    /** Dense forward. */
-    void forward(const LayerWeights &lw, tensor::CSpan x_normed,
-                 tensor::Span out);
 
     /**
      * Sparse forward keeping only ceil(active_frac * ffn) neurons
@@ -42,8 +42,8 @@ class Ffn
                        float active_frac, tensor::Span out);
 
     /**
-     * act[i] = silu(gate[i]) * up[i], the dense forward's gating;
-     * act may alias gate.
+     * act[i] = silu(gate[i]) * up[i], the dense FFN's gating; act
+     * may alias gate.
      */
     static void swiglu(tensor::CSpan gate, tensor::CSpan up,
                        tensor::Span act);
@@ -55,7 +55,7 @@ class Ffn
     int hidden_ = 0;
     int ffnDim_ = 0;
     int lastActive_ = 0;
-    tensor::Vec gate_, up_, act_;
+    tensor::Vec gate_, act_;
 };
 
 } // namespace specee::model

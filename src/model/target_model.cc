@@ -108,33 +108,26 @@ TargetModel::prefill(SequenceState &s, const std::vector<int> &tokens) const
     const size_t n_tok = tokens.size();
     if (n_tok == 0)
         return;
-    // Each token's K/V at every layer comes from its own embedding,
-    // as DecoderLayer::fillKv computes it; gemvBatch equals gemv bit
-    // for bit. k and v hold a block's rows layer-major, so the block
-    // is appended token by token, every layer per token.
+    // Each token's K/V at every layer comes from its own embedding.
+    // The block's rows of every layer are held until it is appended,
+    // token by token, every layer per token.
     const auto h = static_cast<size_t>(cfg_.sim.hidden);
-    const auto heads = static_cast<size_t>(cfg_.sim.heads);
-    const auto head_dim = static_cast<size_t>(cfg_.sim.headDim());
     const auto n_layers = static_cast<size_t>(cfg_.n_layers);
     const size_t cap = std::min(n_tok, kPrefillBlock);
-    tensor::Matrix emb(cap, h), normed(cap, h), k(n_layers * cap, h),
-        v(n_layers * cap, h);
+    DecoderLayer layer(cfg_, cap);
+    tensor::Matrix emb(cap, h), k(n_layers * cap, h), v(n_layers * cap, h);
     for (size_t t0 = 0; t0 < n_tok; t0 += cap) {
         const size_t m = std::min(cap, n_tok - t0);
         for (size_t t = 0; t < m; ++t) {
             weights_->embedding().copyRow(
                 static_cast<size_t>(tokens[t0 + t]), emb.row(t));
         }
+        const tensor::CSpan x(emb.row(0).data(), m * h);
         for (size_t l = 0; l < n_layers; ++l) {
-            const LayerWeights &lw = weights_->layer(static_cast<int>(l));
-            for (size_t t = 0; t < m; ++t)
-                tensor::rmsnorm(emb.row(t), lw.rms_attn, normed.row(t));
-            const tensor::CSpan x(normed.row(0).data(), m * h);
-            lw.wk->gemvBatch(x, tensor::Span(k.row(l * cap).data(), m * h));
-            lw.wv->gemvBatch(x, tensor::Span(v.row(l * cap).data(), m * h));
+            layer.projectKv(weights_->layer(static_cast<int>(l)), x, s.pos);
             for (size_t t = 0; t < m; ++t) {
-                tensor::rope(k.row(l * cap + t), heads, head_dim,
-                             static_cast<size_t>(s.pos) + t);
+                std::ranges::copy(layer.k(t), k.row(l * cap + t).begin());
+                std::ranges::copy(layer.v(t), v.row(l * cap + t).begin());
             }
         }
         for (size_t t = 0; t < m; ++t) {
@@ -203,7 +196,6 @@ TargetModel::decodeScripted(SequenceState &s,
     checkShape(s);
     const size_t n_tok = inputs.size();
     const auto h = static_cast<size_t>(cfg_.sim.hidden);
-    const auto f = static_cast<size_t>(cfg_.sim.ffn);
     const auto n_exit = static_cast<size_t>(cfg_.n_layers - 1);
     specee_assert(!s.inToken, "decodeScripted during a decode step");
     specee_assert(scripts.size() == n_tok,
@@ -216,47 +208,36 @@ TargetModel::decodeScripted(SequenceState &s,
         return;
 
     // Everything the team touches is allocated here, on the calling
-    // thread: one row per token, and per member its attention scores
-    // and, for the sparse FFN, its own selection scratch.
+    // thread: the block's residual rows, and per member a layer over
+    // its contiguous run of tokens [runStart(m), runStart(m + 1)).
     std::vector<TokenSteer> block(n_tok);
-    for (size_t t = 0; t < n_tok; ++t)
+    tensor::Matrix hidden(n_tok, h);
+    for (size_t t = 0; t < n_tok; ++t) {
         beginSteer(block[t], inputs[t], scripts[t], s.noiseRng);
-    tensor::Matrix normed(n_tok, h), q(n_tok, h), k(n_tok, h), v(n_tok, h),
-        ctx(n_tok, h), sub(n_tok, h), gate(n_tok, f), up(n_tok, f);
+        std::ranges::copy(block[t].hidden, hidden.row(t).begin());
+    }
     const size_t members =
         std::min(n_tok, team > 0 ? team : hardwareThreads());
-    std::vector<tensor::Vec> scores(
-        members, tensor::Vec(static_cast<size_t>(cfg_.context_len)));
-    std::vector<Ffn> sparse;
-    if (opts_.sparse_ffn)
-        sparse.assign(members, Ffn(cfg_));
-    const auto heads = static_cast<size_t>(cfg_.sim.heads);
-    const auto head_dim = static_cast<size_t>(cfg_.sim.headDim());
+    const auto runStart = [&](size_t m) { return n_tok * m / members; };
+    std::vector<DecoderLayer> layers;
+    layers.reserve(members);
+    for (size_t m = 0; m < members; ++m)
+        layers.emplace_back(cfg_, runStart(m + 1) - runStart(m));
 
-    // Each member runs DecoderLayer::forward's steps over its own run
-    // of tokens, batching every projection across them.
     runTeam(members, [&](size_t m, std::barrier<> &sync) {
-        const size_t t0 = n_tok * m / members;
-        const size_t t1 = n_tok * (m + 1) / members;
-        const auto mine = [&](tensor::Matrix &x) {
-            return tensor::Span(x.row(t0).data(), (t1 - t0) * x.cols());
-        };
+        const size_t t0 = runStart(m);
+        const size_t t1 = runStart(m + 1);
+        DecoderLayer &layer = layers[m];
+        const tensor::Span x(hidden.row(t0).data(), (t1 - t0) * h);
         for (int l = 0; l < cfg_.n_layers; ++l) {
             const LayerWeights &lw = weights_->layer(l);
-            for (size_t t = t0; t < t1; ++t)
-                tensor::rmsnorm(block[t].hidden, lw.rms_attn, normed.row(t));
-            lw.wq->gemvBatch(mine(normed), mine(q));
-            lw.wk->gemvBatch(mine(normed), mine(k));
-            lw.wv->gemvBatch(mine(normed), mine(v));
-            for (size_t t = t0; t < t1; ++t) {
-                const size_t pos = static_cast<size_t>(s.pos) + t;
-                tensor::rope(q.row(t), heads, head_dim, pos);
-                tensor::rope(k.row(t), heads, head_dim, pos);
-            }
+            layer.project(lw, x, s.pos + static_cast<int>(t0));
             sync.arrive_and_wait();
             if (m == 0) {
-                for (size_t t = 0; t < n_tok; ++t)
-                    s.kv->append(l, k.row(t), v.row(t));
+                for (size_t r = 0; r < members; ++r) {
+                    for (size_t t = 0; t < layers[r].maxRows(); ++t)
+                        s.kv->append(l, layers[r].k(t), layers[r].v(t));
+                }
             }
             sync.arrive_and_wait();
 
@@ -264,47 +245,30 @@ TargetModel::decodeScripted(SequenceState &s,
             // block's tokens up to itself.
             const int cached = s.kv->length(l) - static_cast<int>(n_tok);
             for (size_t t = t0; t < t1; ++t) {
-                attend(q.row(t), *s.kv, l, cached + static_cast<int>(t) + 1,
-                       cfg_.sim.heads, cfg_.sim.headDim(), ctx.row(t),
-                       scores[m]);
+                layer.attend(t - t0, *s.kv, l,
+                             cached + static_cast<int>(t) + 1);
             }
-            lw.wo->gemvBatch(mine(ctx), mine(sub));
+            layer.finish(lw, x, opts_.sparse_ffn, opts_.ffn_active_frac);
             for (size_t t = t0; t < t1; ++t) {
-                tensor::addInplace(block[t].hidden, sub.row(t));
-                tensor::rmsnorm(block[t].hidden, lw.rms_ffn, normed.row(t));
-            }
-            if (opts_.sparse_ffn) {
-                for (size_t t = t0; t < t1; ++t) {
-                    sparse[m].forwardSparse(lw, normed.row(t),
-                                            opts_.ffn_active_frac,
-                                            sub.row(t));
-                }
-            } else {
-                lw.w_gate->gemvBatch(mine(normed), mine(gate));
-                lw.w_up->gemvBatch(mine(normed), mine(up));
-                for (size_t t = t0; t < t1; ++t)
-                    Ffn::swiglu(gate.row(t), up.row(t), gate.row(t));
-                lw.w_down->gemvBatch(mine(gate), mine(sub));
-            }
-            for (size_t t = t0; t < t1; ++t) {
-                TokenSteer &ts = block[t];
-                tensor::addInplace(ts.hidden, sub.row(t));
-                steer(ts, l);
+                steer(block[t], hidden.row(t), l);
                 if (static_cast<size_t>(l) < n_exit) {
                     const size_t r = t * n_exit + static_cast<size_t>(l);
-                    std::copy(ts.hidden.begin(), ts.hidden.end(),
-                              hiddens.begin() + static_cast<long>(r * h));
+                    std::ranges::copy(hidden.row(t),
+                                      hiddens.begin() +
+                                          static_cast<long>(r * h));
                 }
             }
         }
     });
+    std::ranges::copy(hidden.row(n_tok - 1), block.back().hidden.begin());
     s.tok = std::move(block.back());
     s.pos += static_cast<int>(n_tok);
     s.layer = cfg_.n_layers;
 }
 
 void
-TargetModel::steer(TokenSteer &ts, int layer_just_run) const
+TargetModel::steer(const TokenSteer &ts, tensor::Span hidden,
+                   int layer_just_run) const
 {
     const SteerParams &sp = opts_.steer;
     const int l = layer_just_run;
@@ -321,13 +285,13 @@ TargetModel::steer(TokenSteer &ts, int layer_just_run) const
     const float beta = sp.distractor_strength * ts.distractorScale *
                        (1.0f - alpha) * ramp;
 
-    unitize(ts.hidden); // texture component on the unit sphere
+    unitize(hidden); // texture component on the unit sphere
     const float tex = std::max(0.0f, 1.0f - alpha - beta);
-    for (size_t i = 0; i < ts.hidden.size(); ++i) {
-        ts.hidden[i] = tex * ts.hidden[i] + alpha * ts.dirTarget[i] +
-                       beta * ts.dirDistractor[i];
+    for (size_t i = 0; i < hidden.size(); ++i) {
+        hidden[i] = tex * hidden[i] + alpha * ts.dirTarget[i] +
+                    beta * ts.dirDistractor[i];
     }
-    unitize(ts.hidden);
+    unitize(hidden);
 }
 
 tensor::CSpan
@@ -335,10 +299,14 @@ TargetModel::runLayer(SequenceState &s) const
 {
     specee_assert(s.inToken, "runLayer outside a decode step");
     specee_assert(s.layer < cfg_.n_layers, "runLayer past last layer");
-    s.scratch.forward(weights_->layer(s.layer), s.layer, s.tok.hidden,
-                      s.pos, *s.kv, opts_.sparse_ffn,
-                      opts_.ffn_active_frac);
-    steer(s.tok, s.layer);
+    const int l = s.layer;
+    const LayerWeights &lw = weights_->layer(l);
+    DecoderLayer &layer = s.scratch;
+    layer.project(lw, s.tok.hidden, s.pos);
+    s.kv->append(l, layer.k(0), layer.v(0));
+    layer.attend(0, *s.kv, l, s.kv->length(l));
+    layer.finish(lw, s.tok.hidden, opts_.sparse_ffn, opts_.ffn_active_frac);
+    steer(s.tok, s.tok.hidden, l);
     ++s.layer;
     return s.tok.hidden;
 }
@@ -359,8 +327,10 @@ TargetModel::finishEarly(SequenceState &s) const
 {
     specee_assert(s.inToken, "finishEarly outside a decode step");
     const int filled = cfg_.n_layers - s.layer;
-    for (int l = s.layer; l < cfg_.n_layers; ++l)
-        s.scratch.fillKv(weights_->layer(l), l, s.tok.hidden, s.pos, *s.kv);
+    for (int l = s.layer; l < cfg_.n_layers; ++l) {
+        s.scratch.projectKv(weights_->layer(l), s.tok.hidden, s.pos);
+        s.kv->append(l, s.scratch.k(0), s.scratch.v(0));
+    }
     s.layer = cfg_.n_layers;
     s.inToken = false;
     ++s.pos;

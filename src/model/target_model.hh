@@ -113,7 +113,7 @@ struct SequenceState
     TokenSteer tok;          ///< the current token
     int pos = 0;             ///< position of the token being decoded
     int layer = 0;           ///< next layer to run for the current token
-    DecoderLayer scratch;    ///< attention and FFN buffers of one layer
+    DecoderLayer scratch;    ///< one-row layer scratch
     bool inToken = false;
 };
 
@@ -171,7 +171,9 @@ class TargetModel
      * Fast prompt ingestion: fills every layer's KV from the token
      * embeddings without full layer compute. Prompt hidden fidelity
      * only matters through attention texture, and decode-time costs
-     * are charged by the cost model at the true prompt length.
+     * are charged by the cost model at the true prompt length. K/V
+     * are projected four tokens at a time (DecoderLayer::projectKv)
+     * and appended token by token, every layer per token.
      */
     void prefill(SequenceState &s, const std::vector<int> &tokens) const;
 
@@ -183,17 +185,15 @@ class TargetModel
      * Decode a block of scripted tokens of `s` layer by layer: token
      * t enters as inputs[t] under scripts[t] at position s.pos + t.
      * Every token's steering noise is drawn first, in token order, as
-     * beginToken() draws it. Then each layer runs over the whole
-     * block: its projections and FFN as batched GEMVs over the
-     * block's tokens, so each weight row is read once per four
-     * tokens, and attention per token. A team of `team` threads
-     * (0 takes one per hardware thread, at most one per token)
-     * splits the tokens into contiguous runs. The members meet at
-     * a barrier after each layer's K/V projection, and the calling
-     * thread appends that layer's K/V for every token, in token
-     * order, before any member attends; so the store grows layer
-     * by layer as under sequential decode, and only the caller
-     * allocates in it.
+     * beginToken() draws it. A team of `team` threads (0 takes one
+     * per hardware thread, at most one per token) splits the tokens
+     * into contiguous runs, and each member runs every layer over
+     * its run as one DecoderLayer block, so each weight row is read
+     * once per four tokens. The members meet at a barrier after each
+     * layer's projection phase, and the calling thread appends that
+     * layer's K/V for every token, in token order, before any member
+     * attends; so the store grows layer by layer as under sequential
+     * decode, and only the caller allocates in it.
      *
      * Row t * (nLayers() - 1) + l of `hiddens` (row-major, hidden
      * wide) receives token t's steered output of exit layer l,
@@ -218,7 +218,8 @@ class TargetModel
     /**
      * Finish the current token after an early exit: fills KV for all
      * layers that were skipped from the current hidden state so later
-     * tokens can attend to this position.
+     * tokens can attend to this position (AdaInfer-style state
+     * propagation; the cost model charges the two projections).
      *
      * @return number of layers whose KV was filled
      */
@@ -235,8 +236,9 @@ class TargetModel
     void beginSteer(TokenSteer &ts, int input_token,
                     const TokenScript &script, Rng &noise) const;
 
-    /** Apply convergence steering to the raw layer output. */
-    void steer(TokenSteer &ts, int layer_just_run) const;
+    /** Steer `hidden`, the raw layer output of token `ts`. */
+    void steer(const TokenSteer &ts, tensor::Span hidden,
+               int layer_just_run) const;
 
     ModelConfig cfg_;
     TargetModelOptions opts_;

@@ -1,10 +1,12 @@
 /**
  * @file
- * Attention / FFN / decoder-layer tests against naive references.
+ * Attention / FFN / decoder-layer tests against naive references,
+ * through the block layer's two phases.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "model/decoder_layer.hh"
@@ -34,21 +36,71 @@ randomVec(int n, uint64_t seed)
     return v;
 }
 
+/**
+ * One row through layer l as TargetModel::runLayer runs it: the
+ * projection phase, its k/v appended, attention over every cached
+ * position, then the finish phase on x.
+ */
+void
+decodeRow(DecoderLayer &layer, const LayerWeights &lw, int l,
+          tensor::Span x, int pos, KvStore &kv)
+{
+    layer.project(lw, x, pos);
+    kv.append(l, layer.k(0), layer.v(0));
+    layer.attend(0, kv, l, kv.length(l));
+    layer.finish(lw, x);
+}
+
+/**
+ * What the layer's dense FFN adds to x: the finish phase over a zero
+ * attention output (Wo of zero adds nothing), minus x. The FFN input
+ * is rmsnorm(x) under the layer's FFN norm weight.
+ */
+tensor::Vec
+denseFfnDelta(const ModelConfig &c, const LayerWeights &lw,
+              const tensor::Vec &x)
+{
+    DecoderLayer layer(c);
+    std::ranges::fill(layer.ctx(0), 0.0f);
+    tensor::Vec out = x;
+    layer.finish(lw, out);
+    for (size_t i = 0; i < out.size(); ++i)
+        out[i] -= x[i];
+    return out;
+}
+
+/** The sparse FFN on the input denseFfnDelta() feeds the dense one. */
+tensor::Vec
+sparseFfn(Ffn &ffn, const LayerWeights &lw, const tensor::Vec &x,
+          float active_frac)
+{
+    tensor::Vec normed(x.size()), out(x.size());
+    tensor::rmsnorm(x, lw.rms_ffn, normed);
+    ffn.forwardSparse(lw, normed, active_frac, out);
+    return out;
+}
+
 } // namespace
 
 TEST(Attention, FirstTokenAttendsOnlyToItself)
 {
     auto c = cfg();
     Weights w(c, WeightBackend::Fp32, WeightBackend::Fp32);
-    Attention attn(c);
+    DecoderLayer layer(c);
     KvCache kv(c.n_layers, c.context_len, c.sim.hidden);
     auto x = randomVec(c.sim.hidden, 1);
+    layer.project(w.layer(0), x, 0);
+    kv.append(0, layer.k(0), layer.v(0));
+    layer.attend(0, kv, 0, 1);
     tensor::Vec out(static_cast<size_t>(c.sim.hidden));
-    attn.forward(w.layer(0), 0, x, 0, kv, out);
+    w.layer(0).wo->gemv(layer.ctx(0), out);
 
-    // With one position the softmax weight is 1, so out = wo(v).
+    // With one position the softmax weight is 1, so out = wo(v), v
+    // projected from the attention-normed input.
+    tensor::Vec normed(static_cast<size_t>(c.sim.hidden));
+    tensor::rmsnorm(x, w.layer(0).rms_attn, normed);
     tensor::Vec v(static_cast<size_t>(c.sim.hidden));
-    w.layer(0).wv->gemv(x, v);
+    w.layer(0).wv->gemv(normed, v);
     tensor::Vec expect(static_cast<size_t>(c.sim.hidden));
     w.layer(0).wo->gemv(v, expect);
     for (size_t i = 0; i < out.size(); ++i)
@@ -59,36 +111,44 @@ TEST(Attention, OutputChangesWithContext)
 {
     auto c = cfg();
     Weights w(c, WeightBackend::Fp32, WeightBackend::Fp32);
-    Attention attn(c);
+    DecoderLayer layer(c);
     KvCache kv(c.n_layers, c.context_len, c.sim.hidden);
     auto x0 = randomVec(c.sim.hidden, 2);
     auto x1 = randomVec(c.sim.hidden, 3);
-    tensor::Vec out0(static_cast<size_t>(c.sim.hidden));
-    tensor::Vec out1(static_cast<size_t>(c.sim.hidden));
-    attn.forward(w.layer(0), 0, x0, 0, kv, out0);
-    attn.forward(w.layer(0), 0, x1, 1, kv, out1);
+    auto out1 = x1;
+    decodeRow(layer, w.layer(0), 0, x0, 0, kv);
+    decodeRow(layer, w.layer(0), 0, out1, 1, kv);
 
     // Same query vector with vs without history must differ.
     KvCache kv2(c.n_layers, c.context_len, c.sim.hidden);
-    Attention attn2(c);
-    tensor::Vec alone(static_cast<size_t>(c.sim.hidden));
-    attn2.forward(w.layer(0), 0, x1, 0, kv2, alone);
+    DecoderLayer layer2(c);
+    auto alone = x1;
+    decodeRow(layer2, w.layer(0), 0, alone, 0, kv2);
     float diff = 0;
     for (size_t i = 0; i < out1.size(); ++i)
         diff += std::fabs(out1[i] - alone[i]);
     EXPECT_GT(diff, 1e-3f);
 }
 
+// A block of five rows appends the k/v of every row at its own layer,
+// each row attending over the positions up to its own.
 TEST(Attention, AppendsKvEachCall)
 {
     auto c = cfg();
     Weights w(c, WeightBackend::Fp32, WeightBackend::Fp32);
-    Attention attn(c);
+    const auto h = static_cast<size_t>(c.sim.hidden);
+    DecoderLayer layer(c, 5);
     KvCache kv(c.n_layers, c.context_len, c.sim.hidden);
     auto x = randomVec(c.sim.hidden, 4);
-    tensor::Vec out(static_cast<size_t>(c.sim.hidden));
-    for (int p = 0; p < 5; ++p)
-        attn.forward(w.layer(1), 1, x, p, kv, out);
+    tensor::Vec block(5 * h);
+    for (size_t p = 0; p < 5; ++p)
+        std::ranges::copy(x, block.begin() + static_cast<long>(p * h));
+    layer.project(w.layer(1), block, 0);
+    for (size_t p = 0; p < 5; ++p)
+        kv.append(1, layer.k(p), layer.v(p));
+    for (size_t p = 0; p < 5; ++p)
+        layer.attend(p, kv, 1, static_cast<int>(p) + 1);
+    layer.finish(w.layer(1), block);
     EXPECT_EQ(kv.length(1), 5);
     EXPECT_EQ(kv.length(0), 0);
 }
@@ -99,10 +159,8 @@ TEST(Ffn, SparseWithFullFractionMatchesDense)
     Weights w(c, WeightBackend::Fp32, WeightBackend::Fp32);
     Ffn ffn(c);
     auto x = randomVec(c.sim.hidden, 5);
-    tensor::Vec dense(static_cast<size_t>(c.sim.hidden));
-    tensor::Vec sparse(static_cast<size_t>(c.sim.hidden));
-    ffn.forward(w.layer(0), x, dense);
-    ffn.forwardSparse(w.layer(0), x, 1.0f, sparse);
+    const auto dense = denseFfnDelta(c, w.layer(0), x);
+    const auto sparse = sparseFfn(ffn, w.layer(0), x, 1.0f);
     for (size_t i = 0; i < dense.size(); ++i)
         EXPECT_NEAR(dense[i], sparse[i], 1e-3f);
 }
@@ -117,8 +175,6 @@ TEST(Ffn, SparseUsesRequestedNeuronBudget)
     ffn.forwardSparse(w.layer(0), x, 0.25f, out);
     EXPECT_EQ(ffn.lastActiveNeurons(),
               static_cast<int>(std::ceil(0.25 * c.sim.ffn)));
-    ffn.forward(w.layer(0), x, out);
-    EXPECT_EQ(ffn.lastActiveNeurons(), c.sim.ffn);
 }
 
 TEST(Ffn, SparseApproximatesDense)
@@ -127,10 +183,8 @@ TEST(Ffn, SparseApproximatesDense)
     Weights w(c, WeightBackend::Fp32, WeightBackend::Fp32);
     Ffn ffn(c);
     auto x = randomVec(c.sim.hidden, 7);
-    tensor::Vec dense(static_cast<size_t>(c.sim.hidden));
-    tensor::Vec sparse(static_cast<size_t>(c.sim.hidden));
-    ffn.forward(w.layer(0), x, dense);
-    ffn.forwardSparse(w.layer(0), x, 0.5f, sparse);
+    const auto dense = denseFfnDelta(c, w.layer(0), x);
+    const auto sparse = sparseFfn(ffn, w.layer(0), x, 0.5f);
     // Top-half neurons carry most of the activation energy.
     float num = 0, den = 0;
     for (size_t i = 0; i < dense.size(); ++i) {
@@ -148,7 +202,7 @@ TEST(DecoderLayer, ForwardUpdatesResidualAndKv)
     KvCache kv(c.n_layers, c.context_len, c.sim.hidden);
     auto x = randomVec(c.sim.hidden, 8);
     auto before = x;
-    layer.forward(w.layer(2), 2, x, 0, kv);
+    decodeRow(layer, w.layer(2), 2, x, 0, kv);
     EXPECT_EQ(kv.length(2), 1);
     float diff = 0;
     for (size_t i = 0; i < x.size(); ++i)
@@ -156,7 +210,7 @@ TEST(DecoderLayer, ForwardUpdatesResidualAndKv)
     EXPECT_GT(diff, 1e-3f);
 }
 
-TEST(DecoderLayer, FillKvMatchesForwardProjection)
+TEST(DecoderLayer, KvOnlyProjectionMatchesForwardProjection)
 {
     auto c = cfg();
     Weights w(c, WeightBackend::Fp32, WeightBackend::Fp32);
@@ -166,10 +220,11 @@ TEST(DecoderLayer, FillKvMatchesForwardProjection)
     auto x = randomVec(c.sim.hidden, 9);
 
     auto x_copy = x;
-    layer.forward(w.layer(0), 0, x_copy, 3, kv_fwd);
-    layer.fillKv(w.layer(0), 0, x, 3, kv_fill);
+    decodeRow(layer, w.layer(0), 0, x_copy, 3, kv_fwd);
+    layer.projectKv(w.layer(0), x, 3);
+    kv_fill.append(0, layer.k(0), layer.v(0));
 
-    // fillKv must append exactly the k/v the full forward would.
+    // projectKv must yield exactly the k/v the full forward appends.
     for (int d = 0; d < c.sim.hidden; ++d) {
         EXPECT_NEAR(kv_fill.key(0, 0)[static_cast<size_t>(d)],
                     kv_fwd.key(0, 0)[static_cast<size_t>(d)], 1e-5f);

@@ -282,18 +282,22 @@ expectSameKvAndNoise(const model::SequenceState &a,
  * prompt_len tokens token by token (beginToken plus a runLayer() per
  * layer) on one sequence, and layer by layer (decodeScripted) at team
  * sizes 1 to 4 on another of the same model, and check that they
- * agree bit for bit.
+ * agree bit for bit. The layers' projections are stored in
+ * `backend`; the head stays dense.
  */
 void
 expectScriptedBlockMatches(const model::ModelConfig &cfg,
                            const model::TargetModelOptions &opts,
-                           size_t prompt_len, size_t n_tok)
+                           size_t prompt_len, size_t n_tok,
+                           tensor::WeightBackend backend =
+                               tensor::WeightBackend::Fp32)
 {
-    SCOPED_TRACE(cfg.name + (opts.sparse_ffn ? " sparse" : " dense") +
-                 ", prompt " + std::to_string(prompt_len) + ", block " +
+    SCOPED_TRACE(cfg.name + " " + tensor::weightBackendName(backend) +
+                 (opts.sparse_ffn ? " sparse" : " dense") + ", prompt " +
+                 std::to_string(prompt_len) + ", block " +
                  std::to_string(n_tok));
     const auto weights = std::make_shared<const model::Weights>(
-        cfg, tensor::WeightBackend::Fp32, tensor::WeightBackend::Fp32);
+        cfg, backend, tensor::WeightBackend::Fp32);
     const model::TargetModel tokenModel(cfg, opts, weights);
     const model::TargetModel layerModel(cfg, opts, weights);
     auto byToken = tokenModel.makeSequence();
@@ -354,12 +358,16 @@ expectScriptedBlockMatches(const model::ModelConfig &cfg,
 // token-by-token decode computes, whatever the team size. Blocks of
 // 1, 9 and 37 tokens leave a ragged run of fewer than four tokens on
 // some member at every team size from 1 to 4, and the last tiny block
-// ends exactly at the context window.
+// ends exactly at the context window. The quantized backends run
+// the same block layer over their own batched GEMVs.
 TEST(TargetModel, ScriptedBlockMatchesTokenByToken)
 {
     const auto tiny = tinyCfg();
     for (size_t n_tok : {1u, 6u, 9u, 37u})
         expectScriptedBlockMatches(tiny, {}, 8, n_tok);
+    for (const auto backend :
+         {tensor::WeightBackend::Q8, tensor::WeightBackend::Q4})
+        expectScriptedBlockMatches(tiny, {}, 8, 9, backend);
     expectScriptedBlockMatches(
         tiny, {}, static_cast<size_t>(tiny.context_len) - 37, 37);
     model::TargetModelOptions sparse;
@@ -452,12 +460,8 @@ expectSameDecode(const ScriptedSequence &got, const ScriptedSequence &want)
 
 } // namespace
 
-// Sequences share only the immutable model: two of them, with their
-// own scripts, noise streams and exit depths, decode exactly as they
-// do alone, whether interleaved layer by layer on one thread or run
-// concurrently on two.
 // Prefill projects a block of prompt tokens at a time; every KV row
-// must equal what DecoderLayer::fillKv writes for that token alone.
+// must equal a one-row DecoderLayer::projectKv of that token alone.
 // 11 tokens end in a ragged block, a second call continues at the
 // next position, and Q8 weights cover the backends whose batched
 // GEMV loops the single one.
@@ -489,8 +493,8 @@ TEST(TargetModel, PrefillMatchesTokenByTokenFill)
                 weights->embedding().copyRow(static_cast<size_t>(tok),
                                              emb);
                 for (int l = 0; l < cfg.n_layers; ++l) {
-                    layer.fillKv(weights->layer(l), l, emb, pos,
-                                 *byToken.kv);
+                    layer.projectKv(weights->layer(l), emb, pos);
+                    byToken.kv->append(l, layer.k(0), layer.v(0));
                 }
                 ++pos;
             }
@@ -500,6 +504,10 @@ TEST(TargetModel, PrefillMatchesTokenByTokenFill)
     }
 }
 
+// Sequences share only the immutable model: two of them, with their
+// own scripts, noise streams and exit depths, decode exactly as they
+// do alone, whether interleaved layer by layer on one thread or run
+// concurrently on two.
 TEST(TargetModel, SequencesDecodeIndependently)
 {
     const auto cfg = tinyCfg();
