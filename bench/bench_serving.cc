@@ -1,142 +1,310 @@
 /**
  * @file
- * Serving-layer benchmark: offered-load sweep of the live
- * continuous-batching server vs. sequential one-request-at-a-time
- * serving for the HuggingFace dense baseline, HF+SpecEE, and
- * AdaInfer on one A100 node, now with streaming latency (TTFT and
- * inter-token latency) from the iteration-level scheduler. Extends
- * Fig. 14's cloud scenario to real serving load: continuous batching
- * amortizes weight reads across the decode batch, and SpecEE's early
- * exits compound with it (shorter forwards shrink the shared read
- * the whole batch waits on).
+ * Serving-layer benchmark: the cloud-serving half of the evaluation
+ * (SpecEE §7.2) on the live continuous-batching server, as a table of
+ * sweeps run by one loop.
  *
- * A second sweep squeezes the fleet KV budget until the scheduler
- * preempts (evict-KV, re-enqueue, recompute), showing how throughput
- * and tail latency degrade under memory pressure — the regime
- * long-generation workloads (SpecExit, arXiv:2509.24248) live in.
+ * A sweep is {name, console title, its points, the fields it records,
+ * its bars}. A point is a label, an edit of one shared base (HF+SpecEE
+ * on an A100, 2 workers, max_batch 8) and a request stream. The loop
+ * drains every point once and records it as an ordered list of typed
+ * fields. That record is the only source of the sweep's console
+ * table, its BENCH_serving.json point and every bar: bars, and the
+ * calibrations later sweeps take from earlier ones, look records up
+ * by (sweep, label). Calibration sweeps are recorded and printed but
+ * left out of the JSON.
  *
- * A fourth sweep pits the two preemption mechanisms against each
- * other on a long-sequence stream under a tight KV budget:
- * recompute-only eviction re-ingests every evicted prompt's chunks
- * (wasted priced work that balloons tail TTFT), swap-to-host moves
- * the KV over the host link and resumes where it left off, and auto
- * picks per victim from the modeled costs. The prefill-aware
- * admission watermark rides along on a fifth point, bounding the
- * thrash at its source.
+ * The sweeps, in run order: offered load (continuous batching vs one
+ * request at a time), KV pressure, chunked prefill, preempt mode
+ * (swap vs recompute), prefix reuse, sharded fleets (TP/PP with stage
+ * backfill), preempt mix, disaggregated prefill, goodput under SLO
+ * and the adaptive controller. Each builder below says what its sweep
+ * shows.
  *
- * A fifth sweep measures the radix prefix cache on a shared-template
- * stream (chat traffic where most prompts start with the same system
- * prompt / few-shot header): with chunked prefill pricing on, a
- * cache hit adopts the template's KV blocks at admission and only
- * ingests its private suffix, so TTFT collapses toward the suffix's
- * chunk time. The sweep varies the fraction of requests sharing the
- * template and pins the cache-off baseline on the same stream.
- *
- * A third sweep exercises the chunked-prefill subsystem on a mixed
- * long-prompt (batch tier) + short-prompt (interactive tier) stream:
- * prompt ingestion is priced and split into token-budgeted chunks
- * that share iterations with decode. Small chunks keep decode ITL
- * flat and let short interactive requests land their first token
- * fast; one monolithic chunk (the unchunked-but-priced baseline)
- * stalls every peer for the whole prompt. The sweep quantifies the
- * TTFT-vs-ITL tradeoff the chunk size buys.
- *
- * A sixth sweep shards the fleet: the engine's step is priced as a
- * DAG of layer-range stages (pipeline parallelism assigns contiguous
- * layer ranges to stages with activation handoffs over the
- * interconnect; tensor parallelism splits each stage's weight stream
- * and pays a per-layer all-reduce). Early exit at layer k releases
- * the stages past k, and the scheduler backfills queued prefill
- * chunks into the stages the previous iteration left idle. The sweep
- * compares backfill on/off per sharding and gates on the pipeline
- * utilization win; a deployment-arithmetic point shows the 70B-class
- * model that overflows one device fitting a tp2 x pp2 fleet.
- *
- * A seventh sweep disaggregates the fleet: a unified two-device
- * fleet (every device decodes and chunk-ingests) against a
- * 1-prefill + 1-decode split at matched hardware — same device
- * count, same interconnect. Prefill workers ingest prompts on their
- * own timelines and stream finished KV to the decode side over the
- * priced peer link, overlapped with the decode batch via per-device
- * DMA channels, so decode iterations never share a boundary with a
- * prompt chunk and interactive ITL flattens to pure decode time.
- *
- * An eighth sweep de-degenerates the preempt-mode comparison: a
- * mixed short/long-prompt stream under pressure hands the auto
- * policy victims whose modeled swap and recompute costs straddle the
- * break-even, so it provably mixes both mechanisms (diverging from
- * either pure mode) instead of collapsing onto swap.
- *
- * A ninth sweep closes the loop: a shifting workload mix (an
- * interactive burst, then a flood of 4096-token batch prompts) under
- * per-tier promises that reward opposite prefill chunk sizes. Each
- * static chunk choice is tuned for one phase and pays in the other;
- * the adaptive controller re-tunes the knob at decision epochs from
- * the windowed SLO attainment (Thompson sampling over the same arm
- * set) and must at least match the worse static choice on goodput
- * under SLO end to end.
- *
- * Every sweep point is also written to BENCH_serving.json so the
- * serving perf trajectory is tracked machine-readably across PRs,
- * together with every pass/fail bar the sweeps judge
+ * BENCH_serving.json holds every recorded point and every bar
  * (`"bars": [{"name", "met"}]`); any unmet bar fails the exit code.
+ * The disaggregated SLO point writes its fleet event trace to
+ * BENCH_serving_trace.json (Perfetto-loadable).
  *
  *   $ ./bench_serving [model]     (default llama2-7b)
  */
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <initializer_list>
 #include <map>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bench_common.hh"
 #include "hw/memory_tracker.hh"
 #include "model/stage_graph.hh"
 #include "serve/server.hh"
+#include "util/logging.hh"
 
 using namespace specee;
 using namespace specee::benchutil;
 using engines::EngineConfig;
+using serve::PreemptMode;
+using serve::Priority;
 
 namespace {
 
-/** One machine-readable sweep point (flat key/value JSON object). */
-struct JsonPoint
+/** One recorded field: a string, an integer or a %.*g number. */
+struct Field
 {
-    std::string sweep;
-    std::vector<std::pair<std::string, std::string>> kv;
+    std::string key;
+    std::string text; ///< string fields
+    double value = 0.0;
+    int digits = -1; ///< -1: string; 0: integer; else %.*g digits
+};
 
-    JsonPoint &str(const std::string &k, const std::string &v)
+Field
+str(std::string key, std::string v)
+{
+    return {std::move(key), std::move(v), 0.0, -1};
+}
+
+Field
+num(std::string key, double v, int digits = 5)
+{
+    return {std::move(key), "", v, digits};
+}
+
+Field
+integer(std::string key, double v)
+{
+    return {std::move(key), "", v, 0};
+}
+
+/** A field as the JSON and the console print it (strings unquoted). */
+std::string
+format(const Field &f)
+{
+    if (f.digits < 0)
+        return f.text;
+    if (f.digits == 0)
+        return std::to_string(static_cast<long>(f.value));
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.*g", f.digits, f.value);
+    return buf;
+}
+
+/** One recorded point. */
+struct Record
+{
+    std::string sweep, label;
+    bool json = true;
+    std::vector<Field> fields;
+
+    void add(std::initializer_list<Field> fs)
     {
-        kv.emplace_back(k, "\"" + v + "\"");
-        return *this;
+        fields.insert(fields.end(), fs);
     }
-    JsonPoint &num(const std::string &k, double v, int digits = 6)
+
+    /** The named number; a missing one is a bug in this bench. */
+    double operator[](const std::string &key) const
     {
-        char buf[64];
-        std::snprintf(buf, sizeof buf, "%.*g", digits, v);
-        kv.emplace_back(k, buf);
-        return *this;
-    }
-    JsonPoint &integer(const std::string &k, long v)
-    {
-        kv.emplace_back(k, std::to_string(v));
-        return *this;
+        for (const auto &f : fields)
+            if (f.key == key && f.digits >= 0)
+                return f.value;
+        specee_fatal("%s/%s records no number %s", sweep.c_str(),
+                     label.c_str(), key.c_str());
     }
 };
 
-/** One pass/fail bar the bench judges. */
+/** Every recorded point, in run order. */
+struct Book
+{
+    std::vector<Record> records;
+
+    const Record &at(const std::string &sweep,
+                     const std::string &label) const
+    {
+        for (const auto &r : records)
+            if (r.sweep == sweep && r.label == label)
+                return r;
+        specee_fatal("no recorded point %s/%s", sweep.c_str(),
+                     label.c_str());
+    }
+
+    std::vector<const Record *> of(const std::string &sweep) const
+    {
+        std::vector<const Record *> out;
+        for (const auto &r : records)
+            if (r.sweep == sweep)
+                out.push_back(&r);
+        return out;
+    }
+
+    bool all(const std::string &sweep,
+             const std::function<bool(const Record &)> &pred) const
+    {
+        const auto rs = of(sweep);
+        return std::all_of(rs.begin(), rs.end(),
+                           [&](const Record *r) { return pred(*r); });
+    }
+};
+
+/** What one drained point hands its sweep's reducer. */
+struct Drain
+{
+    const serve::ServeReport &rep;
+    /** Gaps between consecutive tokens of each interactive request. */
+    const std::vector<double> &interactive_gaps;
+};
+
+using Edit = std::function<void(serve::ServerOptions &)>;
+
+struct Point
+{
+    std::string label;
+    std::vector<Field> fields; ///< what the point varies, recorded first
+    Edit edit;                 ///< empty: record `fields` alone, no drain
+    std::vector<serve::Request> stream;
+};
+
+/** A pass/fail bar; an empty `met` counts the sweep's records. */
 struct Bar
 {
     std::string name;
-    bool met;
+    std::function<bool(const Book &)> met;
 };
+
+struct Sweep
+{
+    Sweep(std::string n, std::string t)
+        : name(std::move(n)), title(std::move(t))
+    {
+    }
+
+    std::string name;
+    std::string title;
+    std::vector<Point> points;
+    /** Appends the measured fields after the point's own. */
+    std::function<void(Record &, const Drain &)> record;
+    std::vector<Bar> bars;
+    bool json = true;       ///< false: a calibration the JSON omits
+    bool bars_last = false; ///< judged after every other sweep's bars
+
+    void point(std::string label, std::vector<Field> fields, Edit edit,
+               std::vector<serve::Request> stream)
+    {
+        points.push_back({std::move(label), std::move(fields),
+                          std::move(edit), std::move(stream)});
+    }
+
+    void bar(std::string bar_name, std::function<bool(const Book &)> met)
+    {
+        bars.push_back({std::move(bar_name), std::move(met)});
+    }
+
+    /** `<name>_points`: every declared point was recorded. */
+    void pointsBar() { bars.push_back({name + "_points", {}}); }
+};
+
+/** What a sweep builder reads: earlier records and the model. */
+struct Ctx
+{
+    const Book &book;
+    int n_layers;
+
+    /**
+     * P: one long prompt's pressure-free service time (admission to
+     * finish), from the calibration sweep. Later streams set their
+     * arrival cadence in units of P, so the pressure they apply does
+     * not depend on the model.
+     */
+    double serviceTime() const
+    {
+        return book.at("calibration", "long_prompt")["latency_s"];
+    }
+
+    /**
+     * KV budget scaled per layer so every model sees the same
+     * pressure (100 blocks at the tiny model's 8 layers): about two
+     * long working sets plus the scheduler's growth reserve.
+     */
+    int pressedBudget() const { return 25 * n_layers / 2; }
+};
+
+/** The base every point edits. */
+serve::ServerOptions
+baseOptions()
+{
+    serve::ServerOptions o;
+    o.engine = EngineConfig::huggingFace().withSpecEE();
+    o.spec = hw::HardwareSpec::a100();
+    o.workers = 2;
+    o.sched.max_batch = 8;
+    return o;
+}
+
+/** Drains every point of `s`, records it, and prints the sweep. */
+void
+runSweep(const Sweep &s, const engines::Pipeline &pipe, Book &book)
+{
+    for (const auto &p : s.points) {
+        Record r{s.name, p.label, s.json, p.fields};
+        if (p.edit) {
+            auto opts = baseOptions();
+            p.edit(opts);
+            std::set<uint64_t> interactive;
+            for (const auto &q : p.stream)
+                if (q.priority == Priority::Interactive)
+                    interactive.insert(q.id);
+            std::vector<double> gaps;
+            std::map<uint64_t, double> last_emit;
+            opts.on_token = [&](const serve::TokenEvent &ev) {
+                if (interactive.count(ev.request_id) != 0) {
+                    const auto it = last_emit.find(ev.request_id);
+                    if (it != last_emit.end())
+                        gaps.push_back(ev.emit_s - it->second);
+                    last_emit[ev.request_id] = ev.emit_s;
+                }
+                return true;
+            };
+            serve::Server server(pipe, opts);
+            server.submit(p.stream);
+            const auto rep = server.drain();
+            s.record(r, Drain{rep, gaps});
+        }
+        book.records.push_back(std::move(r));
+    }
+
+    // One column per point, one row per field (first-seen order; "-"
+    // where a point does not record the field).
+    const auto rs = book.of(s.name);
+    std::vector<std::string> header{"field"}, keys;
+    for (const auto *r : rs) {
+        header.push_back(r->label);
+        for (const auto &f : r->fields)
+            if (std::find(keys.begin(), keys.end(), f.key) == keys.end())
+                keys.push_back(f.key);
+    }
+    metrics::Table t(s.title);
+    t.header(header);
+    for (const auto &k : keys) {
+        std::vector<std::string> row{k};
+        for (const auto *r : rs) {
+            const auto f =
+                std::find_if(r->fields.begin(), r->fields.end(),
+                             [&](const Field &x) { return x.key == k; });
+            row.push_back(f == r->fields.end() ? "-" : format(*f));
+        }
+        t.row(row);
+    }
+    t.print();
+}
 
 void
 writeJson(const std::string &path, const std::string &model,
-          const std::string &platform, const std::vector<Bar> &bars,
-          const std::vector<JsonPoint> &points)
+          const std::string &platform,
+          const std::vector<std::pair<std::string, bool>> &bars,
+          const Book &book)
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
@@ -148,16 +316,23 @@ writeJson(const std::string &path, const std::string &model,
     std::fprintf(f, "  \"bars\": [\n");
     for (size_t i = 0; i < bars.size(); ++i) {
         std::fprintf(f, "    {\"name\": \"%s\", \"met\": %s}%s\n",
-                     bars[i].name.c_str(), bars[i].met ? "true" : "false",
+                     bars[i].first.c_str(),
+                     bars[i].second ? "true" : "false",
                      i + 1 < bars.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(f, "  \"points\": [\n");
+    std::vector<const Record *> points;
+    for (const auto &r : book.records)
+        if (r.json)
+            points.push_back(&r);
     for (size_t i = 0; i < points.size(); ++i) {
-        std::fprintf(f, "    {\"sweep\": \"%s\"",
-                     points[i].sweep.c_str());
-        for (const auto &[k, v] : points[i].kv)
-            std::fprintf(f, ", \"%s\": %s", k.c_str(), v.c_str());
+        std::fprintf(f, "    {\"sweep\": \"%s\"", points[i]->sweep.c_str());
+        for (const auto &fl : points[i]->fields) {
+            const char *quote = fl.digits < 0 ? "\"" : "";
+            std::fprintf(f, ", \"%s\": %s%s%s", fl.key.c_str(), quote,
+                         format(fl).c_str(), quote);
+        }
         std::fprintf(f, "}%s\n", i + 1 < points.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
@@ -166,29 +341,39 @@ writeJson(const std::string &path, const std::string &model,
                  points.size());
 }
 
+// --- reductions, streams and edits shared by several sweeps ---------
+
 /** Fleet latency fields shared by every sweep's JSON point. */
 void
-latencyFields(JsonPoint &p, const serve::FleetStats &f)
+latencyFields(Record &r, const serve::FleetStats &f)
 {
-    p.num("tok_s", f.tokens_per_s, 5)
-        .num("p50_ttft_s", f.p50_ttft_s, 5)
-        .num("p99_ttft_s", f.p99_ttft_s, 5)
-        .num("p50_itl_s", f.p50_itl_s, 5)
-        .num("p99_itl_s", f.p99_itl_s, 5)
-        .num("p99_latency_s", f.p99_latency_s, 5);
+    r.add({num("tok_s", f.tokens_per_s), num("p50_ttft_s", f.p50_ttft_s),
+           num("p99_ttft_s", f.p99_ttft_s), num("p50_itl_s", f.p50_itl_s),
+           num("p99_itl_s", f.p99_itl_s),
+           num("p99_latency_s", f.p99_latency_s)});
 }
 
 /** SLO accounting is self-consistent: judged, bounded, <= raw tok/s. */
 bool
-sloConsistent(const serve::FleetStats &f)
+sloConsistent(const Record &r)
 {
-    return f.slo_evaluated > 0 && f.slo_attained >= 0 &&
-           f.slo_attained <= f.slo_evaluated &&
-           f.goodput_under_slo <= f.tokens_per_s + 1e-9;
+    return r["slo_evaluated"] > 0 && r["slo_attained"] >= 0 &&
+           r["slo_attained"] <= r["slo_evaluated"] &&
+           r["goodput_under_slo"] <= r["tok_s"] + 1e-9;
 }
 
+/** The SLO fields of the SLO and controller sweeps. */
+void
+sloFields(Record &r, const serve::FleetStats &f)
+{
+    r.add({integer("slo_evaluated", f.slo_evaluated),
+           integer("slo_attained", f.slo_attained),
+           num("goodput_under_slo", f.goodput_under_slo)});
+}
+
+/** p50 TTFT over one tier's served requests. */
 double
-p50TtftOf(const serve::ServeReport &rep, serve::Priority tier)
+p50Ttft(const serve::ServeReport &rep, Priority tier)
 {
     std::vector<double> v;
     for (const auto &o : rep.outcomes)
@@ -197,1253 +382,863 @@ p50TtftOf(const serve::ServeReport &rep, serve::Priority tier)
     return metrics::percentile(v, 50.0);
 }
 
+/** p99 over interactive requests of each one's worst token gap. */
+double
+interactiveItlTail(const serve::ServeReport &rep)
+{
+    std::vector<double> v;
+    for (const auto &o : rep.outcomes)
+        if (o.request.priority == Priority::Interactive && !o.dropped &&
+            !o.cancelled)
+            v.push_back(o.max_itl_s);
+    return metrics::percentile(v, 99.0);
+}
+
+/** Batch-tier requests with ids from `id_base` (100: after interactive). */
+serve::StreamOptions
+batchTier(serve::StreamOptions so, uint64_t id_base = 100)
+{
+    so.priority = Priority::Batch;
+    so.id_base = id_base;
+    return so;
+}
+
+/**
+ * Eight 4096-token batch prompts, one every 0.45 x P: offered faster
+ * than a budget-constrained fleet serves them, so each arrival
+ * squeezes the youngest resident back out mid-prefill.
+ */
+std::vector<serve::Request>
+pressedStream(double P)
+{
+    auto s = serve::synthesizeStream(batchTier(
+        {.n_requests = 8, .gen_len = 40, .prompt_len = 4096,
+         .seed = 0x10f6}));
+    for (size_t i = 0; i < s.size(); ++i)
+        s[i].arrival_s = 0.45 * P * static_cast<double>(i);
+    return s;
+}
+
+/** Chunked (256) prefill under a KV budget, preempting by `mode`. */
+Edit
+pressedEdit(int budget, PreemptMode mode, double watermark = 0.0)
+{
+    return [=](serve::ServerOptions &o) {
+        o.sched.prefill.chunk_tokens = 256;
+        o.sched.kv_budget_blocks = budget;
+        o.sched.preempt_mode = mode;
+        o.sched.kv_watermark = watermark;
+    };
+}
+
+/**
+ * Eight interactive requests decoding while 4096-token batch prompts
+ * arrive just under one device's ingest rate (every 0.8 x P).
+ */
+std::vector<serve::Request>
+disaggStream(double P)
+{
+    auto s = serve::mergeStreams(
+        serve::synthesizeStream(
+            {.n_requests = 8, .gen_len = 160, .seed = 0xd14a}),
+        serve::synthesizeStream(batchTier(
+            {.n_requests = 4, .gen_len = 8, .prompt_len = 4096,
+             .seed = 0xe55e})));
+    for (auto &r : s)
+        if (r.id >= 100)
+            r.arrival_s = 0.8 * P * static_cast<double>(r.id - 100);
+    return s;
+}
+
+/** Two devices and chunked (256) prefill; one prefill device splits. */
+Edit
+disaggEdit(int prefill_devices, bool overlap)
+{
+    return [=](serve::ServerOptions &o) {
+        o.sched.prefill.chunk_tokens = 256;
+        o.sched.topology.devices = 2;
+        o.sched.topology.prefill_devices = prefill_devices;
+        o.sched.topology.overlap_transfers = overlap;
+    };
+}
+
+struct DisaggPoint
+{
+    const char *label;
+    int prefill_devices;
+    bool overlap;
+};
+
+constexpr DisaggPoint kDisaggPoints[] = {
+    {"unified", 0, false},
+    {"disagg_serial", 1, false},
+    {"disagg", 1, true},
+};
+
+struct ModePoint
+{
+    const char *label;
+    PreemptMode mode;
+};
+
+constexpr ModePoint kPureModes[] = {
+    {"recompute", PreemptMode::Recompute},
+    {"swap", PreemptMode::Swap},
+    {"auto", PreemptMode::Auto},
+};
+
+/**
+ * A steady interactive stream (one request every 0.15 x P) with
+ * 4096-token batch prompts arriving every 0.45 x P from 0.8 x P on.
+ */
+std::vector<serve::Request>
+controllerStream(double P)
+{
+    auto s = serve::mergeStreams(
+        serve::synthesizeStream(
+            {.n_requests = 16, .gen_len = 24, .seed = 0xc0a1}),
+        serve::synthesizeStream(batchTier(
+            {.n_requests = 6, .gen_len = 8, .prompt_len = 4096,
+             .seed = 0xc0a2})));
+    for (auto &r : s) {
+        r.arrival_s =
+            r.id >= 100
+                ? P * (0.8 + 0.45 * static_cast<double>(r.id - 100))
+                : 0.15 * P * static_cast<double>(r.id);
+    }
+    return s;
+}
+
+constexpr double kLoadsRps[] = {2.0, 8.0, 32.0};
+
+std::string
+loadLabel(const char *engine, double rps)
+{
+    return std::string(engine) + " @" + metrics::Table::num(rps, 0);
+}
+
+/** Three engines at three offered loads, at `max_batch`. */
+void
+offeredPoints(Sweep &s, int max_batch)
+{
+    const std::pair<const char *, EngineConfig> engines[] = {
+        {"HF dense", EngineConfig::huggingFace()},
+        {"HF+SpecEE", EngineConfig::huggingFace().withSpecEE()},
+        {"AdaInfer", EngineConfig::adaInfer()},
+    };
+    for (const auto &e : engines) {
+        for (const double rps : kLoadsRps) {
+            const auto seed = 0xca11 + static_cast<uint64_t>(rps * 10);
+            s.point(loadLabel(e.first, rps),
+                    {str("engine", e.first), num("rate_rps", rps, 4)},
+                    [cfg = e.second, max_batch](serve::ServerOptions &o) {
+                        o.engine = cfg;
+                        o.sched.max_batch = max_batch;
+                    },
+                    serve::synthesizeStream({.n_requests = 10,
+                                             .gen_len = 16,
+                                             .rate_rps = rps,
+                                             .seed = seed}));
+        }
+    }
+}
+
+// --- the sweeps, in run order -----------------------------------------
+
+/** Calibration: one request at a time, offered_load's baseline. */
+Sweep
+sequential(const Ctx &)
+{
+    Sweep s{"sequential", "Sequential serving (max_batch 1): the "
+                          "offered-load baseline"};
+    s.json = false;
+    offeredPoints(s, 1);
+    s.record = [](Record &r, const Drain &d) {
+        r.add({num("tok_s", d.rep.fleet.tokens_per_s)});
+    };
+    return s;
+}
+
+/**
+ * Offered load: continuous batching (max_batch 8) against sequential
+ * serving. Batching amortizes the weight stream over the decode
+ * batch, and early exits shorten the shared read itself, so the two
+ * multiply under load.
+ */
+Sweep
+offeredLoad(const Ctx &c)
+{
+    Sweep s{"offered_load", "Offered-load sweep: 10 requests, "
+                            "chat/sum/QA mix (seq_tok_s: max_batch 1)"};
+    offeredPoints(s, 8);
+    s.record = [&c](Record &r, const Drain &d) {
+        const auto &seq = c.book.at("sequential", r.label);
+        r.add({num("seq_tok_s", seq["tok_s"])});
+        latencyFields(r, d.rep.fleet);
+    };
+    s.bars_last = true;
+    s.bar("batched_specee_throughput", [](const Book &b) {
+        double batched = 0.0, seq = 0.0;
+        for (const double rps : kLoadsRps) {
+            const auto &r =
+                b.at("offered_load", loadLabel("HF+SpecEE", rps));
+            batched += r["tok_s"];
+            seq += r["seq_tok_s"];
+        }
+        return batched > seq;
+    });
+    return s;
+}
+
+/**
+ * KV pressure: a 12-request burst under a fleet KV budget squeezed
+ * until the scheduler preempts (evict, re-enqueue, recompute), so
+ * queued requests see later first tokens as the budget tightens.
+ */
+Sweep
+kvPressure(const Ctx &c)
+{
+    Sweep s{"kv_pressure", "KV-pressure sweep: HF+SpecEE, 12-request "
+                           "burst (budget in paged-KV blocks)"};
+    const int blocks_per_layer =
+        (workload::kSimPromptLen + 16 + model::kKvBlockSize - 1) /
+        model::kKvBlockSize;
+    const int per_seq = c.n_layers * blocks_per_layer;
+    const auto stream = serve::synthesizeStream(
+        {.n_requests = 12, .gen_len = 16, .seed = 0x6e0});
+    for (const int budget : {0, 4 * per_seq, 5 * per_seq / 2}) {
+        s.point(budget == 0 ? "unbounded" : std::to_string(budget),
+                {integer("budget_blocks", budget)},
+                [budget](serve::ServerOptions &o) {
+                    o.sched.kv_budget_blocks = budget;
+                },
+                stream);
+    }
+    s.record = [](Record &r, const Drain &d) {
+        r.add({integer("preemptions", d.rep.fleet.preemptions),
+               integer("peak_kv_blocks", d.rep.fleet.peak_kv_blocks)});
+        latencyFields(r, d.rep.fleet);
+    };
+    return s;
+}
+
+/**
+ * Chunked prefill: six 4096-token batch-tier prompts and six short
+ * interactive requests share the fleet, and prompt ingestion is
+ * priced and split into token-budgeted chunks interleaved with
+ * decode. Chunk 0 is the free (atomic) prefill; "monolithic" prices
+ * each prompt as one chunk (Sarathi's no-chunking baseline). Small
+ * chunks land interactive first tokens sooner, at the cost of
+ * re-reading the weight stream per chunk.
+ */
+Sweep
+chunkedPrefill(const Ctx &)
+{
+    Sweep s{"chunked_prefill", "Chunked-prefill sweep: HF+SpecEE, "
+                               "6x4096-token batch prompts + 6 "
+                               "interactive"};
+    const auto stream = serve::mergeStreams(
+        serve::synthesizeStream({.n_requests = 6, .gen_len = 16,
+                                 .rate_rps = 12.0, .seed = 0x1a7e}),
+        serve::synthesizeStream(
+            batchTier({.n_requests = 6, .gen_len = 16, .rate_rps = 12.0,
+                       .prompt_len = 4096, .seed = 0xb16})));
+    const std::tuple<const char *, int, int> chunks[] = {
+        {"free (legacy)", 0, 0}, {"monolithic", 1 << 20, 0},
+        {"1024", 1024, 2048},    {"256", 256, 512},
+        {"64", 64, 128},
+    };
+    for (const auto &[label, chunk, budget] : chunks) {
+        s.point(label,
+                {str("mode", label), integer("chunk_tokens", chunk),
+                 integer("iter_budget", budget)},
+                [chunk = chunk, budget = budget](serve::ServerOptions &o) {
+                    o.sched.prefill.chunk_tokens = chunk;
+                    o.sched.prefill.max_tokens_per_iteration = budget;
+                },
+                stream);
+    }
+    s.record = [](Record &r, const Drain &d) {
+        const auto &f = d.rep.fleet;
+        r.add({num("interactive_p50_ttft_s",
+                   p50Ttft(d.rep, Priority::Interactive)),
+               num("batch_p50_ttft_s", p50Ttft(d.rep, Priority::Batch)),
+               integer("prefill_chunks", f.prefill_chunks),
+               integer("prefill_tokens", f.prefill_tokens),
+               num("mean_prefill_s", f.mean_prefill_s)});
+        latencyFields(r, f);
+    };
+    s.bars_last = true;
+    s.bar("chunked_interactive_ttft", [](const Book &b) {
+        const auto ttft = [&](const char *label) {
+            return b.at("chunked_prefill", label)["interactive_p50_ttft_s"];
+        };
+        return ttft("64") * 2.0 <= ttft("monolithic");
+    });
+    return s;
+}
+
+/** Calibration: P, one long prompt's pressure-free service time. */
+Sweep
+calibration(const Ctx &)
+{
+    Sweep s{"calibration", "Calibration: one 4096-token prompt alone, "
+                           "chunked prefill 256"};
+    s.json = false;
+    s.point("long_prompt", {},
+            [](serve::ServerOptions &o) {
+                o.sched.prefill.chunk_tokens = 256;
+            },
+            serve::synthesizeStream({.n_requests = 1, .gen_len = 40,
+                                     .prompt_len = 4096, .seed = 0x10f6}));
+    s.record = [](Record &r, const Drain &d) {
+        r.add({num("latency_s", d.rep.outcomes[0].latency_s)});
+    };
+    return s;
+}
+
+/**
+ * Preempt mode on the pressed long-prompt stream. Recompute-only
+ * eviction throws a victim's priced chunks away every cycle, and the
+ * wasted re-ingests compound into queueing delay; swap moves the KV
+ * over the host link and resumes; auto picks per victim from the
+ * modeled costs. The last point adds the prefill-aware admission
+ * watermark, which bounds the thrash at admission instead.
+ */
+Sweep
+preemptMode(const Ctx &c)
+{
+    const int budget = c.pressedBudget();
+    Sweep s{"preempt_mode",
+            "Preempt-mode sweep: HF+SpecEE, 8x4096-token prompts every "
+            "0.45x service time, KV budget " +
+                std::to_string(budget) + " blocks"};
+    const auto stream = pressedStream(c.serviceTime());
+    const auto add = [&](const char *label, PreemptMode mode, double wm) {
+        s.point(label,
+                {str("mode", label), integer("budget_blocks", budget),
+                 num("watermark", wm, 3)},
+                pressedEdit(budget, mode, wm), stream);
+    };
+    for (const auto &m : kPureModes)
+        add(m.label, m.mode, 0.0);
+    add("auto+wm0.85", PreemptMode::Auto, 0.85);
+    s.record = [](Record &r, const Drain &d) {
+        const auto &f = d.rep.fleet;
+        r.add({integer("preemptions", f.preemptions),
+               integer("swaps_out", f.swaps_out),
+               integer("swaps_in", f.swaps_in),
+               integer("watermark_rejections", f.watermark_rejections),
+               integer("prefill_tokens", f.prefill_tokens),
+               integer("peak_host_kv_blocks", f.peak_host_kv_blocks),
+               num("peak_host_mem_gb", f.peak_host_mem_gb, 4)});
+        latencyFields(r, f);
+    };
+    s.bar("preempt_swap_p99_ttft", [](const Book &b) {
+        const auto &rec = b.at("preempt_mode", "recompute");
+        const auto wins = [&](const Record &r) {
+            return r["p99_ttft_s"] * 1.5 <= rec["p99_ttft_s"] &&
+                   r["tok_s"] >= rec["tok_s"];
+        };
+        return wins(b.at("preempt_mode", "swap")) &&
+               wins(b.at("preempt_mode", "auto"));
+    });
+    return s;
+}
+
+/**
+ * Prefix reuse: 12 conversations of 4096-token prompts, 7/8 of which
+ * is the stream's shared template. The first request seeds the cache
+ * alone; the rest arrive every 0.45 x P from P on. Cache hits adopt
+ * the template's KV and chunk-ingest only their 512-token suffix. The
+ * cache-off baseline runs where the contrast is sharpest, at 0.9.
+ */
+Sweep
+prefixReuse(const Ctx &c)
+{
+    Sweep s{"prefix_reuse", "Prefix-reuse sweep: HF+SpecEE, "
+                            "12x4096-token prompts, 3584-token shared "
+                            "template, chunked prefill 256"};
+    const double P = c.serviceTime();
+    const auto add = [&](double reuse, bool cache) {
+        auto stream = serve::synthesizeStream(
+            {.n_requests = 12, .gen_len = 16, .prompt_len = 4096,
+             .prefix_reuse = reuse, .template_prefix_len = 7 * 4096 / 8,
+             .seed = 0x5ee3});
+        for (size_t i = 1; i < stream.size(); ++i)
+            stream[i].arrival_s =
+                P * (1.0 + 0.45 * static_cast<double>(i - 1));
+        const std::string onoff = cache ? "on" : "off";
+        s.point(metrics::Table::num(reuse, 2) + " " + onoff,
+                {num("reuse", reuse, 3), str("cache", onoff)},
+                [cache](serve::ServerOptions &o) {
+                    o.sched.prefill.chunk_tokens = 256;
+                    o.sched.prefill.max_tokens_per_iteration = 512;
+                    o.sched.prefix_cache.enabled = cache;
+                },
+                std::move(stream));
+    };
+    for (const double reuse : {0.0, 0.25, 0.5, 0.9})
+        add(reuse, true);
+    add(0.9, false);
+    s.record = [](Record &r, const Drain &d) {
+        const auto &f = d.rep.fleet;
+        r.add({integer("prefix_hits", f.prefix_hits),
+               integer("cached_tokens", f.cached_tokens),
+               integer("cache_evictions", f.cache_evictions),
+               integer("peak_cached_blocks", f.peak_cached_blocks),
+               integer("prefill_tokens", f.prefill_tokens)});
+        latencyFields(r, f);
+    };
+    s.pointsBar();
+    s.bar("prefix_cache_hits", [](const Book &b) {
+        const auto &on = b.at("prefix_reuse", "0.90 on");
+        return on["prefix_hits"] > 0 && on["cached_tokens"] > 0 &&
+               b.at("prefix_reuse", "0.90 off")["prefix_hits"] == 0;
+    });
+    s.bar("prefix_p50_ttft", [](const Book &b) {
+        return b.at("prefix_reuse", "0.90 on")["p50_ttft_s"] * 3.0 <=
+               b.at("prefix_reuse", "0.90 off")["p50_ttft_s"];
+    });
+    return s;
+}
+
+/**
+ * The 70B-class deployment that motivates sharding, as deployment
+ * arithmetic on the modeled config: the tightest device's GiB as one
+ * stage and in a tp2 x pp2 fleet, against the A100's memory.
+ */
+std::vector<Field>
+deviceFitFields()
+{
+    const auto big = model::ModelConfig::llama2_70b();
+    const hw::MemoryTracker mem(big, tensor::WeightBackend::Fp32,
+                                /*with_draft_model=*/true,
+                                /*n_predictors=*/big.n_layers,
+                                /*predictor_params=*/5200);
+    const auto gib = [&](int tp, int pp) {
+        return hw::MemoryTracker::toGiB(mem.maxDeviceBytes(
+            model::StageGraph(big.n_layers, pp), tp, 8192, 4));
+    };
+    return {str("backfill", "n/a"), str("check", "70b_device_fit"),
+            num("mono_device_gib", gib(1, 1)),
+            num("tp2pp2_device_gib", gib(2, 2)),
+            num("vram_gb", hw::HardwareSpec::a100().vram_gb)};
+}
+
+/**
+ * Sharded fleets: the step is priced as a DAG of layer-range stages
+ * (pipeline parallelism hands activations between stages over the
+ * interconnect; tensor parallelism splits each stage's weight stream
+ * and pays a per-layer all-reduce). Early exit at layer k releases
+ * the stages past k, and backfill slots queued prefill chunks into
+ * the stages the last iteration left idle. A burst under a one-token
+ * prefill budget at max_batch 2 is the sharpest contention: without
+ * backfill a queued prompt makes no progress until the decoder
+ * finishes. At pp = 1 backfill is inert (one point). The last point
+ * is the 70B fit, recorded without a drain.
+ */
+Sweep
+sharded(const Ctx &)
+{
+    Sweep s{"sharded", "Sharded-fleet sweep: HF+SpecEE, 8x96-token "
+                       "prompts, chunked prefill 32, iteration budget 1, "
+                       "max_batch 2"};
+    const auto stream = serve::synthesizeStream(
+        {.n_requests = 8, .gen_len = 24, .prompt_len = 96, .seed = 0x5a7d});
+    const auto add = [&](int tp, int pp, bool backfill) {
+        const std::string onoff = backfill ? "on" : "off";
+        const auto shape = std::to_string(tp) + "x" + std::to_string(pp);
+        s.point(pp == 1 ? shape : shape + " " + onoff,
+                {integer("tp", tp), integer("pp", pp),
+                 str("backfill", onoff)},
+                [=](serve::ServerOptions &o) {
+                    o.engine = o.engine.withSharding(tp, pp);
+                    o.sched.max_batch = 2;
+                    o.sched.prefill.chunk_tokens = 32;
+                    o.sched.prefill.max_tokens_per_iteration = 1;
+                    o.sched.stage_backfill = backfill;
+                },
+                stream);
+    };
+    add(1, 1, true);
+    add(2, 2, false);
+    add(2, 2, true);
+    add(1, 4, false);
+    add(1, 4, true);
+    s.point("70b_device_fit", deviceFitFields(), {}, {});
+    s.record = [](Record &r, const Drain &d) {
+        const auto &f = d.rep.fleet;
+        r.add({integer("n_stages", f.n_stages),
+               num("pipeline_utilization", f.pipeline_utilization),
+               integer("peak_stage_occupancy", f.peak_stage_occupancy),
+               integer("backfill_grants", f.backfill_grants),
+               integer("backfill_tokens", f.backfill_tokens)});
+        latencyFields(r, f);
+    };
+    s.bar("70b_device_fit", [](const Book &b) {
+        const auto &fit = b.at("sharded", "70b_device_fit");
+        return fit["mono_device_gib"] > fit["vram_gb"] &&
+               fit["tp2pp2_device_gib"] < fit["vram_gb"];
+    });
+    s.pointsBar();
+    s.bar("sharded_backfill", [](const Book &b) {
+        const auto &on = b.at("sharded", "1x4 on");
+        const auto &off = b.at("sharded", "1x4 off");
+        return on["pipeline_utilization"] > off["pipeline_utilization"] &&
+               on["backfill_grants"] > 0 && on["n_stages"] == 4 &&
+               off["backfill_grants"] == 0;
+    });
+    return s;
+}
+
+/**
+ * Preempt mix: on the all-long pressed stream every victim carries a
+ * 4096-token prefill, so auto always swaps. Mixing 1024-token prompts
+ * into the batch tier, over a host link throttled to 3 GB/s (an
+ * oversubscribed PCIe path), hands auto victims on both sides of the
+ * swap-vs-recompute break-even: a freshly admitted short victim
+ * recomputes, a long one deep into its run swaps.
+ */
+Sweep
+preemptMix(const Ctx &c)
+{
+    const int budget = c.pressedBudget();
+    Sweep s{"preempt_mix", "Preempt-mix sweep: HF+SpecEE, 4x1024 + "
+                           "4x4096-token batch prompts, host link 3 "
+                           "GB/s, KV budget " +
+                               std::to_string(budget) + " blocks"};
+    const auto stream = serve::mergeStreams(
+        serve::synthesizeStream(batchTier({.n_requests = 4, .gen_len = 24,
+                                           .prompt_len = 1024,
+                                           .seed = 0x3a1f},
+                                          0)),
+        serve::synthesizeStream(batchTier({.n_requests = 4, .gen_len = 24,
+                                           .prompt_len = 4096,
+                                           .seed = 0x9b2c})));
+    for (const auto &m : kPureModes) {
+        s.point(m.label,
+                {str("mode", m.label), integer("budget_blocks", budget),
+                 num("host_bw_gbs", 3.0, 3)},
+                [edit = pressedEdit(budget, m.mode)](
+                    serve::ServerOptions &o) {
+                    edit(o);
+                    o.spec.swap_bw_gbs = 3.0;
+                },
+                stream);
+    }
+    s.record = [](Record &r, const Drain &d) {
+        const auto &f = d.rep.fleet;
+        r.add({integer("preemptions", f.preemptions),
+               integer("swaps_out", f.swaps_out),
+               integer("recomputes", f.preemptions - f.swaps_out),
+               integer("prefill_tokens", f.prefill_tokens),
+               num("makespan_s", f.makespan_s, 6)});
+        latencyFields(r, f);
+    };
+    s.pointsBar();
+    s.bar("preempt_mix_pure_modes", [](const Book &b) {
+        const auto &rec = b.at("preempt_mix", "recompute");
+        const auto &swap = b.at("preempt_mix", "swap");
+        return rec["swaps_out"] == 0 && rec["preemptions"] > 0 &&
+               swap["swaps_out"] == swap["preemptions"] &&
+               swap["swaps_out"] > 0;
+    });
+    s.bar("preempt_mix_auto_diverges", [](const Book &b) {
+        const auto &rec = b.at("preempt_mix", "recompute");
+        const auto &swap = b.at("preempt_mix", "swap");
+        const auto &aut = b.at("preempt_mix", "auto");
+        const double dearer =
+            std::max(rec["makespan_s"], swap["makespan_s"]);
+        return aut["swaps_out"] > 0 && aut["recomputes"] > 0 &&
+               rec["preemptions"] > 0 && swap["swaps_out"] > 0 &&
+               aut["makespan_s"] <= dearer * (1.0 + 1e-9);
+    });
+    return s;
+}
+
+/**
+ * Disaggregation at matched hardware (two devices, one interconnect).
+ * Unified: every device decodes and chunk-ingests, so prompt chunks
+ * share iteration boundaries with the decode batch and inflate ITL.
+ * Disaggregated: one device only ingests prompts and streams finished
+ * KV to the decode device over the priced peer link, overlapped with
+ * decode on per-device DMA channels (disagg_serial does not overlap).
+ */
+Sweep
+disagg(const Ctx &c)
+{
+    Sweep s{"disagg", "Disaggregated-fleet sweep: HF+SpecEE, 8 "
+                      "interactive + 4x4096-token batch prompts, 2 "
+                      "devices, chunked prefill 256"};
+    const auto stream = disaggStream(c.serviceTime());
+    for (const auto &dp : kDisaggPoints) {
+        s.point(dp.label,
+                {str("fleet", dp.label), integer("devices", 2),
+                 integer("prefill_devices", dp.prefill_devices),
+                 str("overlap", dp.overlap ? "on" : "off")},
+                disaggEdit(dp.prefill_devices, dp.overlap), stream);
+    }
+    s.record = [](Record &r, const Drain &d) {
+        const auto &f = d.rep.fleet;
+        r.add({integer("handoffs", f.handoffs),
+               num("handoff_gb", f.handoff_gb),
+               integer("transfers_overlapped", f.transfers_overlapped),
+               num("transfer_bytes_gb",
+                   f.transfer_bytes_sent / (1024.0 * 1024.0 * 1024.0)),
+               num("interactive_p99_itl_s",
+                   metrics::percentile(d.interactive_gaps, 99.0)),
+               num("prefill_busy_s", f.prefill_busy_s),
+               num("transfer_busy_s", f.transfer_busy_s)});
+        latencyFields(r, f);
+    };
+    s.pointsBar();
+    s.bar("disagg_handoffs", [](const Book &b) {
+        const auto &uni = b.at("disagg", "unified");
+        const auto &dis = b.at("disagg", "disagg");
+        return uni["prefill_devices"] == 0 && uni["handoffs"] == 0 &&
+               uni["transfers_overlapped"] == 0 &&
+               dis["prefill_devices"] == 1 && dis["handoffs"] > 0 &&
+               dis["transfers_overlapped"] > 0;
+    });
+    s.bar("disagg_interactive_itl", [](const Book &b) {
+        const auto &uni = b.at("disagg", "unified");
+        const auto &dis = b.at("disagg", "disagg");
+        return dis["interactive_p99_itl_s"] * 1.3 <=
+                   uni["interactive_p99_itl_s"] &&
+               dis["tok_s"] >= uni["tok_s"];
+    });
+    return s;
+}
+
+/**
+ * Goodput under SLO: the preempt and disaggregation scenarios again,
+ * with per-tier objectives, so the scheduler judges every retired
+ * request and accounts goodput under SLO instead of raw tok/s. The
+ * batch TTFT bound sits just above the swap/auto tail (work-preserving
+ * preemption keeps the promise; recompute's thrashed tail breaks
+ * it). The interactive ITL bound splits the disaggregated and unified
+ * tails geometrically. Attainment must order the scenarios as their
+ * latencies did. The disaggregated point traces.
+ */
+Sweep
+slo(const Ctx &c)
+{
+    Sweep s{"slo", "SLO-attainment sweep: goodput under tier objectives "
+                   "(calibrated from the sweeps above)"};
+    const double P = c.serviceTime();
+    const auto &b = c.book;
+    const double batch_ttft_slo =
+        1.05 * std::max(b.at("preempt_mode", "swap")["p99_ttft_s"],
+                        b.at("preempt_mode", "auto")["p99_ttft_s"]);
+    const auto pressed = pressedStream(P);
+    for (const auto &m : kPureModes) {
+        const std::string label = std::string("preempt_") + m.label;
+        s.point(label,
+                {str("scenario", label),
+                 num("batch_ttft_slo_s", batch_ttft_slo)},
+                [edit = pressedEdit(c.pressedBudget(), m.mode),
+                 batch_ttft_slo, P](serve::ServerOptions &o) {
+                    edit(o);
+                    o.sched.slo.batch.ttft_s = batch_ttft_slo;
+                    o.sched.timeline.window_s = 0.5 * P;
+                },
+                pressed);
+    }
+    const double itl_slo =
+        std::sqrt(b.at("disagg", "disagg")["interactive_p99_itl_s"] *
+                  b.at("disagg", "unified")["interactive_p99_itl_s"]);
+    for (const auto &dp : kDisaggPoints) {
+        if (dp.prefill_devices == 1 && !dp.overlap)
+            continue; // unified vs overlapped disagg, as in the bar
+        const std::string label = std::string("disagg_") + dp.label;
+        s.point(label,
+                {str("scenario", label),
+                 num("interactive_itl_slo_s", itl_slo)},
+                [edit = disaggEdit(dp.prefill_devices, dp.overlap),
+                 itl_slo, P, traced = dp.overlap](serve::ServerOptions &o) {
+                    edit(o);
+                    o.sched.slo.interactive.itl_s = itl_slo;
+                    o.sched.timeline.window_s = 0.5 * P;
+                    // Prefill-device chunks, DMA handoffs and decode
+                    // steps land on separate Perfetto tracks.
+                    if (traced)
+                        o.trace_path = "BENCH_serving_trace.json";
+                },
+                disaggStream(P));
+    }
+    s.record = [](Record &r, const Drain &d) {
+        const auto &f = d.rep.fleet;
+        sloFields(r, f);
+        if (r.label.starts_with("disagg_"))
+            r.add({integer("trace_events", f.trace.size())});
+        r.add({integer("timeline_windows", f.timeline.size())});
+        latencyFields(r, f);
+    };
+    s.pointsBar();
+    s.bar("slo_accounting", [](const Book &bk) {
+        return bk.all("slo", [](const Record &r) {
+            return sloConsistent(r) && r["timeline_windows"] > 0;
+        });
+    });
+    s.bar("slo_disagg_trace", [](const Book &bk) {
+        return bk.at("slo", "disagg_disagg")["trace_events"] > 0;
+    });
+    s.bar("slo_ordering", [](const Book &bk) {
+        const auto gp = [&](const char *label) {
+            return bk.at("slo", label)["goodput_under_slo"];
+        };
+        return gp("preempt_swap") >= gp("preempt_recompute") &&
+               gp("preempt_auto") >= gp("preempt_recompute") &&
+               gp("disagg_disagg") >= gp("disagg_unified");
+    });
+    return s;
+}
+
+/** Calibration: each static chunk's interactive ITL tail, no promise. */
+Sweep
+controllerProbe(const Ctx &c)
+{
+    Sweep s{"controller_probe", "Calibration: interactive ITL tails of "
+                                "the controller stream per static chunk"};
+    s.json = false;
+    const auto stream = controllerStream(c.serviceTime());
+    for (const int chunk : {64, 1024}) {
+        s.point(std::to_string(chunk), {integer("chunk_tokens", chunk)},
+                [chunk](serve::ServerOptions &o) {
+                    o.sched.prefill.chunk_tokens = chunk;
+                },
+                stream);
+    }
+    s.record = [](Record &r, const Drain &d) {
+        r.add({num("interactive_itl_tail_s", interactiveItlTail(d.rep))});
+    };
+    return s;
+}
+
+/**
+ * Controller: a steady interactive stream under an ITL promise; from
+ * 0.8 x P on, 4096-token batch prompts keep arriving, and every big
+ * chunk laced into a decode boundary breaks the promise. A static big
+ * chunk is tuned for the first phase only. The adaptive controller
+ * starts the same mis-tuned way, reads the windowed SLO attainment at
+ * each decision epoch (Thompson sampling over chunks 64 and 1024) and
+ * re-tunes online, so it must at least match the worse static choice
+ * on goodput under SLO. The promise splits the probes' tails
+ * geometrically: attainable under small chunks, broken under big ones.
+ */
+Sweep
+controller(const Ctx &c)
+{
+    Sweep s{"controller", "Controller sweep: shifting interactive -> "
+                          "batch mix under tier promises, chunk 64 vs "
+                          "1024 vs adaptive"};
+    const double P = c.serviceTime();
+    const double itl_slo = std::sqrt(
+        c.book.at("controller_probe", "64")["interactive_itl_tail_s"] *
+        c.book.at("controller_probe", "1024")["interactive_itl_tail_s"]);
+    const auto stream = controllerStream(P);
+    const std::tuple<const char *, int, bool> configs[] = {
+        {"static_small", 64, false},
+        {"static_big", 1024, false},
+        {"adaptive", 1024, true},
+    };
+    for (const auto &[label, chunk, adaptive] : configs) {
+        s.point(label,
+                {str("config", label), integer("chunk_tokens", chunk),
+                 num("interactive_itl_slo_s", itl_slo)},
+                [chunk = chunk, adaptive = adaptive, itl_slo,
+                 P](serve::ServerOptions &o) {
+                    o.sched.prefill.chunk_tokens = chunk;
+                    o.sched.slo.interactive.itl_s = itl_slo;
+                    o.sched.timeline.window_s = 0.25 * P;
+                    if (adaptive) {
+                        auto &ctl = o.sched.controller;
+                        ctl.enabled = true;
+                        ctl.seed = 11;
+                        // An epoch must span several iterations: one
+                        // narrower than a big-chunk iteration closes
+                        // idle (no evidence) and the posterior starves.
+                        ctl.epoch_s = 0.25 * P;
+                        ctl.chunk_arms = {64, 1024};
+                    }
+                },
+                stream);
+    }
+    s.record = [](Record &r, const Drain &d) {
+        const auto &f = d.rep.fleet;
+        sloFields(r, f);
+        r.add({integer("epochs", f.controller.epochs),
+               integer("knob_changes", f.controller.knob_changes)});
+        latencyFields(r, f);
+    };
+    s.pointsBar();
+    s.bar("controller_epochs", [](const Book &b) {
+        return b.all("controller", [](const Record &r) {
+            return r.label == "adaptive"
+                       ? r["epochs"] > 0 && r["knob_changes"] >= 0
+                       : r["epochs"] == 0 && r["knob_changes"] == 0;
+        });
+    });
+    s.bar("controller_slo_accounting", [](const Book &b) {
+        return b.all("controller", sloConsistent);
+    });
+    s.bar("controller_goodput", [](const Book &b) {
+        const auto gp = [&](const char *label) {
+            return b.at("controller", label)["goodput_under_slo"];
+        };
+        return gp("adaptive") >=
+               std::min(gp("static_small"), gp("static_big")) * 0.999;
+    });
+    return s;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     const std::string model = argc > 1 ? argv[1] : "llama2-7b";
-    auto &pipe = pipeline(model);
-    const auto spec = hw::HardwareSpec::a100();
-    std::vector<JsonPoint> json;
-    std::vector<Bar> bars;
-    const auto bar = [&](const char *name, bool met) {
-        bars.push_back({name, met});
-        return met;
+    const auto &pipe = pipeline(model);
+    Book book;
+    const Ctx ctx{book, pipe.modelConfig().n_layers};
+
+    // Each builder may read the records of the sweeps before it.
+    using Builder = Sweep (*)(const Ctx &);
+    const Builder builders[] = {
+        sequential,  offeredLoad, kvPressure,  chunkedPrefill,
+        calibration, preemptMode, prefixReuse, sharded,
+        preemptMix,  disagg,      slo,         controllerProbe,
+        controller,
     };
-    const auto points = [&](const char *sweep) {
-        return std::count_if(json.begin(), json.end(),
-                             [&](const JsonPoint &p) {
-                                 return p.sweep == sweep;
-                             });
-    };
-
-    struct Entry
-    {
-        const char *label;
-        EngineConfig cfg;
-    };
-    const Entry entries[] = {
-        {"HF dense", EngineConfig::huggingFace()},
-        {"HF+SpecEE", EngineConfig::huggingFace().withSpecEE()},
-        {"AdaInfer", EngineConfig::adaInfer()},
-    };
-    const double loads_rps[] = {2.0, 8.0, 32.0};
-
-    metrics::Table t("Serving sweep: " + model + " @ " + spec.name +
-                     " (10 requests, chat/sum/QA mix)");
-    t.header({"engine", "load (rps)", "seq tok/s", "batch tok/s",
-              "speedup", "batch occ", "p50 TTFT (s)", "ITL (ms)",
-              "p99 lat (s)"});
-
-    double specee_batch_tps = 0.0, specee_seq_tps = 0.0;
-    for (const auto &e : entries) {
-        for (double rps : loads_rps) {
-            serve::StreamOptions so;
-            so.n_requests = 10;
-            so.gen_len = 16;
-            so.rate_rps = rps;
-            so.seed = 0xca11 + static_cast<uint64_t>(rps * 10);
-            auto stream = serve::synthesizeStream(so);
-
-            serve::ServerOptions sopts;
-            sopts.engine = e.cfg;
-            sopts.spec = spec;
-            sopts.workers = 2;
-
-            sopts.sched.max_batch = 1;
-            serve::Server seq(pipe, sopts);
-            seq.submit(stream);
-            auto rs = seq.drain();
-
-            sopts.sched.max_batch = 8;
-            serve::Server batched(pipe, sopts);
-            batched.submit(stream);
-            auto rb = batched.drain();
-
-            if (std::string(e.label) == "HF+SpecEE") {
-                specee_batch_tps += rb.fleet.tokens_per_s;
-                specee_seq_tps += rs.fleet.tokens_per_s;
-            }
-            t.row({e.label, metrics::Table::num(rps, 0),
-                   metrics::Table::num(rs.fleet.tokens_per_s, 1),
-                   metrics::Table::num(rb.fleet.tokens_per_s, 1),
-                   mult(rb.fleet.tokens_per_s / rs.fleet.tokens_per_s),
-                   metrics::Table::num(rb.fleet.mean_batch_occupancy, 1),
-                   metrics::Table::num(rb.fleet.p50_ttft_s, 2),
-                   metrics::Table::num(rb.fleet.mean_itl_s * 1e3, 1),
-                   metrics::Table::num(rb.fleet.p99_latency_s, 2)});
-
-            JsonPoint p;
-            p.sweep = "offered_load";
-            p.str("engine", e.label).num("rate_rps", rps, 4);
-            p.num("seq_tok_s", rs.fleet.tokens_per_s, 5);
-            latencyFields(p, rb.fleet);
-            json.push_back(std::move(p));
-        }
-    }
-    t.print();
-
-    // --- KV-pressure sweep: pool sized to force preemption ---------
-    const auto &mcfg = pipe.modelConfig();
-    const int gen_len = 16;
-    const int per_seq_blocks =
-        mcfg.n_layers * ((workload::kSimPromptLen + gen_len +
-                          model::kKvBlockSize - 1) /
-                         model::kKvBlockSize);
-    const int budgets[] = {0, 4 * per_seq_blocks,
-                           5 * per_seq_blocks / 2};
-
-    metrics::Table kt("KV-pressure sweep: HF+SpecEE, max_batch 8, 12 "
-                      "requests (budget in paged-KV blocks)");
-    kt.header({"KV budget", "tok/s", "preempt", "peak blocks",
-               "p50 TTFT (s)", "p99 lat (s)", "fleet mem (GiB)"});
-
-    double unbounded_ttft = 0.0, pressed_ttft = 0.0;
-    for (int budget : budgets) {
-        serve::StreamOptions so;
-        so.n_requests = 12;
-        so.gen_len = gen_len;
-        so.rate_rps = 0.0; // closed-loop burst: worst KV pressure
-        so.seed = 0x6e0;
-        serve::ServerOptions sopts;
-        sopts.engine = EngineConfig::huggingFace().withSpecEE();
-        sopts.spec = spec;
-        sopts.workers = 2;
-        sopts.sched.max_batch = 8;
-        sopts.sched.kv_budget_blocks = budget;
-        serve::Server server(pipe, sopts);
-        server.submit(serve::synthesizeStream(so));
-        auto rep = server.drain();
-
-        if (budget == 0)
-            unbounded_ttft = rep.fleet.p50_ttft_s;
-        else
-            pressed_ttft = rep.fleet.p50_ttft_s;
-        kt.row({budget == 0 ? std::string("unbounded")
-                            : std::to_string(budget),
-                metrics::Table::num(rep.fleet.tokens_per_s, 1),
-                std::to_string(rep.fleet.preemptions),
-                std::to_string(rep.fleet.peak_kv_blocks),
-                metrics::Table::num(rep.fleet.p50_ttft_s, 2),
-                metrics::Table::num(rep.fleet.p99_latency_s, 2),
-                metrics::Table::num(rep.fleet.peak_fleet_mem_gb, 1)});
-
-        JsonPoint p;
-        p.sweep = "kv_pressure";
-        p.integer("budget_blocks", budget)
-            .integer("preemptions", rep.fleet.preemptions)
-            .integer("peak_kv_blocks", rep.fleet.peak_kv_blocks);
-        latencyFields(p, rep.fleet);
-        json.push_back(std::move(p));
-    }
-    kt.print();
-    std::printf("\nPreemption trades recompute time for a bounded KV "
-                "pool; queued requests see\nlater first tokens as the "
-                "budget tightens (p50 TTFT %s -> %s s).\n",
-                metrics::Table::num(unbounded_ttft, 2).c_str(),
-                metrics::Table::num(pressed_ttft, 2).c_str());
-
-    // --- chunked-prefill sweep: mixed long-batch + interactive -----
-    // 6 long-prompt batch-tier requests (4096 tokens) and 6 short
-    // interactive requests share the fleet; prompt ingestion is
-    // priced, chunked, and interleaved with decode under a token
-    // budget. chunk = 0 is the legacy free/atomic prefill; the
-    // monolithic point prices the prompt as one chunk (Sarathi's
-    // no-chunking baseline).
-    struct ChunkPoint
-    {
-        const char *label;
-        int chunk_tokens;
-        int iter_budget;
-    };
-    const ChunkPoint chunk_points[] = {
-        {"free (legacy)", 0, 0},
-        {"monolithic", 1 << 20, 0},
-        {"1024", 1024, 2048},
-        {"256", 256, 512},
-        {"64", 64, 128},
-    };
-
-    metrics::Table ct("Chunked-prefill sweep: HF+SpecEE, 6x4096-token "
-                      "batch prompts + 6 interactive, max_batch 8");
-    ct.header({"chunk", "tok/s", "inter p50 TTFT (s)",
-               "batch p50 TTFT (s)", "p99 ITL (ms)", "prefill chunks",
-               "mean prefill (s)"});
-
-    serve::StreamOptions inter;
-    inter.n_requests = 6;
-    inter.gen_len = 16;
-    inter.rate_rps = 12.0;
-    inter.seed = 0x1a7e;
-    serve::StreamOptions batch;
-    batch.n_requests = 6;
-    batch.gen_len = 16;
-    batch.rate_rps = 12.0;
-    batch.prompt_len = 4096;
-    batch.priority = serve::Priority::Batch;
-    batch.id_base = 100;
-    batch.seed = 0xb16;
-    const auto mixed = serve::mergeStreams(
-        serve::synthesizeStream(inter), serve::synthesizeStream(batch));
-
-    double mono_inter_ttft = 0.0, small_inter_ttft = 0.0;
-    for (const auto &cp : chunk_points) {
-        serve::ServerOptions sopts;
-        sopts.engine = EngineConfig::huggingFace().withSpecEE();
-        sopts.spec = spec;
-        sopts.workers = 2;
-        sopts.sched.max_batch = 8;
-        sopts.sched.prefill.chunk_tokens = cp.chunk_tokens;
-        sopts.sched.prefill.max_tokens_per_iteration = cp.iter_budget;
-        serve::Server server(pipe, sopts);
-        server.submit(mixed);
-        auto rep = server.drain();
-
-        const double it = p50TtftOf(rep, serve::Priority::Interactive);
-        const double bt = p50TtftOf(rep, serve::Priority::Batch);
-        if (cp.chunk_tokens == (1 << 20))
-            mono_inter_ttft = it;
-        if (cp.chunk_tokens == 64)
-            small_inter_ttft = it;
-        ct.row({cp.label,
-                metrics::Table::num(rep.fleet.tokens_per_s, 1),
-                metrics::Table::num(it, 2), metrics::Table::num(bt, 2),
-                metrics::Table::num(rep.fleet.p99_itl_s * 1e3, 1),
-                std::to_string(rep.fleet.prefill_chunks),
-                metrics::Table::num(rep.fleet.mean_prefill_s, 2)});
-
-        JsonPoint p;
-        p.sweep = "chunked_prefill";
-        p.str("mode", cp.label)
-            .integer("chunk_tokens", cp.chunk_tokens)
-            .integer("iter_budget", cp.iter_budget)
-            .num("interactive_p50_ttft_s", it, 5)
-            .num("batch_p50_ttft_s", bt, 5)
-            .integer("prefill_chunks", rep.fleet.prefill_chunks)
-            .integer("prefill_tokens", rep.fleet.prefill_tokens)
-            .num("mean_prefill_s", rep.fleet.mean_prefill_s, 5);
-        latencyFields(p, rep.fleet);
-        json.push_back(std::move(p));
-    }
-    ct.print();
-    std::printf("\nChunking the 4096-token prompts to 64 tokens cuts "
-                "interactive p50 TTFT %s -> %s s\n(%s) vs monolithic "
-                "priced prefill: short requests no longer wait out a\n"
-                "whole prompt's compute, at the cost of re-reading the "
-                "weight stream per chunk\nand higher decode ITL per "
-                "mixed iteration.\n",
-                metrics::Table::num(mono_inter_ttft, 2).c_str(),
-                metrics::Table::num(small_inter_ttft, 2).c_str(),
-                mult(mono_inter_ttft /
-                     std::max(small_inter_ttft, 1e-9))
-                    .c_str());
-
-    // --- preempt-mode sweep: long sequences under KV pressure ------
-    // The canonical regime swap-to-host exists for: a steady stream
-    // of long prompts (eight 4096-token batch-tier requests) offered
-    // faster than the budget-constrained fleet can serve them, so
-    // each new arrival squeezes the youngest resident back out
-    // mid-prefill. Recompute-only eviction throws the victim's
-    // priced chunks away every cycle and the wasted re-ingests
-    // compound into queueing delay; swap moves the KV over the host
-    // link and resumes, so progress accumulates across evictions;
-    // auto decides per victim from the modeled costs. A final point
-    // adds the prefill-aware admission watermark, which bounds the
-    // thrash at admission instead.
-    //
-    // The arrival cadence is calibrated from an unconstrained run:
-    // one long prompt lands every 0.45 x P, where P is a single
-    // request's pressure-free service time — adversarial but
-    // model-independent.
-    struct PreemptPoint
-    {
-        const char *label;
-        serve::PreemptMode mode;
-        double watermark;
-    };
-    const PreemptPoint preempt_points[] = {
-        {"recompute", serve::PreemptMode::Recompute, 0.0},
-        {"swap", serve::PreemptMode::Swap, 0.0},
-        {"auto", serve::PreemptMode::Auto, 0.0},
-        {"auto+wm0.85", serve::PreemptMode::Auto, 0.85},
-    };
-    // Budget scaled per layer so every model sees the same pressure
-    // (100 blocks at the tiny model's 8 layers): roughly two long
-    // working sets plus the scheduler's growth reserve — each new
-    // arrival squeezes the youngest resident back out mid-prefill.
-    const int pressed_budget = 25 * mcfg.n_layers / 2;
-
-    // Calibration: one long prompt's pressure-free service time
-    // (admission to finish). Arrivals below land every 0.45x that,
-    // so the fleet only keeps up if eviction does not destroy work.
-    double prefill_P;
-    {
-        serve::StreamOptions one;
-        one.n_requests = 1;
-        one.gen_len = 40;
-        one.prompt_len = 4096;
-        one.seed = 0x10f6;
-        serve::ServerOptions cal;
-        cal.engine = EngineConfig::huggingFace().withSpecEE();
-        cal.spec = spec;
-        cal.workers = 2;
-        cal.sched.max_batch = 8;
-        cal.sched.prefill.chunk_tokens = 256;
-        serve::Server server(pipe, cal);
-        server.submit(serve::synthesizeStream(one));
-        auto rep = server.drain();
-        prefill_P = rep.outcomes[0].latency_s;
+    std::vector<Sweep> sweeps;
+    for (const auto build : builders) {
+        sweeps.push_back(build(ctx));
+        runSweep(sweeps.back(), pipe, book);
     }
 
-    serve::StreamOptions plong;
-    plong.n_requests = 8;
-    plong.gen_len = 40;
-    plong.prompt_len = 4096;
-    plong.priority = serve::Priority::Batch;
-    plong.id_base = 100;
-    plong.seed = 0x10f6;
-    auto pressed_stream = serve::synthesizeStream(plong);
-    for (size_t i = 0; i < pressed_stream.size(); ++i) {
-        pressed_stream[i].arrival_s =
-            0.45 * prefill_P * static_cast<double>(i);
-    }
-
-    metrics::Table pt("Preempt-mode sweep: HF+SpecEE, 8x4096-token long "
-                      "prompts arriving every 0.45x service time, KV "
-                      "budget " +
-                      std::to_string(pressed_budget) + " blocks");
-    pt.header({"mode", "tok/s", "preempt", "swaps", "p50 TTFT (s)",
-               "p99 TTFT (s)", "p99 ITL (ms)", "prefill tokens",
-               "host KV (GiB)"});
-
-    double rec_p99_ttft = 0.0, swap_p99_ttft = 0.0, auto_p99_ttft = 0.0;
-    double rec_tps = 0.0, swap_tps = 0.0, auto_tps = 0.0;
-    for (const auto &pp : preempt_points) {
-        serve::ServerOptions sopts;
-        sopts.engine = EngineConfig::huggingFace().withSpecEE();
-        sopts.spec = spec;
-        sopts.workers = 2;
-        sopts.sched.max_batch = 8;
-        sopts.sched.prefill.chunk_tokens = 256;
-        sopts.sched.kv_budget_blocks = pressed_budget;
-        sopts.sched.preempt_mode = pp.mode;
-        sopts.sched.kv_watermark = pp.watermark;
-        serve::Server server(pipe, sopts);
-        server.submit(pressed_stream);
-        auto rep = server.drain();
-
-        if (std::getenv("SPECEE_BENCH_DEBUG") != nullptr) {
-            std::fprintf(stderr, "[debug] mode=%s P=%.2f\n", pp.label,
-                         prefill_P);
-            for (const auto &o : rep.outcomes) {
-                std::fprintf(stderr,
-                             "[debug] id=%llu arr=%.2f admit=%.2f "
-                             "ttft=%.2f prefill=%.2f finish=%.2f "
-                             "preempt=%d swaps=%d\n",
-                             (unsigned long long)o.request.id,
-                             o.request.arrival_s, o.admit_s, o.ttft_s,
-                             o.prefill_s, o.finish_s, o.preemptions,
-                             o.swaps);
-            }
-        }
-
-        if (pp.mode == serve::PreemptMode::Recompute) {
-            rec_p99_ttft = rep.fleet.p99_ttft_s;
-            rec_tps = rep.fleet.tokens_per_s;
-        } else if (pp.mode == serve::PreemptMode::Swap) {
-            swap_p99_ttft = rep.fleet.p99_ttft_s;
-            swap_tps = rep.fleet.tokens_per_s;
-        } else if (pp.watermark == 0.0) {
-            auto_p99_ttft = rep.fleet.p99_ttft_s;
-            auto_tps = rep.fleet.tokens_per_s;
-        }
-        pt.row({pp.label,
-                metrics::Table::num(rep.fleet.tokens_per_s, 1),
-                std::to_string(rep.fleet.preemptions),
-                std::to_string(rep.fleet.swaps_out),
-                metrics::Table::num(rep.fleet.p50_ttft_s, 2),
-                metrics::Table::num(rep.fleet.p99_ttft_s, 2),
-                metrics::Table::num(rep.fleet.p99_itl_s * 1e3, 1),
-                std::to_string(rep.fleet.prefill_tokens),
-                metrics::Table::num(rep.fleet.peak_host_mem_gb, 2)});
-
-        JsonPoint p;
-        p.sweep = "preempt_mode";
-        p.str("mode", pp.label)
-            .integer("budget_blocks", pressed_budget)
-            .num("watermark", pp.watermark, 3)
-            .integer("preemptions", rep.fleet.preemptions)
-            .integer("swaps_out", rep.fleet.swaps_out)
-            .integer("swaps_in", rep.fleet.swaps_in)
-            .integer("watermark_rejections",
-                     rep.fleet.watermark_rejections)
-            .integer("prefill_tokens", rep.fleet.prefill_tokens)
-            .integer("peak_host_kv_blocks", rep.fleet.peak_host_kv_blocks)
-            .num("peak_host_mem_gb", rep.fleet.peak_host_mem_gb, 4);
-        latencyFields(p, rep.fleet);
-        json.push_back(std::move(p));
-    }
-    pt.print();
-    const bool swap_wins =
-        bar("preempt_swap_p99_ttft",
-            swap_p99_ttft * 1.5 <= rec_p99_ttft &&
-                auto_p99_ttft * 1.5 <= rec_p99_ttft &&
-                swap_tps >= rec_tps && auto_tps >= rec_tps);
-    std::printf("\nSwap-to-host keeps evicted sessions' prompt work: "
-                "p99 TTFT %s s (recompute)\n-> %s s (swap) / %s s "
-                "(auto) with goodput no worse.\nswap/auto >= 1.5x "
-                "better p99 TTFT than recompute: %s\n",
-                metrics::Table::num(rec_p99_ttft, 2).c_str(),
-                metrics::Table::num(swap_p99_ttft, 2).c_str(),
-                metrics::Table::num(auto_p99_ttft, 2).c_str(),
-                swap_wins ? "MET" : "MISSED");
-
-    // --- prefix-reuse sweep: shared-template chat traffic ----------
-    // 12 conversations, 4096-token prompts, 7/8 of which is the
-    // stream's shared template. The first request seeds the cache
-    // (it arrives alone and fully ingests before anyone else), then
-    // the rest arrive on a cadence calibrated from the pressure-free
-    // service time P measured above. Cache hits adopt the template's
-    // KV and only chunk-ingest their 512-token suffix; the cache-off
-    // baseline re-ingests all 4096 tokens per request.
-    const double reuses[] = {0.0, 0.25, 0.5, 0.9};
-
-    auto reuseStream = [&](double reuse) {
-        serve::StreamOptions so;
-        so.n_requests = 12;
-        so.gen_len = 16;
-        so.prompt_len = 4096;
-        so.template_prefix_len = 7 * 4096 / 8;
-        so.prefix_reuse = reuse;
-        so.seed = 0x5ee3;
-        auto stream = serve::synthesizeStream(so);
-        for (size_t i = 1; i < stream.size(); ++i) {
-            stream[i].arrival_s =
-                prefill_P * (1.0 + 0.45 * static_cast<double>(i - 1));
-        }
-        return stream;
-    };
-    auto runReuse = [&](const std::vector<serve::Request> &stream,
-                        bool cache_enabled) {
-        serve::ServerOptions sopts;
-        sopts.engine = EngineConfig::huggingFace().withSpecEE();
-        sopts.spec = spec;
-        sopts.workers = 2;
-        sopts.sched.max_batch = 8;
-        sopts.sched.prefill.chunk_tokens = 256;
-        sopts.sched.prefill.max_tokens_per_iteration = 512;
-        sopts.sched.prefix_cache.enabled = cache_enabled;
-        serve::Server server(pipe, sopts);
-        server.submit(stream);
-        return server.drain();
-    };
-
-    metrics::Table xt("Prefix-reuse sweep: HF+SpecEE, 12x4096-token "
-                      "prompts, 3584-token shared template, chunked "
-                      "prefill 256");
-    xt.header({"reuse", "cache", "tok/s", "hits", "cached tok",
-               "p50 TTFT (s)", "p99 TTFT (s)", "prefill tok"});
-
-    double hit_p50_ttft = 0.0, cold_p50_ttft = 0.0;
-    long hit_hits = 0, hit_cached = 0, cold_hits = -1;
-    for (double reuse : reuses) {
-        const auto stream = reuseStream(reuse);
-        for (const bool cache_enabled : {true, false}) {
-            // The cache-off baseline only matters where the contrast
-            // is sharpest: the high-reuse point.
-            if (!cache_enabled && reuse != 0.9)
+    // The first sweeps' bars joined the bar list after the later
+    // sweeps' did; judging them last keeps the list in that order.
+    std::printf("\n=== Bars ===\n");
+    std::vector<std::pair<std::string, bool>> bars;
+    for (const bool last : {false, true}) {
+        for (const auto &s : sweeps) {
+            if (s.bars_last != last)
                 continue;
-            auto rep = runReuse(stream, cache_enabled);
-            if (std::getenv("SPECEE_BENCH_DEBUG") != nullptr) {
-                for (const auto &o : rep.outcomes) {
-                    std::fprintf(
-                        stderr,
-                        "[debug] reuse=%.2f cache=%d id=%llu arr=%.2f "
-                        "ttft=%.2f cached=%d\n",
-                        reuse, cache_enabled ? 1 : 0,
-                        (unsigned long long)o.request.id,
-                        o.request.arrival_s, o.ttft_s, o.cached_tokens);
-                }
-            }
-            if (reuse == 0.9 && cache_enabled) {
-                hit_p50_ttft = rep.fleet.p50_ttft_s;
-                hit_hits = rep.fleet.prefix_hits;
-                hit_cached = rep.fleet.cached_tokens;
-            }
-            if (reuse == 0.9 && !cache_enabled) {
-                cold_p50_ttft = rep.fleet.p50_ttft_s;
-                cold_hits = rep.fleet.prefix_hits;
-            }
-            xt.row({metrics::Table::num(reuse, 2),
-                    cache_enabled ? "on" : "off",
-                    metrics::Table::num(rep.fleet.tokens_per_s, 1),
-                    std::to_string(rep.fleet.prefix_hits),
-                    std::to_string(rep.fleet.cached_tokens),
-                    metrics::Table::num(rep.fleet.p50_ttft_s, 2),
-                    metrics::Table::num(rep.fleet.p99_ttft_s, 2),
-                    std::to_string(rep.fleet.prefill_tokens)});
-
-            JsonPoint p;
-            p.sweep = "prefix_reuse";
-            p.num("reuse", reuse, 3)
-                .str("cache", cache_enabled ? "on" : "off")
-                .integer("prefix_hits", rep.fleet.prefix_hits)
-                .integer("cached_tokens", rep.fleet.cached_tokens)
-                .integer("cache_evictions", rep.fleet.cache_evictions)
-                .integer("peak_cached_blocks",
-                         rep.fleet.peak_cached_blocks)
-                .integer("prefill_tokens", rep.fleet.prefill_tokens);
-            latencyFields(p, rep.fleet);
-            json.push_back(std::move(p));
-        }
-    }
-    xt.print();
-    bar("prefix_reuse_points", points("prefix_reuse") == 5);
-    bar("prefix_cache_hits",
-        hit_hits > 0 && hit_cached > 0 && cold_hits == 0);
-    const bool prefix_wins =
-        bar("prefix_p50_ttft", hit_p50_ttft * 3.0 <= cold_p50_ttft);
-    std::printf("\nPrefix caching serves the shared 3584-token template "
-                "from cached KV blocks:\np50 TTFT %s s (cache off) -> "
-                "%s s (cache on) at 0.9 reuse.\ncache-on p50 TTFT >= 3x "
-                "better than cache-off: %s\n",
-                metrics::Table::num(cold_p50_ttft, 2).c_str(),
-                metrics::Table::num(hit_p50_ttft, 2).c_str(),
-                prefix_wins ? "MET" : "MISSED");
-
-    // --- sharded-fleet sweep: TP/PP stage graph + backfill ---------
-    // Burst arrival so every stage fight happens at once; chunked
-    // prefill under an iteration budget tighter than the decode
-    // batch (3 tokens vs up to 3 decode peers), so once decodes
-    // occupy the slots a queued prompt is starved — the only way its
-    // chunks land is through stages the previous iteration's early
-    // exits left idle. One decode slot + one prefill slot under a
-    // one-token budget is the sharpest version of that contention:
-    // the decoder eats the whole budget, so without backfill the
-    // queued prompt makes zero progress until the decoder finishes.
-    struct ShardPoint
-    {
-        int tp;
-        int pp;
-    };
-    const ShardPoint shard_points[] = {{1, 1}, {2, 2}, {1, 4}};
-
-    serve::StreamOptions shs;
-    shs.n_requests = 8;
-    shs.gen_len = 24;
-    shs.prompt_len = 96;
-    shs.rate_rps = 0.0;
-    shs.seed = 0x5a7d;
-    const auto shard_stream = serve::synthesizeStream(shs);
-
-    metrics::Table sht("Sharded-fleet sweep: HF+SpecEE, 8x96-token "
-                       "prompts, chunked prefill 32, iteration budget "
-                       "1, max_batch 2");
-    sht.header({"tp x pp", "backfill", "tok/s", "stages", "pipe util",
-                "grants", "extra tok", "p50 TTFT (s)", "p99 lat (s)"});
-
-    double util_on = 0.0, util_off = 0.0;
-    long grants_on = 0, grants_off = -1;
-    int stages_on = 0;
-    for (const auto &sp : shard_points) {
-        for (const bool backfill : {false, true}) {
-            // At pp = 1 there is one stage and backfill is inert;
-            // one row carries the unsharded baseline.
-            if (sp.pp == 1 && !backfill)
-                continue;
-            serve::ServerOptions sopts;
-            sopts.engine = EngineConfig::huggingFace()
-                               .withSpecEE()
-                               .withSharding(sp.tp, sp.pp);
-            sopts.spec = spec;
-            sopts.workers = 2;
-            sopts.sched.max_batch = 2;
-            sopts.sched.prefill.chunk_tokens = 32;
-            sopts.sched.prefill.max_tokens_per_iteration = 1;
-            sopts.sched.stage_backfill = backfill;
-            serve::Server server(pipe, sopts);
-            server.submit(shard_stream);
-            auto rep = server.drain();
-
-            if (sp.pp == 4) {
-                (backfill ? util_on : util_off) =
-                    rep.fleet.pipeline_utilization;
-                (backfill ? grants_on : grants_off) =
-                    rep.fleet.backfill_grants;
-                if (backfill)
-                    stages_on = rep.fleet.n_stages;
-            }
-            const std::string shard_label =
-                std::to_string(sp.tp) + " x " + std::to_string(sp.pp);
-            sht.row({shard_label, sp.pp == 1 ? "-" : backfill ? "on" : "off",
-                     metrics::Table::num(rep.fleet.tokens_per_s, 1),
-                     std::to_string(rep.fleet.n_stages),
-                     metrics::Table::num(rep.fleet.pipeline_utilization,
-                                         3),
-                     std::to_string(rep.fleet.backfill_grants),
-                     std::to_string(rep.fleet.backfill_tokens),
-                     metrics::Table::num(rep.fleet.p50_ttft_s, 2),
-                     metrics::Table::num(rep.fleet.p99_latency_s, 2)});
-
-            JsonPoint p;
-            p.sweep = "sharded";
-            p.integer("tp", sp.tp)
-                .integer("pp", sp.pp)
-                .str("backfill", backfill ? "on" : "off")
-                .integer("n_stages", rep.fleet.n_stages)
-                .num("pipeline_utilization",
-                     rep.fleet.pipeline_utilization, 5)
-                .integer("peak_stage_occupancy",
-                         rep.fleet.peak_stage_occupancy)
-                .integer("backfill_grants", rep.fleet.backfill_grants)
-                .integer("backfill_tokens", rep.fleet.backfill_tokens);
-            latencyFields(p, rep.fleet);
-            json.push_back(std::move(p));
-        }
-    }
-    sht.print();
-
-    // Single-device fit: the 70B-class deployment that motivates the
-    // sharding. Pure deployment arithmetic on the modeled config —
-    // no pipeline is trained for it here.
-    const auto big = model::ModelConfig::llama2_70b();
-    const hw::MemoryTracker bigmem(big, tensor::WeightBackend::Fp32,
-                                   /*with_draft_model=*/true,
-                                   /*n_predictors=*/big.n_layers,
-                                   /*predictor_params=*/5200);
-    const model::StageGraph mono_graph(big.n_layers, 1);
-    const model::StageGraph pp2_graph(big.n_layers, 2);
-    const long fit_tokens = 8192;
-    const double mono_gib = hw::MemoryTracker::toGiB(
-        bigmem.maxDeviceBytes(mono_graph, 1, fit_tokens, 4));
-    const double tp2pp2_gib = hw::MemoryTracker::toGiB(
-        bigmem.maxDeviceBytes(pp2_graph, 2, fit_tokens, 4));
-    const bool big_fits = bar("70b_device_fit",
-                              mono_gib > spec.vram_gb &&
-                                  tp2pp2_gib < spec.vram_gb);
-    {
-        JsonPoint p;
-        p.sweep = "sharded";
-        p.str("backfill", "n/a")
-            .str("check", "70b_device_fit")
-            .num("mono_device_gib", mono_gib, 5)
-            .num("tp2pp2_device_gib", tp2pp2_gib, 5)
-            .num("vram_gb", spec.vram_gb, 5);
-        json.push_back(std::move(p));
-    }
-
-    bar("sharded_points", points("sharded") == 6);
-    const bool sharded_wins =
-        bar("sharded_backfill", util_on > util_off && grants_on > 0 &&
-                                    stages_on == 4 && grants_off == 0);
-    std::printf("\nEarly exits free the trailing pipeline stages and "
-                "backfill slots queued\nprefill chunks into them: "
-                "pipeline utilization %s (off) -> %s (on) at\n1 x 4, "
-                "%ld granted backfills.\nbackfill-on utilization > "
-                "backfill-off: %s\n",
-                metrics::Table::num(util_off, 3).c_str(),
-                metrics::Table::num(util_on, 3).c_str(), grants_on,
-                sharded_wins ? "MET" : "MISSED");
-    std::printf("%s at fp16 needs %s GiB on its tightest device as "
-                "one stage (vram %s GiB);\na tp2 x pp2 fleet's "
-                "tightest device holds %s GiB.\n70B overflows one "
-                "device but fits tp2 x pp2: %s\n",
-                big.name.c_str(), metrics::Table::num(mono_gib, 1).c_str(),
-                metrics::Table::num(spec.vram_gb, 0).c_str(),
-                metrics::Table::num(tp2pp2_gib, 1).c_str(),
-                big_fits ? "MET" : "MISSED");
-
-    // --- preempt-mix sweep: auto diverges from both pure modes -----
-    // The all-long preempt sweep above is swap's home turf: every
-    // victim carries a 4096-token prefill, so auto always swaps and
-    // its point degenerates onto swap's. Mixing short 1024-token
-    // prompts into the batch tier hands auto victims on BOTH sides
-    // of the swap-vs-recompute break-even — a freshly admitted short
-    // has barely any replay to lose and recomputes, a long deep into
-    // its run swaps — so the policy provably mixes mechanisms.
-    serve::StreamOptions mshort;
-    mshort.n_requests = 4;
-    mshort.gen_len = 24;
-    mshort.prompt_len = 1024;
-    mshort.priority = serve::Priority::Batch;
-    mshort.seed = 0x3a1f;
-    serve::StreamOptions mlong;
-    mlong.n_requests = 4;
-    mlong.gen_len = 24;
-    mlong.prompt_len = 4096;
-    mlong.priority = serve::Priority::Batch;
-    mlong.id_base = 100;
-    mlong.seed = 0x9b2c;
-    const auto mix_stream = serve::mergeStreams(
-        serve::synthesizeStream(mshort), serve::synthesizeStream(mlong));
-
-    // The host link is throttled to 3 GB/s (an oversubscribed PCIe
-    // path) so a freshly admitted 1024-token victim prices its replay
-    // below the swap round trip while a 4096-token victim deep into
-    // its run still swaps — the knife edge that makes auto's per-
-    // victim comparison visible. All three modes see the same link.
-    auto mix_spec = spec;
-    mix_spec.swap_bw_gbs = 3.0;
-
-    metrics::Table mt("Preempt-mix sweep: HF+SpecEE, 4x1024 + "
-                      "4x4096-token batch prompts, host link 3 GB/s, "
-                      "KV budget " +
-                      std::to_string(pressed_budget) + " blocks");
-    mt.header({"mode", "tok/s", "preempt", "swaps", "recomputes",
-               "prefill tokens", "p99 TTFT (s)"});
-
-    long mix_rec_preempt = 0, mix_rec_swaps = -1;
-    long mix_swap_preempt = 0, mix_swap_swaps = 0;
-    long mix_auto_swaps = 0, mix_auto_recomputes = 0;
-    double mix_dearer = 0.0, mix_auto_makespan = 0.0;
-    for (const auto mode :
-         {serve::PreemptMode::Recompute, serve::PreemptMode::Swap,
-          serve::PreemptMode::Auto}) {
-        serve::ServerOptions sopts;
-        sopts.engine = EngineConfig::huggingFace().withSpecEE();
-        sopts.spec = mix_spec;
-        sopts.workers = 2;
-        sopts.sched.max_batch = 8;
-        sopts.sched.prefill.chunk_tokens = 256;
-        sopts.sched.kv_budget_blocks = pressed_budget;
-        sopts.sched.preempt_mode = mode;
-        serve::Server server(pipe, sopts);
-        server.submit(mix_stream);
-        auto rep = server.drain();
-
-        const char *label = mode == serve::PreemptMode::Recompute
-                                ? "recompute"
-                                : mode == serve::PreemptMode::Swap
-                                      ? "swap"
-                                      : "auto";
-        const long recomputes =
-            rep.fleet.preemptions - rep.fleet.swaps_out;
-        if (mode == serve::PreemptMode::Recompute) {
-            mix_rec_preempt = rep.fleet.preemptions;
-            mix_rec_swaps = rep.fleet.swaps_out;
-            mix_dearer = std::max(mix_dearer, rep.fleet.makespan_s);
-        } else if (mode == serve::PreemptMode::Swap) {
-            mix_swap_preempt = rep.fleet.preemptions;
-            mix_swap_swaps = rep.fleet.swaps_out;
-            mix_dearer = std::max(mix_dearer, rep.fleet.makespan_s);
-        } else {
-            mix_auto_swaps = rep.fleet.swaps_out;
-            mix_auto_recomputes = recomputes;
-            mix_auto_makespan = rep.fleet.makespan_s;
-        }
-        mt.row({label, metrics::Table::num(rep.fleet.tokens_per_s, 1),
-                std::to_string(rep.fleet.preemptions),
-                std::to_string(rep.fleet.swaps_out),
-                std::to_string(recomputes),
-                std::to_string(rep.fleet.prefill_tokens),
-                metrics::Table::num(rep.fleet.p99_ttft_s, 2)});
-
-        JsonPoint p;
-        p.sweep = "preempt_mix";
-        p.str("mode", label)
-            .integer("budget_blocks", pressed_budget)
-            .num("host_bw_gbs", mix_spec.swap_bw_gbs, 3)
-            .integer("preemptions", rep.fleet.preemptions)
-            .integer("swaps_out", rep.fleet.swaps_out)
-            .integer("recomputes", recomputes)
-            .integer("prefill_tokens", rep.fleet.prefill_tokens)
-            .num("makespan_s", rep.fleet.makespan_s, 6);
-        latencyFields(p, rep.fleet);
-        json.push_back(std::move(p));
-    }
-    mt.print();
-    bar("preempt_mix_points", points("preempt_mix") == 3);
-    bar("preempt_mix_pure_modes",
-        mix_rec_swaps == 0 && mix_rec_preempt > 0 &&
-            mix_swap_swaps == mix_swap_preempt && mix_swap_swaps > 0);
-    const bool auto_diverges =
-        bar("preempt_mix_auto_diverges",
-            mix_auto_swaps > 0 && mix_auto_recomputes > 0 &&
-                mix_rec_preempt > 0 && mix_swap_swaps > 0 &&
-                mix_auto_makespan <= mix_dearer * (1.0 + 1e-9));
-    std::printf("\nOn the mixed stream auto serves %ld preemptions by "
-                "swap and %ld by recompute:\nboth arms fire, so its "
-                "point diverges from either pure mode.\nauto mixes "
-                "mechanisms and never loses to the dearer pure mode: "
-                "%s\n",
-                mix_auto_swaps, mix_auto_recomputes,
-                auto_diverges ? "MET" : "MISSED");
-
-    // --- disaggregated-fleet sweep: unified vs 1P+1D at matched HW -
-    // Interactive requests decode while 4096-token batch prompts
-    // keep arriving. Unified: two lockstep data-parallel devices,
-    // every device both decodes and chunk-ingests, so each prompt
-    // chunk shares an iteration boundary with the decode batch and
-    // inflates ITL. Disaggregated at the same device count and
-    // interconnect: one device only ingests prompts, streaming
-    // finished KV to the decode device over the priced peer link
-    // (overlapped via the per-device DMA channels), so decode
-    // iterations never wait on a chunk.
-    serve::StreamOptions dint;
-    dint.n_requests = 8;
-    dint.gen_len = 160;
-    dint.seed = 0xd14a;
-    serve::StreamOptions dbatch;
-    dbatch.n_requests = 4;
-    dbatch.gen_len = 8;
-    dbatch.prompt_len = 4096;
-    dbatch.priority = serve::Priority::Batch;
-    dbatch.id_base = 100;
-    dbatch.seed = 0xe55e;
-    auto disagg_stream = serve::mergeStreams(
-        serve::synthesizeStream(dint), serve::synthesizeStream(dbatch));
-    // Long prompts arrive just under the single-device ingest rate
-    // (calibrated off the pressure-free service time measured above):
-    // the dedicated prefill device keeps up, while the unified fleet
-    // keeps lacing chunks into decode boundaries for the whole run.
-    for (auto &r : disagg_stream) {
-        if (r.id >= 100) {
-            r.arrival_s = 0.8 * prefill_P *
-                          static_cast<double>(r.id - 100);
-        }
-    }
-
-    struct DisaggPoint
-    {
-        const char *label;
-        int prefill_devices;
-        bool overlap;
-    };
-    const DisaggPoint disagg_points[] = {
-        {"unified", 0, false},
-        {"disagg_serial", 1, false},
-        {"disagg", 1, true},
-    };
-
-    metrics::Table dt("Disaggregated-fleet sweep: HF+SpecEE, 8 "
-                      "interactive + 4x4096-token batch prompts, 2 "
-                      "devices, chunked prefill 256");
-    dt.header({"fleet", "tok/s", "handoffs", "inter p99 ITL (ms)",
-               "inter p50 TTFT (s)", "p99 lat (s)", "xfer busy (s)"});
-
-    double uni_itl = 0.0, dis_itl = 0.0;
-    double uni_tps = 0.0, dis_tps = 0.0;
-    long uni_handoffs = -1, uni_overlapped = -1;
-    long dis_handoffs = 0, dis_overlapped = 0;
-    int uni_prefill_dev = -1, dis_prefill_dev = -1;
-    for (const auto &dp : disagg_points) {
-        serve::ServerOptions sopts;
-        sopts.engine = EngineConfig::huggingFace().withSpecEE();
-        sopts.spec = spec;
-        sopts.workers = 2;
-        sopts.sched.max_batch = 8;
-        sopts.sched.prefill.chunk_tokens = 256;
-        sopts.sched.topology.devices = 2;
-        sopts.sched.topology.prefill_devices = dp.prefill_devices;
-        sopts.sched.topology.overlap_transfers = dp.overlap;
-
-        // Interactive-tier p99 ITL from the token stream: gaps
-        // between consecutive tokens of the same interactive request.
-        std::vector<double> gaps;
-        std::map<uint64_t, double> last_emit;
-        sopts.on_token = [&](const serve::TokenEvent &ev) {
-            if (ev.request_id < 100) { // interactive substream ids
-                const auto it = last_emit.find(ev.request_id);
-                if (it != last_emit.end())
-                    gaps.push_back(ev.emit_s - it->second);
-                last_emit[ev.request_id] = ev.emit_s;
-            }
-            return true;
-        };
-        serve::Server server(pipe, sopts);
-        server.submit(disagg_stream);
-        auto rep = server.drain();
-        const double itl = metrics::percentile(gaps, 99.0);
-
-        if (dp.prefill_devices == 0) {
-            uni_itl = itl;
-            uni_tps = rep.fleet.tokens_per_s;
-            uni_handoffs = rep.fleet.handoffs;
-            uni_overlapped = rep.fleet.transfers_overlapped;
-            uni_prefill_dev = dp.prefill_devices;
-        } else if (dp.overlap) {
-            dis_itl = itl;
-            dis_tps = rep.fleet.tokens_per_s;
-            dis_handoffs = rep.fleet.handoffs;
-            dis_overlapped = rep.fleet.transfers_overlapped;
-            dis_prefill_dev = dp.prefill_devices;
-        }
-        dt.row({dp.label, metrics::Table::num(rep.fleet.tokens_per_s, 1),
-                std::to_string(rep.fleet.handoffs),
-                metrics::Table::num(itl * 1e3, 2),
-                metrics::Table::num(
-                    p50TtftOf(rep, serve::Priority::Interactive), 2),
-                metrics::Table::num(rep.fleet.p99_latency_s, 2),
-                metrics::Table::num(rep.fleet.transfer_busy_s, 3)});
-
-        JsonPoint p;
-        p.sweep = "disagg";
-        p.str("fleet", dp.label)
-            .integer("devices", 2)
-            .integer("prefill_devices", dp.prefill_devices)
-            .str("overlap", dp.overlap ? "on" : "off")
-            .integer("handoffs", rep.fleet.handoffs)
-            .num("handoff_gb", rep.fleet.handoff_gb, 5)
-            .integer("transfers_overlapped",
-                     rep.fleet.transfers_overlapped)
-            .num("transfer_bytes_gb",
-                 rep.fleet.transfer_bytes_sent / (1024.0 * 1024.0 *
-                                                  1024.0),
-                 5)
-            .num("interactive_p99_itl_s", itl, 5)
-            .num("prefill_busy_s", rep.fleet.prefill_busy_s, 5)
-            .num("transfer_busy_s", rep.fleet.transfer_busy_s, 5);
-        latencyFields(p, rep.fleet);
-        json.push_back(std::move(p));
-    }
-    dt.print();
-    bar("disagg_points", points("disagg") == 3);
-    bar("disagg_handoffs",
-        uni_prefill_dev == 0 && uni_handoffs == 0 &&
-            uni_overlapped == 0 && dis_prefill_dev == 1 &&
-            dis_handoffs > 0 && dis_overlapped > 0);
-    const bool disagg_wins =
-        bar("disagg_interactive_itl",
-            dis_itl * 1.3 <= uni_itl && dis_tps >= uni_tps);
-    std::printf("\nDedicating a device to prefill takes prompt chunks "
-                "off the decode boundary:\ninteractive p99 ITL %s ms "
-                "(unified) -> %s ms (disaggregated) at equal-or-\n"
-                "better goodput (%s -> %s tok/s) on matched hardware.\n"
-                "disagg >= 1.3x better interactive p99 ITL at >= "
-                "goodput: %s\n",
-                metrics::Table::num(uni_itl * 1e3, 2).c_str(),
-                metrics::Table::num(dis_itl * 1e3, 2).c_str(),
-                metrics::Table::num(uni_tps, 1).c_str(),
-                metrics::Table::num(dis_tps, 1).c_str(),
-                disagg_wins ? "MET" : "MISSED");
-
-    // --- SLO-attainment sweep: goodput under explicit objectives ---
-    // Re-runs the preempt-mode and disaggregation scenarios with
-    // per-tier SLOs attached, so the scheduler judges every retired
-    // request and accounts goodput UNDER SLO (tokens delivered by
-    // attaining requests / makespan) instead of raw tok/s. The
-    // objectives are calibrated from the measurements above: the
-    // batch-tier TTFT bound sits just above the swap/auto tail (work-
-    // preserving preemption keeps the promise, recompute's thrashed
-    // tail blows it) and the interactive ITL bound sits between the
-    // disaggregated and unified tails. The attainment ordering must
-    // reproduce the raw latency ordering the earlier bars
-    // established. The disaggregated point also records a fleet
-    // event trace (Perfetto-loadable) and a metrics timeline — the
-    // artifact CI schema-checks.
-    metrics::Table st("SLO-attainment sweep: goodput under tier "
-                      "objectives (calibrated from sweeps above)");
-    st.header({"scenario", "evaluated", "attained", "tok/s",
-               "SLO tok/s", "timeline windows"});
-
-    double slo_rec = 0.0, slo_swap = 0.0, slo_auto = 0.0;
-    bool slo_consistent = true;
-    const double batch_ttft_slo =
-        1.05 * std::max(swap_p99_ttft, auto_p99_ttft);
-    for (const auto &pp : preempt_points) {
-        if (pp.watermark != 0.0)
-            continue; // the three pure preemption policies
-        serve::ServerOptions sopts;
-        sopts.engine = EngineConfig::huggingFace().withSpecEE();
-        sopts.spec = spec;
-        sopts.workers = 2;
-        sopts.sched.max_batch = 8;
-        sopts.sched.prefill.chunk_tokens = 256;
-        sopts.sched.kv_budget_blocks = pressed_budget;
-        sopts.sched.preempt_mode = pp.mode;
-        sopts.sched.slo.batch.ttft_s = batch_ttft_slo;
-        sopts.sched.timeline.window_s = 0.5 * prefill_P;
-        serve::Server server(pipe, sopts);
-        server.submit(pressed_stream);
-        auto rep = server.drain();
-
-        slo_consistent = slo_consistent && sloConsistent(rep.fleet) &&
-                         !rep.fleet.timeline.empty();
-        if (pp.mode == serve::PreemptMode::Recompute)
-            slo_rec = rep.fleet.goodput_under_slo;
-        else if (pp.mode == serve::PreemptMode::Swap)
-            slo_swap = rep.fleet.goodput_under_slo;
-        else
-            slo_auto = rep.fleet.goodput_under_slo;
-        st.row({std::string("preempt/") + pp.label,
-                std::to_string(rep.fleet.slo_evaluated),
-                std::to_string(rep.fleet.slo_attained),
-                metrics::Table::num(rep.fleet.tokens_per_s, 1),
-                metrics::Table::num(rep.fleet.goodput_under_slo, 1),
-                std::to_string(rep.fleet.timeline.size())});
-
-        JsonPoint p;
-        p.sweep = "slo";
-        p.str("scenario", std::string("preempt_") + pp.label)
-            .num("batch_ttft_slo_s", batch_ttft_slo, 5)
-            .integer("slo_evaluated", rep.fleet.slo_evaluated)
-            .integer("slo_attained", rep.fleet.slo_attained)
-            .num("goodput_under_slo", rep.fleet.goodput_under_slo, 5)
-            .integer("timeline_windows",
-                     static_cast<long>(rep.fleet.timeline.size()));
-        latencyFields(p, rep.fleet);
-        json.push_back(std::move(p));
-    }
-
-    // Disaggregation under an interactive ITL promise. The bound
-    // splits the two fleets' measured tails geometrically, so it is
-    // attainable for the dedicated-prefill fleet and not for the
-    // unified one that laces prompt chunks into decode boundaries.
-    const double inter_itl_slo = std::sqrt(dis_itl * uni_itl);
-    double slo_uni = 0.0, slo_dis = 0.0;
-    size_t slo_dis_trace = 0;
-    for (const auto &dp : disagg_points) {
-        if (dp.prefill_devices == 1 && !dp.overlap)
-            continue; // unified vs overlapped disagg, as in the bar
-        serve::ServerOptions sopts;
-        sopts.engine = EngineConfig::huggingFace().withSpecEE();
-        sopts.spec = spec;
-        sopts.workers = 2;
-        sopts.sched.max_batch = 8;
-        sopts.sched.prefill.chunk_tokens = 256;
-        sopts.sched.topology.devices = 2;
-        sopts.sched.topology.prefill_devices = dp.prefill_devices;
-        sopts.sched.topology.overlap_transfers = dp.overlap;
-        sopts.sched.slo.interactive.itl_s = inter_itl_slo;
-        sopts.sched.timeline.window_s = 0.5 * prefill_P;
-        if (dp.prefill_devices == 1) {
-            // The richest scenario traces: prefill-device chunks, DMA
-            // handoffs and decode steps on separate Perfetto tracks.
-            sopts.trace_path = "BENCH_serving_trace.json";
-        }
-        serve::Server server(pipe, sopts);
-        server.submit(disagg_stream);
-        auto rep = server.drain();
-
-        slo_consistent = slo_consistent && sloConsistent(rep.fleet) &&
-                         !rep.fleet.timeline.empty();
-        if (dp.prefill_devices == 0) {
-            slo_uni = rep.fleet.goodput_under_slo;
-        } else {
-            slo_dis = rep.fleet.goodput_under_slo;
-            slo_dis_trace = rep.fleet.trace.size();
-        }
-        st.row({std::string("disagg/") + dp.label,
-                std::to_string(rep.fleet.slo_evaluated),
-                std::to_string(rep.fleet.slo_attained),
-                metrics::Table::num(rep.fleet.tokens_per_s, 1),
-                metrics::Table::num(rep.fleet.goodput_under_slo, 1),
-                std::to_string(rep.fleet.timeline.size())});
-
-        JsonPoint p;
-        p.sweep = "slo";
-        p.str("scenario", std::string("disagg_") + dp.label)
-            .num("interactive_itl_slo_s", inter_itl_slo, 5)
-            .integer("slo_evaluated", rep.fleet.slo_evaluated)
-            .integer("slo_attained", rep.fleet.slo_attained)
-            .num("goodput_under_slo", rep.fleet.goodput_under_slo, 5)
-            .integer("trace_events",
-                     static_cast<long>(rep.fleet.trace.size()))
-            .integer("timeline_windows",
-                     static_cast<long>(rep.fleet.timeline.size()));
-        latencyFields(p, rep.fleet);
-        json.push_back(std::move(p));
-    }
-    st.print();
-    bar("slo_points", points("slo") == 5);
-    bar("slo_accounting", slo_consistent);
-    bar("slo_disagg_trace", slo_dis_trace > 0);
-    const bool slo_ordered =
-        bar("slo_ordering", slo_swap >= slo_rec && slo_auto >= slo_rec &&
-                                slo_dis >= slo_uni);
-    std::printf("\nGoodput under SLO reproduces the latency ordering: "
-                "swap %s / auto %s >= recompute %s tok/s under the "
-                "batch TTFT promise,\ndisagg %s >= unified %s tok/s "
-                "under the interactive ITL promise: %s\n",
-                metrics::Table::num(slo_swap, 1).c_str(),
-                metrics::Table::num(slo_auto, 1).c_str(),
-                metrics::Table::num(slo_rec, 1).c_str(),
-                metrics::Table::num(slo_dis, 1).c_str(),
-                metrics::Table::num(slo_uni, 1).c_str(),
-                slo_ordered ? "MET" : "MISSED");
-
-    // --- controller sweep: adaptive knobs under a shifting mix -----
-    // A steady interactive stream runs under an ITL promise for the
-    // whole span. Phase 1 is interactive-only, where the prefill
-    // chunk size is moot; from phase 2 on, 4096-token batch prompts
-    // keep arriving, and every big chunk laced into a decode
-    // boundary breaks the promise — the regime the chunked-prefill
-    // sweep quantified. A static big chunk is yesterday's tuning for
-    // phase 1 and bleeds attainment for the rest of the run; the
-    // adaptive controller starts exactly that mis-tuned way, reads
-    // the windowed SLO attainment at each decision epoch, and
-    // re-tunes the knob online, so end to end it must at least match
-    // the worse static choice on goodput under SLO.
-    serve::StreamOptions cint;
-    cint.n_requests = 16;
-    cint.gen_len = 24;
-    cint.seed = 0xc0a1;
-    serve::StreamOptions cbatch;
-    cbatch.n_requests = 6;
-    cbatch.gen_len = 8;
-    cbatch.prompt_len = 4096;
-    cbatch.priority = serve::Priority::Batch;
-    cbatch.id_base = 100;
-    cbatch.seed = 0xc0a2;
-    auto ctl_stream = serve::mergeStreams(
-        serve::synthesizeStream(cint), serve::synthesizeStream(cbatch));
-    for (auto &r : ctl_stream) {
-        if (r.id >= 100) {
-            r.arrival_s =
-                prefill_P * (0.8 + 0.45 * static_cast<double>(r.id - 100));
-        } else {
-            r.arrival_s = 0.15 * prefill_P * static_cast<double>(r.id);
-        }
-    }
-
-    const auto interItlTail = [](const serve::ServeReport &rep) {
-        std::vector<double> v;
-        for (const auto &o : rep.outcomes) {
-            if (o.request.priority == serve::Priority::Interactive &&
-                !o.dropped && !o.cancelled)
-                v.push_back(o.max_itl_s);
-        }
-        return metrics::percentile(v, 99.0);
-    };
-
-    const int ctl_chunks[] = {64, 1024};
-    const auto runCtl = [&](int chunk, bool adaptive,
-                            const obs::TierSlo &slo, double window_s) {
-        serve::ServerOptions sopts;
-        sopts.engine = EngineConfig::huggingFace().withSpecEE();
-        sopts.spec = spec;
-        sopts.workers = 2;
-        sopts.sched.max_batch = 8;
-        sopts.sched.prefill.chunk_tokens = chunk;
-        sopts.sched.slo = slo;
-        sopts.sched.timeline.window_s = window_s;
-        if (adaptive) {
-            auto &ctl = sopts.sched.controller;
-            ctl.enabled = true;
-            ctl.seed = 11;
-            // Epochs must span several iterations: a window narrower
-            // than one big-chunk iteration closes idle (no evidence)
-            // and the posterior starves.
-            ctl.epoch_s = 0.25 * prefill_P;
-            ctl.chunk_arms = {ctl_chunks[0], ctl_chunks[1]};
-        }
-        serve::Server server(pipe, sopts);
-        server.submit(ctl_stream);
-        return server.drain();
-    };
-
-    // Probe runs (no promise yet): measure each static chunk's
-    // interactive ITL tail, then split them geometrically so the
-    // promise is attainable under small chunks and broken under big
-    // ones.
-    double probe_itl[2];
-    for (int i = 0; i < 2; ++i) {
-        auto rep = runCtl(ctl_chunks[i], false, obs::TierSlo{}, 0.0);
-        probe_itl[i] = interItlTail(rep);
-    }
-    obs::TierSlo ctl_slo;
-    ctl_slo.interactive.itl_s = std::sqrt(probe_itl[0] * probe_itl[1]);
-
-    struct CtlPoint
-    {
-        const char *label;
-        int chunk;
-        bool adaptive;
-    };
-    const CtlPoint ctl_points[] = {
-        {"static_small", ctl_chunks[0], false},
-        {"static_big", ctl_chunks[1], false},
-        {"adaptive", ctl_chunks[1], true},
-    };
-
-    metrics::Table at("Controller sweep: shifting interactive -> batch "
-                      "mix under tier promises, chunk 64 vs 1024 vs "
-                      "adaptive");
-    at.header({"config", "evaluated", "attained", "tok/s", "SLO tok/s",
-               "epochs", "knob changes"});
-
-    double ctl_gp[3] = {0.0, 0.0, 0.0};
-    bool ctl_consistent = true, ctl_epochs = true;
-    for (int i = 0; i < 3; ++i) {
-        const auto &cp = ctl_points[i];
-        auto rep =
-            runCtl(cp.chunk, cp.adaptive, ctl_slo, 0.25 * prefill_P);
-        ctl_gp[i] = rep.fleet.goodput_under_slo;
-        ctl_consistent = ctl_consistent && sloConsistent(rep.fleet);
-        const auto &ctl = rep.fleet.controller;
-        ctl_epochs = ctl_epochs &&
-                     (cp.adaptive
-                          ? ctl.epochs > 0 && ctl.knob_changes >= 0
-                          : ctl.epochs == 0 && ctl.knob_changes == 0);
-        if (cp.adaptive &&
-            std::getenv("SPECEE_BENCH_DEBUG") != nullptr) {
-            for (const auto &ep : rep.fleet.controller.trajectory) {
-                std::fprintf(stderr,
-                             "[debug] epoch=%ld t=%.3f reward=%.3f "
-                             "valid=%d changed=%d chunk=%d\n",
-                             ep.epoch, ep.t, ep.reward,
-                             ep.reward_valid ? 1 : 0, ep.changed,
-                             ep.knobs.chunk_tokens);
+            for (const auto &b : s.bars) {
+                const bool met = b.met ? b.met(book)
+                                       : book.of(s.name).size() ==
+                                             s.points.size();
+                std::printf("%-28s %s\n", b.name.c_str(),
+                            met ? "MET" : "MISSED");
+                bars.emplace_back(b.name, met);
             }
         }
-        at.row({cp.label, std::to_string(rep.fleet.slo_evaluated),
-                std::to_string(rep.fleet.slo_attained),
-                metrics::Table::num(rep.fleet.tokens_per_s, 1),
-                metrics::Table::num(rep.fleet.goodput_under_slo, 1),
-                std::to_string(rep.fleet.controller.epochs),
-                std::to_string(rep.fleet.controller.knob_changes)});
-
-        JsonPoint p;
-        p.sweep = "controller";
-        p.str("config", cp.label)
-            .integer("chunk_tokens", cp.chunk)
-            .num("interactive_itl_slo_s", ctl_slo.interactive.itl_s, 5)
-            .integer("slo_evaluated", rep.fleet.slo_evaluated)
-            .integer("slo_attained", rep.fleet.slo_attained)
-            .num("goodput_under_slo", rep.fleet.goodput_under_slo, 5)
-            .integer("epochs", rep.fleet.controller.epochs)
-            .integer("knob_changes", rep.fleet.controller.knob_changes);
-        latencyFields(p, rep.fleet);
-        json.push_back(std::move(p));
     }
-    at.print();
-    bar("controller_points", points("controller") == 3);
-    bar("controller_epochs", ctl_epochs);
-    bar("controller_slo_accounting", ctl_consistent);
-    const double ctl_worst = std::min(ctl_gp[0], ctl_gp[1]);
-    const bool controller_wins =
-        bar("controller_goodput", ctl_gp[2] >= ctl_worst * 0.999);
-    std::printf("\nThe shifting mix punishes any static chunk choice "
-                "on one phase: goodput under\nSLO %s (small) vs %s "
-                "(big) tok/s; the adaptive controller re-tunes online "
-                "and\nserves %s tok/s.\nadaptive >= the worse static "
-                "choice: %s\n",
-                metrics::Table::num(ctl_gp[0], 1).c_str(),
-                metrics::Table::num(ctl_gp[1], 1).c_str(),
-                metrics::Table::num(ctl_gp[2], 1).c_str(),
-                controller_wins ? "MET" : "MISSED");
-
-    std::printf("\nbatched SpecEE serving vs sequential: %s aggregate "
-                "tokens/s (%s)\n",
-                bar("batched_specee_throughput",
-                    specee_batch_tps > specee_seq_tps)
-                    ? "HIGHER"
-                    : "LOWER",
-                mult(specee_batch_tps / specee_seq_tps).c_str());
-    std::printf("Continuous batching amortizes the weight stream over "
-                "the decode batch; early\nexiting shortens the shared "
-                "read itself, so the two multiply under load.\n");
-    std::printf("chunked interactive TTFT >= 2x better than "
-                "monolithic: %s\n",
-                bar("chunked_interactive_ttft",
-                    small_inter_ttft * 2.0 <= mono_inter_ttft)
-                    ? "MET"
-                    : "MISSED");
-
-    writeJson("BENCH_serving.json", model, spec.name, bars, json);
+    writeJson("BENCH_serving.json", model, hw::HardwareSpec::a100().name,
+              bars, book);
     return std::all_of(bars.begin(), bars.end(),
-                       [](const Bar &b) { return b.met; })
+                       [](const auto &b) { return b.second; })
                ? 0
                : 1;
 }

@@ -12,8 +12,10 @@ Ffn::Ffn(const ModelConfig &cfg)
     : hidden_(cfg.sim.hidden),
       ffnDim_(cfg.sim.ffn),
       gate_(static_cast<size_t>(ffnDim_)),
-      act_(static_cast<size_t>(ffnDim_))
+      act_(static_cast<size_t>(ffnDim_)),
+      mags_(static_cast<size_t>(ffnDim_))
 {
+    top_.reserve(static_cast<size_t>(ffnDim_));
 }
 
 void
@@ -43,16 +45,15 @@ Ffn::forwardSparse(const LayerWeights &lw, tensor::CSpan x_normed,
         const float g = gate_[static_cast<size_t>(i)];
         act_[static_cast<size_t>(i)] = g * tensor::sigmoid(g);
     }
-    tensor::Vec mags(static_cast<size_t>(ffnDim_));
     for (int i = 0; i < ffnDim_; ++i)
-        mags[static_cast<size_t>(i)] =
+        mags_[static_cast<size_t>(i)] =
             std::fabs(act_[static_cast<size_t>(i)]);
     const int keep = std::max(
         1, static_cast<int>(std::ceil(active_frac * ffnDim_)));
-    auto top = tensor::topk(mags, static_cast<size_t>(keep));
+    tensor::topk(mags_, static_cast<size_t>(keep), top_);
 
     std::fill(out.begin(), out.end(), 0.0f);
-    for (const auto &[idx, mag] : top) {
+    for (const auto &[idx, mag] : top_) {
         (void)mag;
         const size_t i = static_cast<size_t>(idx);
         const float u = lw.w_up->rowDot(i, x_normed);

@@ -18,6 +18,9 @@
 #ifndef SPECEE_MODEL_FFN_HH
 #define SPECEE_MODEL_FFN_HH
 
+#include <utility>
+#include <vector>
+
 #include "model/config.hh"
 #include "model/weights.hh"
 #include "tensor/matrix.hh"
@@ -56,6 +59,9 @@ class Ffn
     int ffnDim_ = 0;
     int lastActive_ = 0;
     tensor::Vec gate_, act_;
+    /** Sparse-path scratch: |act| per neuron and the kept neurons. */
+    tensor::Vec mags_;
+    std::vector<std::pair<int, float>> top_;
 };
 
 } // namespace specee::model

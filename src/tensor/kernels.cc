@@ -149,23 +149,30 @@ argmax(CSpan x)
     return best;
 }
 
-std::vector<std::pair<int, float>>
-topk(CSpan x, size_t k)
+void
+topk(CSpan x, size_t k, std::vector<std::pair<int, float>> &out)
 {
     k = std::min(k, x.size());
-    std::vector<std::pair<int, float>> idx(x.size());
+    out.resize(x.size());
     for (size_t i = 0; i < x.size(); ++i)
-        idx[i] = {static_cast<int>(i), x[i]};
+        out[i] = {static_cast<int>(i), x[i]};
     // Ties broken by index: std::partial_sort orders equal values
     // unspecified, which made draft-token selection differ across
     // stdlib implementations.
-    std::partial_sort(idx.begin(), idx.begin() + static_cast<long>(k),
-                      idx.end(), [](const auto &a, const auto &b) {
+    std::partial_sort(out.begin(), out.begin() + static_cast<long>(k),
+                      out.end(), [](const auto &a, const auto &b) {
                           if (a.second != b.second)
                               return a.second > b.second;
                           return a.first < b.first;
                       });
-    idx.resize(k);
+    out.resize(k);
+}
+
+std::vector<std::pair<int, float>>
+topk(CSpan x, size_t k)
+{
+    std::vector<std::pair<int, float>> idx;
+    topk(x, k, idx);
     return idx;
 }
 
@@ -236,16 +243,18 @@ rope(Span x, size_t n_heads, size_t head_dim, size_t pos, float theta)
 {
     specee_assert(x.size() == n_heads * head_dim && head_dim % 2 == 0,
                   "rope shape mismatch");
+    // The rotation of pair i depends only on i and pos: compute each
+    // (cos, sin) once and apply it to every head.
     const size_t half = head_dim / 2;
-    for (size_t h = 0; h < n_heads; ++h) {
-        float *v = x.data() + h * head_dim;
-        for (size_t i = 0; i < half; ++i) {
-            const float freq =
-                std::pow(theta, -static_cast<float>(2 * i) /
-                                    static_cast<float>(head_dim));
-            const float angle = static_cast<float>(pos) * freq;
-            const float c = std::cos(angle);
-            const float s = std::sin(angle);
+    for (size_t i = 0; i < half; ++i) {
+        const float freq =
+            std::pow(theta, -static_cast<float>(2 * i) /
+                                static_cast<float>(head_dim));
+        const float angle = static_cast<float>(pos) * freq;
+        const float c = std::cos(angle);
+        const float s = std::sin(angle);
+        for (size_t h = 0; h < n_heads; ++h) {
+            float *v = x.data() + h * head_dim;
             const float x0 = v[i];
             const float x1 = v[i + half];
             v[i] = x0 * c - x1 * s;

@@ -70,6 +70,12 @@ size_t argmax(CSpan x);
  */
 std::vector<std::pair<int, float>> topk(CSpan x, size_t k);
 
+/**
+ * topk() into a caller's vector, whose capacity is kept across calls
+ * (out's prior contents are discarded).
+ */
+void topk(CSpan x, size_t k, std::vector<std::pair<int, float>> &out);
+
 /** RMSNorm: out = x / rms(x) * weight. */
 void rmsnorm(CSpan x, CSpan weight, Span out, float eps = 1e-5f);
 

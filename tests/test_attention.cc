@@ -12,6 +12,7 @@
 #include "model/decoder_layer.hh"
 #include "model/kv_cache.hh"
 #include "tensor/kernels.hh"
+#include "test_util.hh"
 #include "util/rng.hh"
 
 using namespace specee;
@@ -192,6 +193,27 @@ TEST(Ffn, SparseApproximatesDense)
         den += dense[i] * dense[i];
     }
     EXPECT_LT(num, 0.6f * den);
+}
+
+TEST(Ffn, SparseIsBitStable)
+{
+    // Repeated sparse forwards on one Ffn reuse its scratch; the
+    // outputs are pinned bit for bit at two active fractions.
+    auto c = cfg();
+    Weights w(c, WeightBackend::Fp32, WeightBackend::Fp32);
+    Ffn ffn(c);
+    testutil::Digest d;
+    for (const float frac : {0.3f, 1.0f}) {
+        for (int call = 0; call < 3; ++call) {
+            for (int l = 0; l < 2; ++l) {
+                const auto x = randomVec(c.sim.hidden, 40 + l);
+                d.span(sparseFfn(ffn, w.layer(l), x, frac));
+                d.pod(ffn.lastActiveNeurons());
+            }
+        }
+    }
+    EXPECT_EQ(d.value(), testutil::pinned(0xc2de2815a642fb80ull,
+                                          0x5f399ef8ccb5462cull));
 }
 
 TEST(DecoderLayer, ForwardUpdatesResidualAndKv)

@@ -289,6 +289,22 @@ TEST(Kernels, RopeRelativePhase)
     EXPECT_NEAR(dot_at(7, 7), dot_at(0, 0), 1e-3f);
 }
 
+TEST(Kernels, RopeHeadsMatchSingleHead)
+{
+    // Every head rotates by the same (cos, sin) pairs: rope over six
+    // heads is rope over each head's slice, bit for bit.
+    const size_t positions[] = {0, 1, 7, 513};
+    for (const size_t pos : positions) {
+        Vec all = randomVec(6 * 32, 11 + pos);
+        Vec each = all;
+        rope(all, 6, 32, pos);
+        for (size_t h = 0; h < 6; ++h)
+            rope(Span(each.data() + h * 32, 32), 1, 32, pos);
+        for (size_t i = 0; i < all.size(); ++i)
+            EXPECT_EQ(all[i], each[i]) << "pos " << pos << " i " << i;
+    }
+}
+
 // --- parameterized shape sweep ------------------------------------------
 
 class GemvShapes : public ::testing::TestWithParam<std::pair<int, int>>
