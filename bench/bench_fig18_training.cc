@@ -32,7 +32,7 @@ main()
         const auto &pipe = pipeline(model);
         const double wall = sw.seconds();
         const auto &data = pipe.profileData();
-        const auto &phase = pipe.phaseTimes();
+        const engines::PipelineTimes phase = pipe.phaseTimes();
         setup.row({model, std::to_string(data.specee.front().size()),
                    metrics::Table::num(wall, 2),
                    metrics::Table::num(phase.weights_s, 2),

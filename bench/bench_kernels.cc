@@ -2,7 +2,8 @@
  * @file
  * Kernel micro-benchmarks (google-benchmark): the functional-kernel
  * costs behind the paper's claims — full vs sliced LM head (Fig. 2b),
- * grouped hyper-token GEMV (Fig. 13), Q4 vs fp32 GEMV (AWQ), the
+ * the early-exit label test against a full head, grouped hyper-token
+ * GEMV (Fig. 13), Q4 vs fp32 GEMV (AWQ), the
  * batched fp32 GEMV of block decode, the predictor MLP's inference and
  * training, one decoder layer per row of a block, and the sparse FFN
  * (PowerInfer).
@@ -88,6 +89,43 @@ BM_LmHeadSliced(benchmark::State &state)
                             static_cast<long>(spec.size()));
 }
 BENCHMARK(BM_LmHeadSliced);
+
+// The exit label's question, "is token t the full head's argmax?",
+// answered by the full head plus an argmax scan (the baseline) and by
+// LmHead::isArgmax. Arg 1 asks about the argmax itself, which reads
+// every row either way; arg 0 about a mid-ranked token, where
+// isArgmax stops at the first row that outscores it. Items are tests.
+static int
+argmaxQuestionToken(const benchmark::State &state)
+{
+    auto &f = headFixture();
+    const int best = f.head.argmaxToken(f.hidden);
+    return state.range(0) == 1 ? best
+                               : (best + f.cfg.sim.vocab / 2) %
+                                     f.cfg.sim.vocab;
+}
+
+static void
+BM_LmHeadArgmaxFull(benchmark::State &state)
+{
+    auto &f = headFixture();
+    const int token = argmaxQuestionToken(state);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(f.head.argmaxToken(f.hidden) == token);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LmHeadArgmaxFull)->Arg(0)->Arg(1);
+
+static void
+BM_LmHeadArgmaxTest(benchmark::State &state)
+{
+    auto &f = headFixture();
+    const int token = argmaxQuestionToken(state);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(f.head.isArgmax(f.hidden, token));
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LmHeadArgmaxTest)->Arg(0)->Arg(1);
 
 static void
 BM_LmHeadGrouped(benchmark::State &state)

@@ -6,8 +6,9 @@
  * profiling workload (the paper uses MT-Bench prompts), recording
  * per-layer samples: the 12-dim speculation features plus the label
  * "the token an exit at this layer would emit equals the token the
- * full forward pass emits". The AdaInfer baseline's 3-dim full-vocab
- * features are collected from the same runs.
+ * full forward pass emits". A separate collector replays the same
+ * runs for the AdaInfer baseline's 3-dim full-vocabulary features,
+ * which only an AdaInfer engine needs.
  *
  * Training is plain Adam on BCE per layer; accuracy is reported on a
  * held-out split, which is what Fig. 8 / Fig. 18 plot.
@@ -33,8 +34,6 @@ struct ProfileData
 {
     /** 12-dim speculation features per exit layer. */
     std::vector<nn::Dataset> specee;
-    /** 3-dim AdaInfer features per exit layer. */
-    std::vector<nn::Dataset> adainfer;
     /** Oracle exit layer histogram (first label-true layer). */
     std::vector<long> oracle_exit_hist;
     /** RAEE database entries: layer-0 hidden probe per token. */
@@ -66,20 +65,29 @@ class PredictorTrainer
   public:
     /**
      * Profile `tm` over `workload` with `dlm` proposing speculative
-     * tokens; fills per-layer datasets for both predictor families.
-     * Each instance's scripted tokens are known up front, so the
-     * model decodes them as one block (TargetModel::decodeScripted):
-     * layer by layer on a team of threads, each weight row read once
-     * per four tokens. Then parallelFor runs the full-vocabulary
-     * heads that label the instance's rows, and the next instance
-     * starts. Profiling holds one sequence state, reset per
-     * instance, and one instance's hidden states, as a sequential
-     * pass does. The result does not depend on the thread count.
+     * tokens; fills the SpecEE datasets, the oracle exit histogram
+     * and the RAEE probes. Each instance's scripted tokens are known
+     * up front, so the model decodes them as one block
+     * (TargetModel::decodeScripted). Then parallelFor labels the
+     * instance's rows token by token with LmHead::isArgmax, which
+     * reads the whole head only for a row whose label is 1, and the
+     * next instance starts. The result does not depend on the thread
+     * count.
      */
     static ProfileData collect(const workload::Workload &w,
                                const model::TargetModel &tm,
                                const model::DraftModel &dlm,
                                uint64_t seed);
+
+    /**
+     * The AdaInfer baseline's 3-dim features per exit layer, with
+     * collect()'s labels, from the same decode: the same arguments
+     * give the same hidden states row for row. Every row runs the
+     * full head, a softmax and an entropy.
+     */
+    static std::vector<nn::Dataset>
+    collectAdaInfer(const workload::Workload &w, const model::TargetModel &tm,
+                    const model::DraftModel &dlm, uint64_t seed);
 
     /**
      * Train the SpecEE MLP bank, its layers in parallel; returns
@@ -89,9 +97,9 @@ class PredictorTrainer
     static TrainReport train(ExitPredictor &bank, const ProfileData &data,
                              const TrainerOptions &opts);
 
-    /** Train an AdaInfer SVM bank on the same profiling data. */
+    /** Train an AdaInfer SVM bank on collectAdaInfer()'s datasets. */
     static TrainReport trainAdaInfer(std::vector<nn::LinearSvm> &bank,
-                                     const ProfileData &data,
+                                     const std::vector<nn::Dataset> &data,
                                      const TrainerOptions &opts);
 };
 

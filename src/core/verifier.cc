@@ -2,14 +2,11 @@
 
 namespace specee::core {
 
-VerifyResult
+bool
 Verifier::verify(const model::LmHead &head, tensor::CSpan hidden,
                  int local_best)
 {
-    VerifyResult r;
-    r.token = head.argmaxToken(hidden);
-    r.verified = r.token == local_best;
-    return r;
+    return head.isArgmax(hidden, local_best);
 }
 
 } // namespace specee::core

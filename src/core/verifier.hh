@@ -14,13 +14,6 @@
 
 namespace specee::core {
 
-/** Verification outcome. */
-struct VerifyResult
-{
-    bool verified = false; ///< global argmax equals the local result
-    int token = -1;        ///< the global argmax token
-};
-
 /** Stateless verification algorithm. */
 class Verifier
 {
@@ -28,12 +21,14 @@ class Verifier
     /**
      * Fig. 5 algorithm: T' = the local result (speculative token with
      * the highest sliced logit), T = the global result (full-vocab
-     * argmax of `hidden` through `head`); exit iff T == T'.
+     * argmax of `hidden` through `head`); exit iff T == T'. The
+     * test is LmHead::isArgmax, so a reject usually stops after a
+     * few rows of the head; an accepted exit emits T'.
      *
      * @param local_best the local result T' (argmax over spec tokens)
      */
-    static VerifyResult verify(const model::LmHead &head,
-                               tensor::CSpan hidden, int local_best);
+    static bool verify(const model::LmHead &head, tensor::CSpan hidden,
+                       int local_best);
 };
 
 } // namespace specee::core

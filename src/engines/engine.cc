@@ -509,14 +509,13 @@ Engine::decodeToken(model::SequenceState &seq, int input_token,
             ++stats.verify_calls;
             if (log != nullptr)
                 chargeLmHeadFull(*log, 1);
-            const size_t local_idx = tensor::argmax(fx.localProbs());
-            auto v = core::Verifier::verify(tm_->lmHead(), hidden,
-                                            spec_tokens[local_idx]);
-            if (!v.verified) {
+            const int local =
+                spec_tokens[tensor::argmax(fx.localProbs())];
+            if (!core::Verifier::verify(tm_->lmHead(), hidden, local)) {
                 ++stats.verify_rejects;
                 continue;
             }
-            out.token = v.token;
+            out.token = local;
             out.exited = true;
             out.exit_layer = l;
             break;

@@ -8,6 +8,51 @@
 
 namespace specee::engines {
 
+namespace {
+
+/**
+ * What profiling decodes: the workload, the target, its draft and the
+ * seed of the speculation stream.
+ */
+struct ProfilingRun
+{
+    workload::Workload w;
+    model::TargetModel tm;
+    model::DraftModel dlm;
+    uint64_t seed;
+};
+
+/** The profiling run of §7.4.4; the same options give the same run. */
+ProfilingRun
+profilingRun(const PipelineOptions &opts, const model::ModelConfig &mcfg,
+             const oracle::SyntheticCorpus &corpus,
+             std::shared_ptr<const model::Weights> weights)
+{
+    const auto &profile = oracle::profileByName(opts.train_dataset);
+    workload::WorkloadGen gen(corpus);
+    workload::GenOptions gopts;
+    gopts.n_instances = opts.train_instances;
+    gopts.gen_len = opts.train_gen_len;
+    gopts.seed = opts.seed ^ 0x7a11;
+    model::TargetModelOptions tm_opts;
+    tm_opts.noise_seed = mcfg.weight_seed ^ 0xa0153;
+    return {gen.generate(profile, mcfg, gopts),
+            model::TargetModel(mcfg, tm_opts, std::move(weights)),
+            model::DraftModel(mcfg, corpus, profile.draft_hit_rate),
+            opts.seed ^ 0xc011};
+}
+
+core::TrainerOptions
+trainerOptions(const PipelineOptions &opts)
+{
+    core::TrainerOptions topts;
+    topts.train = opts.train_cfg;
+    topts.data_ratio = opts.data_ratio;
+    return topts;
+}
+
+} // namespace
+
 Pipeline::Pipeline(const PipelineOptions &opts)
     : opts_(opts), mcfg_(model::ModelConfig::byName(opts.model))
 {
@@ -21,33 +66,21 @@ Pipeline::Pipeline(const PipelineOptions &opts)
         mcfg_.sim.vocab, opts.seed ^ 0xc0de);
 
     // --- collect profiling data (§7.4.4) -------------------------------
-    const auto &profile = oracle::profileByName(opts.train_dataset);
-    workload::WorkloadGen gen(*corpus_);
-    workload::GenOptions gopts;
-    gopts.n_instances = opts.train_instances;
-    gopts.gen_len = opts.train_gen_len;
-    gopts.seed = opts.seed ^ 0x7a11;
-    const workload::Workload train_w =
-        gen.generate(profile, mcfg_, gopts);
-
-    model::TargetModelOptions tm_opts;
-    tm_opts.noise_seed = mcfg_.weight_seed ^ 0xa0153;
-    model::TargetModel tm(mcfg_, tm_opts, weights_);
-    model::DraftModel dlm(mcfg_, *corpus_, profile.draft_hit_rate);
-    profile_ = core::PredictorTrainer::collect(train_w, tm, dlm,
-                                               opts.seed ^ 0xc011);
+    {
+        const ProfilingRun run =
+            profilingRun(opts_, mcfg_, *corpus_, weights_);
+        profile_ = core::PredictorTrainer::collect(run.w, run.tm, run.dlm,
+                                                   run.seed);
+    }
     times_.profiling_s = sw.seconds();
 
-    // --- train the predictor banks ----------------------------------------
+    // --- train the SpecEE predictor bank ----------------------------------
     sw.reset();
     preds_ = std::make_unique<core::ExitPredictor>(
         mcfg_.n_layers - 1, 3 * mcfg_.num_spec_tokens, opts.mlp_hidden,
         opts.mlp_depth, opts.seed ^ 0xec5);
-    core::TrainerOptions topts;
-    topts.train = opts.train_cfg;
-    topts.data_ratio = opts.data_ratio;
-    report_ = core::PredictorTrainer::train(*preds_, profile_, topts);
-    core::PredictorTrainer::trainAdaInfer(ada_.svms, profile_, topts);
+    report_ = core::PredictorTrainer::train(*preds_, profile_,
+                                            trainerOptions(opts_));
 
     // --- RAEE baseline database -------------------------------------------
     raee_ = std::make_unique<core::RaeeIndex>(mcfg_.sim.hidden,
@@ -63,6 +96,31 @@ Pipeline::Pipeline(const PipelineOptions &opts)
     }
     hot_ = off.hotLayers(core::kOfflineHotMass);
     times_.training_s = sw.seconds();
+}
+
+const AdaInferBank &
+Pipeline::adaInferBank() const
+{
+    std::call_once(adaOnce_, [this] {
+        Stopwatch sw;
+        const ProfilingRun run =
+            profilingRun(opts_, mcfg_, *corpus_, weights_);
+        core::PredictorTrainer::trainAdaInfer(
+            ada_.svms,
+            core::PredictorTrainer::collectAdaInfer(run.w, run.tm, run.dlm,
+                                                    run.seed),
+            trainerOptions(opts_));
+        adaSeconds_.store(sw.seconds());
+    });
+    return ada_;
+}
+
+PipelineTimes
+Pipeline::phaseTimes() const
+{
+    PipelineTimes t = times_;
+    t.adainfer_s = adaSeconds_.load();
+    return t;
 }
 
 Pipeline::~Pipeline() = default;
@@ -85,7 +143,8 @@ Pipeline::makeEngine(const EngineConfig &ecfg,
     auto e = std::make_unique<Engine>(ecfg, mcfg_, spec, *corpus_,
                                       dense ? weights_ : nullptr);
     e->setPredictors(preds_.get());
-    e->setAdaInferBank(&ada_);
+    if (ecfg.adainfer)
+        e->setAdaInferBank(&adaInferBank());
     e->setRaeeIndex(raee_.get());
     e->setOfflineHotLayers(hot_);
     return e;

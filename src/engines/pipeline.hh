@@ -5,8 +5,11 @@
  * Wires together everything a user (or a benchmark) needs to run
  * SpecEE on a model: the synthetic corpus, the offline predictor
  * training of §7.4.4, the offline scheduling profile of §5.3, the
- * AdaInfer baseline bank, and engine construction. This is the entry
- * point the examples use:
+ * RAEE index, and engine construction. The AdaInfer baseline bank is
+ * trained the first time it is asked for (adaInferBank(), or
+ * makeEngine() of an AdaInfer config), so a SpecEE-only deployment
+ * never profiles the full-vocabulary features it alone needs. This
+ * is the entry point the examples use:
  *
  *   engines::Pipeline pipe({.model = "llama2-7b"});
  *   auto engine = pipe.makeEngine(
@@ -18,7 +21,9 @@
 #ifndef SPECEE_ENGINES_PIPELINE_HH
 #define SPECEE_ENGINES_PIPELINE_HH
 
+#include <atomic>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -59,7 +64,9 @@ struct PipelineTimes
 {
     double weights_s = 0.0;   ///< drawing the dense weight set
     double profiling_s = 0.0; ///< profiling workload and collect()
-    double training_s = 0.0;  ///< banks, RAEE index, offline schedule
+    double training_s = 0.0;  ///< SpecEE bank, RAEE index, schedule
+    /** AdaInfer profiling and SVM bank; 0 until the bank is trained. */
+    double adainfer_s = 0.0;
 };
 
 /** Trained, ready-to-run SpecEE deployment for one model. */
@@ -72,14 +79,19 @@ class Pipeline
     const model::ModelConfig &modelConfig() const { return mcfg_; }
     const oracle::SyntheticCorpus &corpus() const { return *corpus_; }
     const core::ExitPredictor &predictors() const { return *preds_; }
-    const AdaInferBank &adaInferBank() const { return ada_; }
+    /**
+     * The AdaInfer SVM bank, trained on the first call: it replays
+     * construction's profiling decode for the full-vocabulary
+     * features. Safe to call from several threads; all get one bank.
+     */
+    const AdaInferBank &adaInferBank() const;
     const core::RaeeIndex &raeeIndex() const { return *raee_; }
     const std::vector<int> &offlineHotLayers() const { return hot_; }
     const core::ProfileData &profileData() const { return profile_; }
     const core::TrainReport &trainReport() const { return report_; }
     const PipelineOptions &options() const { return opts_; }
-    /** How long construction took, phase by phase. */
-    const PipelineTimes &phaseTimes() const { return times_; }
+    /** How long construction (and the AdaInfer bank) took. */
+    PipelineTimes phaseTimes() const;
 
     /**
      * Build a workload for one of the nine dataset profiles.
@@ -90,9 +102,10 @@ class Pipeline
                                     bool quantized_cal = false) const;
 
     /**
-     * Construct an engine with the trained artifacts attached. Dense
-     * (fp16-format) engines share the pipeline's one immutable weight
-     * set; the compressed formats build their own.
+     * Construct an engine with the trained artifacts attached; only
+     * an AdaInfer config gets (and so trains) the AdaInfer bank.
+     * Dense (fp16-format) engines share the pipeline's one immutable
+     * weight set; the compressed formats build their own.
      */
     std::unique_ptr<Engine> makeEngine(const EngineConfig &ecfg,
                                        const hw::HardwareSpec &spec) const;
@@ -105,7 +118,9 @@ class Pipeline
     std::unique_ptr<oracle::SyntheticCorpus> corpus_;
     std::unique_ptr<core::ExitPredictor> preds_;
     std::unique_ptr<core::RaeeIndex> raee_;
-    AdaInferBank ada_;
+    mutable std::once_flag adaOnce_;
+    mutable AdaInferBank ada_;           ///< written once, under adaOnce_
+    mutable std::atomic<double> adaSeconds_{0.0};
     core::ProfileData profile_;
     core::TrainReport report_;
     std::vector<int> hot_;

@@ -74,4 +74,45 @@ LmHead::argmaxToken(tensor::CSpan hidden_state) const
     return static_cast<int>(tensor::argmax(logits));
 }
 
+bool
+LmHead::isArgmax(tensor::CSpan hidden_state, int token) const
+{
+    return isArgmaxRows(hidden_state, token)[0];
+}
+
+std::vector<bool>
+LmHead::isArgmaxRows(tensor::CSpan hiddens, int token) const
+{
+    const size_t h = embedding_.cols();
+    const size_t n = hiddens.size() / h;
+    specee_assert(n > 0 && hiddens.size() == n * h, "isArgmaxRows sizes");
+    specee_assert(token >= 0 && token < vocab(), "token %d out of range",
+                  token);
+    // rowDot(r) is the store's gemv() output r, so every logit here is
+    // the one full() computes.
+    const auto t = static_cast<size_t>(token);
+    tensor::Vec normed(hiddens.size());
+    std::vector<float> logit(n);
+    std::vector<size_t> running(n);
+    for (size_t j = 0; j < n; ++j) {
+        const tensor::Span row = tensor::Span(normed).subspan(j * h, h);
+        tensor::rmsnorm(hiddens.subspan(j * h, h), rmsFinal_, row);
+        logit[j] = embedding_.rowDot(t, row);
+        running[j] = j;
+    }
+    std::vector<bool> hit(n, false);
+    for (size_t r = 0; r < embedding_.rows() && !running.empty(); ++r) {
+        if (r == t)
+            continue;
+        std::erase_if(running, [&](size_t j) {
+            const float x = embedding_.rowDot(
+                r, tensor::CSpan(normed).subspan(j * h, h));
+            return r < t ? x >= logit[j] : x > logit[j];
+        });
+    }
+    for (size_t j : running)
+        hit[j] = true;
+    return hit;
+}
+
 } // namespace specee::model

@@ -71,6 +71,26 @@ class LmHead
     /** argmax over the full vocabulary for a hidden state. */
     int argmaxToken(tensor::CSpan hidden_state) const;
 
+    /**
+     * Whether `token` is the full-vocabulary argmax: equal to
+     * argmaxToken(hidden_state) == token for NaN-free logits, first
+     * maximum on ties included. A miss usually stops within a few
+     * dozen rows of the head; only a hit reads all of it.
+     */
+    bool isArgmax(tensor::CSpan hidden_state, int token) const;
+
+    /**
+     * isArgmax() of `token` for each row of `hiddens` (n x hidden,
+     * row-major). It computes each row's logit of the token, then
+     * walks the head in index order: every row still in the running
+     * takes that head row's logit, as full() would compute it, and
+     * drops out when it would displace the token (a head row below
+     * the token on >=, above it on >). The walk stops when no row is
+     * left. Rows still running share each head row's read, so the
+     * hits of one token's layers read the head about once.
+     */
+    std::vector<bool> isArgmaxRows(tensor::CSpan hiddens, int token) const;
+
   private:
     /** The final RMSNorm of a hidden state. */
     tensor::Vec normalize(tensor::CSpan hidden_state) const;

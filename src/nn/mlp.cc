@@ -56,7 +56,40 @@ namespace {
  */
 constexpr size_t kMaxBlock = 64;
 
+/** Samples idx[0..k) of `data`, laid out [feature][sample] in x. */
+void
+gatherBlock(const Dataset &data, const size_t *idx, size_t k, float *x)
+{
+    for (size_t j = 0; j < k; ++j) {
+        const tensor::CSpan f = data.features(idx[j]);
+        for (size_t c = 0; c < f.size(); ++c)
+            x[c * k + j] = f[c];
+    }
+}
+
 } // namespace
+
+const float *
+Mlp::forwardBlock(const float *x, size_t k,
+                  std::vector<std::vector<float>> &act) const
+{
+    const float *cur = x;
+    for (size_t li = 0; li < layers_.size(); ++li) {
+        layers_[li].forwardBatch(cur, k, li + 1 < layers_.size(),
+                                 act[li].data());
+        cur = act[li].data();
+    }
+    return cur;
+}
+
+std::vector<std::vector<float>>
+Mlp::blockBuffers(size_t cap) const
+{
+    std::vector<std::vector<float>> bufs(layers_.size());
+    for (size_t li = 0; li < layers_.size(); ++li)
+        bufs[li].resize(layers_[li].outDim() * cap);
+    return bufs;
+}
 
 TrainStats
 Mlp::fit(const Dataset &data, const TrainConfig &cfg)
@@ -75,11 +108,8 @@ Mlp::fit(const Dataset &data, const TrainConfig &cfg)
     // One block's inputs, activations and output gradients, each laid
     // out [unit][sample].
     std::vector<float> x(in * cap);
-    std::vector<std::vector<float>> act(depth), grad(depth);
-    for (size_t li = 0; li < depth; ++li) {
-        act[li].resize(layers_[li].outDim() * cap);
-        grad[li].resize(layers_[li].outDim() * cap);
-    }
+    std::vector<std::vector<float>> act = blockBuffers(cap);
+    std::vector<std::vector<float>> grad = blockBuffers(cap);
 
     Rng rng(cfg.seed);
     std::vector<size_t> order(n);
@@ -93,18 +123,8 @@ Mlp::fit(const Dataset &data, const TrainConfig &cfg)
             const size_t b1 = std::min(b0 + batch, n);
             for (size_t k0 = b0; k0 < b1; k0 += cap) {
                 const size_t k = std::min(cap, b1 - k0);
-                for (size_t j = 0; j < k; ++j) {
-                    const tensor::CSpan f = data.features(order[k0 + j]);
-                    for (size_t c = 0; c < in; ++c)
-                        x[c * k + j] = f[c];
-                }
-
-                const float *cur = x.data();
-                for (size_t li = 0; li < depth; ++li) {
-                    layers_[li].forwardBatch(cur, k, li + 1 < depth,
-                                             act[li].data());
-                    cur = act[li].data();
-                }
+                gatherBlock(data, order.data() + k0, k, x.data());
+                forwardBlock(x.data(), k, act);
 
                 // BCE loss, and dL/dlogit = p - y for sigmoid + BCE.
                 for (size_t j = 0; j < k; ++j) {
@@ -135,7 +155,7 @@ Mlp::fit(const Dataset &data, const TrainConfig &cfg)
         stats.final_loss = total_loss / static_cast<double>(n);
         stats.epochs_run = e + 1;
     }
-    stats.train_accuracy = accuracy(data);
+    stats.train_accuracy = blockAccuracy(data, 0.5f, cap, x, act);
     return stats;
 }
 
@@ -144,14 +164,37 @@ Mlp::accuracy(const Dataset &data, float threshold) const
 {
     if (data.empty())
         return 0.0;
+    specee_assert(data.dim() == inputDim(),
+                  "dataset dim %zu != MLP input %zu", data.dim(),
+                  inputDim());
+    const size_t cap = std::min(data.size(), kMaxBlock);
+    std::vector<float> x(inputDim() * cap);
+    std::vector<std::vector<float>> act = blockBuffers(cap);
+    return blockAccuracy(data, threshold, cap, x, act);
+}
+
+double
+Mlp::blockAccuracy(const Dataset &data, float threshold, size_t cap,
+                   std::vector<float> &x,
+                   std::vector<std::vector<float>> &act) const
+{
+    // forwardBatch equals predict()'s forward bit for bit.
+    const size_t n = data.size();
+    std::vector<size_t> idx(n);
+    std::iota(idx.begin(), idx.end(), size_t{0});
     size_t correct = 0;
-    for (size_t i = 0; i < data.size(); ++i) {
-        const bool pred = predict(data.features(i)) > threshold;
-        const bool truth = data.label(i) > 0.5f;
-        if (pred == truth)
-            ++correct;
+    for (size_t i0 = 0; i0 < n; i0 += cap) {
+        const size_t k = std::min(cap, n - i0);
+        gatherBlock(data, idx.data() + i0, k, x.data());
+        const float *logits = forwardBlock(x.data(), k, act);
+        for (size_t j = 0; j < k; ++j) {
+            const bool pred = tensor::sigmoid(logits[j]) > threshold;
+            const bool truth = data.label(i0 + j) > 0.5f;
+            if (pred == truth)
+                ++correct;
+        }
     }
-    return static_cast<double>(correct) / static_cast<double>(data.size());
+    return static_cast<double>(correct) / static_cast<double>(n);
 }
 
 size_t

@@ -83,7 +83,11 @@ class Mlp
      */
     TrainStats fit(const Dataset &data, const TrainConfig &cfg);
 
-    /** Classification accuracy at `threshold` on a dataset. */
+    /**
+     * Classification accuracy at `threshold` on a dataset: blocks of
+     * samples through the batched forward, each prediction equal to
+     * predict()'s.
+     */
     double accuracy(const Dataset &data, float threshold = 0.5f) const;
 
     /** Total parameter count. */
@@ -111,6 +115,27 @@ class Mlp
     static Mlp load(std::istream &is);
 
   private:
+    /**
+     * Logits of k samples, x laid out [feature][sample]: every layer's
+     * forwardBatch, ReLU between, layer li's output into act[li].
+     * Returns act.back().
+     */
+    const float *forwardBlock(const float *x, size_t k,
+                              std::vector<std::vector<float>> &act) const;
+
+    /**
+     * accuracy() in blocks of up to `cap` samples through the caller's
+     * input block `x` and forwardBlock() buffers `act`. fit() passes
+     * its own: a second set of a 512-wide layer's buffers (128 KiB)
+     * per fit raised the serving benchmark's peak RSS by 1-2 MB.
+     */
+    double blockAccuracy(const Dataset &data, float threshold, size_t cap,
+                         std::vector<float> &x,
+                         std::vector<std::vector<float>> &act) const;
+
+    /** One buffer per layer for blocks of up to `cap` samples. */
+    std::vector<std::vector<float>> blockBuffers(size_t cap) const;
+
     std::vector<Linear> layers_;
 };
 

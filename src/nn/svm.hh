@@ -40,6 +40,9 @@ class LinearSvm
 
     size_t dim() const { return w_.size(); }
 
+    const tensor::Vec &weights() const { return w_; }
+    float bias() const { return b_; }
+
   private:
     tensor::Vec w_;
     float b_ = 0.0f;

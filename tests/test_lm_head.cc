@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "model/lm_head.hh"
 #include "model/weights.hh"
@@ -121,6 +123,125 @@ TEST(LmHead, ArgmaxConsistentWithFull)
     f.head.full(h, full);
     EXPECT_EQ(f.head.argmaxToken(h),
               static_cast<int>(tensor::argmax(full)));
+}
+
+namespace {
+
+/**
+ * Answers of isArgmax() and isArgmaxRows() about the rows of `block`
+ * (n x hidden) that disagree with argmaxToken() == token, over every
+ * token.
+ */
+int
+argmaxTestMismatches(const LmHead &head, tensor::CSpan block)
+{
+    const auto h = static_cast<size_t>(head.hidden());
+    const size_t n = block.size() / h;
+    std::vector<int> best(n);
+    for (size_t j = 0; j < n; ++j)
+        best[j] = head.argmaxToken(block.subspan(j * h, h));
+    int bad = 0;
+    for (int t = 0; t < head.vocab(); ++t) {
+        const std::vector<bool> rows = head.isArgmaxRows(block, t);
+        for (size_t j = 0; j < n; ++j) {
+            bad += rows[j] != (best[j] == t) ? 1 : 0;
+            bad += head.isArgmax(block.subspan(j * h, h), t) !=
+                           (best[j] == t)
+                       ? 1
+                       : 0;
+        }
+    }
+    return bad;
+}
+
+/** A vocab x hidden head of normal draws. */
+tensor::Matrix
+randomHead(size_t vocab, size_t hidden, uint64_t seed)
+{
+    tensor::Matrix m(vocab, hidden);
+    Rng rng(seed);
+    for (size_t i = 0; i < m.size(); ++i)
+        m.data()[i] = static_cast<float>(rng.normal());
+    return m;
+}
+
+} // namespace
+
+// The exit label and the verifier ask only whether a token is the
+// argmax; isArgmax must answer exactly as argmaxToken() does, first
+// maximum on ties included, on every backend, at both dispatch levels.
+TEST(LmHead, IsArgmaxEqualsArgmaxTest)
+{
+    const tensor::simd::Level prev = tensor::simd::activeLevel();
+    for (const ModelConfig &cfg :
+         {ModelConfig::tiny(), ModelConfig::llama2_7b()}) {
+        const auto vocab = static_cast<size_t>(cfg.sim.vocab);
+        const auto hidden = static_cast<size_t>(cfg.sim.hidden);
+        const tensor::Matrix random = randomHead(vocab, hidden, 11);
+        const tensor::Vec rms = randomVec(cfg.sim.hidden, 12);
+        const tensor::Vec h = randomVec(cfg.sim.hidden, 13);
+        const int top = [&] {
+            const auto emb = tensor::makeWeightStore(random,
+                                                     tensor::WeightBackend::Fp32);
+            return LmHead(*emb, rms).argmaxToken(h);
+        }();
+        ASSERT_GT(top, 0);
+        ASSERT_LT(top, cfg.sim.vocab - 1);
+        // The argmax row copied below it (the copy wins the tie) and
+        // above it (the original keeps it); then every row equal.
+        tensor::Matrix below = random, above = random;
+        const auto t = static_cast<size_t>(top);
+        std::copy(random.row(t).begin(), random.row(t).end(),
+                  below.row(t / 2).begin());
+        std::copy(random.row(t).begin(), random.row(t).end(),
+                  above.row((t + vocab) / 2).begin());
+        tensor::Matrix flat(vocab, hidden);
+        for (size_t r = 0; r < vocab; ++r)
+            std::copy(random.row(0).begin(), random.row(0).end(),
+                      flat.row(r).begin());
+
+        for (auto level : {tensor::simd::Level::Scalar,
+                           tensor::simd::detectLevel()}) {
+            tensor::simd::setLevel(level);
+            for (auto b : {tensor::WeightBackend::Fp32,
+                           tensor::WeightBackend::Q8,
+                           tensor::WeightBackend::Q4}) {
+                const std::string where =
+                    cfg.name + " " + tensor::simd::levelName(level) + " " +
+                    tensor::weightBackendName(b);
+                const auto rnd = tensor::makeWeightStore(random, b);
+                const LmHead head(*rnd, rms);
+                // Three unrelated rows, then h twice scaled, whose
+                // rows share an argmax (RMSNorm undoes the scale).
+                EXPECT_EQ(argmaxTestMismatches(
+                              head, randomVec(3 * cfg.sim.hidden, 14)),
+                          0)
+                    << where;
+                tensor::Vec scaled(h);
+                scaled.insert(scaled.end(), h.begin(), h.end());
+                tensor::scaleInplace(
+                    tensor::Span(scaled).subspan(hidden, hidden), 3.0f);
+                EXPECT_EQ(argmaxTestMismatches(head, scaled), 0) << where;
+                // A copied row quantizes to the same row, so the tie
+                // holds on every backend; where it sits is fp32's.
+                const auto lo = tensor::makeWeightStore(below, b);
+                const LmHead head_lo(*lo, rms);
+                const auto hi = tensor::makeWeightStore(above, b);
+                const LmHead head_hi(*hi, rms);
+                if (b == tensor::WeightBackend::Fp32) {
+                    EXPECT_EQ(head_lo.argmaxToken(h), top / 2) << where;
+                    EXPECT_EQ(head_hi.argmaxToken(h), top) << where;
+                }
+                EXPECT_EQ(argmaxTestMismatches(head_lo, h), 0) << where;
+                EXPECT_EQ(argmaxTestMismatches(head_hi, h), 0) << where;
+                const auto eq = tensor::makeWeightStore(flat, b);
+                const LmHead head_eq(*eq, rms);
+                EXPECT_TRUE(head_eq.isArgmax(h, 0)) << where;
+                EXPECT_EQ(argmaxTestMismatches(head_eq, h), 0) << where;
+            }
+        }
+    }
+    tensor::simd::setLevel(prev);
 }
 
 TEST(LmHead, ScaleInvarianceFromRmsNorm)

@@ -178,6 +178,28 @@ TEST(Mlp, AccuracyOnHeldOut)
     EXPECT_GT(mlp.accuracy(test), 0.92);
 }
 
+// accuracy() runs blocks of samples through the batched forward; each
+// of its predictions must be predict()'s, over a ragged last block.
+TEST(Mlp, AccuracyCountsPredictions)
+{
+    Mlp mlp({12, 64, 64, 1}, 14);
+    const Dataset data = exitLike(173, 0xacc);
+    TrainConfig cfg;
+    cfg.epochs = 2;
+    mlp.fit(data, cfg);
+    for (float threshold : {0.2f, 0.5f, 0.8f}) {
+        size_t correct = 0;
+        for (size_t i = 0; i < data.size(); ++i) {
+            const bool pred = mlp.predict(data.features(i)) > threshold;
+            correct += pred == (data.label(i) > 0.5f) ? 1 : 0;
+        }
+        EXPECT_EQ(mlp.accuracy(data, threshold),
+                  static_cast<double>(correct) /
+                      static_cast<double>(data.size()))
+            << threshold;
+    }
+}
+
 // Pins the trained weights, final loss and train accuracy of fits that
 // cover each training edge: a ragged last batch (173 = 5 * 32 + 13),
 // a hidden-to-hidden backward, no hidden layer, batch 1 and batch 0

@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "core/predictor_trainer.hh"
 #include "model/draft_model.hh"
 #include "oracle/profiles.hh"
+#include "serve/server.hh"
 #include "test_util.hh"
 
 using namespace specee;
@@ -19,6 +22,7 @@ namespace {
 struct Collected
 {
     core::ProfileData data;
+    std::vector<nn::Dataset> ada; ///< collectAdaInfer() on the same run
     model::ModelConfig cfg;
 };
 
@@ -26,7 +30,8 @@ const Collected &
 collected()
 {
     static const Collected c = [] {
-        Collected out{.data = {}, .cfg = model::ModelConfig::tiny()};
+        Collected out{
+            .data = {}, .ada = {}, .cfg = model::ModelConfig::tiny()};
         oracle::SyntheticCorpus corpus(out.cfg.sim.vocab, 0xc0de ^ 42);
         workload::WorkloadGen gen(corpus);
         workload::GenOptions gopts;
@@ -38,6 +43,7 @@ collected()
         model::TargetModel tm(out.cfg, {});
         model::DraftModel dlm(out.cfg, corpus, 0.9);
         out.data = core::PredictorTrainer::collect(w, tm, dlm, 0x5eed);
+        out.ada = core::PredictorTrainer::collectAdaInfer(w, tm, dlm, 0x5eed);
         return out;
     }();
     return c;
@@ -55,13 +61,14 @@ digestDatasets(testutil::Digest &d, const std::vector<nn::Dataset> &sets)
     }
 }
 
-/** Digest of every collected value. */
+/** Digest of every value both collectors return. */
 uint64_t
-digestProfile(const core::ProfileData &data)
+digestProfile(const core::ProfileData &data,
+              const std::vector<nn::Dataset> &ada)
 {
     testutil::Digest d;
     digestDatasets(d, data.specee);
-    digestDatasets(d, data.adainfer);
+    digestDatasets(d, ada);
     for (long h : data.oracle_exit_hist)
         d.pod(h);
     for (const auto &p : data.raee_probes)
@@ -78,22 +85,24 @@ TEST(Trainer, CollectShapes)
     const auto &c = collected();
     const int n_exit = c.cfg.n_layers - 1;
     ASSERT_EQ(static_cast<int>(c.data.specee.size()), n_exit);
-    ASSERT_EQ(static_cast<int>(c.data.adainfer.size()), n_exit);
+    ASSERT_EQ(static_cast<int>(c.ada.size()), n_exit);
     const size_t per_layer = c.data.specee.front().size();
     EXPECT_EQ(per_layer, 6u * 36u);
     for (const auto &d : c.data.specee) {
         EXPECT_EQ(d.size(), per_layer);
         EXPECT_EQ(d.dim(), 12u);
     }
-    for (const auto &d : c.data.adainfer)
+    for (const auto &d : c.ada) {
+        EXPECT_EQ(d.size(), per_layer);
         EXPECT_EQ(d.dim(), 3u);
+    }
 }
 
 // Pins every collected value: profiling must produce the same data
 // however its work is spread over threads.
 TEST(Trainer, CollectIsBitStable)
 {
-    EXPECT_EQ(digestProfile(collected().data),
+    EXPECT_EQ(digestProfile(collected().data, collected().ada),
               testutil::pinned(0x1cd8341ac72a6c60ull,
                                0xa97fb94f5e9278e9ull));
 }
@@ -114,8 +123,10 @@ TEST(Trainer, CollectIsBitStableAt7bDims)
     model::TargetModel tm(cfg, {});
     model::DraftModel dlm(cfg, corpus, 0.9);
     const auto data = core::PredictorTrainer::collect(w, tm, dlm, 0x5eed);
+    const auto ada =
+        core::PredictorTrainer::collectAdaInfer(w, tm, dlm, 0x5eed);
     ASSERT_EQ(data.raee_exits.size(), 16u);
-    EXPECT_EQ(digestProfile(data),
+    EXPECT_EQ(digestProfile(data, ada),
               testutil::pinned(0x8aa392c49221f547ull, 0x356a86ef4682e8a8ull));
 }
 
@@ -191,7 +202,7 @@ TEST(Trainer, SvmBankLearnsButIsWorseCalibrated)
     const auto &c = collected();
     std::vector<nn::LinearSvm> bank;
     core::TrainerOptions topts;
-    auto rep = core::PredictorTrainer::trainAdaInfer(bank, c.data, topts);
+    auto rep = core::PredictorTrainer::trainAdaInfer(bank, c.ada, topts);
     ASSERT_EQ(static_cast<int>(bank.size()), c.cfg.n_layers - 1);
     EXPECT_GT(rep.mean_test_accuracy, 0.6);
 }
@@ -222,4 +233,36 @@ TEST(Trainer, PipelineBundlesEverything)
     EXPECT_FALSE(pipe.adaInferBank().empty());
     EXPECT_EQ(pipe.predictors().nExitLayers(),
               pipe.modelConfig().n_layers - 1);
+}
+
+// A SpecEE-only node never pays for the AdaInfer baseline. The first
+// adaInferBank() call trains it, once however many threads ask, and
+// its SVM weights are pinned: the replayed profiling decode must give
+// the bank an eager construction would train.
+TEST(Trainer, PipelineTrainsAdaInferBankOnDemand)
+{
+    const engines::Pipeline pipe(testutil::tinyPipelineOptions());
+    {
+        serve::ServerOptions so;
+        so.engine = engines::EngineConfig::huggingFace().withSpecEE();
+        const serve::Server server(pipe, so);
+    }
+    EXPECT_EQ(pipe.phaseTimes().adainfer_s, 0.0);
+
+    const engines::AdaInferBank *banks[2] = {nullptr, nullptr};
+    {
+        std::jthread a([&] { banks[0] = &pipe.adaInferBank(); });
+        std::jthread b([&] { banks[1] = &pipe.adaInferBank(); });
+    }
+    EXPECT_EQ(banks[0], banks[1]);
+    EXPECT_GT(pipe.phaseTimes().adainfer_s, 0.0);
+
+    testutil::Digest d;
+    ASSERT_EQ(banks[0]->nLayers(), pipe.modelConfig().n_layers - 1);
+    for (const auto &svm : banks[0]->svms) {
+        d.span(svm.weights());
+        d.pod(svm.bias());
+    }
+    EXPECT_EQ(d.value(), testutil::pinned(0xa6bd20850894902aull,
+                                          0xcbba33bc122faf4cull));
 }
