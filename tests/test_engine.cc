@@ -33,7 +33,95 @@ runConfig(const EngineConfig &cfg,
     return engine->run(mtWorkload(), 11);
 }
 
+/**
+ * Digest of everything a run reports: the emissions, every RunStats
+ * counter, the exit histogram and averages, and every op class's
+ * totals.
+ */
+uint64_t
+digestRun(const engines::RunResult &r)
+{
+    testutil::Digest d;
+    for (const auto &em : r.emissions) {
+        for (int t : em.tokens)
+            d.pod(t);
+        for (int l : em.exit_layers)
+            d.pod(l);
+    }
+    const engines::RunStats &s = r.stats;
+    for (long c : s.exit_histogram)
+        d.pod(c);
+    for (double v : {s.modeled_time_s, s.tokens_per_s,
+                     s.avg_forward_layers, s.avg_active_predictors,
+                     s.avg_power_w, s.energy_per_token_j, s.peak_mem_gb,
+                     s.avg_commit_per_pass})
+        d.pod(v);
+    for (long v : {s.tokens, s.predictor_invocations, s.exits,
+                   s.verify_calls, s.verify_rejects, s.passes,
+                   s.map_complexity_independent, s.map_complexity_merged})
+        d.pod(v);
+    for (int c = 0; c < hw::kNumOpClasses; ++c) {
+        const hw::OpTotals &t = s.oplog.totals(static_cast<hw::OpClass>(c));
+        for (double v : {t.time_s, t.energy_j, t.flops, t.bytes})
+            d.pod(v);
+        d.pod(t.count);
+    }
+    return d.value();
+}
+
 } // namespace
+
+TEST(Engine, ExitPoliciesArePinned)
+{
+    // Every exit policy, pricing path and platform quirk the decode
+    // loop serves, pinned bit for bit: tokens, exit layers, counters
+    // and per-class modeled costs.
+    EngineConfig fixed = EngineConfig::huggingFace().withSpecEE();
+    fixed.fixed_predictor_layers = {2, 4};
+    const struct
+    {
+        const char *what;
+        EngineConfig cfg;
+        hw::HardwareSpec spec;
+        uint64_t avx2, scalar;
+    } cases[] = {
+        {"dense", EngineConfig::huggingFace(),
+         hw::HardwareSpec::a100(), 0x99da1457dde3363dull,
+         0x99da1457dde3363dull},
+        {"T1", EngineConfig::huggingFace().withSpecEE(false),
+         hw::HardwareSpec::a100(), 0x9f376673c6e999afull,
+         0x9f376673c6e999afull},
+        {"T1+T2", EngineConfig::huggingFace().withSpecEE(),
+         hw::HardwareSpec::a100(), 0xc723ee37f37e6400ull,
+         0xc723ee37f37e6400ull},
+        {"T3", EngineConfig::eagle().withSpecEE(),
+         hw::HardwareSpec::a100(), 0xb509fbbbac3f860bull,
+         0xb509fbbbac3f860bull},
+        {"AdaInfer", EngineConfig::adaInfer(),
+         hw::HardwareSpec::a100(), 0x16e12cd40288093full,
+         0x16e12cd40288093full},
+        {"RAEE", EngineConfig::raeeBaseline(),
+         hw::HardwareSpec::a100(), 0x21619b1103a1cc20ull,
+         0x21619b1103a1cc20ull},
+        {"pc4060", EngineConfig::llamaCpp().withSpecEE(),
+         hw::HardwareSpec::pc4060(), 0x56627f076907ee46ull,
+         0x56627f076907ee46ull},
+        {"a100x4", EngineConfig::huggingFace().withSpecEE(),
+         hw::HardwareSpec::a100x4(), 0x1fc61e9c54833c44ull,
+         0x1fc61e9c54833c44ull},
+        {"tp2pp2", EngineConfig::huggingFace().withSpecEE().withSharding(2, 2),
+         hw::HardwareSpec::a100(), 0x97bde4e5153730caull,
+         0x97bde4e5153730caull},
+        {"fixed", fixed,
+         hw::HardwareSpec::a100(), 0x9cf9cd9d90b44425ull,
+         0x9cf9cd9d90b44425ull},
+    };
+    for (const auto &c : cases) {
+        EXPECT_EQ(digestRun(runConfig(c.cfg, c.spec)),
+                  testutil::pinned(c.avx2, c.scalar))
+            << c.what;
+    }
+}
 
 TEST(Engine, DenseEmitsScriptedTargetsExactly)
 {
