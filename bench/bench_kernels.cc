@@ -258,40 +258,50 @@ BENCHMARK(BM_MlpFit)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 // its own, then the finish phase. Items/s is rows per second, the
 // per-row layer cost a layer-major batch would amortize: 1 row is
 // token-by-token decode, 4 and 36 read each weight row once per four.
+// The second argument is the number of layers the iterations rotate
+// through, each with its own KV layer: 1 keeps one layer's weights in
+// cache, every layer of the model streams them from memory the way a
+// session stepped on its own does.
 static void
 BM_DecoderLayer(benchmark::State &state)
 {
     constexpr int kCached = 64;
     const auto cfg = simCfg();
     const auto rows = static_cast<size_t>(state.range(0));
+    const auto n_layers = static_cast<int>(state.range(1));
     const auto h = static_cast<size_t>(cfg.sim.hidden);
     const model::Weights w(cfg, tensor::WeightBackend::Fp32,
                            tensor::WeightBackend::Fp32);
-    const model::LayerWeights &lw = w.layer(0);
-    model::KvCache kv(1, cfg.context_len, cfg.sim.hidden);
+    model::KvCache kv(n_layers, cfg.context_len, cfg.sim.hidden);
     model::DecoderLayer layer(cfg, rows);
-    for (int p = 0; p < kCached; ++p) {
-        layer.projectKv(lw, randomVec(cfg.sim.hidden, 100 + p), p);
-        kv.append(0, layer.k(0), layer.v(0));
+    for (int l = 0; l < n_layers; ++l) {
+        for (int p = 0; p < kCached; ++p) {
+            layer.projectKv(w.layer(l), randomVec(cfg.sim.hidden, 100 + p),
+                            p);
+            kv.append(l, layer.k(0), layer.v(0));
+        }
     }
     const auto input = randomVec(static_cast<int>(rows * h), 9);
     tensor::Vec x(input.size());
+    int l = 0;
     for (auto _ : state) {
+        const model::LayerWeights &lw = w.layer(l);
         std::ranges::copy(input, x.begin());
         layer.project(lw, x, kCached);
         for (size_t t = 0; t < rows; ++t)
-            kv.append(0, layer.k(t), layer.v(t));
+            kv.append(l, layer.k(t), layer.v(t));
         for (size_t t = 0; t < rows; ++t)
-            layer.attend(t, kv, 0, kCached + static_cast<int>(t) + 1);
+            layer.attend(t, kv, l, kCached + static_cast<int>(t) + 1);
         layer.finish(lw, x);
         kv.truncate(kCached);
+        l = (l + 1) % n_layers;
         benchmark::DoNotOptimize(x.data());
         benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(rows));
 }
-BENCHMARK(BM_DecoderLayer)->Arg(1)->Arg(4)->Arg(36);
+BENCHMARK(BM_DecoderLayer)->ArgsProduct({{1, 4, 36}, {1, simCfg().n_layers}});
 
 static void
 BM_FfnSparse(benchmark::State &state)

@@ -8,7 +8,8 @@
 
 namespace specee::engines {
 
-DecodeSession::DecodeSession(Engine &eng, const workload::Workload &w,
+DecodeSession::DecodeSession(const Engine &eng,
+                             const workload::Workload &w,
                              size_t instance_idx,
                              const model::DraftModel &dlm, RunResult &out,
                              Rng &rng)
@@ -18,36 +19,29 @@ DecodeSession::DecodeSession(Engine &eng, const workload::Workload &w,
       dlm_(&dlm),
       out_(&out),
       rng_(&rng),
-      fx_(eng.mcfg_.num_spec_tokens),
-      online_(eng.nExitLayers(), eng.ecfg_.online_window,
-              eng.ecfg_.online_radius)
+      policy_(eng.makeExitPolicy(dlm, rng))
 {
     specee_assert(instance_ < w_->instances.size(),
                   "session instance out of range");
     initKv(nullptr);
-    exitThreshold_ = eng_.ecfg_.exit_threshold;
 }
 
-DecodeSession::DecodeSession(Engine &eng, workload::Workload w,
+DecodeSession::DecodeSession(const Engine &eng, workload::Workload w,
                              uint64_t seed,
                              std::unique_ptr<model::SequenceKv> kv)
     : eng_(eng),
       ownedW_(std::move(w)),
       w_(&*ownedW_),
-      instance_(0),
-      fx_(eng.mcfg_.num_spec_tokens),
-      online_(eng.nExitLayers(), eng.ecfg_.online_window,
-              eng.ecfg_.online_radius)
+      instance_(0)
 {
     specee_assert(w_->instances.size() == 1,
                   "owning sessions decode single-instance workloads");
-    eng_.checkRunnable();
     owned_.emplace(eng_, *w_, seed);
     dlm_ = &owned_->dlm;
     out_ = &owned_->out;
     rng_ = &owned_->rng;
+    policy_ = eng_.makeExitPolicy(*dlm_, *rng_);
     initKv(std::move(kv));
-    exitThreshold_ = eng_.ecfg_.exit_threshold;
 }
 
 void
@@ -70,13 +64,6 @@ DecodeSession::startSequence()
     // advances the parent rng.
     eng_.tm_->reset(seq_, rng_->fork(0x7e5e + instance_).next());
     prefillStarted_ = true;
-}
-
-void
-DecodeSession::finishPrefill()
-{
-    input_ = w_->instances[instance_].prompt.back();
-    prefilled_ = true;
 }
 
 int
@@ -104,7 +91,7 @@ DecodeSession::prefill()
         simFilled_ = prefix_len;
     }
     prefillTrue_ = prefillTotal();
-    finishPrefill();
+    prefilled_ = true;
 }
 
 void
@@ -132,7 +119,7 @@ DecodeSession::adoptCachedPrefix(
     if (prefillTrue_ >= prefillTotal()) {
         // Full-prompt hit: nothing left to ingest, TTFT is
         // decode-only.
-        finishPrefill();
+        prefilled_ = true;
     }
 }
 
@@ -175,7 +162,7 @@ DecodeSession::prefillChunk(int n_tokens)
         simFilled_ = sim_target;
     }
     if (prefillTrue_ >= total)
-        finishPrefill();
+        prefilled_ = true;
     // A prefill chunk streams every layer's weights: it occupies the
     // whole pipeline and skips no KV.
     lastDeepest_ = eng_.mcfg_.n_layers;
@@ -347,23 +334,38 @@ DecodeSession::step()
     return more;
 }
 
+TokenOutcome
+DecodeSession::commitNext()
+{
+    const auto &inst = w_->instances[instance_];
+    const int input =
+        em_.tokens.empty() ? inst.prompt.back() : em_.tokens.back();
+    const TokenOutcome o = eng_.decodeToken(seq_, input, inst.steps[stepIdx_],
+                                            policy_.get());
+    RunStats &st = out_->stats;
+    st.predictor_invocations += o.predictor_checks + (o.raee_probe ? 1 : 0);
+    st.avg_active_predictors += o.predictor_checks;
+    st.verify_calls += o.verify_calls;
+    st.verify_rejects += o.verify_rejects;
+    if (o.exited()) {
+        ++st.exits;
+        ++st.exit_histogram[static_cast<size_t>(o.exit_layer)];
+    }
+    st.avg_forward_layers += o.layers_used;
+    ++st.tokens;
+    em_.tokens.push_back(o.token);
+    em_.exit_layers.push_back(o.layers_used);
+    ++stepIdx_;
+    return o;
+}
+
 bool
 DecodeSession::stepAutoregressive()
 {
-    const auto &inst = w_->instances[instance_];
     const int logical_pos =
         w_->true_prompt_len + static_cast<int>(stepIdx_);
-    auto o = eng_.decodeToken(seq_, input_, inst.steps[stepIdx_], *dlm_,
-                              fx_, eng_.ecfg_.online_sched ? &online_
-                                                           : nullptr,
-                              &out_->stats.oplog, logical_pos, *rng_,
-                              out_->stats, exitThreshold_);
-    em_.tokens.push_back(o.token);
-    em_.exit_layers.push_back(o.layers_used);
-    out_->stats.avg_forward_layers += o.layers_used;
-    ++out_->stats.tokens;
-    input_ = o.token;
-    ++stepIdx_;
+    const TokenOutcome o = commitNext();
+    eng_.chargeToken(out_->stats.oplog, o, logical_pos);
     // An exited token streams weights down to its exit layer only
     // and back-fills KV for the skipped tail.
     lastDeepest_ = o.layers_used;
@@ -374,36 +376,21 @@ DecodeSession::stepAutoregressive()
 bool
 DecodeSession::stepSpeculative()
 {
-    const auto &inst = w_->instances[instance_];
-    const bool ee = eng_.ecfg_.early_exit && eng_.preds_ != nullptr;
-    core::OnlineScheduler *onl =
-        eng_.ecfg_.online_sched && ee ? &online_ : nullptr;
-    const size_t n_steps = inst.steps.size();
-    RunResult &out = *out_;
-
     // First token decodes normally (as in EAGLE).
-    if (stepIdx_ == 0) {
-        auto o = eng_.decodeToken(seq_, inst.prompt.back(), inst.steps[0],
-                                  *dlm_, fx_, onl, &out.stats.oplog,
-                                  w_->true_prompt_len, *rng_, out.stats,
-                                  exitThreshold_);
-        em_.tokens.push_back(o.token);
-        em_.exit_layers.push_back(o.layers_used);
-        out.stats.avg_forward_layers += o.layers_used;
-        ++out.stats.tokens;
-        ++stepIdx_;
-        lastDeepest_ = o.layers_used;
-        lastFillLo_ = o.layers_used;
-        return !finished();
-    }
+    if (stepIdx_ == 0)
+        return stepAutoregressive();
 
-    size_t step = stepIdx_;
+    const auto &inst = w_->instances[instance_];
+    const bool ee = eng_.ecfg_.exit == ExitMode::SpecEE;
+    RunResult &out = *out_;
+    const size_t step = stepIdx_;
 
     // Draft a token tree from the last committed token.
     const int root_tok = em_.tokens.back();
     std::vector<model::TokenScript> chain;
     for (size_t d = 0;
-         d < eng_.ecfg_.tree.widths.size() && step + d < n_steps; ++d)
+         d < eng_.ecfg_.tree.widths.size() && step + d < inst.steps.size();
+         ++d)
         chain.push_back(inst.steps[step + d]);
     std::vector<int> widths(
         eng_.ecfg_.tree.widths.begin(),
@@ -414,38 +401,26 @@ DecodeSession::stepSpeculative()
 
     out.stats.map_complexity_independent +=
         core::MergedMapping::independentMappingComplexity(tree);
-    out.stats.map_complexity_merged +=
-        core::MergedMapping::mergedMappingComplexity(tree);
     const long n_paths = core::MergedMapping::mergedMappingComplexity(tree);
+    out.stats.map_complexity_merged += n_paths;
 
     // Walk the tree: process the root's continuation, then follow
     // accepted children.
     int pass_layers = 0;
     int node_id = 0; // tree root
-    int input = root_tok;
-    int committed_this_pass = 0;
     size_t d = 0;
     int max_sched_layers = 0;
     int fill_nodes = 0;
     int min_exit_layers = eng_.mcfg_.n_layers;
-    while (step < n_steps && d <= static_cast<size_t>(tree.depth())) {
-        const int logical_pos =
-            w_->true_prompt_len + static_cast<int>(step);
-        auto o = eng_.decodeToken(seq_, input, inst.steps[step], *dlm_,
-                                  fx_, onl, nullptr, logical_pos, *rng_,
-                                  out.stats, exitThreshold_);
-        if (o.exited) {
+    while (!finished() && d <= static_cast<size_t>(tree.depth())) {
+        // Priced at pass granularity below, not per token.
+        const TokenOutcome o = commitNext();
+        if (o.exited()) {
             ++fill_nodes;
             min_exit_layers = std::min(min_exit_layers, o.layers_used);
         }
         pass_layers = std::max(pass_layers, o.layers_used);
-        max_sched_layers = std::max(max_sched_layers, o.predictors_used);
-        em_.tokens.push_back(o.token);
-        em_.exit_layers.push_back(o.layers_used);
-        out.stats.avg_forward_layers += o.layers_used;
-        ++out.stats.tokens;
-        ++step;
-        ++committed_this_pass;
+        max_sched_layers = std::max(max_sched_layers, o.predictor_checks);
 
         // Does a drafted child continue the chain?
         int next_node = -1;
@@ -458,7 +433,6 @@ DecodeSession::stepSpeculative()
         if (next_node < 0)
             break;
         node_id = next_node;
-        input = o.token;
         ++d;
     }
 
@@ -467,14 +441,12 @@ DecodeSession::stepSpeculative()
     // the number of paths.
     const int batch = 1 + tree.draftCount();
     eng_.chargeLayers(out.stats.oplog, pass_layers, batch,
-                      w_->true_prompt_len + static_cast<int>(step));
+                      w_->true_prompt_len + static_cast<int>(stepIdx_));
     // Batched KV fill: the k/v projection weights of each skipped
-    // layer are read once for all exited nodes.
-    if (fill_nodes > 0) {
-        eng_.chargeKvFill(out.stats.oplog,
-                          eng_.mcfg_.n_layers - min_exit_layers,
-                          fill_nodes);
-    }
+    // layer are read once for all exited nodes (no layers when none
+    // exited).
+    eng_.chargeKvFill(out.stats.oplog, eng_.mcfg_.n_layers - min_exit_layers,
+                      fill_nodes);
     // One batched full-head application per pass: the token
     // verification of vanilla EAGLE, or — under T3 — the exit
     // verification at the Cannikin exit layer (the head is read once
@@ -486,9 +458,7 @@ DecodeSession::stepSpeculative()
         // hyper-token lane (Fig. 13), instead of one launch pipeline
         // per tree node.
         eng_.chargeLmHeadSliced(out.stats.oplog,
-                                max_sched_layers *
-                                    static_cast<int>(n_paths),
-                                eng_.mcfg_.num_spec_tokens,
+                                max_sched_layers * static_cast<int>(n_paths),
                                 max_sched_layers);
         eng_.chargePredictor(out.stats.oplog,
                              max_sched_layers * static_cast<int>(n_paths),
@@ -500,8 +470,7 @@ DecodeSession::stepSpeculative()
                                  eng_.ecfg_.spec_pass_overhead_s);
     }
     ++out.stats.passes;
-    committed_ += committed_this_pass;
-    stepIdx_ = step;
+    committed_ += static_cast<long>(stepIdx_ - step);
     // The pass's weight stream runs to the Cannikin cut; KV back-fill
     // covers the layers below the shallowest exit (empty when no node
     // exited — min_exit_layers stays at full depth).

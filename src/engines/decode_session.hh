@@ -4,9 +4,11 @@
  *
  * The session owns everything one in-flight request mutates: its
  * per-request paged KV (a view onto a shared fleet pool, or onto a
- * private single-sequence pool),
- * its rng stream, predictor / speculation state (feature extractor,
- * online scheduler, emission buffer) and per-step cost records. The
+ * private single-sequence pool), its rng stream, its exit policy
+ * (Engine::makeExitPolicy: SpecEE's feature extractor, online
+ * scheduler and exit bar, or a baseline's per-token state), the
+ * emission buffer and per-step cost records. It only reads the
+ * engine, so sessions of one engine may step on different threads. The
  * lifecycle is prefill() -> step()* -> finished(), where one step()
  * is exactly one scheduler iteration unit: one token autoregressively
  * or one speculative pass (>= 1 committed tokens).
@@ -31,8 +33,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/features.hh"
-#include "core/online_scheduler.hh"
 #include "engines/engine.hh"
 #include "model/draft_model.hh"
 #include "model/paged_kv.hh"
@@ -108,7 +108,7 @@ class DecodeSession
      * rng are shared run-level objects the caller owns; the session
      * decodes instance `instance_idx` of `w` into them.
      */
-    DecodeSession(Engine &eng, const workload::Workload &w,
+    DecodeSession(const Engine &eng, const workload::Workload &w,
                   size_t instance_idx, const model::DraftModel &dlm,
                   RunResult &out, Rng &rng);
 
@@ -119,7 +119,7 @@ class DecodeSession
      * and RunResult. `kv` is the session's view onto a shared fleet
      * pool under continuous batching; null for a private pool.
      */
-    DecodeSession(Engine &eng, workload::Workload w, uint64_t seed,
+    DecodeSession(const Engine &eng, workload::Workload w, uint64_t seed,
                   std::unique_ptr<model::SequenceKv> kv = nullptr);
 
     DecodeSession(const DecodeSession &) = delete;
@@ -284,7 +284,12 @@ class DecodeSession
      * unaffected, so a controller epoch boundary changes behavior
      * only forward in time.
      */
-    void setExitThreshold(float t) { exitThreshold_ = t; }
+    void
+    setExitThreshold(float t)
+    {
+        if (policy_ != nullptr)
+            policy_->setExitThreshold(t);
+    }
 
   private:
     /** Take `kv` (null: a private pool) as the sequence's KV store. */
@@ -296,11 +301,15 @@ class DecodeSession
      */
     void startSequence();
 
-    /** The whole prompt is in: decode starts from its last token. */
-    void finishPrefill();
-
     bool stepAutoregressive();
     bool stepSpeculative();
+
+    /**
+     * Decode the next scripted step from the last committed token
+     * (the prompt's last at first) and commit it: the emission, the
+     * step index and the outcome's RunStats counters. Charges nothing.
+     */
+    TokenOutcome commitNext();
 
     /** Snapshot per-class (time, energy) of the result oplog. */
     std::array<std::pair<double, double>, hw::kNumOpClasses>
@@ -316,7 +325,7 @@ class DecodeSession
             &before,
         int tokens);
 
-    Engine &eng_;
+    const Engine &eng_;
     std::optional<workload::Workload> ownedW_;
     const workload::Workload *w_;
     size_t instance_;
@@ -332,11 +341,9 @@ class DecodeSession
      */
     model::SequenceState seq_;
     model::SequenceKv *kv_ = nullptr; ///< the session's KV (owned by seq_)
-    core::FeatureExtractor fx_;
-    core::OnlineScheduler online_;
+    std::unique_ptr<ExitPolicy> policy_; ///< null on a dense engine
     workload::Emission em_;
     size_t stepIdx_ = 0; ///< scripted steps consumed
-    int input_ = 0;      ///< next input token (autoregressive path)
     long committed_ = 0;
     bool prefilled_ = false;
     bool prefillStarted_ = false; ///< sequence reset / first chunk ran
@@ -347,8 +354,6 @@ class DecodeSession
     int lastDeepest_ = 0;
     /** First layer of the last step's KV-fill range ([lo, L)). */
     int lastFillLo_ = 0;
-    /** SpecEE exit bar (EngineConfig default, controller override). */
-    float exitThreshold_ = 0.0f;
     StepCost last_;
 };
 

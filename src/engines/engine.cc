@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/hyper_token.hh"
-#include "core/token_tree.hh"
-#include "core/verifier.hh"
+#include "core/features.hh"
+#include "core/online_scheduler.hh"
 #include "engines/decode_session.hh"
 #include "hw/memory_tracker.hh"
 #include "oracle/profiles.hh"
@@ -128,34 +127,6 @@ Engine::setOfflineHotLayers(std::vector<int> layers)
                       "offline hot layer %d out of range", l);
         offlineHotMask_[static_cast<size_t>(l)] = true;
     }
-    haveOfflineSet_ = true;
-}
-
-bool
-Engine::predictorActive(int layer,
-                        const core::OnlineScheduler *online) const
-{
-    if (!ecfg_.fixed_predictor_layers.empty()) {
-        return std::find(ecfg_.fixed_predictor_layers.begin(),
-                         ecfg_.fixed_predictor_layers.end(), layer) !=
-               ecfg_.fixed_predictor_layers.end();
-    }
-    const bool use_off = ecfg_.offline_sched && haveOfflineSet_;
-    const bool use_on = ecfg_.online_sched && online != nullptr;
-    if (!use_off && !use_on)
-        return true; // T1 only: every layer hosts a predictor
-    bool active = false;
-    if (use_off)
-        active = offlineHotMask_[static_cast<size_t>(layer)];
-    if (!active && use_on) {
-        // Cold start: with no exit history (and no offline set to
-        // bootstrap from) every layer stays active until the first
-        // exits populate the context window.
-        active = online->filled() == 0 && !use_off
-                     ? true
-                     : online->isActive(layer);
-    }
-    return active;
 }
 
 // ---------------------------------------------------------------------------
@@ -265,12 +236,12 @@ Engine::chargeLmHeadFull(hw::OpLog &log, int batch) const
 }
 
 void
-Engine::chargeLmHeadSliced(hw::OpLog &log, int groups, int k,
-                           int layer_events) const
+Engine::chargeLmHeadSliced(hw::OpLog &log, int groups, int layer_events) const
 {
     // Sliced rows are per-request (non-amortizable) traffic, so they
     // are charged as activation bytes — compressed here rather than
     // by the cost model's weight term.
+    const int k = mcfg_.num_spec_tokens;
     const double bytes = static_cast<double>(mcfg_.truth.hidden) * k *
                          kFp16 * groups * cost_->headCompression();
     const double flops = 2.0 * mcfg_.truth.hidden * k * groups;
@@ -417,181 +388,241 @@ Engine::chargeOverhead(hw::OpLog &log) const
     }
 }
 
+void
+Engine::chargeToken(hw::OpLog &log, const TokenOutcome &o,
+                    int logical_pos) const
+{
+    if (o.drafted)
+        chargeDraft(log, 1);
+    chargeEmbed(log, 1);
+    if (o.raee_probe) {
+        // Retrieval: ANN probe over the database, priced at the true
+        // entry count and hidden width (Table 1's High-memory /
+        // Heavy-prediction row).
+        const double scan_bytes = core::kRaeeDbEntries *
+                                  core::kRaeeScanFrac *
+                                  mcfg_.truth.hidden * 2.0;
+        cost_->account(log, hw::OpClass::Predictor, scan_bytes,
+                       scan_bytes, 0.0, 24);
+    }
+    for (int i = 0; i < o.sliced_reads; ++i)
+        chargeLmHeadSliced(log, 1, 1);
+    for (int i = 0; i < o.predictor_checks; ++i)
+        chargePredictor(log, 1, 1);
+    for (int i = 0; i < o.head_reads; ++i)
+        chargeLmHeadFull(log, 1);
+    // The KV fill's Sync share precedes the layers' (OpLog sums each
+    // class in charge order).
+    chargeKvFill(log, o.fill_layers, 1);
+    chargeLayers(log, o.layers_used, 1, logical_pos);
+    chargeOverhead(log);
+}
+
 // ---------------------------------------------------------------------------
-// Token decoding
+// Exit policies and token decoding
 // ---------------------------------------------------------------------------
 
-Engine::TokenOutcome
+/** SpecEE (§4.3): predictor, then verification against the head. */
+class Engine::SpecEEExit final : public ExitPolicy
+{
+  public:
+    SpecEEExit(const Engine &eng, const model::DraftModel &dlm, Rng &rng)
+        : eng_(eng), dlm_(dlm), rng_(rng),
+          fx_(eng.mcfg_.num_spec_tokens),
+          online_(eng.nExitLayers(), eng.ecfg_.online_window,
+                  eng.ecfg_.online_radius),
+          threshold_(eng.ecfg_.exit_threshold)
+    {
+    }
+
+    void
+    beginToken(int input_token, const model::TokenScript &script,
+               TokenOutcome &out) override
+    {
+        spec_ = dlm_.speculate(input_token, script.target,
+                               eng_.mcfg_.num_spec_tokens, rng_);
+        fx_.beginToken(spec_);
+        out.drafted = true;
+    }
+
+    std::optional<int>
+    onLayer(int layer, tensor::CSpan hidden, TokenOutcome &out) override
+    {
+        if (!predictorActive(layer))
+            return std::nullopt;
+        ++out.predictor_checks;
+        ++out.sliced_reads;
+        const model::LmHead &head = eng_.tm_->lmHead();
+        tensor::CSpan feats = fx_.extract(head, hidden);
+        if (!eng_.preds_->shouldExit(layer, feats, threshold_))
+            return std::nullopt;
+        // Verification (§4.3.3, Fig. 5): exit only when the local
+        // result T', the speculated token with the highest sliced
+        // logit, is the global result T, the full head's argmax at
+        // this layer. A reject usually stops after a few head rows.
+        ++out.verify_calls;
+        ++out.head_reads;
+        const int local = spec_[tensor::argmax(fx_.localProbs())];
+        if (!head.isArgmax(hidden, local)) {
+            ++out.verify_rejects;
+            return std::nullopt;
+        }
+        if (eng_.ecfg_.online_sched)
+            online_.recordExit(layer);
+        return local;
+    }
+
+    void setExitThreshold(float t) override { threshold_ = t; }
+
+  private:
+    /** True when a predictor is active at `layer` for this token. */
+    bool
+    predictorActive(int layer) const
+    {
+        const EngineConfig &c = eng_.ecfg_;
+        if (!c.fixed_predictor_layers.empty()) {
+            return std::ranges::find(c.fixed_predictor_layers, layer) !=
+                   c.fixed_predictor_layers.end();
+        }
+        const bool use_off =
+            c.offline_sched && !eng_.offlineHotMask_.empty();
+        if (use_off && eng_.offlineHotMask_[static_cast<size_t>(layer)])
+            return true;
+        if (!c.online_sched)
+            return !use_off; // T1 only: every layer hosts a predictor
+        // Cold start: with no exit history (and no offline set to
+        // bootstrap from) every layer stays active until the first
+        // exits populate the context window.
+        return (online_.filled() == 0 && !use_off) ||
+               online_.isActive(layer);
+    }
+
+    const Engine &eng_;
+    const model::DraftModel &dlm_;
+    Rng &rng_;
+    core::FeatureExtractor fx_;
+    core::OnlineScheduler online_;
+    float threshold_;
+    std::vector<int> spec_; ///< this token's speculated tokens
+};
+
+/** AdaInfer: full head + SVM per layer; exits after `patience`. */
+class Engine::AdaInferExit final : public ExitPolicy
+{
+  public:
+    explicit AdaInferExit(const Engine &eng)
+        : eng_(eng),
+          // Patience scales with model depth (4 at 32 layers).
+          patience_(std::min(eng.ada_->patience,
+                             std::max(1, eng.mcfg_.n_layers / 8))),
+          logits_(static_cast<size_t>(eng.mcfg_.sim.vocab))
+    {
+    }
+
+    void
+    beginToken(int, const model::TokenScript &, TokenOutcome &) override
+    {
+        streak_ = 0;
+    }
+
+    std::optional<int>
+    onLayer(int layer, tensor::CSpan hidden, TokenOutcome &out) override
+    {
+        ++out.predictor_checks;
+        ++out.head_reads;
+        eng_.tm_->lmHead().full(hidden, logits_);
+        const auto af = core::adaInferFeatures(logits_);
+        const bool positive =
+            eng_.ada_->shouldExit(layer, tensor::CSpan(af.data(), af.size()));
+        streak_ = positive ? streak_ + 1 : 0;
+        if (streak_ < patience_)
+            return std::nullopt;
+        return static_cast<int>(tensor::argmax(logits_));
+    }
+
+  private:
+    const Engine &eng_;
+    const int patience_;
+    tensor::Vec logits_;
+    int streak_ = 0; ///< consecutive positive SVM decisions
+};
+
+/** RAEE: a retrieval probe at layer 0 picks the exit layer. */
+class Engine::RaeeExit final : public ExitPolicy
+{
+  public:
+    explicit RaeeExit(const Engine &eng) : eng_(eng) {}
+
+    std::optional<int>
+    onLayer(int layer, tensor::CSpan hidden, TokenOutcome &out) override
+    {
+        if (layer == 0) {
+            out.raee_probe = true;
+            exitLayer_ = eng_.raee_->predictExitLayer(hidden, core::kRaeeK);
+        }
+        if (layer != exitLayer_)
+            return std::nullopt;
+        ++out.head_reads;
+        return eng_.tm_->lmHead().argmaxToken(hidden);
+    }
+
+  private:
+    const Engine &eng_;
+    int exitLayer_ = -1; ///< this token's retrieved exit layer
+};
+
+std::unique_ptr<ExitPolicy>
+Engine::makeExitPolicy(const model::DraftModel &dlm, Rng &rng) const
+{
+    switch (ecfg_.exit) {
+    case ExitMode::None:
+        return nullptr;
+    case ExitMode::SpecEE:
+        specee_assert(preds_ != nullptr,
+                      "early exit requires trained predictors");
+        return std::make_unique<SpecEEExit>(*this, dlm, rng);
+    case ExitMode::AdaInfer:
+        specee_assert(ada_ != nullptr && !ada_->empty(),
+                      "AdaInfer engine requires a trained SVM bank");
+        return std::make_unique<AdaInferExit>(*this);
+    case ExitMode::Raee:
+        specee_assert(raee_ != nullptr && !raee_->empty(),
+                      "RAEE engine requires a retrieval index");
+        return std::make_unique<RaeeExit>(*this);
+    }
+    specee_panic("bad exit mode %d", static_cast<int>(ecfg_.exit));
+}
+
+TokenOutcome
 Engine::decodeToken(model::SequenceState &seq, int input_token,
                     const model::TokenScript &script,
-                    const model::DraftModel &dlm,
-                    core::FeatureExtractor &fx,
-                    core::OnlineScheduler *online, hw::OpLog *log,
-                    int logical_pos, Rng &rng, RunStats &stats,
-                    float exit_threshold)
+                    ExitPolicy *policy) const
 {
     TokenOutcome out;
-    const int n_exit = nExitLayers();
-    const bool specee = ecfg_.early_exit && preds_ != nullptr;
-    const bool adainf = ecfg_.adainfer && ada_ != nullptr &&
-                        !ada_->empty();
-    const bool use_raee =
-        ecfg_.raee && raee_ != nullptr && !raee_->empty();
-
-    std::vector<int> spec_tokens;
-    if (specee) {
-        spec_tokens = dlm.speculate(input_token, script.target,
-                                    mcfg_.num_spec_tokens, rng);
-        fx.beginToken(spec_tokens);
-        if (log != nullptr)
-            chargeDraft(*log, 1);
-    }
-
+    if (policy != nullptr)
+        policy->beginToken(input_token, script, out);
     tm_->beginToken(seq, input_token, script);
-    if (log != nullptr)
-        chargeEmbed(*log, 1);
-
-    int active_this_token = 0;
-    tensor::Vec full_logits;
-    if (adainf)
-        full_logits.resize(static_cast<size_t>(mcfg_.sim.vocab));
-
-    // RAEE decides the exit layer up front from the layer-0 probe.
-    int raee_exit = -1;
-    // AdaInfer patience counter (consecutive positive SVM decisions).
-    int ada_streak = 0;
-
-    while (seq.layer < mcfg_.n_layers) {
+    // The last layer hosts no exit: runRemainingLayers finishes it.
+    while (policy != nullptr && seq.layer < nExitLayers()) {
         const int l = seq.layer;
         const tensor::CSpan hidden = tm_->runLayer(seq);
-
-        if (l >= n_exit)
-            continue; // last layer hosts no predictor
-
-        if (use_raee) {
-            if (l == 0) {
-                // Retrieval: ANN probe over the database, priced at
-                // the true entry count and hidden width (Table 1's
-                // High-memory / Heavy-prediction row).
-                ++stats.predictor_invocations;
-                raee_exit = raee_->predictExitLayer(hidden, core::kRaeeK);
-                if (log != nullptr) {
-                    const double scan_bytes = core::kRaeeDbEntries *
-                                              core::kRaeeScanFrac *
-                                              mcfg_.truth.hidden * 2.0;
-                    cost_->account(*log, hw::OpClass::Predictor,
-                                   scan_bytes, scan_bytes, 0.0, 24);
-                }
-            }
-            if (l == raee_exit) {
-                // No verification.
-                out.token = tm_->lmHead().argmaxToken(hidden);
-                if (log != nullptr)
-                    chargeLmHeadFull(*log, 1);
-                out.exited = true;
-                out.exit_layer = l;
-                break;
-            }
-        } else if (specee) {
-            if (!predictorActive(l, online))
-                continue;
-            ++active_this_token;
-            ++stats.predictor_invocations;
-            tensor::CSpan feats = fx.extract(tm_->lmHead(), hidden);
-            if (log != nullptr) {
-                chargeLmHeadSliced(*log, 1, mcfg_.num_spec_tokens, 1);
-                chargePredictor(*log, 1, 1);
-            }
-            if (!preds_->shouldExit(l, feats, exit_threshold))
-                continue;
-            // Verification (§4.3.3): local result T' vs global result
-            // T from the full head at this layer.
-            ++stats.verify_calls;
-            if (log != nullptr)
-                chargeLmHeadFull(*log, 1);
-            const int local =
-                spec_tokens[tensor::argmax(fx.localProbs())];
-            if (!core::Verifier::verify(tm_->lmHead(), hidden, local)) {
-                ++stats.verify_rejects;
-                continue;
-            }
-            out.token = local;
-            out.exited = true;
+        if (const std::optional<int> tok = policy->onLayer(l, hidden, out)) {
+            out.token = *tok;
             out.exit_layer = l;
-            break;
-        } else if (adainf) {
-            // AdaInfer: full LM head + SVM after every layer.
-            ++stats.predictor_invocations;
-            ++active_this_token;
-            if (log != nullptr) {
-                chargeLmHeadFull(*log, 1);
-                chargePredictor(*log, 1, 1);
-            }
-            tm_->lmHead().full(hidden, full_logits);
-            const int global =
-                static_cast<int>(tensor::argmax(full_logits));
-            auto af = core::adaInferFeatures(full_logits);
-            if (ada_->shouldExit(l, tensor::CSpan(af.data(), af.size())))
-                ++ada_streak;
-            else
-                ada_streak = 0;
-            // Patience scales with model depth (4 at 32 layers).
-            const int patience = std::min(
-                ada_->patience, std::max(1, mcfg_.n_layers / 8));
-            if (ada_streak >= patience) {
-                out.token = global; // no verification
-                out.exited = true;
-                out.exit_layer = l;
-                break;
-            }
+            out.layers_used = l + 1;
+            out.fill_layers = tm_->finishEarly(seq);
+            return out;
         }
     }
-
-    if (out.exited) {
-        out.layers_used = out.exit_layer + 1;
-        const int filled = tm_->finishEarly(seq);
-        if (log != nullptr)
-            chargeKvFill(*log, filled, 1);
-        ++stats.exits;
-        if (static_cast<size_t>(out.exit_layer) <
-            stats.exit_histogram.size()) {
-            ++stats.exit_histogram[static_cast<size_t>(out.exit_layer)];
-        }
-        if (online != nullptr)
-            online->recordExit(out.exit_layer);
-    } else {
-        out.token = tm_->runRemainingLayers(seq);
-        out.layers_used = mcfg_.n_layers;
-        if (log != nullptr)
-            chargeLmHeadFull(*log, 1);
-    }
-
-    if (log != nullptr) {
-        chargeLayers(*log, out.layers_used, 1, logical_pos);
-        chargeOverhead(*log);
-    }
-    stats.avg_active_predictors += active_this_token;
-    out.predictors_used = active_this_token;
+    out.token = tm_->runRemainingLayers(seq);
+    out.layers_used = mcfg_.n_layers;
+    ++out.head_reads;
     return out;
 }
 
 // ---------------------------------------------------------------------------
 // Run paths
 // ---------------------------------------------------------------------------
-
-void
-Engine::checkRunnable() const
-{
-    if (ecfg_.early_exit)
-        specee_assert(preds_ != nullptr,
-                      "early exit requires trained predictors");
-    if (ecfg_.adainfer)
-        specee_assert(ada_ != nullptr && !ada_->empty(),
-                      "AdaInfer engine requires a trained SVM bank");
-    if (ecfg_.raee)
-        specee_assert(raee_ != nullptr && !raee_->empty(),
-                      "RAEE engine requires a retrieval index");
-}
 
 void
 Engine::finalizeRun(RunResult &out, const workload::Workload &w,
@@ -631,9 +662,10 @@ Engine::finalizeRun(RunResult &out, const workload::Workload &w,
 hw::MemoryTracker
 Engine::makeMemoryTracker() const
 {
-    const bool with_dlm = ecfg_.early_exit || ecfg_.spec_decode;
+    const bool specee = ecfg_.exit == ExitMode::SpecEE;
+    const bool with_dlm = specee || ecfg_.spec_decode;
     const int n_preds =
-        ecfg_.early_exit && preds_ != nullptr ? preds_->nExitLayers() : 0;
+        specee && preds_ != nullptr ? preds_->nExitLayers() : 0;
     const size_t pred_params =
         preds_ != nullptr ? preds_->paramsPerPredictor() : 0;
     // The DLM ships in the head backend (matches chargeDraft).
@@ -659,10 +691,9 @@ Engine::RunStart::RunStart(const Engine &eng, const workload::Workload &w,
 }
 
 RunResult
-Engine::run(const workload::Workload &w, uint64_t seed)
+Engine::run(const workload::Workload &w, uint64_t seed) const
 {
     specee_assert(!w.instances.empty(), "empty workload");
-    checkRunnable();
 
     RunStart rs(*this, w, seed);
     long total_committed = 0;
@@ -680,7 +711,7 @@ Engine::run(const workload::Workload &w, uint64_t seed)
 
 std::unique_ptr<DecodeSession>
 Engine::makeSession(const workload::Workload &w, uint64_t seed,
-                    std::unique_ptr<model::SequenceKv> kv)
+                    std::unique_ptr<model::SequenceKv> kv) const
 {
     return std::make_unique<DecodeSession>(*this, w, seed,
                                            std::move(kv));
@@ -688,7 +719,7 @@ Engine::makeSession(const workload::Workload &w, uint64_t seed,
 
 RunResult
 Engine::runOne(const workload::Workload &w, size_t instance,
-               uint64_t seed)
+               uint64_t seed) const
 {
     return run(w.slice(instance), seed);
 }

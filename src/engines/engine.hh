@@ -3,23 +3,27 @@
  * The inference engine: one loop, composable features.
  *
  * Every baseline framework (HuggingFace, vllm, AWQ, llama.cpp,
- * PowerInfer, EAGLE, AdaInfer) and every SpecEE variant is an
+ * PowerInfer, EAGLE, AdaInfer, RAEE) and every SpecEE variant is an
  * EngineConfig over this class. The engine runs the functional
  * simulator (real math at sim dims) and in parallel prices every
  * logical operator at the true Llama-2 dimensions on the configured
  * platform, so each run yields tokens + quality AND modeled
  * latency / energy / memory.
+ *
+ * decodeToken runs a token's layers and asks the session's ExitPolicy
+ * (SpecEE, AdaInfer or RAEE; none when dense) after each whether to
+ * exit. It prices nothing: its TokenOutcome counts what ran, and
+ * chargeToken prices that count.
  */
 
 #ifndef SPECEE_ENGINES_ENGINE_HH
 #define SPECEE_ENGINES_ENGINE_HH
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/features.hh"
-#include "core/online_scheduler.hh"
 #include "core/predictor.hh"
 #include "core/raee.hh"
 #include "engines/adainfer.hh"
@@ -77,6 +81,47 @@ struct RunResult
     RunStats stats;
 };
 
+/** What one token's decode ran, for chargeToken and RunStats. */
+struct TokenOutcome
+{
+    int token = -1;          ///< emitted token
+    int layers_used = 0;     ///< decoder layers executed
+    int exit_layer = -1;     ///< layer of the early exit; -1: none
+    bool drafted = false;    ///< one draft forward speculated tokens
+    bool raee_probe = false; ///< one RAEE retrieval probe ran
+    int predictor_checks = 0; ///< exit predictors evaluated
+    int sliced_reads = 0;    ///< sliced-head feature extractions
+    int verify_calls = 0;    ///< exits checked against the full head
+    int verify_rejects = 0;  ///< of which rejected
+    int head_reads = 0;      ///< full LM head applications
+    int fill_layers = 0;     ///< skipped layers whose KV was back-filled
+
+    bool exited() const { return exit_layer >= 0; }
+};
+
+/**
+ * One session's early-exit decision, with the state it keeps across
+ * tokens. The engine calls beginToken once per token, then onLayer
+ * after every exitable layer until it returns a token; each call
+ * counts its work into the token's outcome.
+ */
+class ExitPolicy
+{
+  public:
+    virtual ~ExitPolicy() = default;
+
+    virtual void beginToken(int, const model::TokenScript &, TokenOutcome &)
+    {
+    }
+
+    /** @return the token to exit with, or nullopt to continue */
+    virtual std::optional<int> onLayer(int layer, tensor::CSpan hidden,
+                                       TokenOutcome &out) = 0;
+
+    /** SpecEE's predictor confidence bar; other policies have none. */
+    virtual void setExitThreshold(float) {}
+};
+
 /** Composable LLM inference engine. */
 class Engine
 {
@@ -103,7 +148,7 @@ class Engine
     void setOfflineHotLayers(std::vector<int> layers);
 
     /** Execute a workload; deterministic under `seed`. */
-    RunResult run(const workload::Workload &w, uint64_t seed = 1);
+    RunResult run(const workload::Workload &w, uint64_t seed = 1) const;
 
     /**
      * Per-request entry point for the serving layer: run exactly one
@@ -113,7 +158,7 @@ class Engine
      * only on (instance, seed), never on what ran before.
      */
     RunResult runOne(const workload::Workload &w, size_t instance,
-                     uint64_t seed = 1);
+                     uint64_t seed = 1) const;
 
     /**
      * Stepwise per-request entry point for the live serving layer: a
@@ -123,13 +168,13 @@ class Engine
      * gives it a private pool. Either way the session can swap, and
      * the finalized result is bit-identical to runOne(w, 0, seed).
      *
-     * Sessions of one engine share its model weights; callers must
-     * step them from one thread at a time (sessions of different
-     * engines are independent: engines share only immutable weights).
+     * Sessions only read the engine: each owns its decode state and
+     * exit policy, so sessions of one engine may step concurrently
+     * on different threads.
      */
     std::unique_ptr<DecodeSession>
     makeSession(const workload::Workload &w, uint64_t seed,
-                std::unique_ptr<model::SequenceKv> kv = nullptr);
+                std::unique_ptr<model::SequenceKv> kv = nullptr) const;
 
     const EngineConfig &config() const { return ecfg_; }
     const model::ModelConfig &modelConfig() const { return mcfg_; }
@@ -181,39 +226,28 @@ class Engine
         Rng rng;
     };
 
-    struct TokenOutcome
-    {
-        int token = -1;      ///< emitted token
-        int layers_used = 0; ///< decoder layers executed
-        bool exited = false; ///< early exit taken
-        int exit_layer = -1; ///< layer of the exit (if any)
-        int predictors_used = 0; ///< activated predictors this token
-    };
-
-    /** True when a predictor is active at `layer` for this token. */
-    bool predictorActive(int layer,
-                         const core::OnlineScheduler *online) const;
+    class SpecEEExit;
+    class AdaInferExit;
+    class RaeeExit;
 
     /**
-     * Functionally decode one token of `seq` (input -> emission)
-     * with the configured exit policy. Does not charge costs when
-     * `log == nullptr` (used inside speculative passes, which charge
-     * at pass granularity). `exit_threshold` is the SpecEE predictor
-     * confidence bar for this token — sessions pass their own copy
-     * (EngineConfig::exit_threshold unless an adaptive controller
-     * overrode it), so exit aggressiveness is per-request state, not
-     * engine state.
+     * A session's exit policy from EngineConfig::exit (null when
+     * dense). Asserts the policy's trained artifacts are attached.
+     */
+    std::unique_ptr<ExitPolicy> makeExitPolicy(const model::DraftModel &dlm,
+                                               Rng &rng) const;
+
+    /**
+     * Functionally decode one token of `seq` under `policy` (null:
+     * every layer runs). Charges nothing; the outcome counts what ran.
      */
     TokenOutcome decodeToken(model::SequenceState &seq, int input_token,
                              const model::TokenScript &script,
-                             const model::DraftModel &dlm,
-                             core::FeatureExtractor &fx,
-                             core::OnlineScheduler *online,
-                             hw::OpLog *log, int logical_pos, Rng &rng,
-                             RunStats &stats, float exit_threshold);
+                             ExitPolicy *policy) const;
 
-    /** Assert the configured policies have their trained artifacts. */
-    void checkRunnable() const;
+    /** Price one autoregressive token at cached length `logical_pos`. */
+    void chargeToken(hw::OpLog &log, const TokenOutcome &o,
+                     int logical_pos) const;
 
     /**
      * Reduce accumulated per-token stats to run-level aggregates
@@ -230,7 +264,7 @@ class Engine
                       int logical_pos) const;
     void chargeKvFill(hw::OpLog &log, int n_layers, int batch) const;
     void chargeLmHeadFull(hw::OpLog &log, int batch) const;
-    void chargeLmHeadSliced(hw::OpLog &log, int groups, int k,
+    void chargeLmHeadSliced(hw::OpLog &log, int groups,
                             int layer_events) const;
     void chargePredictor(hw::OpLog &log, int batch,
                          int layer_events) const;
@@ -303,8 +337,7 @@ class Engine
     const core::ExitPredictor *preds_ = nullptr;
     const AdaInferBank *ada_ = nullptr;
     const core::RaeeIndex *raee_ = nullptr;
-    std::vector<bool> offlineHotMask_;
-    bool haveOfflineSet_ = false;
+    std::vector<bool> offlineHotMask_; ///< empty until set
     double devWeightFrac_ = 1.0;
     std::unique_ptr<hw::CostModel> cost_;
 };

@@ -58,7 +58,7 @@ EngineConfig::adaInfer()
 {
     EngineConfig c = huggingFace();
     c.name = "AdaInfer";
-    c.adainfer = true;
+    c.exit = ExitMode::AdaInfer;
     return c;
 }
 
@@ -67,7 +67,7 @@ EngineConfig::raeeBaseline()
 {
     EngineConfig c = huggingFace();
     c.name = "RAEE";
-    c.raee = true;
+    c.exit = ExitMode::Raee;
     return c;
 }
 
@@ -105,8 +105,7 @@ EngineConfig::withSpecEE(bool with_t2) const
 {
     EngineConfig c = *this;
     c.name = "SpecEE+" + name;
-    c.adainfer = false;
-    c.early_exit = true;
+    c.exit = ExitMode::SpecEE;
     c.offline_sched = with_t2;
     c.online_sched = with_t2;
     // SpecEE's released implementation is a fused C++/CUDA backend

@@ -1,13 +1,15 @@
 /**
  * @file
  * Engine configuration: one composable config covers every baseline
- * framework and every SpecEE variant, so ablations toggle exactly one
- * knob at a time (Fig. 19).
+ * framework and every SpecEE variant. The Fig. 19 ablation adds one
+ * SpecEE technique at a time: the exit mode (T1), then scheduling
+ * (T2), then tree decoding (T3).
  *
  * Framework presets carry two kinds of parameters:
  *  - functional switches (weight format, sparse FFN, speculative
- *    decoding, early exit, scheduling, sharding) that change which
- *    real code paths run; every engine stores its KV in paged blocks
+ *    decoding, the exit mode, scheduling, sharding) that change which
+ *    real code paths run; the exit mode picks at most one early-exit
+ *    policy per engine; every engine stores its KV in paged blocks
  *    (the vllm PagedAttention manager), so KV layout is not a switch;
  *  - calibration constants (`bw_efficiency`, `fixed_overhead_s`)
  *    that anchor absolute tok/s to each public framework's published
@@ -48,21 +50,25 @@ enum class WeightFormat : int {
     Awq,  ///< AWQ: int4 projections; fp16 head, embedding and draft
 };
 
+/** The early-exit decision an engine makes per token. */
+enum class ExitMode : int {
+    None,     ///< every token runs every layer
+    SpecEE,   ///< T1: speculative early exiting, verified
+    AdaInfer, ///< AdaInfer full-vocab SVM after every layer
+    Raee,     ///< RAEE retrieval picks the exit layer at layer 0
+};
+
 /** Full engine configuration. */
 struct EngineConfig
 {
     std::string name = "HuggingFace";
 
-    // --- SpecEE switches -------------------------------------------------
-    bool early_exit = false;       ///< T1: speculative early exiting
+    // --- switches ----------------------------------------------------------
+    ExitMode exit = ExitMode::None;
     bool offline_sched = false;    ///< T2a: offline hot-layer set
     bool online_sched = false;     ///< T2b: context-similarity activation
     bool spec_decode = false;      ///< EAGLE-style tree decoding
-    ///< T3 (hyper-token merged mapping) = spec_decode && early_exit.
-
-    // --- baseline switches -----------------------------------------------
-    bool adainfer = false;   ///< AdaInfer full-vocab SVM early exit
-    bool raee = false;       ///< RAEE retrieval-based early exit
+    ///< T3 (hyper-token merged mapping) = spec_decode && exit == SpecEE.
     /**
      * Weight format: every weight-bound operator is loaded and
      * priced at its backend's compressed traffic (projections at the
@@ -127,8 +133,9 @@ struct EngineConfig
     static EngineConfig powerInfer(); ///< PC scenario, sparse FFN
 
     /**
-     * Derive the +SpecEE variant: enables early exit (and scheduling
-     * when `with_t2`); keeps the base framework's cost calibration.
+     * Derive the +SpecEE variant: SpecEE replaces the base's exit mode
+     * (and schedules predictors when `with_t2`); keeps the base
+     * framework's cost calibration.
      */
     EngineConfig withSpecEE(bool with_t2 = true) const;
 

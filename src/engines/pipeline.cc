@@ -143,7 +143,7 @@ Pipeline::makeEngine(const EngineConfig &ecfg,
     auto e = std::make_unique<Engine>(ecfg, mcfg_, spec, *corpus_,
                                       dense ? weights_ : nullptr);
     e->setPredictors(preds_.get());
-    if (ecfg.adainfer)
+    if (ecfg.exit == ExitMode::AdaInfer)
         e->setAdaInferBank(&adaInferBank());
     e->setRaeeIndex(raee_.get());
     e->setOfflineHotLayers(hot_);

@@ -1,12 +1,16 @@
 /**
  * @file
  * Engine tests: dense correctness, SpecEE early exiting (T1/T2),
- * AdaInfer baseline behaviour, cost/energy/memory accounting and
- * weight sharing between a pipeline's engines.
+ * AdaInfer baseline behaviour, every exit policy pinned bit for bit,
+ * cost/energy/memory accounting, weight sharing between a pipeline's
+ * engines and concurrent sessions of one engine.
  */
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
+#include "engines/decode_session.hh"
 #include "engines/engine.hh"
 #include "oracle/profiles.hh"
 #include "test_util.hh"
@@ -67,6 +71,39 @@ digestRun(const engines::RunResult &r)
         d.pod(t.count);
     }
     return d.value();
+}
+
+/** Both runs agree on every field digestRun covers. */
+void
+expectSameRun(const engines::RunResult &a, const engines::RunResult &b)
+{
+    ASSERT_EQ(a.emissions.size(), b.emissions.size());
+    for (size_t i = 0; i < a.emissions.size(); ++i) {
+        EXPECT_EQ(a.emissions[i].tokens, b.emissions[i].tokens);
+        EXPECT_EQ(a.emissions[i].exit_layers, b.emissions[i].exit_layers);
+    }
+    EXPECT_EQ(a.stats.predictor_invocations, b.stats.predictor_invocations);
+    EXPECT_EQ(a.stats.verify_calls, b.stats.verify_calls);
+    EXPECT_EQ(a.stats.exits, b.stats.exits);
+    for (int c = 0; c < hw::kNumOpClasses; ++c) {
+        const auto cls = static_cast<hw::OpClass>(c);
+        EXPECT_EQ(a.stats.oplog.totals(cls).time_s,
+                  b.stats.oplog.totals(cls).time_s)
+            << hw::opClassName(cls);
+    }
+    EXPECT_EQ(digestRun(a), digestRun(b));
+}
+
+/** Step a fresh private-pool session of `eng` to completion. */
+engines::RunResult
+runSession(const engines::Engine &eng, const workload::Workload &w,
+           uint64_t seed)
+{
+    auto sess = eng.makeSession(w, seed);
+    sess->prefill();
+    while (sess->step()) {
+    }
+    return sess->finalize();
 }
 
 } // namespace
@@ -415,4 +452,45 @@ TEST(Engine, SharedWeightsMatchPrivateWeights)
         EXPECT_EQ(a.emissions[i].exit_layers, b.emissions[i].exit_layers);
     }
     EXPECT_DOUBLE_EQ(a.stats.modeled_time_s, b.stats.modeled_time_s);
+}
+
+TEST(EngineConfig, WithSpecEEReplacesTheBaselineExit)
+{
+    // +SpecEE swaps the base framework's exit policy for SpecEE's:
+    // derived from the HF-calibrated AdaInfer and RAEE presets, the
+    // engine is HuggingFace+SpecEE in everything but its name.
+    const auto ref = runConfig(EngineConfig::huggingFace().withSpecEE());
+    EXPECT_GT(ref.stats.verify_calls, 0);
+    for (const EngineConfig &base :
+         {EngineConfig::raeeBaseline(), EngineConfig::adaInfer()}) {
+        SCOPED_TRACE(base.name);
+        const EngineConfig cfg = base.withSpecEE();
+        EXPECT_EQ(cfg.exit, engines::ExitMode::SpecEE);
+        expectSameRun(runConfig(cfg), ref);
+    }
+}
+
+TEST(Engine, SessionsOfOneEngineStepConcurrently)
+{
+    // Sessions only read their engine: two of them stepped on two
+    // threads each decode exactly what they decode alone.
+    const auto &pipe = testutil::tinyPipeline();
+    for (const EngineConfig &cfg : {EngineConfig::huggingFace().withSpecEE(),
+                                    EngineConfig::eagle().withSpecEE()}) {
+        SCOPED_TRACE(cfg.name);
+        const std::unique_ptr<const engines::Engine> eng =
+            pipe.makeEngine(cfg, hw::HardwareSpec::a100());
+        const workload::Workload wa = mtWorkload().slice(0);
+        const workload::Workload wb = mtWorkload().slice(1);
+        const auto alone_a = runSession(*eng, wa, 5);
+        const auto alone_b = runSession(*eng, wb, 6);
+
+        engines::RunResult par_a, par_b;
+        std::thread ta([&] { par_a = runSession(*eng, wa, 5); });
+        std::thread tb([&] { par_b = runSession(*eng, wb, 6); });
+        ta.join();
+        tb.join();
+        expectSameRun(par_a, alone_a);
+        expectSameRun(par_b, alone_b);
+    }
 }
