@@ -282,7 +282,7 @@ class DecodeSession
      * speculation knob). Defaults to the engine's configured
      * EngineConfig::exit_threshold; already-decoded tokens are
      * unaffected, so a controller epoch boundary changes behavior
-     * only forward in time.
+     * only forward in time. Other exit modes have no bar.
      */
     void
     setExitThreshold(float t)
@@ -340,7 +340,7 @@ class DecodeSession
      * session advances it on the engine's shared, immutable model.
      */
     model::SequenceState seq_;
-    model::SequenceKv *kv_ = nullptr; ///< the session's KV (owned by seq_)
+    model::SequenceKv *kv_ = nullptr;    ///< the session's KV (owned by seq_)
     std::unique_ptr<ExitPolicy> policy_; ///< null on a dense engine
     workload::Emission em_;
     size_t stepIdx_ = 0; ///< scripted steps consumed

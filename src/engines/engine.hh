@@ -84,17 +84,17 @@ struct RunResult
 /** What one token's decode ran, for chargeToken and RunStats. */
 struct TokenOutcome
 {
-    int token = -1;          ///< emitted token
-    int layers_used = 0;     ///< decoder layers executed
-    int exit_layer = -1;     ///< layer of the early exit; -1: none
-    bool drafted = false;    ///< one draft forward speculated tokens
-    bool raee_probe = false; ///< one RAEE retrieval probe ran
+    int token = -1;           ///< emitted token
+    int layers_used = 0;      ///< decoder layers executed
+    int exit_layer = -1;      ///< layer of the early exit; -1: none
+    bool drafted = false;     ///< one draft forward speculated tokens
+    bool raee_probe = false;  ///< one RAEE retrieval probe ran
     int predictor_checks = 0; ///< exit predictors evaluated
-    int sliced_reads = 0;    ///< sliced-head feature extractions
-    int verify_calls = 0;    ///< exits checked against the full head
-    int verify_rejects = 0;  ///< of which rejected
-    int head_reads = 0;      ///< full LM head applications
-    int fill_layers = 0;     ///< skipped layers whose KV was back-filled
+    int sliced_reads = 0;     ///< sliced-head feature extractions
+    int verify_calls = 0;     ///< exits checked against the full head
+    int verify_rejects = 0;   ///< of which rejected
+    int head_reads = 0;       ///< full LM head applications
+    int fill_layers = 0;      ///< skipped layers whose KV was back-filled
 
     bool exited() const { return exit_layer >= 0; }
 };

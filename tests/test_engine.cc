@@ -112,7 +112,8 @@ TEST(Engine, ExitPoliciesArePinned)
 {
     // Every exit policy, pricing path and platform quirk the decode
     // loop serves, pinned bit for bit: tokens, exit layers, counters
-    // and per-class modeled costs.
+    // and per-class modeled costs. On the tiny model both SIMD levels
+    // give the same digests.
     EngineConfig fixed = EngineConfig::huggingFace().withSpecEE();
     fixed.fixed_predictor_layers = {2, 4};
     const struct
